@@ -10,13 +10,11 @@
 //! scheduling rule), re-pin the digest in the same commit and say so in the
 //! commit message.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor_core::chaos::ChaosConfig;
-use condor_core::cluster::{run_cluster, run_cluster_with_threads, RunOutput};
+use condor_core::cluster::{Run, RunOutput};
 use condor_core::config::PoolTopology;
 use condor_sim::time::SimDuration;
-use condor_workload::scenarios::{fleet_scale, paper_month};
+use condor_workload::scenarios::{fleet_scale, paper_month, Scenario};
 
 /// FNV-1a, 64-bit. Implemented inline so the guard has zero dependencies
 /// and an auditable definition.
@@ -47,10 +45,22 @@ fn digest(out: &RunOutput) -> (u64, usize) {
     (hash, events)
 }
 
+fn run(scenario: Scenario) -> RunOutput {
+    Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute()
+}
+
+fn run_on(scenario: Scenario, threads: usize) -> RunOutput {
+    Run::new(scenario.config)
+        .specs(scenario.jobs)
+        .horizon(scenario.horizon)
+        .threads(threads)
+        .execute()
+}
+
 #[test]
 fn paper_month_trace_digest_is_stable() {
     let scenario = paper_month(GOLDEN_SEED);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = run(scenario);
     let (hash, events) = digest(&out);
     assert_eq!(
         events, GOLDEN_EVENTS,
@@ -76,7 +86,7 @@ const FLEET_GOLDEN_EVENTS: usize = 61_415;
 fn fleet_scale_1000_station_trace_digest_is_stable() {
     let mut scenario = fleet_scale(GOLDEN_SEED, 1000, 1, 2);
     scenario.config.record_trace = true;
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = run(scenario);
     let (hash, events) = digest(&out);
     assert_eq!(
         events, FLEET_GOLDEN_EVENTS,
@@ -96,7 +106,7 @@ fn fleet_scale_1000_station_trace_digest_is_stable() {
 fn zero_fault_chaos_matches_the_golden_digest() {
     let mut scenario = paper_month(GOLDEN_SEED);
     scenario.config.chaos = Some(ChaosConfig::default());
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = run(scenario);
     let (hash, events) = digest(&out);
     assert_eq!(events, GOLDEN_EVENTS, "an empty chaos schedule changed the event count");
     assert_eq!(
@@ -117,7 +127,7 @@ fn redundancy_off_matches_the_golden_digest() {
     use condor_core::redundancy::RedundancyConfig;
     let mut scenario = paper_month(GOLDEN_SEED);
     scenario.config.policy = PolicyKind::Redundant(RedundancyConfig::off());
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = run(scenario);
     let (hash, events) = digest(&out);
     assert_eq!(events, GOLDEN_EVENTS, "redundancy-off changed the event count");
     assert_eq!(
@@ -138,7 +148,7 @@ fn redundancy_off_matches_the_fleet_golden_digest() {
     let mut scenario = fleet_scale(GOLDEN_SEED, 1000, 1, 2);
     scenario.config.record_trace = true;
     scenario.config.policy = PolicyKind::Redundant(RedundancyConfig::off());
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = run(scenario);
     assert_eq!(
         digest(&out),
         (FLEET_GOLDEN_DIGEST, FLEET_GOLDEN_EVENTS),
@@ -155,7 +165,7 @@ fn one_pool_topology_matches_the_golden_digest_at_any_thread_count() {
     for threads in [1, 2, 4, 8] {
         let mut scenario = paper_month(GOLDEN_SEED);
         scenario.config.topology = Some(PoolTopology::uniform(1, SimDuration::from_secs(60)));
-        let out = run_cluster_with_threads(scenario.config, scenario.jobs, scenario.horizon, threads);
+        let out = run_on(scenario, threads);
         let (hash, events) = digest(&out);
         assert_eq!(
             events, GOLDEN_EVENTS,
@@ -173,7 +183,7 @@ fn one_pool_topology_matches_the_golden_digest_at_any_thread_count() {
     // through this arm.
     let mut scenario = paper_month(GOLDEN_SEED);
     scenario.config.topology = Some(PoolTopology::uniform(1, SimDuration::from_secs(60)));
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = run(scenario);
     assert_eq!(
         digest(&out),
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
@@ -193,7 +203,7 @@ fn multi_pool_trace_is_bit_identical_at_any_thread_count() {
         let mut scenario = paper_month(GOLDEN_SEED);
         scenario.config.topology =
             Some(PoolTopology::uniform(4, SimDuration::from_secs(300)));
-        let out = run_cluster_with_threads(scenario.config, scenario.jobs, scenario.horizon, threads);
+        let out = run_on(scenario, threads);
         let d = digest(&out);
         assert!(d.1 > 0, "multi-pool run produced an empty trace");
         match reference {
@@ -203,5 +213,215 @@ fn multi_pool_trace_is_bit_identical_at_any_thread_count() {
                 "multi-pool trace diverged between 1 and {threads} threads"
             ),
         }
+    }
+}
+
+/// The golden *family*: one pin per allocation policy and one Up-Down pin
+/// per optional feature, so a refactor of the resident transitions cannot
+/// drift on a path the two headline scenarios never reach. Every member is
+/// two hashes:
+///
+/// * the **trace** half — the JSONL digest above;
+/// * the **ledger** half — [`ledger_digest`], over everything the trace
+///   does not carry: `Totals`, each job's accounting, and the hourly
+///   `local_busy`/`remote_busy` buckets. Accrual and utilization deposits
+///   are invisible on the trace; only this half sees them move.
+///
+/// A ledger-only re-pin (trace halves untouched) is how an accounting fix
+/// shows up here; name each moved member in the commit message.
+mod family {
+    use super::*;
+    use condor_core::chaos::{ChaosGen, ChaosSchedule};
+    use condor_core::config::{EvictionStrategy, FailureConfig, PolicyKind, Reservation};
+    use condor_core::redundancy::{CkptTiming, RedundancyConfig};
+    use condor_core::updown::UpDownConfig;
+    use condor_model::station::ResourceVec;
+    use condor_net::NodeId;
+    use condor_sim::time::SimTime;
+    use condor_workload::scenarios::{assign_speedup_mix, fairness_duel, one_week};
+
+    /// FNV-1a over the run's accounting state, rendered canonically:
+    /// `Totals` through its `Debug` form (all integer counters), then one
+    /// line per job, then the exact bit patterns of every hourly bucket.
+    fn ledger_digest(out: &RunOutput) -> u64 {
+        let mut hash = fnv1a64(format!("{:?}\n", out.totals).as_bytes(), FNV_OFFSET);
+        for j in &out.jobs {
+            let line = format!(
+                "{} {} {} {} {} {:?} {} {}\n",
+                j.spec.id.0,
+                j.work_done.as_millis(),
+                j.work_lost.as_millis(),
+                j.checkpoints,
+                j.placements,
+                j.completed_at.map(|t| t.as_millis()),
+                j.remote_cpu.as_millis(),
+                j.support_us,
+            );
+            hash = fnv1a64(line.as_bytes(), hash);
+        }
+        let hours = (out.horizon.as_millis() / 3_600_000) as usize + 1;
+        for acc in [&out.local_busy, &out.remote_busy] {
+            for v in acc.bucket_totals(hours) {
+                hash = fnv1a64(&v.to_bits().to_le_bytes(), hash);
+            }
+        }
+        hash
+    }
+
+    /// A saturated 40-station fleet for five days: a heavy user flooding
+    /// from station 0 and a light user's daily batch from station 1, so
+    /// owner evictions, grace expiries, in-place resumes and Up-Down
+    /// priority preemptions all fire.
+    fn loaded() -> Scenario {
+        fairness_duel(GOLDEN_SEED, 40, 5)
+    }
+
+    /// The paper's user mix over one week on 40 stations: queues drain
+    /// between batches, which is the regime replication needs.
+    fn light() -> Scenario {
+        let mut s = one_week(GOLDEN_SEED);
+        s.config.stations = 40;
+        s
+    }
+
+    fn with_policy(policy: PolicyKind) -> Scenario {
+        let mut s = loaded();
+        s.config.policy = policy;
+        s
+    }
+
+    /// Mixed station sizes and sub-whole job demands under non-linear
+    /// speedup curves.
+    fn fractional(policy: PolicyKind) -> Scenario {
+        let mut s = with_policy(policy);
+        s.config.capacity_profiles =
+            vec![ResourceVec::WHOLE, ResourceVec::share(1500), ResourceVec::new(2000, 1000)];
+        for j in &mut s.jobs {
+            j.resources = ResourceVec::share(250 + 250 * (j.id.0 % 4) as u32);
+        }
+        assign_speedup_mix(&mut s.jobs, GOLDEN_SEED, 0.3, 0.2);
+        s
+    }
+
+    fn redundant() -> Scenario {
+        let mut s = light();
+        s.config.policy = PolicyKind::Redundant(RedundancyConfig {
+            replicas: 2,
+            updown: UpDownConfig::default(),
+            checkpointing: CkptTiming::Opportunistic {
+                check_every: SimDuration::from_minutes(10),
+                hazard_threshold: 1.0,
+            },
+        });
+        s
+    }
+
+    fn history_aware() -> Scenario {
+        let mut s = loaded();
+        s.config.history_aware_placement = true;
+        s
+    }
+
+    fn chaos() -> Scenario {
+        let mut s = loaded();
+        let gen = ChaosGen { horizon: s.horizon, stations: 40, faults: 12 };
+        s.config.chaos = Some(ChaosConfig::new(ChaosSchedule::generate(GOLDEN_SEED, &gen)));
+        s
+    }
+
+    fn gangs() -> Scenario {
+        let mut s = light();
+        for j in s.jobs.iter_mut().filter(|j| j.id.0 % 5 == 0) {
+            j.width = 3;
+        }
+        s
+    }
+
+    fn reservations() -> Scenario {
+        let mut s = loaded();
+        s.config.reservations = vec![
+            Reservation {
+                holder: NodeId::new(1),
+                machines: 6,
+                from: SimTime::from_hours(20),
+                until: SimTime::from_hours(44),
+            },
+            Reservation {
+                holder: NodeId::new(0),
+                machines: 3,
+                from: SimTime::from_hours(70),
+                until: SimTime::from_hours(82),
+            },
+        ];
+        s
+    }
+
+    fn failures_with_kill() -> Scenario {
+        let mut s = loaded();
+        s.config.failures = Some(FailureConfig {
+            mtbf: SimDuration::from_days(2),
+            mttr: SimDuration::from_hours(3),
+        });
+        s.config.eviction =
+            EvictionStrategy::ImmediateKill { checkpoint_every: SimDuration::from_minutes(30) };
+        s
+    }
+
+    fn four_pool_month() -> Scenario {
+        let mut s = paper_month(GOLDEN_SEED);
+        s.config.topology = Some(PoolTopology::uniform(4, SimDuration::from_secs(300)));
+        s
+    }
+
+    /// `(name, scenario, trace digest, event count, ledger digest)`.
+    type Pin = (&'static str, fn() -> Scenario, u64, usize, u64);
+
+    const PINS: [Pin; 13] = [
+        ("policy/up-down", loaded, 0x42CD_55EE_B959_E713, 20_294, 0xD730_87C2_FE46_239E),
+        ("policy/fifo", || with_policy(PolicyKind::Fifo), 0xFB2A_E380_A4EF_9D1E, 20_248, 0x22C3_856C_9C09_0A23),
+        ("policy/round-robin", || with_policy(PolicyKind::RoundRobin), 0x7189_6877_A76A_13F8, 20_287, 0xB112_AE00_1728_7D54),
+        ("policy/random", || with_policy(PolicyKind::Random), 0x5793_822E_DE7D_B7F2, 20_285, 0x6F98_E385_0E20_86B8),
+        ("policy/frac", || fractional(PolicyKind::Frac), 0xBA13_3824_F76A_5406, 27_258, 0xDE4D_EBA2_30DD_A2EB),
+        ("policy/redundant-k2", redundant, 0x121D_801D_6D15_12F1, 20_360, 0xADB2_D372_7734_9BCD),
+        ("policy/history-aware", history_aware, 0x9108_2CE6_7886_A0DC, 19_847, 0xC971_949C_783F_81B1),
+        ("feature/fractional", || fractional(PolicyKind::default()), 0xC40C_12A5_3C56_9C81, 27_390, 0xAF42_9CE7_BA5C_EECC),
+        ("feature/chaos-12", chaos, 0x3A83_2CF9_DB93_E717, 20_260, 0xBCF8_649E_DCB6_BD16),
+        ("feature/gangs-3", gangs, 0xE72B_29B4_1E29_1966, 18_210, 0xC9CD_DE3B_F3C1_9361),
+        ("feature/reservations", reservations, 0x5C8C_E9AB_76C4_C3B3, 20_070, 0x8A52_D341_3F80_BAA5),
+        ("feature/failures-kill", failures_with_kill, 0xCAA7_3F03_4D53_907C, 20_634, 0x28C6_6A0F_A482_68CD),
+        ("feature/pools-4-month", four_pool_month, 0x6F51_2EF6_52E2_BB5B, 125_841, 0xE57C_3007_E89B_BB6A),
+    ];
+
+    /// Runs every member, then fails once with the full table — in
+    /// paste-ready form — if any half of any pin moved.
+    #[test]
+    fn every_family_pin_is_stable() {
+        let got: Vec<(u64, usize, u64)> = PINS
+            .iter()
+            .map(|(_, build, ..)| {
+                let out = run(build());
+                let (trace, events) = digest(&out);
+                (trace, events, ledger_digest(&out))
+            })
+            .collect();
+        let mut moved = Vec::new();
+        for ((name, _, trace, events, ledger), g) in PINS.iter().zip(&got) {
+            if (g.0, g.1) != (*trace, *events) {
+                moved.push(format!("{name}: trace half"));
+            }
+            if g.2 != *ledger {
+                moved.push(format!("{name}: ledger half"));
+            }
+        }
+        let table: Vec<String> = PINS
+            .iter()
+            .zip(&got)
+            .map(|((name, ..), g)| format!("{name}: {:#018X}, {}, {:#018X}", g.0, g.1, g.2))
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "golden family drifted — {moved:?}\ncurrent values:\n{}",
+            table.join("\n")
+        );
     }
 }
