@@ -2,12 +2,10 @@
 //! simulates a day/week of 23-station operation, and how placement +
 //! checkpoint costs scale with image size (the 5 s/MB rule).
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use condor_core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
-use condor_core::cluster::run_cluster;
+use condor_core::cluster::Run;
 use condor_core::config::ClusterConfig;
 use condor_core::job::{JobId, JobSpec, UserId};
 use condor_model::costs::CostModel;
@@ -17,18 +15,15 @@ use condor_sim::time::{SimDuration, SimTime};
 fn jobs(n: u64, image_bytes: u64) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 3) as u32),
-            home: NodeId::new((i % 5) as u32),
-            arrival: SimTime::from_secs(i * 13 * 60),
-            demand: SimDuration::from_hours(1 + i % 4),
             image_bytes,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 3) as u32),
+                NodeId::new((i % 5) as u32),
+                SimTime::from_secs(i * 13 * 60),
+                SimDuration::from_hours(1 + i % 4),
+            )
         })
         .collect()
 }
@@ -47,7 +42,10 @@ fn bench_cluster(c: &mut Criterion) {
     for &days in &[1u64, 7] {
         group.bench_with_input(BenchmarkId::new("simulate_days", days), &days, |b, &d| {
             b.iter(|| {
-                let out = run_cluster(config(), jobs(40, 500_000), SimDuration::from_days(d));
+                let out = Run::new(config())
+                    .specs(jobs(40, 500_000))
+                    .horizon(SimDuration::from_days(d))
+                    .execute();
                 black_box(out.totals.placements)
             });
         });
@@ -57,11 +55,10 @@ fn bench_cluster(c: &mut Criterion) {
     for &mb in &[1u64, 4] {
         group.bench_with_input(BenchmarkId::new("image_mb", mb), &mb, |b, &mb| {
             b.iter(|| {
-                let out = run_cluster(
-                    config(),
-                    jobs(20, mb * 1_000_000),
-                    SimDuration::from_days(1),
-                );
+                let out = Run::new(config())
+                    .specs(jobs(20, mb * 1_000_000))
+                    .horizon(SimDuration::from_days(1))
+                    .execute();
                 let support: u64 = out.jobs.iter().map(|j| j.support_us).sum();
                 black_box(support)
             });
@@ -76,7 +73,10 @@ fn bench_cluster(c: &mut Criterion) {
                 chaos: Some(ChaosConfig::default()),
                 ..config()
             };
-            let out = run_cluster(cfg, jobs(40, 500_000), SimDuration::from_days(7));
+            let out = Run::new(cfg)
+                .specs(jobs(40, 500_000))
+                .horizon(SimDuration::from_days(7))
+                .execute();
             black_box(out.totals.placements)
         });
     });
@@ -90,7 +90,10 @@ fn bench_cluster(c: &mut Criterion) {
                 chaos: Some(ChaosConfig::new(schedule.clone())),
                 ..config()
             };
-            let out = run_cluster(cfg, jobs(40, 500_000), SimDuration::from_days(7));
+            let out = Run::new(cfg)
+                .specs(jobs(40, 500_000))
+                .horizon(SimDuration::from_days(7))
+                .execute();
             black_box(out.totals.ckpt_retries + out.totals.local_starts)
         });
     });

@@ -220,18 +220,15 @@ fn measure(budget: Duration, mut f: impl FnMut() -> u64) -> (u64, f64, u64) {
 fn jobs(n: u64, image_bytes: u64) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 3) as u32),
-            home: NodeId::new((i % 5) as u32),
-            arrival: SimTime::from_secs(i * 13 * 60),
-            demand: SimDuration::from_hours(1 + i % 4),
             image_bytes,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 3) as u32),
+                NodeId::new((i % 5) as u32),
+                SimTime::from_secs(i * 13 * 60),
+                SimDuration::from_hours(1 + i % 4),
+            )
         })
         .collect()
 }

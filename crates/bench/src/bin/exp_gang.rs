@@ -31,18 +31,14 @@ fn workload(width: u32) -> Vec<JobSpec> {
     let n_jobs = 8 / width as u64;
     (0..n_jobs)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(i),
-            demand: SimDuration::from_hours(12),
-            image_bytes: 500_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
             width,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::from_hours(i),
+                SimDuration::from_hours(12),
+            )
         })
         .collect()
 }

@@ -44,34 +44,29 @@ fn burst(demand: ResourceVec) -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for i in 0..10u64 {
         specs.push(JobSpec {
-            id: JobId(i),
-            user: UserId((i % 2) as u32),
-            home: NodeId::new((i % 3) as u32),
-            arrival: SimTime::from_secs(i * 5 * 60),
-            demand: SimDuration::from_hours(8),
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
             resources: demand,
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 2) as u32),
+                NodeId::new((i % 3) as u32),
+                SimTime::from_secs(i * 5 * 60),
+                SimDuration::from_hours(8),
+            )
         });
     }
     for i in 10..50u64 {
         specs.push(JobSpec {
-            id: JobId(i),
-            user: UserId((i % 3 + 2) as u32),
-            home: NodeId::new(((i - 10) % 3) as u32),
-            arrival: SimTime::from_secs((i - 10) * 90),
-            demand: SimDuration::from_minutes(30),
             image_bytes: 200_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
             resources: demand,
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 3 + 2) as u32),
+                NodeId::new(((i - 10) % 3) as u32),
+                SimTime::from_secs((i - 10) * 90),
+                SimDuration::from_minutes(30),
+            )
         });
     }
     specs

@@ -21,36 +21,28 @@ use condor_sim::time::{SimDuration, SimTime};
 fn jobs() -> Vec<JobSpec> {
     let mut jobs: Vec<JobSpec> = (0..60)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::ZERO,
-            demand: SimDuration::from_hours(40),
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::ZERO,
+                SimDuration::from_hours(40),
+            )
         })
         .collect();
     // The researcher's distributed-computation batch: 6 two-hour runs at
     // hour 48.
     for k in 0..6u64 {
         jobs.push(JobSpec {
-            id: JobId(60 + k),
-            user: UserId(1),
-            home: NodeId::new(1),
-            arrival: SimTime::from_hours(48),
-            demand: SimDuration::from_hours(2),
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(60 + k),
+                UserId(1),
+                NodeId::new(1),
+                SimTime::from_hours(48),
+                SimDuration::from_hours(2),
+            )
         });
     }
     jobs

@@ -41,18 +41,16 @@ impl TraceSink for PlacementTimes {
 fn burst_jobs(n: u64) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(1),
-            demand: SimDuration::from_hours(3),
-            image_bytes: 2_000_000, // big images make the burst visible
+            image_bytes: 2_000_000,
+            // big images make the burst visible
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::from_hours(1),
+                SimDuration::from_hours(3),
+            )
         })
         .collect()
 }

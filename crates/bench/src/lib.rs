@@ -54,7 +54,6 @@ pub fn hours(h: f64) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use condor_core::job::{JobId, JobSpec};
@@ -65,18 +64,15 @@ mod tests {
     fn is_light_splits_users() {
         let mk = |u: u32| {
             Job::new(JobSpec {
-                id: JobId(0),
-                user: UserId(u),
-                home: NodeId::new(0),
-                arrival: SimTime::ZERO,
-                demand: SimDuration::HOUR,
                 image_bytes: 1,
                 syscalls_per_cpu_sec: 0.0,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
-                resources: Default::default(),
-                speedup: Default::default(),
+                ..JobSpec::new(
+                    JobId(0),
+                    UserId(u),
+                    NodeId::new(0),
+                    SimTime::ZERO,
+                    SimDuration::HOUR,
+                )
             })
         };
         assert!(!is_light(&mk(0)));

@@ -710,10 +710,9 @@ pub(crate) mod test_hooks {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::cluster::run_cluster;
+    use crate::cluster::Run;
     use crate::job::{JobId, UserId};
     use condor_model::diurnal::DiurnalProfile;
     use condor_model::owner::OwnerConfig;
@@ -820,18 +819,14 @@ mod tests {
     fn jobs(n: u64, stations: u64) -> Vec<JobSpec> {
         (0..n)
             .map(|i| JobSpec {
-                id: JobId(i),
-                user: UserId(0),
-                home: NodeId::new((i % stations) as u32),
-                arrival: SimTime::from_secs(600 * i),
-                demand: SimDuration::from_hours(2),
                 image_bytes: 400_000,
-                syscalls_per_cpu_sec: 1.0,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
-                resources: Default::default(),
-                speedup: Default::default(),
+                ..JobSpec::new(
+                    JobId(i),
+                    UserId(0),
+                    NodeId::new((i % stations) as u32),
+                    SimTime::from_secs(600 * i),
+                    SimDuration::from_hours(2),
+                )
             })
             .collect()
     }
@@ -849,15 +844,14 @@ mod tests {
     #[test]
     fn empty_schedule_is_bit_identical_to_no_chaos() {
         let horizon = SimDuration::from_days(2);
-        let plain = run_cluster(stormy(6), jobs(8, 6), horizon);
-        let chaotic = run_cluster(
-            ClusterConfig {
+        let plain = Run::new(stormy(6)).specs(jobs(8, 6)).horizon(horizon).execute();
+        let chaotic = Run::new(ClusterConfig {
                 chaos: Some(ChaosConfig::default()),
                 ..stormy(6)
-            },
-            jobs(8, 6),
-            horizon,
-        );
+            })
+            .specs(jobs(8, 6))
+            .horizon(horizon)
+            .execute();
         assert_eq!(plain.trace.len(), chaotic.trace.len());
         for (a, b) in plain.trace.events().iter().zip(chaotic.trace.events()) {
             assert_eq!(a, b);
@@ -875,7 +869,7 @@ mod tests {
         // The window must actually bite for this test to mean anything.
         let mut config = base;
         config.chaos = Some(ChaosConfig::new(schedule));
-        let out = run_cluster(config, specs, horizon);
+        let out = Run::new(config).specs(specs).horizon(horizon).execute();
         assert!(
             out.totals.ckpt_retries > 0,
             "corruption window never hit a checkpoint: {:?}",

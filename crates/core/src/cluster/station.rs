@@ -1,0 +1,412 @@
+//! The local scheduler: one workstation's hardware, owner process and
+//! resident foreign jobs, plus the two handlers that belong to the station
+//! alone — the owner's busy/idle flip and the 30-second-grid detection
+//! that reconciles residents with it (paper §2.1: the local scheduler is
+//! autonomous; the coordinator only hands out capacity).
+
+use condor_model::owner::{OwnerProcess, OwnerState};
+use condor_model::station::ResourceVec;
+use condor_net::NodeId;
+use condor_sim::engine::Scheduler;
+use condor_sim::event::EventToken;
+use condor_sim::rng::SimRng;
+use condor_sim::time::SimTime;
+
+use super::remote_unix::SegmentEnd;
+use super::replicas::ReplicaState;
+use super::{Cluster, Event};
+use crate::job::JobId;
+use crate::queue::BackgroundQueue;
+use crate::trace::TraceKind;
+
+/// Phase of a foreign job occupying a station.
+#[derive(Debug)]
+pub(super) enum Phase {
+    /// Image inbound.
+    Arriving,
+    /// Member of a multi-machine gang (paper §5(2) parallel programs);
+    /// the gang's collective state lives in the cluster's gang table, and
+    /// its timers in [`GangState`](super::gangs::GangState), not in
+    /// per-station slots.
+    GangMember,
+    /// Executing; `finish` is the pending completion event.
+    Running { finish: EventToken },
+    /// Stopped by owner activity; `grace` is the pending eviction timer.
+    Suspended { grace: EventToken },
+    /// Image outbound.
+    Departing,
+    /// Speculative copy racing the primary (see [`crate::redundancy`]).
+    /// Replicas carry their own lifecycle in [`ReplicaState`] — never the
+    /// job's: `Job::state` always describes the primary copy.
+    Replica(ReplicaState),
+}
+
+#[derive(Debug)]
+pub(super) struct ForeignSlot {
+    pub(super) job: JobId,
+    /// Capacity granted to this resident: fixed at placement to the job's
+    /// demand vector and never rescaled while the job stays on the
+    /// station, so scheduled finish events remain exact.
+    pub(super) demand: ResourceVec,
+    pub(super) phase: Phase,
+}
+
+/// Per-station simulation state (the "local scheduler" plus hardware).
+#[derive(Debug)]
+pub(super) struct Station {
+    pub(super) owner: OwnerProcess,
+    /// Persistent per-station stream for owner dwell draws.
+    pub(super) rng: SimRng,
+    pub(super) owner_state: OwnerState,
+    pub(super) queue: BackgroundQueue,
+    /// Foreign jobs resident on this station. Whole-machine demands (the
+    /// default) keep this at most one entry long; fractional demands pack
+    /// jobs until the capacity vector is exhausted.
+    pub(super) residents: Vec<ForeignSlot>,
+    /// The station's resource capacity (a whole machine by default).
+    pub(super) capacity: ResourceVec,
+    pub(super) disk_capacity: u64,
+    pub(super) disk_used: u64,
+    pub(super) detection_pending: bool,
+    /// Crashed and not yet repaired.
+    pub(super) failed: bool,
+    /// Fenced for a reservation holder: only that station's queue may be
+    /// served here while set.
+    pub(super) reserved_for: Option<NodeId>,
+    /// Owner-active intervals overlapping the current run segment (owner
+    /// flickers shorter than the detection interval). Excised from the
+    /// remote utilization deposit so a machine never accounts as more than
+    /// 100% busy in any bucket.
+    pub(super) run_overlaps: Vec<(SimTime, SimTime)>,
+}
+
+impl Station {
+    /// Sum of the residents' granted capacity, folded from scratch — the
+    /// reference the rescan check compares the maintained
+    /// [`StationHot::used_cap`] total against.
+    pub(super) fn used(&self) -> ResourceVec {
+        self.residents
+            .iter()
+            .fold(ResourceVec::ZERO, |acc, slot| acc.add(slot.demand))
+    }
+
+    pub(super) fn resident(&self, job: JobId) -> Option<&ForeignSlot> {
+        self.residents.iter().find(|slot| slot.job == job)
+    }
+
+    pub(super) fn resident_mut(&mut self, job: JobId) -> Option<&mut ForeignSlot> {
+        self.residents.iter_mut().find(|slot| slot.job == job)
+    }
+
+    /// Up, unfenced, owner away and hosting nothing: the station a
+    /// replica or an autonomous local start may take whole.
+    pub(super) fn idle_and_empty(&self) -> bool {
+        !self.failed
+            && self.reserved_for.is_none()
+            && self.owner_state == OwnerState::Idle
+            && self.residents.is_empty()
+    }
+
+    pub(super) fn disk_free(&self) -> u64 {
+        self.disk_capacity - self.disk_used
+    }
+}
+
+/// Struct-of-arrays hot state: the per-station scalars the owner-flip,
+/// utilization-deposit, and view-refresh paths touch on every event.
+/// Keeping them in dense parallel arrays (a few hundred KB at 100k
+/// stations) means those paths stay cache-resident instead of scattering
+/// reads across the much larger [`Station`] structs.
+#[derive(Debug)]
+pub(super) struct StationHot {
+    /// Start of the current owner-active stretch (`None` while idle).
+    pub(super) owner_active_since: Vec<Option<SimTime>>,
+    /// Start of the current owner-idle stretch (`None` while active).
+    pub(super) idle_since: Vec<Option<SimTime>>,
+    /// EWMA of completed idle-interval lengths, seconds (history-aware
+    /// placement score).
+    pub(super) ewma_idle_secs: Vec<f64>,
+    /// Sum of resident demands — the capacity remainder's complement —
+    /// maintained at every slot insert/remove so `compute_view` and
+    /// admission checks read `capacity − used` without folding the
+    /// residents list.
+    pub(super) used_cap: Vec<ResourceVec>,
+}
+
+impl StationHot {
+    pub(super) fn new(stations: usize) -> Self {
+        StationHot {
+            owner_active_since: vec![None; stations],
+            idle_since: vec![Some(SimTime::ZERO); stations],
+            ewma_idle_secs: vec![0.0; stations],
+            used_cap: vec![ResourceVec::ZERO; stations],
+        }
+    }
+}
+
+/// Weight of accumulated history in the idle-interval EWMA that feeds
+/// history-aware placement. Together with
+/// [`IDLE_EWMA_SAMPLE_WEIGHT`] this sets the smoothing horizon: at
+/// 0.7/0.3 a completed idle interval's influence halves roughly every
+/// two owner departures.
+pub const IDLE_EWMA_HISTORY_WEIGHT: f64 = 0.7;
+
+/// Weight of the newest completed idle interval in the idle-interval
+/// EWMA. Must satisfy `IDLE_EWMA_HISTORY_WEIGHT + IDLE_EWMA_SAMPLE_WEIGHT
+/// == 1.0` so the estimate stays a convex combination of observations.
+pub const IDLE_EWMA_SAMPLE_WEIGHT: f64 = 0.3;
+
+/// One EWMA update step for a completed owner-idle interval. The first
+/// observation seeds the estimate directly.
+fn ewma_idle_update(prev_secs: f64, sample_secs: f64) -> f64 {
+    if prev_secs == 0.0 {
+        sample_secs
+    } else {
+        IDLE_EWMA_HISTORY_WEIGHT * prev_secs + IDLE_EWMA_SAMPLE_WEIGHT * sample_secs
+    }
+}
+
+impl Cluster {
+    /// Capacity still unclaimed by station `i`'s residents, from the
+    /// incrementally maintained occupancy total.
+    #[inline]
+    pub(super) fn free_capacity(&self, i: usize) -> ResourceVec {
+        self.stations[i].capacity.sub(self.hot.used_cap[i])
+    }
+
+    /// Length of station `i`'s current owner-idle streak, seconds (zero
+    /// while the owner is active).
+    pub(super) fn idle_streak_secs(&self, i: usize, now: SimTime) -> f64 {
+        self.hot.idle_since[i].map_or(0.0, |t| now.saturating_since(t).as_secs_f64())
+    }
+
+    /// History-aware placement score: the longer of the current idle
+    /// streak and the EWMA of completed idle intervals.
+    pub(super) fn idle_score(&self, i: usize, now: SimTime) -> f64 {
+        self.hot.ewma_idle_secs[i].max(self.idle_streak_secs(i, now))
+    }
+
+    /// The instant up to which a run segment ending at `now` on station
+    /// `i` counts as remote utilization: the tail between an owner's
+    /// return and its detection belongs to the *owner* in the utilization
+    /// ledgers (the machine cannot be more than 100% busy), even though
+    /// the job accrues the full wall time of background cycles it received.
+    pub(super) fn owner_capped(&self, i: usize, now: SimTime) -> SimTime {
+        self.hot.owner_active_since[i].map_or(now, |t| t.min(now))
+    }
+
+    /// Interference: the owner shared the machine from their return until
+    /// this detection.
+    pub(super) fn charge_interference(&mut self, i: usize, now: SimTime) {
+        if let Some(active_since) = self.hot.owner_active_since[i] {
+            self.totals.interference_ms += now.saturating_since(active_since).as_millis();
+        }
+    }
+
+    /// Whether `station` hosts `job` in a phase accepted by `phase_pred`.
+    pub(super) fn slot_is(
+        &self,
+        station: usize,
+        job: JobId,
+        phase_pred: impl Fn(&Phase) -> bool,
+    ) -> bool {
+        self.stations[station]
+            .resident(job)
+            .is_some_and(|slot| phase_pred(&slot.phase))
+    }
+
+    /// Whether a resident is consuming cycles right now: a running solo
+    /// job, a running replica, or a member of a running gang. Such a slot
+    /// reports `hosting_for` to the coordinator, and an owner flicker over
+    /// it is excised from the remote-utilization deposit.
+    pub(super) fn slot_executing(&self, slot: &ForeignSlot) -> bool {
+        match slot.phase {
+            Phase::Running { .. } | Phase::Replica(ReplicaState::Running { .. }) => true,
+            Phase::GangMember => self.gangs[slot.job.0 as usize]
+                .as_deref()
+                .is_some_and(|g| g.running),
+            _ => false,
+        }
+    }
+
+    /// Gives `job` a slot on station `i` in `phase`, holding `demand` of
+    /// its capacity and one image of its disk. The inverse of
+    /// [`vacate`](Self::vacate); together they are the only two places
+    /// the residents list, the occupancy total and `disk_used` change.
+    pub(super) fn occupy(&mut self, i: usize, job: JobId, demand: ResourceVec, phase: Phase) {
+        self.stations[i].disk_used += self.jobs[job.0 as usize].spec.image_bytes;
+        self.stations[i].residents.push(ForeignSlot { job, demand, phase });
+        self.hot.used_cap[i] = self.hot.used_cap[i].add(demand);
+        self.coord.mark(i);
+    }
+
+    /// Frees `job`'s slot, capacity and image on station `i`, returning
+    /// the slot (`None` if the job was not resident). `sub_exact` is
+    /// debug-asserted, so occupancy drift fails loudly.
+    pub(super) fn vacate(&mut self, i: usize, job: JobId) -> Option<ForeignSlot> {
+        let st = &mut self.stations[i];
+        let slot = st
+            .residents
+            .iter()
+            .position(|slot| slot.job == job)
+            .map(|idx| st.residents.remove(idx));
+        if let Some(slot) = &slot {
+            st.disk_used -= self.jobs[job.0 as usize].spec.image_bytes;
+            self.hot.used_cap[i] = self.hot.used_cap[i].sub_exact(slot.demand);
+        }
+        self.coord.mark(i);
+        slot
+    }
+
+    pub(super) fn on_owner_flip(&mut self, now: SimTime, station: u32, sched: &mut Scheduler<Event>) {
+        let i = station as usize;
+        let new_state = self.stations[i].owner.state();
+        let dwell = {
+            let st = &mut self.stations[i];
+            st.owner.dwell_and_flip(now, &mut st.rng)
+        };
+        sched.at(now + dwell, Event::OwnerFlip { station });
+        self.coord.mark(i);
+        self.stations[i].owner_state = new_state;
+        match new_state {
+            OwnerState::Active => {
+                self.hot.owner_active_since[i] = Some(now);
+                if let Some(t) = self.hot.idle_since[i].take() {
+                    let len = now.since(t).as_secs_f64();
+                    self.hot.ewma_idle_secs[i] =
+                        ewma_idle_update(self.hot.ewma_idle_secs[i], len);
+                }
+                self.emit(now, TraceKind::OwnerActive { station: NodeId::new(station) });
+            }
+            OwnerState::Idle => {
+                if let Some(t) = self.hot.owner_active_since[i].take() {
+                    self.local_busy
+                        .deposit_interval(t, now, now.since(t).as_millis() as f64);
+                    // The foreign job ran right through this owner visit
+                    // (it was shorter than the detection interval): that
+                    // span belongs to the owner in the utilization ledger.
+                    if self.stations[i].residents.iter().any(|slot| self.slot_executing(slot)) {
+                        self.stations[i].run_overlaps.push((t, now));
+                    }
+                }
+                self.hot.idle_since[i] = Some(now);
+                self.emit(now, TraceKind::OwnerIdle { station: NodeId::new(station) });
+            }
+        }
+        // Schedule a local-scheduler check on the 30-second grid if any
+        // resident might need suspending or resuming.
+        let needs_check = self.stations[i].residents.iter().any(|slot| match new_state {
+            OwnerState::Active => matches!(
+                slot.phase,
+                Phase::Running { .. } | Phase::Arriving | Phase::GangMember | Phase::Replica(_)
+            ),
+            OwnerState::Idle => {
+                matches!(slot.phase, Phase::Suspended { .. } | Phase::GangMember)
+            }
+        });
+        if needs_check && !self.stations[i].detection_pending {
+            self.stations[i].detection_pending = true;
+            let grid = self.config.costs.owner_check_interval;
+            let next = now.align_down(grid) + grid;
+            sched.at(next, Event::DetectOwner { station });
+        }
+    }
+
+    pub(super) fn on_detect_owner(&mut self, now: SimTime, station: u32, sched: &mut Scheduler<Event>) {
+        let i = station as usize;
+        self.stations[i].detection_pending = false;
+        // Conservative: any reconciliation below may change this station's
+        // occupancy, and marking an unchanged station costs nothing.
+        self.coord.mark(i);
+        let owner_state = self.stations[i].owner_state;
+        enum SlotInfo {
+            Running(EventToken, JobId),
+            Suspended(EventToken, JobId),
+            Gang(JobId),
+            Replica(JobId),
+        }
+        // Snapshot every resident needing reconciliation: the owner's
+        // return (or departure) affects all of them, not just the first.
+        let infos: Vec<SlotInfo> = self.stations[i]
+            .residents
+            .iter()
+            .filter_map(|slot| match &slot.phase {
+                Phase::Running { finish } => Some(SlotInfo::Running(*finish, slot.job)),
+                Phase::Suspended { grace } => Some(SlotInfo::Suspended(*grace, slot.job)),
+                Phase::GangMember => Some(SlotInfo::Gang(slot.job)),
+                Phase::Replica(_) => Some(SlotInfo::Replica(slot.job)),
+                _ => None,
+            })
+            .collect();
+        for info in infos {
+            match (owner_state, info) {
+                // Gang members reconcile collectively.
+                (_, SlotInfo::Gang(job)) => {
+                    let Some(gang) = self.gangs[job.0 as usize].as_deref() else { continue };
+                    if gang.departing {
+                        continue;
+                    }
+                    match owner_state {
+                        OwnerState::Active if gang.running => {
+                            self.gang_suspend(now, job, station, sched);
+                        }
+                        OwnerState::Idle if !gang.running => {
+                            // Maybe everyone is idle again (or the last image
+                            // just arrived): try to (re)start.
+                            self.gang_try_start(now, job, sched);
+                        }
+                        _ => {}
+                    }
+                }
+                (OwnerState::Active, SlotInfo::Running(finish, job)) => {
+                    sched.cancel(finish);
+                    self.close_run_segment(now, job, &[station], SegmentEnd::Interrupted);
+                    self.charge_interference(i, now);
+                    self.totals.preemptions_owner += 1;
+                    self.suspend_with_grace(now, station, job, sched);
+                }
+                (OwnerState::Idle, SlotInfo::Suspended(grace, job)) => {
+                    sched.cancel(grace);
+                    self.start_running(now, i, job, sched);
+                    self.totals.resumes_in_place += 1;
+                    self.emit(
+                        now,
+                        TraceKind::JobResumedInPlace { job, on: NodeId::new(station) },
+                    );
+                }
+                (OwnerState::Active, SlotInfo::Replica(job)) => {
+                    // Replicas are pure speculation: no grace period, no
+                    // checkpoint — the owner's return kills them outright.
+                    self.charge_interference(i, now);
+                    self.cancel_replica(now, i, job, Some(sched));
+                }
+                _ => {} // owner flickered; nothing to reconcile
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The owner-idle EWMA that feeds history-aware placement: the named
+    /// weights form a convex combination, the first observation seeds the
+    /// estimate directly, and later samples blend at exactly
+    /// `IDLE_EWMA_HISTORY_WEIGHT`/`IDLE_EWMA_SAMPLE_WEIGHT`.
+    #[test]
+    fn idle_ewma_weights_are_convex_and_seed_on_first_sample() {
+        assert_eq!(IDLE_EWMA_HISTORY_WEIGHT + IDLE_EWMA_SAMPLE_WEIGHT, 1.0);
+        // First completed idle interval seeds the estimate.
+        let seeded = ewma_idle_update(0.0, 600.0);
+        assert_eq!(seeded, 600.0);
+        // Subsequent intervals blend with the documented weights.
+        let blended = ewma_idle_update(seeded, 60.0);
+        assert_eq!(
+            blended,
+            IDLE_EWMA_HISTORY_WEIGHT * 600.0 + IDLE_EWMA_SAMPLE_WEIGHT * 60.0
+        );
+        // The estimate stays inside the observed range (convexity).
+        assert!(blended > 60.0 && blended < 600.0);
+    }
+}

@@ -288,18 +288,6 @@ impl FailureConfig {
         }
         Ok(())
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either mean is zero.
-    #[deprecated(note = "use `check()`, which returns a typed ConfigError instead of panicking")]
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// An advance reservation of remote capacity (paper §5, future-work item
@@ -339,18 +327,6 @@ impl Reservation {
             return Err(ConfigError::ReservationWholeFleet { machines: self.machines, stations });
         }
         Ok(())
-    }
-
-    /// Validates the reservation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty window or zero machines.
-    #[deprecated(note = "use `check()`, which returns a typed ConfigError instead of panicking")]
-    pub fn validate(&self, stations: usize) {
-        if let Err(e) = self.check(stations) {
-            panic!("{e}");
-        }
     }
 }
 
@@ -683,18 +659,6 @@ impl ClusterConfig {
         }
         Ok(())
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on structurally impossible configurations.
-    #[deprecated(note = "use `check()`, which returns a typed ConfigError instead of panicking")]
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Fluent constructor for [`ClusterConfig`], created by
@@ -985,13 +949,6 @@ mod tests {
         assert_eq!(empty.check(23), Err(ConfigError::ReservationEmptyWindow));
         let none = Reservation { machines: 0, ..r };
         assert_eq!(none.check(23), Err(ConfigError::ReservationZeroMachines));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "zero MTBF")]
-    fn deprecated_validate_still_panics() {
-        FailureConfig { mtbf: SimDuration::ZERO, mttr: SimDuration::HOUR }.validate();
     }
 
     #[test]

@@ -132,6 +132,47 @@ pub struct JobSpec {
     pub resources: ResourceVec,
 }
 
+impl JobSpec {
+    /// A job with the paper's defaults for everything but who submits how
+    /// much work when: a 0.5 MB image, one system call per CPU-second, VAX
+    /// binaries, no dependencies, one whole machine, linear speedup. Set
+    /// the odd field with struct-update syntax:
+    ///
+    /// ```
+    /// use condor_core::job::{JobId, JobSpec, UserId};
+    /// use condor_net::NodeId;
+    /// use condor_sim::time::{SimDuration, SimTime};
+    ///
+    /// let gang = JobSpec {
+    ///     width: 3,
+    ///     ..JobSpec::new(
+    ///         JobId(0),
+    ///         UserId(0),
+    ///         NodeId::new(0),
+    ///         SimTime::from_hours(1),
+    ///         SimDuration::from_hours(2),
+    ///     )
+    /// };
+    /// assert_eq!(gang.image_bytes, 500_000);
+    /// ```
+    pub fn new(id: JobId, user: UserId, home: NodeId, arrival: SimTime, demand: SimDuration) -> Self {
+        JobSpec {
+            id,
+            user,
+            home,
+            arrival,
+            demand,
+            image_bytes: 500_000,
+            syscalls_per_cpu_sec: 1.0,
+            binaries: ArchSet::default(),
+            depends_on: Vec::new(),
+            width: 1,
+            speedup: SpeedupCurve::default(),
+            resources: ResourceVec::default(),
+        }
+    }
+}
+
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
@@ -384,20 +425,13 @@ mod tests {
     use super::*;
 
     fn spec(demand_hours: u64) -> JobSpec {
-        JobSpec {
-            id: JobId(1),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(1),
-            demand: SimDuration::from_hours(demand_hours),
-            image_bytes: 500_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
-        }
+        JobSpec::new(
+            JobId(1),
+            UserId(0),
+            NodeId::new(0),
+            SimTime::from_hours(1),
+            SimDuration::from_hours(demand_hours),
+        )
     }
 
     #[test]

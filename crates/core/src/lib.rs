@@ -32,19 +32,9 @@
 //! use condor_sim::time::{SimDuration, SimTime};
 //!
 //! let jobs: Vec<JobSpec> = (0..4)
-//!     .map(|i| JobSpec {
-//!         id: JobId(i),
-//!         user: UserId(0),
-//!         home: NodeId::new(0),
-//!         arrival: SimTime::from_hours(1),
-//!         demand: SimDuration::from_hours(2),
-//!         image_bytes: 500_000,
-//!         syscalls_per_cpu_sec: 1.0,
-//!         binaries: Default::default(),
-//!         depends_on: Vec::new(),
-//!         width: 1,
-//!         resources: Default::default(),
-//!         speedup: Default::default(),
+//!     .map(|i| {
+//!         let (arrival, demand) = (SimTime::from_hours(1), SimDuration::from_hours(2));
+//!         JobSpec::new(JobId(i), UserId(0), NodeId::new(0), arrival, demand)
 //!     })
 //!     .collect();
 //! let out = Run::new(ClusterConfig::default())
@@ -78,8 +68,6 @@ pub use chaos::{
     ExploreReport, Fault,
 };
 pub use cluster::{Cluster, Event, Run, RunOutput, Totals};
-#[allow(deprecated)]
-pub use cluster::{run_cluster, run_cluster_with_sinks};
 pub use config::{
     ClusterConfig, ClusterConfigBuilder, ConfigError, EvictionStrategy, FailureConfig, PolicyKind,
     Reservation,

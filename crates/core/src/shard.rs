@@ -469,9 +469,8 @@ fn merge_outputs(
 }
 
 /// The sharded space-parallel runner behind
-/// [`run_cluster_with_sinks`](crate::cluster::run_cluster_with_sinks) and
-/// [`run_cluster_with_threads`](crate::cluster::run_cluster_with_threads).
-/// `threads` of `None` reads [`default_threads`].
+/// [`Run::execute`](crate::cluster::Run::execute) for configs carrying a
+/// topology. `threads` of `None` reads [`default_threads`].
 ///
 /// # Panics
 ///
@@ -621,18 +620,14 @@ mod tests {
 
     fn spec(id: u64, home: u32, arrival_s: u64, demand_h: u64) -> JobSpec {
         JobSpec {
-            id: JobId(id),
-            user: crate::job::UserId((id % 2) as u32),
-            home: NodeId::new(home),
-            arrival: SimTime::from_secs(arrival_s),
-            demand: SimDuration::from_hours(demand_h),
             image_bytes: 200_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(id),
+                crate::job::UserId((id % 2) as u32),
+                NodeId::new(home),
+                SimTime::from_secs(arrival_s),
+                SimDuration::from_hours(demand_h),
+            )
         }
     }
 

@@ -63,8 +63,7 @@ struct Replay {
 
 /// Streams owner-activity events into per-station availability statistics.
 ///
-/// Attach to a run via
-/// [`run_cluster_with_sinks`](condor_core::cluster::run_cluster_with_sinks)
+/// Attach to a run via [`Run::sink`](condor_core::cluster::Run::sink)
 /// (through a [`SharedSink`](condor_core::telemetry::SharedSink) handle to
 /// keep access), then call [`profile`](AvailabilitySink::profile). Memory
 /// is O(stations + idle intervals) — no full trace is buffered, so it
@@ -204,10 +203,9 @@ pub fn lag1_autocorr(xs: &[f64]) -> Option<f64> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use condor_core::cluster::{run_cluster, run_cluster_with_sinks};
+    use condor_core::cluster::Run;
     use condor_core::config::ClusterConfig;
     use condor_core::telemetry::SharedSink;
     use condor_sim::time::SimDuration;
@@ -218,7 +216,7 @@ mod tests {
             stations: 8,
             ..ClusterConfig::default()
         };
-        let out = run_cluster(config, Vec::new(), SimDuration::from_days(14));
+        let out = Run::new(config).horizon(SimDuration::from_days(14)).execute();
         let profile = availability_profile(&out);
         assert_eq!(profile.stations.len(), 8);
         // Availability from the trace must agree with the run's own
@@ -246,12 +244,10 @@ mod tests {
             ..ClusterConfig::default()
         };
         let sink = SharedSink::new(AvailabilitySink::new(6));
-        let out = run_cluster_with_sinks(
-            config,
-            Vec::new(),
-            SimDuration::from_days(10),
-            vec![Box::new(sink.clone())],
-        );
+        let out = Run::new(config)
+            .horizon(SimDuration::from_days(10))
+            .sink(Box::new(sink.clone()))
+            .execute();
         let streamed = sink.with(|s| s.profile());
         let replayed = availability_profile(&out);
         assert_eq!(streamed, replayed);
@@ -264,7 +260,7 @@ mod tests {
             stations: 12,
             ..ClusterConfig::default()
         };
-        let out = run_cluster(config, Vec::new(), SimDuration::from_days(60));
+        let out = Run::new(config).horizon(SimDuration::from_days(60)).execute();
         let profile = availability_profile(&out);
         assert!(
             profile.mean_autocorr > 0.02,

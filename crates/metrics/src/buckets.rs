@@ -101,18 +101,8 @@ mod tests {
     fn completed_job(id: u64, demand_h: f64, checkpoints: u32, support_s: f64) -> Job {
         let demand = SimDuration::from_hours_f64(demand_h);
         let spec = JobSpec {
-            id: JobId(id),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::ZERO,
-            demand,
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(JobId(id), UserId(0), NodeId::new(0), SimTime::ZERO, demand)
         };
         let mut j = Job::new(spec);
         j.accrue_run(demand, 0);

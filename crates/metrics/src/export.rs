@@ -315,7 +315,6 @@ pub fn spans_to_chrome_trace(log: &SpanLog) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -399,7 +398,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_from_a_live_run_is_valid_json() {
-        use condor_core::cluster::run_cluster_with_sinks;
+        use condor_core::cluster::Run;
         use condor_core::config::ClusterConfig;
         use condor_core::job::{JobId, JobSpec, UserId};
         use condor_core::spans::SpanSink;
@@ -409,27 +408,23 @@ mod tests {
 
         let jobs: Vec<JobSpec> = (0..6)
             .map(|i| JobSpec {
-                id: JobId(i),
-                user: UserId(0),
-                home: NodeId::new((i % 4) as u32),
-                arrival: SimTime::from_hours(i),
-                demand: SimDuration::from_hours(2),
                 image_bytes: 300_000,
                 syscalls_per_cpu_sec: 0.2,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
-                resources: Default::default(),
-                speedup: Default::default(),
+                ..JobSpec::new(
+                    JobId(i),
+                    UserId(0),
+                    NodeId::new((i % 4) as u32),
+                    SimTime::from_hours(i),
+                    SimDuration::from_hours(2),
+                )
             })
             .collect();
         let spans = SharedSink::new(SpanSink::new());
-        let _ = run_cluster_with_sinks(
-            ClusterConfig { stations: 4, seed: 11, ..ClusterConfig::default() },
-            jobs,
-            SimDuration::from_days(2),
-            vec![Box::new(spans.clone())],
-        );
+        let _ = Run::new(ClusterConfig { stations: 4, seed: 11, ..ClusterConfig::default() })
+            .specs(jobs)
+            .horizon(SimDuration::from_days(2))
+            .sink(Box::new(spans.clone()))
+            .execute();
         let log = spans.with(|s| s.log().clone());
         assert!(!log.jobs.is_empty());
         let json = spans_to_chrome_trace(&log);
@@ -487,25 +482,23 @@ mod tests {
 
     #[test]
     fn jsonl_sink_round_trips_a_run() {
-        use condor_core::cluster::{run_cluster, run_cluster_with_sinks};
+        use condor_core::cluster::Run;
         use condor_core::config::ClusterConfig;
         use condor_core::telemetry::SharedSink;
         use condor_sim::time::SimDuration;
 
         let config = || ClusterConfig { stations: 5, seed: 9, ..ClusterConfig::default() };
         let sink = SharedSink::new(JsonlSink::new(Vec::new()));
-        let _ = run_cluster_with_sinks(
-            config(),
-            Vec::new(),
-            SimDuration::from_days(2),
-            vec![Box::new(sink.clone())],
-        );
+        let _ = Run::new(config())
+            .horizon(SimDuration::from_days(2))
+            .sink(Box::new(sink.clone()))
+            .execute();
         let bytes = sink.try_into_inner().expect("sole handle").into_writer();
         let text = String::from_utf8(bytes).unwrap();
         let decoded = events_from_jsonl(&text).expect("every line decodes");
 
         // The decoded stream is exactly the legacy trace of the same run.
-        let reference = run_cluster(config(), Vec::new(), SimDuration::from_days(2));
+        let reference = Run::new(config()).horizon(SimDuration::from_days(2)).execute();
         assert_eq!(decoded, reference.trace.events());
         assert!(!decoded.is_empty());
     }

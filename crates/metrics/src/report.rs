@@ -167,20 +167,17 @@ pub fn render_spans(log: &SpanLog, limit: usize) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use condor_core::cluster::run_cluster;
+    use condor_core::cluster::Run;
     use condor_core::config::ClusterConfig;
     use condor_sim::time::SimDuration;
 
     #[test]
     fn renders_a_live_run() {
-        let out = run_cluster(
-            ClusterConfig { stations: 6, record_trace: false, ..ClusterConfig::default() },
-            Vec::new(),
-            SimDuration::from_days(3),
-        );
+        let out = Run::new(ClusterConfig { stations: 6, record_trace: false, ..ClusterConfig::default() })
+            .horizon(SimDuration::from_days(3))
+            .execute();
         let text = render_telemetry(&out.telemetry);
         assert!(text.contains("owner_active"), "{text}");
         assert!(text.contains("coordinator_polled"), "{text}");
@@ -197,7 +194,7 @@ mod tests {
 
     #[test]
     fn renders_spans_of_a_live_run() {
-        use condor_core::cluster::run_cluster_with_sinks;
+        use condor_core::cluster::Run;
         use condor_core::job::{JobId, JobSpec, UserId};
         use condor_core::spans::SpanSink;
         use condor_core::telemetry::SharedSink;
@@ -206,27 +203,23 @@ mod tests {
 
         let jobs: Vec<JobSpec> = (0..5)
             .map(|i| JobSpec {
-                id: JobId(i),
-                user: UserId(0),
-                home: NodeId::new((i % 3) as u32),
-                arrival: SimTime::from_hours(i),
-                demand: SimDuration::from_hours(3),
                 image_bytes: 250_000,
                 syscalls_per_cpu_sec: 0.1,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
-                resources: Default::default(),
-                speedup: Default::default(),
+                ..JobSpec::new(
+                    JobId(i),
+                    UserId(0),
+                    NodeId::new((i % 3) as u32),
+                    SimTime::from_hours(i),
+                    SimDuration::from_hours(3),
+                )
             })
             .collect();
         let spans = SharedSink::new(SpanSink::new());
-        let _ = run_cluster_with_sinks(
-            ClusterConfig { stations: 3, seed: 5, ..ClusterConfig::default() },
-            jobs,
-            SimDuration::from_days(2),
-            vec![Box::new(spans.clone())],
-        );
+        let _ = Run::new(ClusterConfig { stations: 3, seed: 5, ..ClusterConfig::default() })
+            .specs(jobs)
+            .horizon(SimDuration::from_days(2))
+            .sink(Box::new(spans.clone()))
+            .execute();
         let log = spans.with(|s| s.log().clone());
         let text = render_spans(&log, 10);
         assert!(text.contains("spans: 5 jobs"), "{text}");

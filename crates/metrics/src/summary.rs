@@ -138,10 +138,9 @@ pub fn mean_leverage(jobs: &[Job], filter: impl Fn(&Job) -> bool) -> Option<f64>
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use condor_core::cluster::run_cluster;
+    use condor_core::cluster::Run;
     use condor_core::config::ClusterConfig;
     use condor_core::job::{JobId, JobSpec};
     use condor_net::NodeId;
@@ -149,22 +148,18 @@ mod tests {
 
     fn small_run() -> RunOutput {
         let jobs: Vec<JobSpec> = (0..6)
-            .map(|i| JobSpec {
-                id: JobId(i),
-                user: UserId((i % 2) as u32),
-                home: NodeId::new((i % 2) as u32),
-                arrival: SimTime::from_hours(i),
-                demand: SimDuration::from_hours(if i % 2 == 0 { 8 } else { 1 }),
-                image_bytes: 500_000,
-                syscalls_per_cpu_sec: 1.0,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
-                resources: Default::default(),
-                speedup: Default::default(),
-            })
+            .map(|i| JobSpec::new(
+                JobId(i),
+                UserId((i % 2) as u32),
+                NodeId::new((i % 2) as u32),
+                SimTime::from_hours(i),
+                SimDuration::from_hours(if i % 2 == 0 { 8 } else { 1 }),
+            ))
             .collect();
-        run_cluster(ClusterConfig { stations: 5, ..ClusterConfig::default() }, jobs, SimDuration::from_days(5))
+        Run::new(ClusterConfig { stations: 5, ..ClusterConfig::default() })
+            .specs(jobs)
+            .horizon(SimDuration::from_days(5))
+            .execute()
     }
 
     #[test]

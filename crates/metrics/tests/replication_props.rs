@@ -7,9 +7,7 @@
 //! results, which is what makes seed-order aggregation sufficient for
 //! reproducibility.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
-use condor_core::cluster::run_cluster;
+use condor_core::cluster::Run;
 use condor_core::config::ClusterConfig;
 use condor_core::job::{JobId, JobSpec, UserId};
 use condor_metrics::replicate::{par_map, replicate, replicate_par, MeanCi};
@@ -22,18 +20,14 @@ use proptest::prelude::*;
 fn run_small(seed: u64) -> condor_core::cluster::RunOutput {
     let jobs: Vec<JobSpec> = (0..12)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 3) as u32),
-            home: NodeId::new((i % 4) as u32),
-            arrival: SimTime::ZERO + SimDuration::from_minutes(i * 17),
-            demand: SimDuration::from_hours(1 + i % 5),
             image_bytes: 400_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 3) as u32),
+                NodeId::new((i % 4) as u32),
+                SimTime::ZERO + SimDuration::from_minutes(i * 17),
+                SimDuration::from_hours(1 + i % 5),
+            )
         })
         .collect();
     let config = ClusterConfig {
@@ -41,7 +35,7 @@ fn run_small(seed: u64) -> condor_core::cluster::RunOutput {
         seed,
         ..ClusterConfig::default()
     };
-    run_cluster(config, jobs, SimDuration::from_days(2))
+    Run::new(config).specs(jobs).horizon(SimDuration::from_days(2)).execute()
 }
 
 proptest! {
@@ -74,7 +68,7 @@ proptest! {
     /// The simulation is a pure function of its inputs: the same seed run
     /// twice yields identical aggregate counters and event counts.
     #[test]
-    fn run_cluster_is_deterministic(seed in 0u64..100_000) {
+    fn cluster_run_is_deterministic(seed in 0u64..100_000) {
         let a = run_small(seed);
         let b = run_small(seed);
         prop_assert_eq!(a.totals, b.totals);

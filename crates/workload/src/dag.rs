@@ -81,18 +81,10 @@ impl DagBuilder {
             assert!(d.0 < id.0, "dependency {d} does not precede {id}");
         }
         self.jobs.push(JobSpec {
-            id,
-            user: self.user,
-            home: self.home,
-            arrival: self.arrival,
-            demand,
             image_bytes: self.image_bytes,
             syscalls_per_cpu_sec: self.syscalls_per_cpu_sec,
-            binaries: Default::default(),
             depends_on: deps.to_vec(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(id, self.user, self.home, self.arrival, demand)
         });
         id
     }
@@ -135,7 +127,6 @@ impl DagBuilder {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -199,7 +190,7 @@ mod tests {
 
     #[test]
     fn end_to_end_fork_join_completes_in_order() {
-        use condor_core::cluster::run_cluster;
+        use condor_core::cluster::Run;
         use condor_core::config::ClusterConfig;
         use condor_core::job::JobState;
         use condor_model::diurnal::DiurnalProfile;
@@ -221,7 +212,7 @@ mod tests {
             },
             ..ClusterConfig::default()
         };
-        let out = run_cluster(config, jobs, SimDuration::from_days(2));
+        let out = Run::new(config).specs(jobs).horizon(SimDuration::from_days(2)).execute();
         assert!(out.jobs.iter().all(|j| j.state == JobState::Completed));
         let t = |id: JobId| out.jobs[id.0 as usize].completed_at.unwrap();
         for b in &branches {

@@ -1,7 +1,7 @@
 //! Ready-made experiment scenarios.
 //!
 //! Each scenario bundles a cluster configuration, a job trace, and a run
-//! horizon — everything [`condor_core::cluster::run_cluster`] needs. The
+//! horizon — everything a [`condor_core::cluster::Run`] needs. The
 //! flagship is [`paper_month`], calibrated to Table 1 of the paper: five
 //! users (heavy A, light B–E), 918 jobs, ≈ 4771 CPU-hours of demand over a
 //! 30-day month on 23 workstations.

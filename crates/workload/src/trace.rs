@@ -9,7 +9,7 @@ use condor_sim::time::{SimDuration, SimTime};
 
 /// Merges per-user job lists into one global trace ordered by arrival,
 /// reassigning dense ids in arrival order (the form
-/// [`run_cluster`](condor_core::cluster::run_cluster) requires).
+/// [`Run::specs`](condor_core::cluster::Run::specs) requires).
 pub fn merge_users(per_user: Vec<Vec<JobSpec>>) -> Vec<JobSpec> {
     let mut all: Vec<JobSpec> = per_user.into_iter().flatten().collect();
     all.sort_by_key(|j| (j.arrival, j.user, j.id));
@@ -140,11 +140,6 @@ pub fn from_csv(csv: &str) -> Result<Vec<JobSpec>, CsvError> {
         let parse_f64 =
             |s: &str| s.trim().parse::<f64>().map_err(|_| CsvError::BadRow { line: line_no });
         out.push(JobSpec {
-            id: JobId(parse_u64(fields[0])?),
-            user: UserId(parse_u64(fields[1])? as u32),
-            home: NodeId::new(parse_u64(fields[2])? as u32),
-            arrival: SimTime::from_millis(parse_u64(fields[3])?),
-            demand: SimDuration::from_millis(parse_u64(fields[4])?),
             image_bytes: parse_u64(fields[5])?,
             syscalls_per_cpu_sec: parse_f64(fields[6])?,
             binaries: if legacy {
@@ -158,11 +153,14 @@ pub fn from_csv(csv: &str) -> Result<Vec<JobSpec>, CsvError> {
                 }
             },
             // Dependency DAGs are an in-memory construct; CSV traces carry
-            // independent jobs.
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            // independent whole-machine jobs.
+            ..JobSpec::new(
+                JobId(parse_u64(fields[0])?),
+                UserId(parse_u64(fields[1])? as u32),
+                NodeId::new(parse_u64(fields[2])? as u32),
+                SimTime::from_millis(parse_u64(fields[3])?),
+                SimDuration::from_millis(parse_u64(fields[4])?),
+            )
         });
     }
     Ok(out)
@@ -174,18 +172,14 @@ mod tests {
 
     fn spec(id: u64, user: u32, arrival_ms: u64, demand_h: u64) -> JobSpec {
         JobSpec {
-            id: JobId(id),
-            user: UserId(user),
-            home: NodeId::new(user),
-            arrival: SimTime::from_millis(arrival_ms),
-            demand: SimDuration::from_hours(demand_h),
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(id),
+                UserId(user),
+                NodeId::new(user),
+                SimTime::from_millis(arrival_ms),
+                SimDuration::from_hours(demand_h),
+            )
         }
     }
 

@@ -95,18 +95,10 @@ impl UserProfile {
                 let calls = self.total_syscalls.sample(rng).max(1.0);
                 let rate = calls / demand.as_secs_f64();
                 jobs.push(JobSpec {
-                    id: JobId(next_id),
-                    user: self.user,
-                    home: self.home,
-                    arrival: batch_at,
-                    demand,
                     image_bytes: image,
                     syscalls_per_cpu_sec: rate,
                     binaries: self.binaries,
-                    depends_on: Vec::new(),
-                    width: 1,
-                    resources: Default::default(),
-                    speedup: Default::default(),
+                    ..JobSpec::new(JobId(next_id), self.user, self.home, batch_at, demand)
                 });
                 next_id += 1;
             }

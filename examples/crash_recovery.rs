@@ -23,20 +23,13 @@ fn main() {
         ..ClusterConfig::default()
     };
     let jobs: Vec<JobSpec> = (0..10)
-        .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 2) as u32),
-            home: NodeId::new((i % 3) as u32),
-            arrival: SimTime::from_hours(i),
-            demand: SimDuration::from_hours(6),
-            image_bytes: 500_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
-        })
+        .map(|i| JobSpec::new(
+            JobId(i),
+            UserId((i % 2) as u32),
+            NodeId::new((i % 3) as u32),
+            SimTime::from_hours(i),
+            SimDuration::from_hours(6),
+        ))
         .collect();
 
     let out = Run::new(config).specs(jobs).horizon(SimDuration::from_days(14)).execute();

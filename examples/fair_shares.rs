@@ -20,36 +20,28 @@ fn duel(policy: PolicyKind) -> (String, f64, f64, u64) {
     // Heavy user: 40 eight-hour jobs at t = 0 from station 0.
     for i in 0..40u64 {
         jobs.push(JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::ZERO,
-            demand: SimDuration::from_hours(8),
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::ZERO,
+                SimDuration::from_hours(8),
+            )
         });
     }
     // Light user: three 1-hour jobs on day 2, when the heavy user has
     // soaked up every machine.
     for i in 40..43u64 {
         jobs.push(JobSpec {
-            id: JobId(i),
-            user: UserId(1),
-            home: NodeId::new(1),
-            arrival: SimTime::from_hours(48),
-            demand: SimDuration::HOUR,
-            image_bytes: 500_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(1),
+                NodeId::new(1),
+                SimTime::from_hours(48),
+                SimDuration::HOUR,
+            )
         });
     }
     let out = Run::new(config).specs(jobs).horizon(SimDuration::from_days(8)).execute();

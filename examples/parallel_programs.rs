@@ -20,46 +20,39 @@ fn main() {
     // prep → [gang of 4, 6 h] → report
     let jobs = vec![
         JobSpec {
-            id: JobId(0),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(1),
-            demand: SimDuration::from_hours(1),
             image_bytes: 400_000,
             syscalls_per_cpu_sec: 2.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(0),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::from_hours(1),
+                SimDuration::from_hours(1),
+            )
         },
         JobSpec {
-            id: JobId(1),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(1),
-            demand: SimDuration::from_hours(6),
             image_bytes: 800_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
             depends_on: vec![JobId(0)],
             width: 4, // four communicating processes, four machines at once
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(1),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::from_hours(1),
+                SimDuration::from_hours(6),
+            )
         },
         JobSpec {
-            id: JobId(2),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(1),
-            demand: SimDuration::from_hours(1),
             image_bytes: 300_000,
             syscalls_per_cpu_sec: 4.0,
-            binaries: Default::default(),
             depends_on: vec![JobId(1)],
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(2),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::from_hours(1),
+                SimDuration::from_hours(1),
+            )
         },
     ];
 

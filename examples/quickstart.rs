@@ -21,35 +21,25 @@ fn main() {
     // workstations.
     let mut jobs = Vec::new();
     for i in 0..6u64 {
-        jobs.push(JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(1),
-            demand: SimDuration::from_hours(4),
-            image_bytes: 500_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
-        });
+        jobs.push(JobSpec::new(
+            JobId(i),
+            UserId(0),
+            NodeId::new(0),
+            SimTime::from_hours(1),
+            SimDuration::from_hours(4),
+        ));
     }
     for i in 6..9u64 {
         jobs.push(JobSpec {
-            id: JobId(i),
-            user: UserId(1),
-            home: NodeId::new(1),
-            arrival: SimTime::from_hours(9),
-            demand: SimDuration::from_hours(1),
             image_bytes: 300_000,
             syscalls_per_cpu_sec: 5.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(1),
+                NodeId::new(1),
+                SimTime::from_hours(9),
+                SimDuration::from_hours(1),
+            )
         });
     }
 

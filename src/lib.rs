@@ -48,8 +48,6 @@ pub use condor_workload as workload;
 /// The items most programs need.
 pub mod prelude {
     pub use condor_core::cluster::{Cluster, Run, RunOutput};
-    #[allow(deprecated)]
-    pub use condor_core::cluster::{run_cluster, run_cluster_with_sinks, run_cluster_with_threads};
     pub use condor_core::config::{
         ClusterConfig, ClusterConfigBuilder, ConfigError, EvictionStrategy, FailureConfig,
         PolicyKind, PoolTopology,

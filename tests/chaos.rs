@@ -3,8 +3,6 @@
 //! replay bit-identically through their JSON form, and each recovery path
 //! (autonomous local starts, checkpoint retries) must actually engage.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::core::chaos::{ChaosEntry, Fault};
 use condor::model::diurnal::DiurnalProfile;
 use condor::model::owner::OwnerConfig;
@@ -27,18 +25,14 @@ fn stormy(stations: usize) -> ClusterConfig {
 fn jobs(n: u64, stations: u64) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new((i % stations) as u32),
-            arrival: SimTime::from_secs(600 * i),
-            demand: SimDuration::from_hours(2),
             image_bytes: 400_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(0),
+                NodeId::new((i % stations) as u32),
+                SimTime::from_secs(600 * i),
+                SimDuration::from_hours(2),
+            )
         })
         .collect()
 }
@@ -93,7 +87,7 @@ proptest! {
                 chaos: Some(ChaosConfig::new(sched)),
                 ..stormy(6)
             };
-            run_cluster(config, jobs(10, 6), SimDuration::from_days(2))
+            Run::new(config).specs(jobs(10, 6)).horizon(SimDuration::from_days(2)).execute()
         };
         let a = run(schedule);
         let b = run(replayed);
@@ -132,12 +126,12 @@ fn coordinator_outage_degrades_to_local_starts() {
         AuditSink::new().with_poll_interval(config.costs.coordinator_poll_interval),
     );
     let spans = SharedSink::new(SpanSink::new());
-    let out = run_cluster_with_sinks(
-        config,
-        jobs(12, 6),
-        SimDuration::from_days(2),
-        vec![Box::new(audit.clone()), Box::new(spans.clone())],
-    );
+    let out = Run::new(config)
+        .specs(jobs(12, 6))
+        .horizon(SimDuration::from_days(2))
+        .sink(Box::new(audit.clone()))
+        .sink(Box::new(spans.clone()))
+        .execute();
 
     assert!(
         out.totals.local_starts > 0,
@@ -189,7 +183,7 @@ fn checkpoint_retry_accounting_balances() {
         chaos: Some(ChaosConfig::new(schedule)),
         ..base
     };
-    let out = run_cluster(config.clone(), specs, horizon);
+    let out = Run::new(config.clone()).specs(specs).horizon(horizon).execute();
     assert!(
         out.totals.ckpt_retries > 0,
         "corruption window never bit a checkpoint: {:?}",
@@ -235,12 +229,11 @@ fn chaos_under_parallelism_is_thread_invariant() {
                 topology: Some(PoolTopology::uniform(3, SimDuration::from_secs(120))),
                 ..stormy(9)
             };
-            let out = run_cluster_with_threads(
-                config,
-                jobs(12, 9),
-                SimDuration::from_days(2),
-                threads,
-            );
+            let out = Run::new(config)
+                .specs(jobs(12, 9))
+                .horizon(SimDuration::from_days(2))
+                .threads(threads)
+                .execute();
             assert!(!out.trace.is_empty(), "chaos run produced no trace (seed {seed})");
             let events = out.trace.events().to_vec();
             match &reference {
@@ -260,7 +253,7 @@ fn chaos_under_parallelism_is_thread_invariant() {
             topology: Some(PoolTopology::uniform(3, SimDuration::from_secs(120))),
             ..stormy(9)
         };
-        let out = run_cluster(config, jobs(12, 9), SimDuration::from_days(2));
+        let out = Run::new(config).specs(jobs(12, 9)).horizon(SimDuration::from_days(2)).execute();
         assert_eq!(
             out.trace.events(),
             &reference.unwrap()[..],

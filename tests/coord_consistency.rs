@@ -46,23 +46,21 @@ fn drive_and_verify(
 fn mixed_jobs(n: u64, stations: u64, fractional: bool) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 4) as u32),
-            home: NodeId::new((i % stations) as u32),
-            arrival: SimTime::from_secs(400 * i),
-            demand: SimDuration::from_hours(1 + i % 3),
             image_bytes: 300_000 + 40_000 * (i % 5),
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            speedup: Default::default(),
             resources: if fractional {
                 // Mixed shares so stations pack at different remainders.
                 ResourceVec::share(250 + 250 * (i % 3) as u32)
             } else {
                 ResourceVec::WHOLE
             },
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 4) as u32),
+                NodeId::new((i % stations) as u32),
+                SimTime::from_secs(400 * i),
+                SimDuration::from_hours(1 + i % 3),
+            )
         })
         .collect()
 }

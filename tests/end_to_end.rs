@@ -1,8 +1,6 @@
 //! End-to-end integration tests over the full stack: workload generation →
 //! cluster simulation → metrics, on the paper's own scenarios.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::metrics::summary::{heavy_users, mean_leverage, mean_wait_ratio, summarize};
 use condor::prelude::*;
 use condor::workload::scenarios::{one_week, paper_month};
@@ -13,7 +11,7 @@ use condor::workload::trace::table1_rows;
 #[test]
 fn paper_month_reproduces_section3_numbers() {
     let scenario = paper_month(1988);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     let s = summarize(&out);
 
     assert_eq!(s.jobs_submitted, 918, "Table 1 job count");
@@ -49,7 +47,7 @@ fn paper_month_reproduces_section3_numbers() {
 #[test]
 fn light_users_wait_less_than_the_heavy_user() {
     let scenario = paper_month(1988);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     let heavy = heavy_users(&out.jobs, 0.5);
     assert_eq!(heavy.len(), 1, "user A dominates demand");
     let light_wait = mean_wait_ratio(&out.jobs, |j| !heavy.contains(&j.spec.user)).unwrap();
@@ -65,7 +63,7 @@ fn light_users_wait_less_than_the_heavy_user() {
 #[test]
 fn leverage_grows_with_demand() {
     let scenario = paper_month(1988);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     let short = mean_leverage(&out.jobs, |j| j.spec.demand.as_hours_f64() < 2.0).unwrap();
     let long = mean_leverage(&out.jobs, |j| j.spec.demand.as_hours_f64() >= 6.0).unwrap();
     assert!(long > 2.0 * short, "long {long:.0} vs short {short:.0}");
@@ -75,7 +73,7 @@ fn leverage_grows_with_demand() {
 #[test]
 fn short_jobs_checkpoint_more_per_hour() {
     let scenario = paper_month(1988);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     let rate = |lo: f64, hi: f64| {
         let jobs: Vec<_> = out
             .completed_jobs()
@@ -105,7 +103,7 @@ fn table1_counts_are_exact() {
 #[test]
 fn week_shows_diurnal_local_activity() {
     let scenario = one_week(1988);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     let local = out.local_utilization_hourly();
     assert_eq!(local.len(), 168);
     let mut afternoons = Vec::new();
@@ -135,7 +133,7 @@ fn week_shows_diurnal_local_activity() {
 fn pipeline_is_deterministic() {
     let run = |seed| {
         let s = paper_month(seed);
-        let out = run_cluster(s.config, s.jobs, s.horizon);
+        let out = Run::new(s.config).specs(s.jobs).horizon(s.horizon).execute();
         let sum = summarize(&out);
         (
             out.totals,
@@ -153,7 +151,7 @@ fn pipeline_is_deterministic() {
 #[test]
 fn no_work_is_ever_lost_under_grace() {
     let scenario = paper_month(2024);
-    let out = run_cluster(scenario.config, scenario.jobs, scenario.horizon);
+    let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     assert!(out.totals.preemptions_owner > 100, "plenty of preemptions happened");
     for j in &out.jobs {
         assert_eq!(

@@ -40,18 +40,16 @@ fn quiet_config(stations: usize) -> ClusterConfig {
 
 fn job(id: u64, resources: ResourceVec) -> JobSpec {
     JobSpec {
-        id: JobId(id),
-        user: UserId(0),
-        home: NodeId::new(0),
-        arrival: SimTime::ZERO,
-        demand: SimDuration::from_hours(1),
         image_bytes: 1_000,
         syscalls_per_cpu_sec: 0.0,
-        binaries: Default::default(),
-        depends_on: Vec::new(),
-        width: 1,
-        speedup: Default::default(),
         resources,
+        ..JobSpec::new(
+            JobId(id),
+            UserId(0),
+            NodeId::new(0),
+            SimTime::ZERO,
+            SimDuration::from_hours(1),
+        )
     }
 }
 
@@ -149,18 +147,16 @@ proptest! {
             .map(|i| {
                 let milli = shares[cpu_choices[i as usize % cpu_choices.len()]];
                 JobSpec {
-                    id: JobId(i),
-                    user: UserId((i % 3) as u32),
-                    home: NodeId::new((i % stations as u64) as u32),
-                    arrival: SimTime::from_secs(i * 600),
-                    demand: SimDuration::from_hours(1 + i % 3),
                     image_bytes: 10_000,
                     syscalls_per_cpu_sec: 0.1,
-                    binaries: Default::default(),
-                    depends_on: Vec::new(),
-                    width: 1,
                     resources: ResourceVec::share(milli),
-                    speedup: Default::default(),
+                    ..JobSpec::new(
+                        JobId(i),
+                        UserId((i % 3) as u32),
+                        NodeId::new((i % stations as u64) as u32),
+                        SimTime::from_secs(i * 600),
+                        SimDuration::from_hours(1 + i % 3),
+                    )
                 }
             })
             .collect();

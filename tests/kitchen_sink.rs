@@ -6,8 +6,6 @@
 //! run and checks the global invariants still hold. Interactions between
 //! features are where schedulers rot.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::core::config::{FailureConfig, Reservation};
 use condor::core::trace::TraceKind;
 use condor::model::station::{Arch, ArchSet, ResourceVec};
@@ -38,35 +36,30 @@ fn build_everything() -> (ClusterConfig, Vec<JobSpec>) {
     // A flood of ordinary jobs, mixed binaries.
     for i in 0..30u64 {
         jobs.push(JobSpec {
-            id: JobId(i),
-            user: UserId(0),
-            home: NodeId::new(0),
-            arrival: SimTime::from_hours(i % 48),
-            demand: SimDuration::from_hours(2 + i % 6),
             image_bytes: 300_000 + (i % 5) * 150_000,
             syscalls_per_cpu_sec: 0.5 + (i % 3) as f64,
             binaries: if i % 3 == 0 { ArchSet::both() } else { ArchSet::vax_only() },
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId(0),
+                NodeId::new(0),
+                SimTime::from_hours(i % 48),
+                SimDuration::from_hours(2 + i % 6),
+            )
         });
     }
     // The reservation holder's batch, timed for its window.
     for k in 0..4u64 {
         jobs.push(JobSpec {
-            id: JobId(30 + k),
-            user: UserId(1),
-            home: NodeId::new(1),
-            arrival: SimTime::from_hours(72),
-            demand: SimDuration::from_hours(2),
             image_bytes: 400_000,
-            syscalls_per_cpu_sec: 1.0,
             binaries: ArchSet::both(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(30 + k),
+                UserId(1),
+                NodeId::new(1),
+                SimTime::from_hours(72),
+                SimDuration::from_hours(2),
+            )
         });
     }
     // A workflow with a gang in the middle (prep → width-3 gang → report),
@@ -89,7 +82,7 @@ fn build_everything() -> (ClusterConfig, Vec<JobSpec>) {
 fn everything_on_at_once_still_upholds_the_guarantees() {
     let (config, jobs) = build_everything();
     let n = jobs.len();
-    let out = run_cluster(config, jobs, SimDuration::from_days(30));
+    let out = Run::new(config).specs(jobs).horizon(SimDuration::from_days(30)).execute();
 
     // 1. The §1 guarantee: every admitted job completes (30 days is ample
     //    slack for ~120 h of work on 12 machines).
@@ -147,7 +140,7 @@ fn everything_on_at_once_still_upholds_the_guarantees() {
 
     // 8. Determinism with everything on.
     let (config2, jobs2) = build_everything();
-    let out2 = run_cluster(config2, jobs2, SimDuration::from_days(30));
+    let out2 = Run::new(config2).specs(jobs2).horizon(SimDuration::from_days(30)).execute();
     assert_eq!(out.totals, out2.totals);
     assert_eq!(out.trace.len(), out2.trace.len());
 }
@@ -194,18 +187,16 @@ fn every_policy_survives_the_capacity_armed_auditor() {
         let shares = [1000u32, 250, 500, 1000, 250];
         let jobs: Vec<JobSpec> = (0..24u64)
             .map(|i| JobSpec {
-                id: JobId(i),
-                user: UserId((i % 3) as u32),
-                home: NodeId::new((i % stations as u64) as u32),
-                arrival: SimTime::from_secs(i * 1800),
-                demand: SimDuration::from_hours(1 + i % 4),
                 image_bytes: 250_000,
                 syscalls_per_cpu_sec: 0.5,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
                 resources: ResourceVec::share(shares[i as usize % shares.len()]),
-                speedup: Default::default(),
+                ..JobSpec::new(
+                    JobId(i),
+                    UserId((i % 3) as u32),
+                    NodeId::new((i % stations as u64) as u32),
+                    SimTime::from_secs(i * 1800),
+                    SimDuration::from_hours(1 + i % 4),
+                )
             })
             .collect();
         let out = Run::new(config)

@@ -2,8 +2,6 @@
 //! behaviours: conservation laws and determinism must hold for *any*
 //! configuration, not just the paper's.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::prelude::*;
 use condor_model::diurnal::DiurnalProfile;
 use condor_model::owner::OwnerConfig;
@@ -25,18 +23,15 @@ fn arb_jobs(max_jobs: usize, stations: u32) -> impl Strategy<Value = Vec<JobSpec
         let mut jobs: Vec<JobSpec> = raw
             .into_iter()
             .map(|(user, home, arr, demand, image, rate)| JobSpec {
-                id: JobId(0), // assigned below
-                user: UserId(user),
-                home: NodeId::new(home),
-                arrival: SimTime::from_hours(arr),
-                demand: SimDuration::from_hours(demand),
                 image_bytes: image,
                 syscalls_per_cpu_sec: rate,
-                binaries: Default::default(),
-                depends_on: Vec::new(),
-                width: 1,
-                resources: Default::default(),
-                speedup: Default::default(),
+                ..JobSpec::new(
+                    JobId(0), // assigned below
+                    UserId(user),
+                    NodeId::new(home),
+                    SimTime::from_hours(arr),
+                    SimDuration::from_hours(demand),
+                )
             })
             .collect();
         jobs.sort_by_key(|j| j.arrival);
@@ -70,7 +65,10 @@ proptest! {
         seed in 0u64..1_000,
         activity in 0.05f64..0.6,
     ) {
-        let out = run_cluster(config(seed, 4, activity), jobs, SimDuration::from_days(14));
+        let out = Run::new(config(seed, 4, activity))
+            .specs(jobs)
+            .horizon(SimDuration::from_days(14))
+            .execute();
         for j in &out.jobs {
             prop_assert!(j.remote_cpu >= j.work_done.saturating_sub(SimDuration::MILLISECOND));
             if j.state == JobState::Completed {
@@ -97,7 +95,10 @@ proptest! {
         jobs in arb_jobs(16, 3),
         seed in 0u64..1_000,
     ) {
-        let out = run_cluster(config(seed, 3, 0.3), jobs, SimDuration::from_days(10));
+        let out = Run::new(config(seed, 3, 0.3))
+            .specs(jobs)
+            .horizon(SimDuration::from_days(10))
+            .execute();
         prop_assert!(out.consumed_cpu_hours() <= out.available_station_hours() + 1e-6);
         let sys = out.mean_system_utilization();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&sys));
@@ -112,8 +113,14 @@ proptest! {
         jobs in arb_jobs(10, 3),
         seed in 0u64..1_000,
     ) {
-        let a = run_cluster(config(seed, 3, 0.25), jobs.clone(), SimDuration::from_days(5));
-        let b = run_cluster(config(seed, 3, 0.25), jobs, SimDuration::from_days(5));
+        let a = Run::new(config(seed, 3, 0.25))
+            .specs(jobs.clone())
+            .horizon(SimDuration::from_days(5))
+            .execute();
+        let b = Run::new(config(seed, 3, 0.25))
+            .specs(jobs)
+            .horizon(SimDuration::from_days(5))
+            .execute();
         prop_assert_eq!(a.totals, b.totals);
         prop_assert_eq!(a.trace.len(), b.trace.len());
         for (x, y) in a.jobs.iter().zip(&b.jobs) {
@@ -132,13 +139,15 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let sink = SharedSink::new(VecSink::new());
-        let streamed = run_cluster_with_sinks(
-            config(seed, 3, 0.25),
-            jobs.clone(),
-            SimDuration::from_days(5),
-            vec![Box::new(sink.clone())],
-        );
-        let buffered = run_cluster(config(seed, 3, 0.25), jobs, SimDuration::from_days(5));
+        let streamed = Run::new(config(seed, 3, 0.25))
+            .specs(jobs.clone())
+            .horizon(SimDuration::from_days(5))
+            .sink(Box::new(sink.clone()))
+            .execute();
+        let buffered = Run::new(config(seed, 3, 0.25))
+            .specs(jobs)
+            .horizon(SimDuration::from_days(5))
+            .execute();
         let events = sink.try_into_inner().unwrap().into_events();
         prop_assert_eq!(&events, buffered.trace.events());
         prop_assert_eq!(streamed.telemetry.events_total as usize, events.len());
@@ -167,7 +176,7 @@ proptest! {
         let total_demand_h: f64 = jobs.iter().map(|j| j.demand.as_hours_f64()).sum();
         // Horizon with generous slack for queueing on 3 stations.
         let days = (total_demand_h / 24.0 + 10.0).ceil() as u64;
-        let out = run_cluster(cfg, jobs, SimDuration::from_days(days));
+        let out = Run::new(cfg).specs(jobs).horizon(SimDuration::from_days(days)).execute();
         let admitted = out.jobs.iter().filter(|j| !j.rejected).count();
         let done = out.completed_jobs().count();
         prop_assert_eq!(done, admitted, "policy {} left work behind", out.policy_name);
@@ -180,18 +189,15 @@ proptest! {
 #[test]
 fn owner_flicker_never_overdraws_a_bucket() {
     let mk = |id: u64, arr: u64, dem: u64| JobSpec {
-        id: JobId(id),
-        user: UserId(0),
-        home: NodeId::new(0),
-        arrival: SimTime::from_millis(arr),
-        demand: SimDuration::from_millis(dem),
         image_bytes: 100_000,
         syscalls_per_cpu_sec: 0.0,
-        binaries: Default::default(),
-        depends_on: Vec::new(),
-        width: 1,
-        resources: Default::default(),
-        speedup: Default::default(),
+        ..JobSpec::new(
+            JobId(id),
+            UserId(0),
+            NodeId::new(0),
+            SimTime::from_millis(arr),
+            SimDuration::from_millis(dem),
+        )
     };
     let jobs = vec![mk(0, 79_200_000, 39_600_000), mk(1, 82_800_000, 43_200_000)];
     let cfg = ClusterConfig {
@@ -203,7 +209,7 @@ fn owner_flicker_never_overdraws_a_bucket() {
         },
         ..ClusterConfig::default()
     };
-    let out = run_cluster(cfg, jobs, SimDuration::from_days(10));
+    let out = Run::new(cfg).specs(jobs).horizon(SimDuration::from_days(10)).execute();
     for u in out.system_utilization_hourly() {
         assert!(u <= 1.0 + 1e-9, "hourly utilization {u} over capacity");
     }

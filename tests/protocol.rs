@@ -1,8 +1,6 @@
 //! Protocol-invariant tests: replay the cluster's event trace and verify
 //! that every observable sequence is legal — per job *and* per station.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use std::collections::HashMap;
 
 use condor::core::trace::TraceKind;
@@ -12,7 +10,7 @@ use condor_net::NodeId;
 
 fn stormy_output(seed: u64) -> RunOutput {
     let scenario = paper_month(seed);
-    run_cluster(scenario.config, scenario.jobs, scenario.horizon)
+    Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute()
 }
 
 /// Per-job lifecycle replay: arrivals precede placements, placements

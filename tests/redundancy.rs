@@ -18,8 +18,6 @@
 //!    and the mean wait ratio must *improve* with replication on — the
 //!    policy has to pay for itself under the regime it was built for.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use std::collections::HashSet;
 
 use condor::core::chaos::{ChaosEntry, Fault};

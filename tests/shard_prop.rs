@@ -13,26 +13,20 @@
 //! configuration (two pools, window exactly equal to the latency) is also
 //! pinned as an explicit deterministic test.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::prelude::*;
 use proptest::prelude::*;
 
 fn workload(n: u64, stations: u64) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 3) as u32),
-            home: NodeId::new((i % stations) as u32),
-            arrival: SimTime::from_secs(900 * i),
-            demand: SimDuration::from_hours(3),
             image_bytes: 300_000,
-            syscalls_per_cpu_sec: 1.0,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 3) as u32),
+                NodeId::new((i % stations) as u32),
+                SimTime::from_secs(900 * i),
+                SimDuration::from_hours(3),
+            )
         })
         .collect()
 }
@@ -68,7 +62,11 @@ fn sharded_policy_trace(
         ..ClusterConfig::default()
     };
     let out =
-        run_cluster_with_threads(config, workload(12, 8), SimDuration::from_days(2), threads);
+        Run::new(config)
+            .specs(workload(12, 8))
+            .horizon(SimDuration::from_days(2))
+            .threads(threads)
+            .execute();
     out.trace.events().to_vec()
 }
 
@@ -104,7 +102,7 @@ proptest! {
     ) {
         let legacy = {
             let config = ClusterConfig { stations: 8, seed, ..ClusterConfig::default() };
-            run_cluster(config, workload(12, 8), SimDuration::from_days(2))
+            Run::new(config).specs(workload(12, 8)).horizon(SimDuration::from_days(2)).execute()
         };
         let sharded = sharded_trace(1, latency_secs, latency_secs, 4, seed);
         prop_assert_eq!(legacy.trace.len(), sharded.len());

@@ -7,8 +7,6 @@
 //! * the [`AuditSink`] must report **zero** violations on seeded
 //!   paper-month and stormy runs under every allocation policy.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::core::audit::AuditSink;
 use condor::core::config::FailureConfig;
 use condor::core::spans::{SpanLog, SpanSink};
@@ -27,12 +25,12 @@ fn observed_run(
 ) -> (RunOutput, SpanLog, Vec<String>) {
     let spans = SharedSink::new(SpanSink::new());
     let audit = SharedSink::new(AuditSink::new());
-    let out = run_cluster_with_sinks(
-        config,
-        jobs,
-        horizon,
-        vec![Box::new(spans.clone()), Box::new(audit.clone())],
-    );
+    let out = Run::new(config)
+        .specs(jobs)
+        .horizon(horizon)
+        .sink(Box::new(spans.clone()))
+        .sink(Box::new(audit.clone()))
+        .execute();
     let log = spans.with(|s| s.log().clone());
     let violations = audit.with(|a| {
         a.violations()
@@ -66,18 +64,15 @@ fn stormy_config(seed: u64, policy: PolicyKind) -> ClusterConfig {
 fn stormy_jobs(n: u64) -> Vec<JobSpec> {
     (0..n)
         .map(|i| JobSpec {
-            id: JobId(i),
-            user: UserId((i % 4) as u32),
-            home: NodeId::new((i % 8) as u32),
-            arrival: SimTime::from_secs(i * 37 * 60),
-            demand: SimDuration::from_hours(1 + i % 5),
             image_bytes: 200_000 + i * 10_000,
             syscalls_per_cpu_sec: 0.5,
-            binaries: Default::default(),
-            depends_on: Vec::new(),
-            width: 1,
-            resources: Default::default(),
-            speedup: Default::default(),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 4) as u32),
+                NodeId::new((i % 8) as u32),
+                SimTime::from_secs(i * 37 * 60),
+                SimDuration::from_hours(1 + i % 5),
+            )
         })
         .collect()
 }

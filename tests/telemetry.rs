@@ -5,21 +5,19 @@
 //! per-kind event counts match the legacy trace of an identical seeded
 //! run that *did* record.
 
-#![allow(deprecated)] // tests exercise the legacy run_cluster* wrappers
-
 use condor::prelude::*;
 
 #[test]
 fn paper_month_telemetry_matches_the_trace() {
     // Reference run: the default buffered trace.
     let traced = paper_month(1988);
-    let reference = run_cluster(traced.config, traced.jobs, traced.horizon);
+    let reference = Run::new(traced.config).specs(traced.jobs).horizon(traced.horizon).execute();
     assert!(!reference.trace.is_empty(), "reference run must record");
 
     // Trace-free run of the identical scenario.
     let mut dark = paper_month(1988);
     dark.config.record_trace = false;
-    let out = run_cluster(dark.config, dark.jobs, dark.horizon);
+    let out = Run::new(dark.config).specs(dark.jobs).horizon(dark.horizon).execute();
     assert_eq!(out.trace.len(), 0, "record_trace: false buffers nothing");
 
     // Event totals and per-kind counts agree exactly.
@@ -52,12 +50,12 @@ fn attached_sinks_and_report_cover_a_dark_run() {
     scenario.config.record_trace = false;
     let events = SharedSink::new(VecSink::new());
     let tail = SharedSink::new(RingSink::new(32));
-    let out = run_cluster_with_sinks(
-        scenario.config,
-        scenario.jobs,
-        SimDuration::from_days(3),
-        vec![Box::new(events.clone()), Box::new(tail.clone())],
-    );
+    let out = Run::new(scenario.config)
+        .specs(scenario.jobs)
+        .horizon(SimDuration::from_days(3))
+        .sink(Box::new(events.clone()))
+        .sink(Box::new(tail.clone()))
+        .execute();
     let n = events.with(|s| s.len()) as u64;
     assert_eq!(n, out.telemetry.events_total);
     tail.with(|r| {
