@@ -899,13 +899,6 @@ impl Cluster {
             }
         }
         for i in 0..self.stations.len() {
-            if let Some(t) = self.hot.owner_active_since[i] {
-                if t < horizon {
-                    self.local_busy
-                        .deposit_interval(t, horizon, horizon.since(t).as_millis() as f64);
-                }
-                self.hot.owner_active_since[i] = Some(horizon);
-            }
             let running_jobs: Vec<JobId> = self.stations[i]
                 .residents
                 .iter()
@@ -913,11 +906,15 @@ impl Cluster {
                 .collect();
             for job in running_jobs {
                 if self.jobs[job.0 as usize].running_since < horizon {
-                    // Cap at the owner's return if the segment is inside a
-                    // not-yet-detected interference window.
+                    // An owner who returned inside the last, not-yet-detected
+                    // window owns the tail: the deposit stops at their return.
                     self.close_run_segment(horizon, job, &[i as u32], SegmentEnd::Interrupted);
                     self.jobs[job.0 as usize].running_since = horizon;
                 }
+            }
+            if let Some(t) = self.hot.owner_active_since[i].filter(|&t| t < horizon) {
+                self.local_busy
+                    .deposit_interval(t, horizon, horizon.since(t).as_millis() as f64);
             }
         }
         self.stats.finish(horizon);
@@ -1141,5 +1138,45 @@ pub(crate) fn finish_run(engine: Engine<Cluster>, end: SimTime) -> RunOutput {
         remote_busy: model.remote_busy,
         events_dispatched,
         telemetry: model.stats.into_telemetry(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use condor_model::station::ResourceVec;
+
+    /// An owner who came back inside the last, not-yet-detected window is
+    /// billed once: `[return, horizon)` belongs to the owner alone, so the
+    /// final bucket never holds more than one station's worth of time.
+    #[test]
+    fn finalize_caps_a_running_job_at_an_undetected_owner_return() {
+        let job = JobId(0);
+        let spec = JobSpec::new(
+            job,
+            UserId(0),
+            NodeId::new(0),
+            SimTime::ZERO,
+            SimDuration::from_hours(5),
+        );
+        let config = ClusterConfig { stations: 1, ..ClusterConfig::default() };
+        let mut engine = Engine::new(Cluster::try_new(config, vec![spec]).expect("valid config"));
+        let horizon = SimTime::ZERO + SimDuration::from_minutes(50);
+        let owner_back = horizon - SimDuration::from_secs(20);
+        // Hand-built state: the job has run since t = 0 and the owner sat
+        // down 20 s before the horizon, inside the 30 s detection grid.
+        let finish = engine.scheduler().at(SimTime::from_hours(5), Event::Finish { job, on: 0 });
+        let c = engine.model_mut();
+        c.occupy(0, job, ResourceVec::WHOLE, Phase::Running { finish });
+        c.jobs[0].state = JobState::Running { on: NodeId::new(0) };
+        c.hot.owner_active_since[0] = Some(owner_back);
+
+        let out = finish_run(engine, horizon);
+        let (local, remote) = (out.local_busy.total(), out.remote_busy.total());
+        assert_eq!(local, 20_000.0, "the owner's 20 s");
+        assert_eq!(remote, owner_back.as_millis() as f64, "the job's share stops at the return");
+        assert!(local + remote <= horizon.as_millis() as f64, "one station, one station's time");
+        // The job itself still accrued every background cycle it received.
+        assert_eq!(out.jobs[0].work_done, SimDuration::from_minutes(50));
     }
 }
