@@ -266,8 +266,7 @@ impl Cluster {
             };
             // The running copy occupies local disk alongside the standing
             // image, exactly as a remote placement would at its target.
-            let demand = self.jobs[job.0 as usize].spec.resources;
-            self.occupy(i, job, demand, Phase::Arriving);
+            self.occupy(i, job, Phase::Arriving);
             self.totals.local_starts += 1;
             self.emit(now, TraceKind::ChaosLocalStart { job, on: NodeId::new(i as u32) });
             self.start_running(now, i, job, sched);

@@ -600,7 +600,7 @@ impl Cluster {
             return true;
         }
         let demand = self.jobs[job.0 as usize].spec.resources;
-        self.occupy(target.as_usize(), job, demand, Phase::Arriving);
+        self.occupy(target.as_usize(), job, Phase::Arriving);
         self.jobs[job.0 as usize].state = JobState::Placing { target };
         let seq = self.next_transfer_seq(job);
         let done = self.ship_image(now, job, home, target);

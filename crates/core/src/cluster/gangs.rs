@@ -62,12 +62,10 @@ impl Cluster {
         machines: Vec<u32>,
         sched: &mut Scheduler<Event>,
     ) {
-        let j = &mut self.jobs[job.0 as usize];
-        j.state = JobState::Placing { target: NodeId::new(machines[0]) };
-        let demand = j.spec.resources;
+        self.jobs[job.0 as usize].state = JobState::Placing { target: NodeId::new(machines[0]) };
         let seq = self.next_transfer_seq(job);
         for &m in &machines {
-            self.occupy(m as usize, job, demand, Phase::GangMember);
+            self.occupy(m as usize, job, Phase::GangMember);
             let done = self.ship_image(now, job, home, NodeId::new(m));
             sched.at(done, Event::PlacementDone { job, target: m, seq });
             self.emit(now, TraceKind::PlacementStarted { job, target: NodeId::new(m) });

@@ -1144,7 +1144,6 @@ pub(crate) fn finish_run(engine: Engine<Cluster>, end: SimTime) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condor_model::station::ResourceVec;
 
     /// An owner who came back inside the last, not-yet-detected window is
     /// billed once: `[return, horizon)` belongs to the owner alone, so the
@@ -1167,7 +1166,7 @@ mod tests {
         // down 20 s before the horizon, inside the 30 s detection grid.
         let finish = engine.scheduler().at(SimTime::from_hours(5), Event::Finish { job, on: 0 });
         let c = engine.model_mut();
-        c.occupy(0, job, ResourceVec::WHOLE, Phase::Running { finish });
+        c.occupy(0, job, Phase::Running { finish });
         c.jobs[0].state = JobState::Running { on: NodeId::new(0) };
         c.hot.owner_active_since[0] = Some(owner_back);
 

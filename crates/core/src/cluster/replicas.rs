@@ -166,7 +166,7 @@ impl Cluster {
             let cand = NodeId::new(i as u32);
             let done = self.ship_image(now, job, home, cand);
             let arrive = sched.at(done, Event::ReplicaPlaced { job, target: i as u32 });
-            self.occupy(i, job, demand, Phase::Replica(ReplicaState::Arriving { arrive }));
+            self.occupy(i, job, Phase::Replica(ReplicaState::Arriving { arrive }));
             self.replicas_of(job).push(i as u32);
             self.totals.replicas_spawned += 1;
             self.emit(now, TraceKind::ReplicaSpawned { job, on: cand });

@@ -229,12 +229,15 @@ impl Cluster {
         }
     }
 
-    /// Gives `job` a slot on station `i` in `phase`, holding `demand` of
-    /// its capacity and one image of its disk. The inverse of
-    /// [`vacate`](Self::vacate); together they are the only two places
-    /// the residents list, the occupancy total and `disk_used` change.
-    pub(super) fn occupy(&mut self, i: usize, job: JobId, demand: ResourceVec, phase: Phase) {
-        self.stations[i].disk_used += self.jobs[job.0 as usize].spec.image_bytes;
+    /// Gives `job` a slot on station `i` in `phase`, holding its demand
+    /// vector of the station's capacity and one image of its disk. The
+    /// inverse of [`vacate`](Self::vacate); together they are the only two
+    /// places the residents list, the occupancy total and a host's
+    /// `disk_used` change.
+    pub(super) fn occupy(&mut self, i: usize, job: JobId, phase: Phase) {
+        let spec = &self.jobs[job.0 as usize].spec;
+        let demand = spec.resources;
+        self.stations[i].disk_used += spec.image_bytes;
         self.stations[i].residents.push(ForeignSlot { job, demand, phase });
         self.hot.used_cap[i] = self.hot.used_cap[i].add(demand);
         self.coord.mark(i);
