@@ -266,6 +266,8 @@ impl Cluster {
             };
             // The running copy occupies local disk alongside the standing
             // image, exactly as a remote placement would at its target.
+            // (No queue entry to take first: a chaos run keeps every
+            // station's — see `Cluster::prime`.)
             self.occupy(i, job, Phase::Arriving);
             self.totals.local_starts += 1;
             self.emit(now, TraceKind::ChaosLocalStart { job, on: NodeId::new(i as u32) });

@@ -280,11 +280,51 @@ impl Cluster {
     // ----- the poll cycle -------------------------------------------------
 
     pub(super) fn on_poll(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        sched.at(now + self.config.costs.coordinator_poll_interval, Event::Poll);
+        let next_poll = now + self.config.costs.coordinator_poll_interval;
+        self.fold_owner_flips_at_poll(now, next_poll, sched);
+        sched.at(next_poll, Event::Poll);
         if self.coordinator_down || self.chaos_poll_suppressed(now, sched) {
             return;
         }
         self.poll_body(now, sched);
+    }
+
+    /// Brings the stations that own no queue entry up to this poll, which
+    /// is about to read them, and keeps the one tie the fold cannot order
+    /// out of its hands.
+    ///
+    /// Transitions strictly before `now` are applied. One due at exactly
+    /// `now` is left for the next fold: this poll goes first, because such
+    /// a transition was armed after this poll was — by a predecessor
+    /// younger than the previous poll. The other order of that tie, a
+    /// transition armed *before* the poll it coincides with, never reaches
+    /// a fold: a station whose next transition falls on `next_poll` takes
+    /// its queue entry here, before `on_poll` re-arms the poll, so the
+    /// event queue delivers the two in the order they were scheduled —
+    /// the order the fully queued run has. (Everything that arms a lazy
+    /// transition for `next_poll` after this point is younger than this
+    /// poll, hence correctly second.) A resident-free station whose entry
+    /// fires just goes lazy again.
+    fn fold_owner_flips_at_poll(
+        &mut self,
+        now: SimTime,
+        next_poll: SimTime,
+        sched: &mut Scheduler<Event>,
+    ) {
+        if !self.fold_flips {
+            return;
+        }
+        // One pass over the next-flip array; `position` keeps the common
+        // case — nothing due at this station — a bare compare loop.
+        let mut from = 0;
+        while let Some(off) = self.hot.next_flip[from..].iter().position(|&t| t <= next_poll) {
+            let i = from + off;
+            self.fold_station(i, now);
+            if self.hot.next_flip[i] == next_poll {
+                self.take_flip_entry(i, sched);
+            }
+            from = i + 1;
+        }
     }
 
     /// The poll cycle proper: reservations, policy decision, order
@@ -600,6 +640,9 @@ impl Cluster {
             return true;
         }
         let demand = self.jobs[job.0 as usize].spec.resources;
+        // Before `PlacementDone` is scheduled, or a same-millisecond
+        // completion would overtake the owner transition due first.
+        self.take_flip_entry(target.as_usize(), sched);
         self.occupy(target.as_usize(), job, Phase::Arriving);
         self.jobs[job.0 as usize].state = JobState::Placing { target };
         let seq = self.next_transfer_seq(job);

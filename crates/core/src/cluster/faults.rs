@@ -146,6 +146,10 @@ impl Cluster {
 
     /// Draws an exponential time-to-failure or time-to-repair with the
     /// given mean from station `i`'s own stream (at least one second).
+    /// That is the owner's dwell stream: a lazily folded station would
+    /// have to be brought up to this instant first, tie order included,
+    /// so a run with failures configured keeps every station's queue entry
+    /// (`Cluster::prime`) and the draws interleave as they always did.
     pub(super) fn draw_fault_delay(&mut self, i: usize, mean: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(self.stations[i].rng.exponential(mean.as_secs_f64()))
             .max(SimDuration::SECOND)

@@ -64,6 +64,12 @@ impl Cluster {
     ) {
         self.jobs[job.0 as usize].state = JobState::Placing { target: NodeId::new(machines[0]) };
         let seq = self.next_transfer_seq(job);
+        // Every member's owner transition goes back in the queue before
+        // any member's `PlacementDone` is scheduled: the gang starts on
+        // the last arrival by reading *all* members' owner states.
+        for &m in &machines {
+            self.take_flip_entry(m as usize, sched);
+        }
         for &m in &machines {
             self.occupy(m as usize, job, Phase::GangMember);
             let done = self.ship_image(now, job, home, NodeId::new(m));

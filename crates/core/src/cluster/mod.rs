@@ -296,8 +296,11 @@ pub struct RunOutput {
     pub bus_bytes_moved: u64,
     /// Bulk transfers booked on the network.
     pub bus_transfers: u64,
-    /// Simulation events dispatched by the engine over the run — the
-    /// denominator for events/sec throughput reporting.
+    /// Events simulated over the run: dispatched by the engine, or — for
+    /// the owner transitions of stations nobody was looking at — folded at
+    /// a poll. Independent of observers (a traced run dispatches every one
+    /// of them and reports the same number), so it is the denominator for
+    /// events/sec-equivalent throughput reporting.
     pub events_dispatched: u64,
     /// The O(1)-memory telemetry summary, populated on every run — even
     /// with `record_trace: false`, so long horizons still report.
@@ -419,6 +422,16 @@ pub struct Cluster {
     /// (any other policy) keeps the replica machinery to a single branch
     /// on the hot paths and the trace bit-identical.
     redundancy: Option<RedundancyRuntime>,
+    /// Whether resident-free stations give up their `OwnerFlip` queue
+    /// entry and are folded at the poll instead (see
+    /// [`Cluster::fold_owner_flips`]). Derived once, in
+    /// [`Cluster::prime`]: off whenever something observes individual
+    /// events or looks at idle stations at instants the poll grid cannot
+    /// order against (details there).
+    fold_flips: bool,
+    /// Owner transitions applied by a fold rather than dispatched by the
+    /// engine; added to `RunOutput::events_dispatched`.
+    folded_flips: u64,
 }
 
 /// Owned polymorphic policy (kept concrete-debuggable).
@@ -606,16 +619,46 @@ impl Cluster {
             coord,
             chaos,
             redundancy,
+            fold_flips: false,
+            folded_flips: 0,
             config,
         })
     }
 
     /// Plants the initial event set: job arrivals, owner transitions, and
-    /// the first coordinator poll. Call once before running the engine.
+    /// the first coordinator poll. Call once before running the engine,
+    /// after attaching every sink.
+    ///
+    /// This is also where the run decides whether unobserved stations keep
+    /// a queue entry. A station's individual transitions matter only to a
+    /// resident job (the 30-second check) or to someone recording events;
+    /// otherwise the coordinator learns its state at the poll, so the
+    /// station keeps just its next transition time and the poll applies
+    /// what fell due (`on_poll`). That mode is off — every station stays
+    /// in the queue, the classic path — when
+    ///
+    /// * the trace is recorded or a sink is attached: they are promised
+    ///   events in simulation order;
+    /// * chaos or stochastic failures are configured: a delayed poll, the
+    ///   autonomy sweep and the crash/repair chain look at idle stations
+    ///   (or draw from their dwell streams) at instants whose order
+    ///   against a same-millisecond transition the poll grid cannot
+    ///   reconstruct, so those runs do not guess.
+    ///
+    /// Either way the run's result is the same: observing a run never
+    /// changes it.
     pub fn prime(engine: &mut Engine<Cluster>) {
-        let first_poll = engine.model().config.costs.coordinator_poll_interval;
+        let first_poll = SimTime::ZERO + engine.model().config.costs.coordinator_poll_interval;
         let n_jobs = engine.model().jobs.len();
         let n_stations = engine.model().stations.len();
+        let fold_flips = {
+            let c = engine.model();
+            !c.config.record_trace
+                && c.extra_sinks.is_empty()
+                && c.chaos.is_none()
+                && c.config.failures.is_none()
+        };
+        engine.model_mut().fold_flips = fold_flips;
         // Owner processes: fix initial active intervals and first flips.
         for i in 0..n_stations {
             let (dwell, state) = {
@@ -628,9 +671,15 @@ impl Cluster {
                 hot.owner_active_since[i] = Some(SimTime::ZERO);
                 hot.idle_since[i] = None;
             }
-            engine
-                .scheduler()
-                .at(SimTime::ZERO + dwell, Event::OwnerFlip { station: i as u32 });
+            let at = SimTime::ZERO + dwell;
+            // A first transition on the first poll's very instant is
+            // scheduled before that poll (below), so it keeps its entry
+            // and the queue orders the two; see `on_poll` for the rule.
+            if fold_flips && at != first_poll {
+                engine.model_mut().hot.next_flip[i] = at;
+            } else {
+                engine.scheduler().at(at, Event::OwnerFlip { station: i as u32 });
+            }
         }
         for j in 0..n_jobs {
             let at = engine.model().jobs[j].spec.arrival;
@@ -666,7 +715,7 @@ impl Cluster {
                 .at;
             engine.scheduler().at(at, Event::ChaosFault { idx: idx as u32 });
         }
-        engine.scheduler().at(SimTime::ZERO + first_poll, Event::Poll);
+        engine.scheduler().at(first_poll, Event::Poll);
     }
 
     /// Takes the coordinator offline (`true`) or back online. While down,
@@ -687,14 +736,20 @@ impl Cluster {
         &self.trace
     }
 
-    /// The telemetry summary accumulated so far.
+    /// The telemetry summary accumulated so far. Mid-run, in a run nobody
+    /// records, the owner transitions of stations that host nothing are
+    /// counted up to the last poll (they are folded there); the final
+    /// summary is complete.
     pub fn telemetry(&self) -> &Telemetry {
         self.stats.telemetry()
     }
 
-    /// Attaches an additional observer of the event stream. Sinks see every
-    /// event from this point on, in simulation order, and their `finish`
-    /// runs when the cluster finalizes. Use a
+    /// Attaches an additional observer of the event stream. Attach before
+    /// [`Cluster::prime`]: a sink present at `prime` keeps every station in
+    /// the event queue and sees every event in simulation order; one
+    /// attached later misses the owner transitions of stations that host
+    /// nothing (they are folded at the poll, unseen). `finish` runs when
+    /// the cluster finalizes. Use a
     /// [`SharedSink`](crate::telemetry::SharedSink) handle to keep access
     /// to the sink after the run.
     pub fn attach_sink(&mut self, mut sink: Box<dyn TraceSink + Send>) {
@@ -774,7 +829,13 @@ impl Cluster {
     /// `(free_stations, waiting_jobs)` after refreshing the coordinator
     /// cache. Free stations are those the coordinator could place on right
     /// now; waiting jobs is the raw queued total across the shard.
-    pub(crate) fn capacity_snapshot(&mut self) -> (u32, u32) {
+    ///
+    /// `barrier` is the window barrier's instant. Events at that instant
+    /// have not been delivered yet, so lazily tracked stations are folded
+    /// up to — excluding — it first: the free count must be the one the
+    /// fully queued run has between the two windows.
+    pub(crate) fn capacity_snapshot(&mut self, barrier: SimTime) -> (u32, u32) {
+        self.fold_owner_flips(barrier);
         self.flush_dirty();
         (self.coord.free_bits.count(), self.coord.raw_queue_total)
     }
@@ -871,6 +932,9 @@ impl Cluster {
 
     /// Closes open accounting intervals at the end of observation.
     fn finalize(&mut self, horizon: SimTime) {
+        // Transitions strictly before the horizon happened; one due at the
+        // horizon itself would not have been delivered either.
+        self.fold_owner_flips(horizon);
         // Horizon cut: every live replica dies unfinished and its progress
         // is wasted — conservation demands the books close on them before
         // the sinks do. No scheduler exists any more, and none is needed:
@@ -1109,9 +1173,10 @@ impl Run {
 /// intervals at `end` and re-keys the per-user series. Shared by the
 /// serial runner and each shard of the parallel runner.
 pub(crate) fn finish_run(engine: Engine<Cluster>, end: SimTime) -> RunOutput {
-    let events_dispatched = engine.events_dispatched();
+    let dispatched = engine.events_dispatched();
     let mut model = engine.into_model();
     model.finalize(end);
+    let events_dispatched = dispatched + model.folded_flips;
     let policy_name = model.policy.name().to_string();
     // Re-key the dense per-user-slot series by user id. Only touched slots
     // appear, matching the old lazily-populated map: a user whose every

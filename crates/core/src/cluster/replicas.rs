@@ -164,6 +164,8 @@ impl Cluster {
         });
         for &(_, i) in eligible.iter().take((k - live) as usize) {
             let cand = NodeId::new(i as u32);
+            // Ahead of `ReplicaPlaced`, as for any placement.
+            self.take_flip_entry(i, sched);
             let done = self.ship_image(now, job, home, cand);
             let arrive = sched.at(done, Event::ReplicaPlaced { job, target: i as u32 });
             self.occupy(i, job, Phase::Replica(ReplicaState::Arriving { arrive }));

@@ -131,7 +131,18 @@ pub(super) struct StationHot {
     /// admission checks read `capacity − used` without folding the
     /// residents list.
     pub(super) used_cap: Vec<ResourceVec>,
+    /// Instant of the next owner transition of a station that has **no**
+    /// `OwnerFlip` queue entry — nothing can see its transitions one by
+    /// one, so they are applied lazily by
+    /// [`Cluster::fold_owner_flips`]. [`NO_LAZY_FLIP`] while the station
+    /// owns a queue entry (always, before `prime` and in observed runs).
+    pub(super) next_flip: Vec<SimTime>,
 }
+
+/// [`StationHot::next_flip`] of a station whose next transition is a
+/// queued `OwnerFlip` event. Later than every horizon, so a fold's
+/// `next_flip < before` scan skips such stations without a second test.
+pub(super) const NO_LAZY_FLIP: SimTime = SimTime::MAX;
 
 impl StationHot {
     pub(super) fn new(stations: usize) -> Self {
@@ -140,6 +151,7 @@ impl StationHot {
             idle_since: vec![Some(SimTime::ZERO); stations],
             ewma_idle_secs: vec![0.0; stations],
             used_cap: vec![ResourceVec::ZERO; stations],
+            next_flip: vec![NO_LAZY_FLIP; stations],
         }
     }
 }
@@ -235,6 +247,9 @@ impl Cluster {
     /// places the residents list, the occupancy total and a host's
     /// `disk_used` change.
     pub(super) fn occupy(&mut self, i: usize, job: JobId, phase: Phase) {
+        // A resident reads its host's owner state event by event: the
+        // caller took the station's queue entry first (`take_flip_entry`).
+        debug_assert_eq!(self.hot.next_flip[i], NO_LAZY_FLIP, "occupying a lazily folded station");
         let spec = &self.jobs[job.0 as usize].spec;
         let demand = spec.resources;
         self.stations[i].disk_used += spec.image_bytes;
@@ -261,40 +276,100 @@ impl Cluster {
         slot
     }
 
-    pub(super) fn on_owner_flip(&mut self, now: SimTime, station: u32, sched: &mut Scheduler<Event>) {
-        let i = station as usize;
+    /// One owner transition of station `i`, applied at its own timestamp
+    /// `at`: the state change, the idle-length EWMA, the owner's
+    /// `local_busy` deposit, the dirty mark and the trace event. Returns
+    /// the instant of the station's next transition, drawn from its own
+    /// dwell stream. The **only** definition of a transition — the event
+    /// handler and the lazy fold both call it, so a station's history is
+    /// the same draws and the same deposits whichever path carried it.
+    fn apply_owner_flip(&mut self, at: SimTime, i: usize) -> SimTime {
+        let station = i as u32;
         let new_state = self.stations[i].owner.state();
         let dwell = {
             let st = &mut self.stations[i];
-            st.owner.dwell_and_flip(now, &mut st.rng)
+            st.owner.dwell_and_flip(at, &mut st.rng)
         };
-        sched.at(now + dwell, Event::OwnerFlip { station });
         self.coord.mark(i);
         self.stations[i].owner_state = new_state;
         match new_state {
             OwnerState::Active => {
-                self.hot.owner_active_since[i] = Some(now);
+                self.hot.owner_active_since[i] = Some(at);
                 if let Some(t) = self.hot.idle_since[i].take() {
-                    let len = now.since(t).as_secs_f64();
+                    let len = at.since(t).as_secs_f64();
                     self.hot.ewma_idle_secs[i] =
                         ewma_idle_update(self.hot.ewma_idle_secs[i], len);
                 }
-                self.emit(now, TraceKind::OwnerActive { station: NodeId::new(station) });
+                self.emit(at, TraceKind::OwnerActive { station: NodeId::new(station) });
             }
             OwnerState::Idle => {
                 if let Some(t) = self.hot.owner_active_since[i].take() {
                     self.local_busy
-                        .deposit_interval(t, now, now.since(t).as_millis() as f64);
+                        .deposit_interval(t, at, at.since(t).as_millis() as f64);
                     // The foreign job ran right through this owner visit
                     // (it was shorter than the detection interval): that
                     // span belongs to the owner in the utilization ledger.
                     if self.stations[i].residents.iter().any(|slot| self.slot_executing(slot)) {
-                        self.stations[i].run_overlaps.push((t, now));
+                        self.stations[i].run_overlaps.push((t, at));
                     }
                 }
-                self.hot.idle_since[i] = Some(now);
-                self.emit(now, TraceKind::OwnerIdle { station: NodeId::new(station) });
+                self.hot.idle_since[i] = Some(at);
+                self.emit(at, TraceKind::OwnerIdle { station: NodeId::new(station) });
             }
+        }
+        at + dwell
+    }
+
+    /// Applies station `i`'s pending lazy transitions strictly before
+    /// `before`, in order, each at its own instant. A no-op for a station
+    /// that owns a queue entry.
+    pub(super) fn fold_station(&mut self, i: usize, before: SimTime) {
+        while self.hot.next_flip[i] < before {
+            let at = self.hot.next_flip[i];
+            self.hot.next_flip[i] = self.apply_owner_flip(at, i);
+            self.folded_flips += 1;
+        }
+    }
+
+    /// Brings every station without a queue entry up to (excluding)
+    /// `before`. Called wherever something is about to look at an idle
+    /// station between polls — the shard barrier's capacity snapshot and
+    /// `finalize`; the poll itself folds in `on_poll`, where it can also
+    /// hand out queue entries.
+    pub(super) fn fold_owner_flips(&mut self, before: SimTime) {
+        let mut from = 0;
+        while let Some(off) = self.hot.next_flip[from..].iter().position(|&t| t < before) {
+            self.fold_station(from + off, before);
+            from += off + 1;
+        }
+    }
+
+    /// Gives station `i` its `OwnerFlip` queue entry back. Must run
+    /// **before** the caller schedules anything else for the station
+    /// (`PlacementDone`, `ReplicaPlaced`): the transition was due first,
+    /// and an entry taken later would let a same-millisecond completion
+    /// overtake it. The station must be up to date — every caller runs
+    /// inside a poll, after its fold; a stale one would schedule into the
+    /// past and panic. Entries are never cancelled: a flip that fires on a
+    /// resident-free station simply does not re-arm (see
+    /// [`on_owner_flip`](Self::on_owner_flip)).
+    pub(super) fn take_flip_entry(&mut self, i: usize, sched: &mut Scheduler<Event>) {
+        let at = std::mem::replace(&mut self.hot.next_flip[i], NO_LAZY_FLIP);
+        if at != NO_LAZY_FLIP {
+            sched.at(at, Event::OwnerFlip { station: i as u32 });
+        }
+    }
+
+    pub(super) fn on_owner_flip(&mut self, now: SimTime, station: u32, sched: &mut Scheduler<Event>) {
+        let i = station as usize;
+        let next = self.apply_owner_flip(now, i);
+        let new_state = self.stations[i].owner_state;
+        if self.fold_flips && self.stations[i].residents.is_empty() {
+            // Nobody is looking at this station any more: it gives its
+            // queue entry up by not re-arming, and the next poll folds it.
+            self.hot.next_flip[i] = next;
+        } else {
+            sched.at(next, Event::OwnerFlip { station });
         }
         // Schedule a local-scheduler check on the 30-second grid if any
         // resident might need suspending or resuming.

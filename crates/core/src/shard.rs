@@ -234,7 +234,7 @@ fn exchange_overflow(slots: &[Mutex<ShardSlot>], topo: &PoolTopology, h: SimTime
     let mut waiting = vec![0u32; pools];
     for (p, slot) in slots.iter().enumerate() {
         let mut s = slot.lock().expect("shard lock");
-        let (f, w) = s.engine.model_mut().capacity_snapshot();
+        let (f, w) = s.engine.model_mut().capacity_snapshot(h);
         free[p] = f;
         waiting[p] = w;
     }

@@ -435,9 +435,9 @@ pub struct Telemetry {
     /// Mean Up-Down schedule index sampled at each poll (empty under
     /// non-Up-Down policies).
     pub updown_index: CoarseSeries,
-    /// Timestamp of the first event, if any.
+    /// Earliest event timestamp, if any.
     pub first_event: Option<SimTime>,
-    /// Timestamp of the last event, if any.
+    /// Latest event timestamp, if any.
     pub last_event: Option<SimTime>,
     /// The run horizon passed to [`TraceSink::finish`].
     pub finished_at: SimTime,
@@ -626,10 +626,12 @@ impl TraceSink for StatsSink {
         t.events_total += 1;
         let index = ev.kind.index();
         t.counts[index] += 1;
-        if t.first_event.is_none() {
-            t.first_event = Some(ev.at);
-        }
-        t.last_event = Some(ev.at);
+        // Min / max of `at`, not first / latest call: the same bounds on a
+        // monotone stream, and still the stream's bounds when owner
+        // transitions folded at a poll arrive after later-stamped events
+        // (the rule `Telemetry::merge` already applies across shards).
+        t.first_event = Some(t.first_event.map_or(ev.at, |f| f.min(ev.at)));
+        t.last_event = Some(t.last_event.map_or(ev.at, |l| l.max(ev.at)));
         let action = MARK_ACTIONS[index];
         if action == MarkAction::None {
             return; // owner flips and polls — the bulk of the stream
@@ -876,6 +878,21 @@ mod tests {
         assert!(!t.is_empty());
         let names: Vec<&str> = t.nonzero_counts().iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"job_arrived") && names.contains(&"checkpoint_started"));
+    }
+
+    /// Owner transitions folded at a poll reach the sink after events
+    /// stamped later; the span bounds are the stream's, not the call
+    /// order's.
+    #[test]
+    fn stats_sink_event_bounds_are_min_and_max_of_the_stamps() {
+        let mut s = StatsSink::new();
+        let station = NodeId::new(0);
+        s.record(&ev(120, TraceKind::JobArrived { job: JobId(0) }));
+        s.record(&ev(300, TraceKind::OwnerIdle { station }));
+        s.record(&ev(45, TraceKind::OwnerActive { station }));
+        let t = s.telemetry();
+        assert_eq!(t.first_event, Some(SimTime::from_secs(45)));
+        assert_eq!(t.last_event, Some(SimTime::from_secs(300)));
     }
 
     #[test]

@@ -7,16 +7,22 @@
 //! time of week — which the owner-activity process then realises
 //! stochastically.
 
+use std::sync::Arc;
+
 use condor_sim::time::{SimDuration, SimTime};
 
 /// Hour-by-hour activity levels over a week.
 ///
 /// The week starts at simulated time zero, which is **Monday 00:00** by
 /// convention; experiment binaries label their axes accordingly.
+///
+/// Cloning shares the table: a fleet's owner processes each hold a copy of
+/// their `OwnerConfig`, and ten thousand private 168-entry tables would be
+/// megabytes that every owner transition then scatters its reads over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     /// 168 hourly activity levels in `[0, 1]`, Monday 00:00 first.
-    hourly: Vec<f64>,
+    hourly: Arc<[f64]>,
 }
 
 impl DiurnalProfile {
@@ -30,7 +36,7 @@ impl DiurnalProfile {
         for &v in &hourly {
             assert!((0.0..=1.0).contains(&v), "activity level {v} outside [0, 1]");
         }
-        DiurnalProfile { hourly }
+        DiurnalProfile { hourly: hourly.into() }
     }
 
     /// A constant activity level at all hours.

@@ -2,18 +2,18 @@
 //! worker threads.
 //!
 //! The cluster simulator and the live runtime share one model of owner
-//! behaviour. [`OwnerSimulator`] samples each station's
-//! [`OwnerProcess`](condor_model::owner::OwnerProcess) dwell times, scales
-//! them down to wall-clock milliseconds, and toggles the workers'
-//! owner-activity flags accordingly — so a live run sees the same
-//! statistical interference pattern as a simulated month, just compressed.
+//! behaviour. [`OwnerSimulator`] samples each station's [`OwnerProcess`]
+//! dwell times, scales them down to wall-clock milliseconds, and toggles
+//! the workers' owner-activity flags accordingly — so a live run sees the
+//! same statistical interference pattern as a simulated month, just
+//! compressed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use condor_model::owner::{build_fleet, OwnerConfig, OwnerState};
+use condor_model::owner::{build_fleet, OwnerConfig, OwnerProcess, OwnerState};
 use condor_sim::rng::SimRng;
 
 /// Drives the owner flags of a set of live workers.
@@ -24,7 +24,9 @@ pub struct OwnerSimulator {
 }
 
 impl OwnerSimulator {
-    /// Starts the simulator over the given worker flags.
+    /// Starts the simulator over the given worker flags. Every flag holds
+    /// its owner's initial state when this returns — the fleet is drawn and
+    /// published on the caller's thread, before the owner thread exists.
     ///
     /// `sim_minute` is how much wall time one simulated minute takes —
     /// e.g. `Duration::from_millis(10)` compresses the paper's 2-minute
@@ -41,11 +43,15 @@ impl OwnerSimulator {
     ) -> OwnerSimulator {
         assert!(!flags.is_empty(), "no workers to drive");
         assert!(!sim_minute.is_zero(), "zero time scale");
+        let processes = build_fleet(flags.len(), &config, 0.3, seed);
+        for (flag, process) in flags.iter().zip(&processes) {
+            flag.store(process.state() == OwnerState::Active, Ordering::SeqCst);
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("condor-owners".into())
-            .spawn(move || owner_loop(&flags, &config, sim_minute, seed, &stop_flag))
+            .spawn(move || owner_loop(&flags, processes, sim_minute, seed, &stop_flag))
             .expect("spawn owner simulator");
         OwnerSimulator {
             stop,
@@ -74,15 +80,16 @@ impl Drop for OwnerSimulator {
     }
 }
 
+/// Drives `flags` from `processes`, whose initial states the caller has
+/// already published.
 fn owner_loop(
     flags: &[Arc<AtomicBool>],
-    config: &OwnerConfig,
+    mut processes: Vec<OwnerProcess>,
     sim_minute: Duration,
     seed: u64,
     stop: &AtomicBool,
 ) -> u64 {
     let n = flags.len();
-    let mut processes = build_fleet(n, config, 0.3, seed);
     let root = SimRng::seed_from(seed);
     let mut rngs: Vec<SimRng> = (0..n)
         .map(|i| root.substream(seed, &format!("live-owner-{i}")))
@@ -94,8 +101,6 @@ fn owner_loop(
     let mut deadlines: Vec<(Instant, OwnerState)> = Vec::with_capacity(n);
     let mut transitions = 0u64;
     for i in 0..n {
-        let state = processes[i].state();
-        flags[i].store(state == OwnerState::Active, Ordering::SeqCst);
         let dwell = processes[i].dwell_and_flip(sim_now, &mut rngs[i]);
         let real = Duration::from_secs_f64(dwell.as_secs_f64() * scale);
         deadlines.push((start + real, processes[i].state()));

@@ -10,6 +10,9 @@
 //! scheduling rule), re-pin the digest in the same commit and say so in the
 //! commit message.
 
+mod common;
+
+use common::GOLDEN_SEED;
 use condor_core::chaos::ChaosConfig;
 use condor_core::cluster::{Run, RunOutput};
 use condor_core::config::PoolTopology;
@@ -30,7 +33,6 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The pinned digest of the paper-month JSONL trace at seed 1988.
 /// Captured from the pre-optimization simulator; see module docs.
-const GOLDEN_SEED: u64 = 1988;
 const GOLDEN_DIGEST: u64 = 0xE7D7_8885_6DED_7AEA;
 const GOLDEN_EVENTS: usize = 56_869;
 
@@ -231,14 +233,7 @@ fn multi_pool_trace_is_bit_identical_at_any_thread_count() {
 /// shows up here; name each moved member in the commit message.
 mod family {
     use super::*;
-    use condor_core::chaos::{ChaosGen, ChaosSchedule};
-    use condor_core::config::{EvictionStrategy, FailureConfig, PolicyKind, Reservation};
-    use condor_core::redundancy::{CkptTiming, RedundancyConfig};
-    use condor_core::updown::UpDownConfig;
-    use condor_model::station::ResourceVec;
-    use condor_net::NodeId;
-    use condor_sim::time::SimTime;
-    use condor_workload::scenarios::{assign_speedup_mix, fairness_duel, one_week};
+    use crate::common::FAMILY;
 
     /// FNV-1a over the run's accounting state, rendered canonically:
     /// `Totals` through its `Debug` form (all integer counters), then one
@@ -268,128 +263,24 @@ mod family {
         hash
     }
 
-    /// A saturated 40-station fleet for five days: a heavy user flooding
-    /// from station 0 and a light user's daily batch from station 1, so
-    /// owner evictions, grace expiries, in-place resumes and Up-Down
-    /// priority preemptions all fire.
-    fn loaded() -> Scenario {
-        fairness_duel(GOLDEN_SEED, 40, 5)
-    }
-
-    /// The paper's user mix over one week on 40 stations: queues drain
-    /// between batches, which is the regime replication needs.
-    fn light() -> Scenario {
-        let mut s = one_week(GOLDEN_SEED);
-        s.config.stations = 40;
-        s
-    }
-
-    fn with_policy(policy: PolicyKind) -> Scenario {
-        let mut s = loaded();
-        s.config.policy = policy;
-        s
-    }
-
-    /// Mixed station sizes and sub-whole job demands under non-linear
-    /// speedup curves.
-    fn fractional(policy: PolicyKind) -> Scenario {
-        let mut s = with_policy(policy);
-        s.config.capacity_profiles =
-            vec![ResourceVec::WHOLE, ResourceVec::share(1500), ResourceVec::new(2000, 1000)];
-        for j in &mut s.jobs {
-            j.resources = ResourceVec::share(250 + 250 * (j.id.0 % 4) as u32);
-        }
-        assign_speedup_mix(&mut s.jobs, GOLDEN_SEED, 0.3, 0.2);
-        s
-    }
-
-    fn redundant() -> Scenario {
-        let mut s = light();
-        s.config.policy = PolicyKind::Redundant(RedundancyConfig {
-            replicas: 2,
-            updown: UpDownConfig::default(),
-            checkpointing: CkptTiming::Opportunistic {
-                check_every: SimDuration::from_minutes(10),
-                hazard_threshold: 1.0,
-            },
-        });
-        s
-    }
-
-    fn history_aware() -> Scenario {
-        let mut s = loaded();
-        s.config.history_aware_placement = true;
-        s
-    }
-
-    fn chaos() -> Scenario {
-        let mut s = loaded();
-        let gen = ChaosGen { horizon: s.horizon, stations: 40, faults: 12 };
-        s.config.chaos = Some(ChaosConfig::new(ChaosSchedule::generate(GOLDEN_SEED, &gen)));
-        s
-    }
-
-    fn gangs() -> Scenario {
-        let mut s = light();
-        for j in s.jobs.iter_mut().filter(|j| j.id.0 % 5 == 0) {
-            j.width = 3;
-        }
-        s
-    }
-
-    fn reservations() -> Scenario {
-        let mut s = loaded();
-        s.config.reservations = vec![
-            Reservation {
-                holder: NodeId::new(1),
-                machines: 6,
-                from: SimTime::from_hours(20),
-                until: SimTime::from_hours(44),
-            },
-            Reservation {
-                holder: NodeId::new(0),
-                machines: 3,
-                from: SimTime::from_hours(70),
-                until: SimTime::from_hours(82),
-            },
-        ];
-        s
-    }
-
-    fn failures_with_kill() -> Scenario {
-        let mut s = loaded();
-        s.config.failures = Some(FailureConfig {
-            mtbf: SimDuration::from_days(2),
-            mttr: SimDuration::from_hours(3),
-        });
-        s.config.eviction =
-            EvictionStrategy::ImmediateKill { checkpoint_every: SimDuration::from_minutes(30) };
-        s
-    }
-
-    fn four_pool_month() -> Scenario {
-        let mut s = paper_month(GOLDEN_SEED);
-        s.config.topology = Some(PoolTopology::uniform(4, SimDuration::from_secs(300)));
-        s
-    }
-
-    /// `(name, scenario, trace digest, event count, ledger digest)`.
-    type Pin = (&'static str, fn() -> Scenario, u64, usize, u64);
+    /// `(name, trace digest, event count, ledger digest)`, parallel to
+    /// [`FAMILY`], which holds each member's scenario.
+    type Pin = (&'static str, u64, usize, u64);
 
     const PINS: [Pin; 13] = [
-        ("policy/up-down", loaded, 0x42CD_55EE_B959_E713, 20_294, 0xD730_87C2_FE46_239E),
-        ("policy/fifo", || with_policy(PolicyKind::Fifo), 0xFB2A_E380_A4EF_9D1E, 20_248, 0x22C3_856C_9C09_0A23),
-        ("policy/round-robin", || with_policy(PolicyKind::RoundRobin), 0x7189_6877_A76A_13F8, 20_287, 0xB112_AE00_1728_7D54),
-        ("policy/random", || with_policy(PolicyKind::Random), 0x5793_822E_DE7D_B7F2, 20_285, 0x6F98_E385_0E20_86B8),
-        ("policy/frac", || fractional(PolicyKind::Frac), 0xBA13_3824_F76A_5406, 27_258, 0xDE4D_EBA2_30DD_A2EB),
-        ("policy/redundant-k2", redundant, 0x121D_801D_6D15_12F1, 20_360, 0xADB2_D372_7734_9BCD),
-        ("policy/history-aware", history_aware, 0x9108_2CE6_7886_A0DC, 19_847, 0xC971_949C_783F_81B1),
-        ("feature/fractional", || fractional(PolicyKind::default()), 0xC40C_12A5_3C56_9C81, 27_390, 0xAF42_9CE7_BA5C_EECC),
-        ("feature/chaos-12", chaos, 0x3A83_2CF9_DB93_E717, 20_260, 0xBCF8_649E_DCB6_BD16),
-        ("feature/gangs-3", gangs, 0xE72B_29B4_1E29_1966, 18_210, 0xC9CD_DE3B_F3C1_9361),
-        ("feature/reservations", reservations, 0x5C8C_E9AB_76C4_C3B3, 20_070, 0x8A52_D341_3F80_BAA5),
-        ("feature/failures-kill", failures_with_kill, 0xCAA7_3F03_4D53_907C, 20_634, 0x28C6_6A0F_A482_68CD),
-        ("feature/pools-4-month", four_pool_month, 0x6F51_2EF6_52E2_BB5B, 125_841, 0xE57C_3007_E89B_BB6A),
+        ("policy/up-down", 0x42CD_55EE_B959_E713, 20_294, 0xD730_87C2_FE46_239E),
+        ("policy/fifo", 0xFB2A_E380_A4EF_9D1E, 20_248, 0x22C3_856C_9C09_0A23),
+        ("policy/round-robin", 0x7189_6877_A76A_13F8, 20_287, 0xB112_AE00_1728_7D54),
+        ("policy/random", 0x5793_822E_DE7D_B7F2, 20_285, 0x6F98_E385_0E20_86B8),
+        ("policy/frac", 0xBA13_3824_F76A_5406, 27_258, 0xDE4D_EBA2_30DD_A2EB),
+        ("policy/redundant-k2", 0x121D_801D_6D15_12F1, 20_360, 0xADB2_D372_7734_9BCD),
+        ("policy/history-aware", 0x9108_2CE6_7886_A0DC, 19_847, 0xC971_949C_783F_81B1),
+        ("feature/fractional", 0xC40C_12A5_3C56_9C81, 27_390, 0xAF42_9CE7_BA5C_EECC),
+        ("feature/chaos-12", 0x3A83_2CF9_DB93_E717, 20_260, 0xBCF8_649E_DCB6_BD16),
+        ("feature/gangs-3", 0xE72B_29B4_1E29_1966, 18_210, 0xC9CD_DE3B_F3C1_9361),
+        ("feature/reservations", 0x5C8C_E9AB_76C4_C3B3, 20_070, 0x8A52_D341_3F80_BAA5),
+        ("feature/failures-kill", 0xCAA7_3F03_4D53_907C, 20_634, 0x28C6_6A0F_A482_68CD),
+        ("feature/pools-4-month", 0x6F51_2EF6_52E2_BB5B, 125_841, 0xE57C_3007_E89B_BB6A),
     ];
 
     /// Runs every member, then fails once with the full table — in
@@ -398,14 +289,16 @@ mod family {
     fn every_family_pin_is_stable() {
         let got: Vec<(u64, usize, u64)> = PINS
             .iter()
-            .map(|(_, build, ..)| {
+            .zip(&FAMILY)
+            .map(|((pinned, ..), (name, build))| {
+                assert_eq!(pinned, name, "PINS and FAMILY list the members in the same order");
                 let out = run(build());
                 let (trace, events) = digest(&out);
                 (trace, events, ledger_digest(&out))
             })
             .collect();
         let mut moved = Vec::new();
-        for ((name, _, trace, events, ledger), g) in PINS.iter().zip(&got) {
+        for ((name, trace, events, ledger), g) in PINS.iter().zip(&got) {
             if (g.0, g.1) != (*trace, *events) {
                 moved.push(format!("{name}: trace half"));
             }
