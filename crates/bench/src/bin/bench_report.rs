@@ -39,7 +39,7 @@ use condor_core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, Reservation};
 use condor_core::job::{JobId, JobSpec, UserId};
-use condor_core::policy::{decide_from_views, StationView};
+use condor_core::policy::{decide_from_views, AllocationPolicy, PollInput, StationView};
 use condor_core::telemetry::{RingSink, StatsSink, TraceSink, VecSink};
 use condor_core::trace::{TraceEvent, TraceKind};
 use condor_core::updown::{UpDown, UpDownConfig};
@@ -281,6 +281,89 @@ fn make_views(n: usize) -> (Vec<StationView>, Vec<NodeId>) {
     (views, free)
 }
 
+/// A poll as the coordinator hands it over — the active sets already
+/// extracted — for the two shapes `make_views` cannot make, because it
+/// puts every host on one of seven homes: what a `fleet_loaded` and a
+/// `fleet_idle` poll of the repo benchmark look like from inside `decide`.
+struct FleetPoll {
+    views: Vec<StationView>,
+    requesters: Vec<NodeId>,
+    hosts: Vec<NodeId>,
+    consumers: Vec<(NodeId, u32)>,
+    /// The budget-sized head of the free set, and the size of all of it.
+    free: Vec<NodeId>,
+    free_total: usize,
+    budget: usize,
+}
+
+impl FleetPoll {
+    /// `per_mille` = (hosting, requesting, free) shares of the fleet, the
+    /// roles dealt by a hash of the station id and `deal`; a host works
+    /// for one of `homes` even-numbered stations (the benchmark's users sit
+    /// on every second station), again by hash.
+    fn new(
+        stations: usize,
+        per_mille: (u64, u64, u64),
+        homes: u64,
+        budget: usize,
+        deal: u64,
+    ) -> FleetPoll {
+        let mix = |i: usize, salt: u64| {
+            let mut z = (i as u64 ^ ((salt + 8 * deal) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 31)
+        };
+        let views: Vec<StationView> = (0..stations)
+            .map(|i| {
+                let role = mix(i, 1) % 1000;
+                let hosting = role < per_mille.0;
+                let can_host = !hosting && role < per_mille.0 + per_mille.2;
+                StationView {
+                    node: NodeId::new(i as u32),
+                    can_host,
+                    free_cpu_milli: if can_host { 1000 } else { 0 },
+                    hosting_for: hosting.then(|| NodeId::new(2 * (mix(i, 2) % homes) as u32)),
+                    waiting_jobs: if i % 2 == 0 && mix(i, 3) % 1000 < 2 * per_mille.1 {
+                        1 + (mix(i, 4) % 2) as usize
+                    } else {
+                        0
+                    },
+                }
+            })
+            .collect();
+        let mut used = vec![0u32; stations];
+        for home in views.iter().filter_map(|v| v.hosting_for) {
+            used[home.as_usize()] += 1;
+        }
+        let all_free: Vec<NodeId> = views.iter().filter(|v| v.can_host).map(|v| v.node).collect();
+        FleetPoll {
+            requesters: views.iter().filter(|v| v.waiting_jobs > 0).map(|v| v.node).collect(),
+            hosts: views.iter().filter(|v| v.hosting_for.is_some()).map(|v| v.node).collect(),
+            consumers: (0..stations)
+                .filter(|&h| used[h] > 0)
+                .map(|h| (NodeId::new(h as u32), used[h]))
+                .collect(),
+            free: all_free[..budget.min(all_free.len())].to_vec(),
+            free_total: all_free.len(),
+            budget,
+            views,
+        }
+    }
+
+    fn input(&self) -> PollInput<'_> {
+        PollInput {
+            views: &self.views,
+            requesters: &self.requesters,
+            hosts: &self.hosts,
+            consumers: &self.consumers,
+            free: &self.free,
+            free_total: self.free_total,
+            capacity: None,
+            max_placements: self.budget,
+        }
+    }
+}
+
 /// A representative mix of trace events for the emit-path scenario: the
 /// two hot classes (owner flips, polls) plus the job-lifecycle kinds the
 /// stats sink actually has to act on.
@@ -331,6 +414,17 @@ fn json_escape_free(name: &str) -> &str {
     name
 }
 
+/// Milliseconds with three decimals where that says something (≥ 1 ms)
+/// and four significant digits below, so a microsecond-scale row does not
+/// read `0.000`.
+fn wall_ms(ms: f64) -> String {
+    if ms >= 1.0 || ms <= 0.0 {
+        return format!("{ms:.3}");
+    }
+    let leading_zeros = (-ms.log10()).floor() as usize;
+    format!("{ms:.prec$}", prec = leading_zeros + 4)
+}
+
 fn render_json(meta: &Meta, rows: &[Row]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"suite\": \"condor-bench\",\n");
@@ -343,7 +437,7 @@ fn render_json(meta: &Meta, rows: &[Row]) -> String {
         s.push_str("    {");
         s.push_str(&format!("\"name\": \"{}\", ", json_escape_free(&r.name)));
         s.push_str(&format!("\"iters_measured\": {}, ", r.iters_measured));
-        s.push_str(&format!("\"wall_ms_per_iter\": {:.3}", r.wall_ms_per_iter));
+        s.push_str(&format!("\"wall_ms_per_iter\": {}", wall_ms(r.wall_ms_per_iter)));
         if let Some(e) = r.events_per_iter {
             s.push_str(&format!(", \"events_per_iter\": {e}"));
             s.push_str(&format!(", \"events_per_sec\": {:.0}", r.events_per_sec().unwrap()));
@@ -818,6 +912,45 @@ fn main() {
         });
         rows.push(Row {
             name: format!("updown_decide/{n}"),
+            iters_measured: iters,
+            memo: None,
+            wall_ms_per_iter: ms,
+            events_per_iter: None,
+            threads: None,
+        });
+    }
+
+    // updown, in-situ shapes: `decide` alone on the active sets of a poll
+    // of the repo benchmark's `fleet_loaded` (1,000 stations: ≈460 hosts
+    // over ≈210 homes, ≈10 requesters, budget 32) and `fleet_idle`
+    // (10,000 stations: ≈1,340 denied requesters, ≈27 hosts, budget 1).
+    // The loaded fleet alternates two deals of the roles, as its homes
+    // come and go: the index then carries ≈400 entries, most of them
+    // drifting, as it does in the run (≈430). The backlog is one deal: the
+    // same stations wait poll after poll. 500 polls come first, so the
+    // index holds what a run's index holds.
+    for (name, polls) in [
+        (
+            "loaded_1000",
+            vec![
+                FleetPoll::new(1_000, (460, 10, 280), 250, 32, 0),
+                FleetPoll::new(1_000, (460, 10, 280), 250, 32, 1),
+            ],
+        ),
+        ("backlog_10k", vec![FleetPoll::new(10_000, (3, 134, 740), 5_000, 1, 0)]),
+    ] {
+        let mut policy = UpDown::new(UpDownConfig::default());
+        let mut turn = 0usize;
+        let mut poll = || {
+            turn += 1;
+            policy.decide(SimTime::ZERO, &polls[turn % polls.len()].input()).len() as u64
+        };
+        for _ in 0..500 {
+            poll();
+        }
+        let (iters, ms, _) = measure(budget, poll);
+        rows.push(Row {
+            name: format!("updown_decide/{name}"),
             iters_measured: iters,
             memo: None,
             wall_ms_per_iter: ms,

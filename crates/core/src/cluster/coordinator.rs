@@ -42,6 +42,13 @@ pub(super) struct CoordCache {
     req_bits: Bits,
     /// Membership set: `hosting_for.is_some()`.
     host_bits: Bits,
+    /// The consumer ledger: `used_by_home[h]` = stations whose view says
+    /// `hosting_for == Some(h)`, and the homes where that is non-zero.
+    /// Moved whenever a refresh changes a station's `hosting_for`, in
+    /// lockstep with `host_bits`, so the poll hands the policy its hosts
+    /// already grouped by home ([`PollInput::consumers`]).
+    used_by_home: Vec<u32>,
+    consumer_bits: Bits,
     /// Bucketed free-capacity index over the hostable set, maintained in
     /// lockstep with `free_bits` (same transitions, keyed by the view's
     /// `free_cpu_milli`). Handed to capacity-aware policies each poll.
@@ -63,6 +70,7 @@ pub(super) struct CoordCache {
     free: Vec<NodeId>,
     requesters: Vec<NodeId>,
     hosts: Vec<NodeId>,
+    consumers: Vec<(NodeId, u32)>,
     /// Machines granted so far this poll — the exclusion list that lets
     /// order execution iterate the live free set lazily instead of
     /// copying and shrinking a pool vector.
@@ -86,6 +94,8 @@ impl CoordCache {
             free_bits: Bits::new(stations),
             req_bits: Bits::new(stations),
             host_bits: Bits::new(stations),
+            used_by_home: vec![0; stations],
+            consumer_bits: Bits::new(stations),
             capacity: CapacityIndex::new(stations),
             dirty_bits: vec![0; stations.div_ceil(64)],
             dirty: Vec::with_capacity(stations),
@@ -95,6 +105,7 @@ impl CoordCache {
             free: Vec::new(),
             requesters: Vec::new(),
             hosts: Vec::new(),
+            consumers: Vec::new(),
             granted: Vec::new(),
             machines: Vec::new(),
             service: Vec::new(),
@@ -183,6 +194,19 @@ impl Cluster {
         c.free_bits.set(i, view.can_host);
         c.req_bits.set(i, view.waiting_jobs > 0);
         c.host_bits.set(i, view.hosting_for.is_some());
+        let was = c.views[i].hosting_for;
+        if was != view.hosting_for {
+            if let Some(home) = was {
+                let h = home.as_usize();
+                c.used_by_home[h] -= 1;
+                c.consumer_bits.set(h, c.used_by_home[h] > 0);
+            }
+            if let Some(home) = view.hosting_for {
+                let h = home.as_usize();
+                c.used_by_home[h] += 1;
+                c.consumer_bits.set(h, true);
+            }
+        }
         c.capacity.update(i, c.views[i].free_cpu_milli, view.free_cpu_milli);
         c.views[i] = view;
     }
@@ -210,13 +234,14 @@ impl Cluster {
 
     /// Full-rescan cross-check: with no station dirty, the cache must
     /// match recomputation from scratch — the views, every membership set,
-    /// the maintained counts and occupancy totals, and the bucketed
-    /// capacity index. Catches any transition that forgot to mark its
-    /// station.
+    /// the maintained counts and occupancy totals, the consumer ledger and
+    /// the bucketed capacity index. Catches any transition that forgot to
+    /// mark its station.
     fn check_coord_rescan(&self) {
         let mut free = 0u32;
         let mut req = 0u32;
         let mut host = 0u32;
+        let mut used_by_home = vec![0u32; self.stations.len()];
         for i in 0..self.stations.len() {
             let fresh = self.compute_view(i);
             assert_eq!(
@@ -242,7 +267,19 @@ impl Cluster {
             free += fresh.can_host as u32;
             req += (fresh.waiting_jobs > 0) as u32;
             host += fresh.hosting_for.is_some() as u32;
+            if let Some(home) = fresh.hosting_for {
+                used_by_home[home.as_usize()] += 1;
+            }
         }
+        assert_eq!(self.coord.used_by_home, used_by_home, "consumer ledger drifted");
+        for (h, &used) in used_by_home.iter().enumerate() {
+            assert_eq!(self.coord.consumer_bits.get(h), used > 0, "consumer set wrong at {h}");
+        }
+        assert_eq!(
+            self.coord.consumer_bits.count() as usize,
+            used_by_home.iter().filter(|&&used| used > 0).count(),
+            "consumer count drifted"
+        );
         assert_eq!(self.coord.free_bits.count(), free, "free count drifted");
         assert_eq!(self.coord.req_bits.count(), req, "requester count drifted");
         assert_eq!(self.coord.host_bits.count(), host, "host count drifted");
@@ -413,6 +450,12 @@ impl Cluster {
         let mut hosts = std::mem::take(&mut self.coord.hosts);
         self.coord.req_bits.collect_into(&mut requesters);
         self.coord.host_bits.collect_into(&mut hosts);
+        let mut consumers = std::mem::take(&mut self.coord.consumers);
+        consumers.clear();
+        self.coord.consumer_bits.for_each(|home| {
+            consumers.push((NodeId::new(home), self.coord.used_by_home[home as usize]));
+            true
+        });
         let views = std::mem::take(&mut self.coord.views);
         let capacity = (!self.config.history_aware_placement).then_some(&self.coord.capacity);
         let orders = self.policy.as_dyn().decide(
@@ -421,6 +464,7 @@ impl Cluster {
                 views: &views,
                 requesters: &requesters,
                 hosts: &hosts,
+                consumers: &consumers,
                 free: &free,
                 free_total: free_machines as usize,
                 capacity,
@@ -434,6 +478,7 @@ impl Cluster {
         self.coord.views = views;
         self.coord.requesters = requesters;
         self.coord.hosts = hosts;
+        self.coord.consumers = consumers;
         // Reservation-pass grants are already reflected in the freshly
         // flushed free set; the exclusion list restarts for the order loop.
         granted.clear();

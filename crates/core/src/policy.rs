@@ -149,17 +149,21 @@ pub enum Order {
 /// One poll cycle's input to an [`AllocationPolicy`].
 ///
 /// Besides the per-station `views`, the coordinator hands policies the
-/// pre-extracted **active sets** — requesters and hosts — so a policy's
-/// work scales with the number of *active* stations, not the fleet size.
-/// The cluster maintains these sets incrementally across owner-flip and
-/// occupancy transitions; test code can derive them from views with
-/// [`decide_from_views`].
+/// pre-extracted **active sets** — requesters, hosts and consumers — so a
+/// policy's work scales with the number of *active* stations, not the
+/// fleet size, and never has to regroup the fleet by home. The cluster
+/// maintains all three incrementally, at the one place that sees a view
+/// change (`refresh_station` diffs the old and the new view of every
+/// dirty station); callers that keep no such state derive them from the
+/// views with [`decide_from_views`].
 ///
 /// Under a [pool topology](crate::config::PoolTopology) every pool runs
 /// its own coordinator, so a `PollInput` is always **pool-scoped**: node
 /// ids are shard-local, the views cover one pool's stations only, and a
-/// policy never sees (or places across) another pool. Cross-pool balance
-/// happens between polls, at window barriers, via overflow forwarding.
+/// policy never sees (or places across) another pool — `consumers` counts
+/// machines of this pool working for homes of this pool. Cross-pool
+/// balance happens between polls, at window barriers, via overflow
+/// forwarding.
 #[derive(Debug, Clone, Copy)]
 pub struct PollInput<'a> {
     /// One entry per station, indexed by station id.
@@ -168,6 +172,14 @@ pub struct PollInput<'a> {
     pub requesters: &'a [NodeId],
     /// Stations with `hosting_for` set, ascending station id.
     pub hosts: &'a [NodeId],
+    /// The **consumer ledger**: every home that some station in `hosts`
+    /// is `hosting_for`, with the number of such stations, ascending home
+    /// id — `hosts` grouped by home, so the counts sum to `hosts.len()`.
+    /// It is what Up-Down charges a home for each poll. The coordinator
+    /// keeps it as a dense count per home plus a set of the homes with a
+    /// non-zero count, updated whenever a station's `hosting_for`
+    /// changes, and expands the set into this list once per poll.
+    pub consumers: &'a [(NodeId, u32)],
     /// Machines able to host, in the **cluster's placement preference
     /// order** (plain id order normally; longest-expected-idle first when
     /// history-aware placement is enabled). Policies take targets from the
@@ -218,10 +230,18 @@ pub trait AllocationPolicy: std::fmt::Debug {
     }
 }
 
-/// Derives the requester/host sets by scanning `views` and calls
-/// [`AllocationPolicy::decide`] — the convenience path for tests, benches,
-/// and callers that do not maintain the active sets incrementally. This is
-/// the "rescan baseline" the cluster's cached poll state replaces.
+/// Derives the active sets of a [`PollInput`] by one scan of `views` —
+/// requesters, hosts, and the consumer ledger (hosts counted per home,
+/// ascending home id) — and calls [`AllocationPolicy::decide`] with
+/// `free` as the whole hostable set and no capacity index.
+///
+/// This is the path for callers that keep no coordinator state between
+/// polls: `condor-runtime` (a handful of workers), tests, benches and the
+/// repo benchmark's `policy.decide_us` probe. It costs O(stations) per
+/// call, which is exactly the rescan the cluster's incrementally
+/// maintained sets replace; the policy sees the same input either way
+/// (the cluster recounts its sets from the views after every flush in
+/// debug builds, and on demand in `tests/coord_consistency.rs`).
 pub fn decide_from_views(
     policy: &mut dyn AllocationPolicy,
     now: SimTime,
@@ -229,15 +249,27 @@ pub fn decide_from_views(
     free: &[NodeId],
     max_placements: usize,
 ) -> Vec<Order> {
-    let requesters: Vec<NodeId> = views
+    let mut requesters = Vec::new();
+    let mut hosts = Vec::new();
+    let mut used_by_home = vec![0u32; views.len()];
+    for v in views {
+        if v.waiting_jobs > 0 {
+            requesters.push(v.node);
+        }
+        if let Some(home) = v.hosting_for {
+            hosts.push(v.node);
+            let h = home.as_usize();
+            if h >= used_by_home.len() {
+                used_by_home.resize(h + 1, 0);
+            }
+            used_by_home[h] += 1;
+        }
+    }
+    let consumers: Vec<(NodeId, u32)> = used_by_home
         .iter()
-        .filter(|v| v.waiting_jobs > 0)
-        .map(|v| v.node)
-        .collect();
-    let hosts: Vec<NodeId> = views
-        .iter()
-        .filter(|v| v.hosting_for.is_some())
-        .map(|v| v.node)
+        .enumerate()
+        .filter(|&(_, &used)| used > 0)
+        .map(|(home, &used)| (NodeId::new(home as u32), used))
         .collect();
     policy.decide(
         now,
@@ -245,6 +277,7 @@ pub fn decide_from_views(
             views,
             requesters: &requesters,
             hosts: &hosts,
+            consumers: &consumers,
             free,
             free_total: free.len(),
             capacity: None,
@@ -253,39 +286,76 @@ pub fn decide_from_views(
     )
 }
 
+/// The arrival line behind [`FifoPolicy`] and [`FracPolicy`]: homes with
+/// outstanding demand in the order that demand was first seen.
+#[derive(Debug, Default)]
+struct DemandLine {
+    /// Homes with outstanding demand, oldest first.
+    line: Vec<NodeId>,
+    /// `queued[s]` ⇔ station `s` is in `line`: joining costs O(1) per
+    /// requester instead of a search of the line.
+    queued: Vec<bool>,
+}
+
+impl DemandLine {
+    fn is_empty(&self) -> bool {
+        self.line.is_empty()
+    }
+
+    /// Brings the line up to this poll: homes that no longer want capacity
+    /// (or vanished — fleets can shrink between polls) leave, newly
+    /// demanding homes join at the back in id order (within one poll we
+    /// cannot observe finer arrival order; polls are the clock).
+    fn refresh(&mut self, input: &PollInput<'_>) {
+        let queued = &mut self.queued;
+        self.line.retain(|h| {
+            let stays = input.views.get(h.as_usize()).is_some_and(|v| v.waiting_jobs > 0);
+            if !stays {
+                queued[h.as_usize()] = false;
+            }
+            stays
+        });
+        if queued.len() < input.views.len() {
+            queued.resize(input.views.len(), false);
+        }
+        for &r in input.requesters {
+            if !std::mem::replace(&mut queued[r.as_usize()], true) {
+                self.line.push(r);
+            }
+        }
+    }
+
+    /// Serves the line front to back: each home takes machines off the
+    /// **back** of `targets` until its queue is covered, the budget is
+    /// spent or the machines run out.
+    fn serve(&self, input: &PollInput<'_>, mut targets: Vec<NodeId>) -> Vec<Order> {
+        let mut orders = Vec::new();
+        for &home in &self.line {
+            for _ in 0..input.views[home.as_usize()].waiting_jobs {
+                if orders.len() >= input.max_placements {
+                    return orders;
+                }
+                let Some(target) = targets.pop() else { return orders };
+                orders.push(Order::Assign { home, target });
+            }
+        }
+        orders
+    }
+}
+
 /// Serves requesting stations in the order their demand was first seen;
 /// never preempts. The station at the head of the line gets every free
 /// machine until its queue drains — exactly the monopolisation behaviour
 /// the Up-Down algorithm was designed to prevent.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
-    /// Homes with outstanding demand, oldest first.
-    line: Vec<NodeId>,
+    line: DemandLine,
 }
 
 impl FifoPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
         FifoPolicy::default()
-    }
-
-    fn refresh_line(&mut self, input: &PollInput<'_>) {
-        // Drop homes that no longer want capacity (or vanished — fleets
-        // can shrink between polls)…
-        self.line
-            .retain(|h| {
-                input
-                    .views
-                    .get(h.as_usize())
-                    .is_some_and(|v| v.waiting_jobs > 0)
-            });
-        // …and append newly demanding homes in id order (within one poll
-        // we cannot observe finer arrival order; polls are the clock).
-        for r in input.requesters {
-            if !self.line.contains(r) {
-                self.line.push(*r);
-            }
-        }
     }
 }
 
@@ -302,32 +372,13 @@ impl AllocationPolicy for FifoPolicy {
     }
 
     fn decide(&mut self, _now: SimTime, input: &PollInput<'_>) -> Vec<Order> {
-        self.refresh_line(input);
+        self.line.refresh(input);
         if self.line.is_empty() {
             return Vec::new();
         }
         let mut free: Vec<NodeId> = input.free.to_vec();
-        free.reverse(); // pop() yields the most-preferred machine first
-        let mut remaining: Vec<usize> = self
-            .line
-            .iter()
-            .map(|h| input.views[h.as_usize()].waiting_jobs)
-            .collect();
-        let mut orders = Vec::new();
-        'outer: for (i, home) in self.line.iter().enumerate() {
-            while remaining[i] > 0 {
-                if orders.len() >= input.max_placements {
-                    break 'outer;
-                }
-                let Some(target) = free.pop() else { break 'outer };
-                orders.push(Order::Assign {
-                    home: *home,
-                    target,
-                });
-                remaining[i] -= 1;
-            }
-        }
-        orders
+        free.reverse(); // the most-preferred machine goes first
+        self.line.serve(input, free)
     }
 }
 
@@ -344,28 +395,13 @@ impl AllocationPolicy for FifoPolicy {
 /// policy behaves like [`FifoPolicy`].
 #[derive(Debug, Default)]
 pub struct FracPolicy {
-    /// Homes with outstanding demand, oldest first.
-    line: Vec<NodeId>,
+    line: DemandLine,
 }
 
 impl FracPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
         FracPolicy::default()
-    }
-
-    fn refresh_line(&mut self, input: &PollInput<'_>) {
-        self.line.retain(|h| {
-            input
-                .views
-                .get(h.as_usize())
-                .is_some_and(|v| v.waiting_jobs > 0)
-        });
-        for r in input.requesters {
-            if !self.line.contains(r) {
-                self.line.push(*r);
-            }
-        }
     }
 }
 
@@ -381,7 +417,7 @@ impl AllocationPolicy for FracPolicy {
     }
 
     fn decide(&mut self, _now: SimTime, input: &PollInput<'_>) -> Vec<Order> {
-        self.refresh_line(input);
+        self.line.refresh(input);
         if self.line.is_empty() {
             return Vec::new();
         }
@@ -390,37 +426,21 @@ impl AllocationPolicy for FracPolicy {
         // this order directly (its tie order is ascending id — the default
         // preference order), capped at the placement budget; without an
         // index, sort the free list. The sort path reverses first so the
-        // stable sort preserves the preference order within equal keys,
-        // then pops from the back.
+        // stable sort preserves the preference order within equal keys;
+        // either way the tightest machine ends up at the back.
         let mut targets: Vec<NodeId> = Vec::new();
         if let Some(cap) = input.capacity {
             cap.for_each_best_fit(|n| {
                 targets.push(n);
                 targets.len() < input.max_placements
             });
-            targets.reverse(); // pop() below yields tightest-first
+            targets.reverse();
         } else {
             targets = input.free.to_vec();
             targets.reverse();
             targets.sort_by_key(|n| std::cmp::Reverse(input.views[n.as_usize()].free_cpu_milli));
         }
-        let mut remaining: Vec<usize> = self
-            .line
-            .iter()
-            .map(|h| input.views[h.as_usize()].waiting_jobs)
-            .collect();
-        let mut orders = Vec::new();
-        'outer: for (i, home) in self.line.iter().enumerate() {
-            while remaining[i] > 0 {
-                if orders.len() >= input.max_placements {
-                    break 'outer;
-                }
-                let Some(target) = targets.pop() else { break 'outer };
-                orders.push(Order::Assign { home: *home, target });
-                remaining[i] -= 1;
-            }
-        }
-        orders
+        self.line.serve(input, targets)
     }
 }
 
@@ -678,6 +698,43 @@ mod tests {
             orders,
             vec![Order::Assign { home: NodeId::new(1), target: NodeId::new(2) }]
         );
+    }
+
+    /// The line is arrival order, not id order: homes that drain leave,
+    /// homes that come back rejoin at the back, and a home already queued
+    /// never moves — for both policies built on the line.
+    #[test]
+    fn demand_line_keeps_arrival_order_as_homes_join_and_leave() {
+        let line_after = |polls: &[&[usize]]| {
+            let mut fifo = FifoPolicy::new();
+            let mut frac = FracPolicy::new();
+            for waiting in polls {
+                let spec: Vec<_> = waiting.iter().map(|&w| (false, None, w)).collect();
+                let v = views(&spec);
+                decide_from_views(&mut fifo, SimTime::ZERO, &v, &[], 4);
+                decide_from_views(&mut frac, SimTime::ZERO, &v, &[], 4);
+            }
+            assert_eq!(fifo.line.line, frac.line.line);
+            let queued: Vec<usize> =
+                (0..fifo.line.queued.len()).filter(|&s| fifo.line.queued[s]).collect();
+            let mut sorted: Vec<usize> = fifo.line.line.iter().map(|n| n.as_usize()).collect();
+            sorted.sort_unstable();
+            assert_eq!(queued, sorted, "flags and line disagree");
+            fifo.line.line.iter().map(|n| n.index()).collect::<Vec<u32>>()
+        };
+        // Poll 1: stations 4 and 1 demand — id order within one poll.
+        let p1: &[usize] = &[0, 2, 0, 0, 1, 0];
+        assert_eq!(line_after(&[p1]), vec![1, 4]);
+        // Poll 2: 0 and 5 join behind them; 1 and 4 keep their places.
+        let p2: &[usize] = &[3, 2, 0, 0, 1, 1];
+        assert_eq!(line_after(&[p1, p2]), vec![1, 4, 0, 5]);
+        // Poll 3: 1 drains and leaves, 3 joins at the back, and the fleet
+        // loses station 5 (a home beyond the views leaves too).
+        let p3: &[usize] = &[3, 0, 0, 1, 1];
+        assert_eq!(line_after(&[p1, p2, p3]), vec![4, 0, 3]);
+        // Poll 4: 1 is back — behind everyone who kept waiting.
+        let p4: &[usize] = &[3, 1, 0, 1, 1];
+        assert_eq!(line_after(&[p1, p2, p3, p4]), vec![4, 0, 3, 1]);
     }
 
     #[test]

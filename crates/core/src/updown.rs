@@ -69,41 +69,98 @@ impl Default for UpDownConfig {
 #[derive(Debug)]
 pub struct UpDown {
     config: UpDownConfig,
-    /// Sparse schedule index as a sorted `(station, index)` vector:
-    /// stations at exactly zero carry no entry, so per-poll bookkeeping
-    /// scales with the *active* stations rather than the fleet, and entry
-    /// count is self-limiting — idle drift compacts every entry back to
-    /// zero within `|index| / idle_drift` polls of going quiet. The flat
-    /// sorted layout (vs. the previous `BTreeMap`) keeps the per-poll
-    /// drift-and-compact walk a single linear merge over contiguous
-    /// memory, which is what lets a 100k-station fleet's index stay cheap
-    /// even when tens of thousands of entries are briefly live.
+    /// Sparse schedule index as a `(station, index)` vector in ascending
+    /// station id: stations at exactly zero carry no entry, so per-poll
+    /// bookkeeping scales with the *active* stations rather than the
+    /// fleet, and entry count is self-limiting — idle drift compacts every
+    /// entry back to zero within `|index| / idle_drift` polls of going
+    /// quiet. Every input of a poll (requesters, consumers) comes in the
+    /// same order, so `decide` only ever walks the index front to back
+    /// beside them.
     index: Vec<(NodeId, f64)>,
-    // Scratch buffers reused across polls (taken out with `mem::take` for
-    // the duration of a `decide`, then put back).
-    scratch_requesters: Vec<(f64, NodeId, usize)>,
-    scratch_used: Vec<(NodeId, usize)>,
-    scratch_granted: Vec<(NodeId, usize)>,
-    scratch_free: Vec<NodeId>,
-    scratch_victims: Vec<(f64, NodeId, NodeId)>,
-    scratch_active: Vec<(NodeId, usize, usize)>,
-    /// Double buffer for the index merge pass.
-    scratch_index: Vec<(NodeId, f64)>,
+    /// The index under construction during a poll; swapped with `index`.
+    next_index: Vec<(NodeId, f64)>,
+    // Buffers kept warm between polls; each is rebuilt by the step of
+    // `decide` that owns it.
+    prefix: Vec<Candidate>,
+    grantees: Vec<Candidate>,
+    /// Index of every consuming home of the current poll, by station id.
+    /// Written (for the consumers only) when a poll reaches the preemption
+    /// pass and read there for the homes of its hosts — which are
+    /// consumers by definition — so stale entries are never looked at and
+    /// the array is never cleared.
+    home_index: Vec<f64>,
+    level_machines: Vec<NodeId>,
 }
 
-/// Sorted-vec counter map: the key sets here (active homes within one
-/// poll) are tiny, so binary search beats hashing.
-fn bump(map: &mut Vec<(NodeId, usize)>, key: NodeId, by: usize) {
-    match map.binary_search_by_key(&key, |e| e.0) {
-        Ok(i) => map[i].1 += by,
-        Err(i) => map.insert(i, (key, by)),
+/// A requester among the first `need` in priority order.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    index: f64,
+    home: NodeId,
+    /// Jobs waiting at `home`.
+    demand: usize,
+    /// Machines granted to `home` so far this poll.
+    granted: usize,
+}
+
+impl Candidate {
+    /// Priority order: lowest index first, ties to the lower station id.
+    /// Station ids are distinct, so no two candidates compare equal.
+    fn outranks(&self, index: f64, home: NodeId) -> bool {
+        self.index < index || (self.index == index && self.home < home)
     }
 }
 
-fn lookup(map: &[(NodeId, usize)], key: NodeId) -> usize {
-    map.binary_search_by_key(&key, |e| e.0)
-        .map(|i| map[i].1)
-        .unwrap_or(0)
+/// This poll's preemption candidates — every host with the index of the
+/// home it works for — in victim order (highest index first, ties to the
+/// lower machine id), produced one index **level** at a time: the level is
+/// the highest consumer index below the one just drained, its machines are
+/// the hosts working for a home at exactly that index, in id order. A poll
+/// issues at most `max_preemptions_per_poll` preemptions, so it drains a
+/// level or two at O(consumers + hosts) each instead of sorting every host.
+struct Victims<'a> {
+    input: &'a PollInput<'a>,
+    home_index: &'a [f64],
+    /// Index of the level being drained; +∞ before the first.
+    level: f64,
+    machines: &'a mut Vec<NodeId>,
+    next: usize,
+}
+
+impl Victims<'_> {
+    /// The next victim, as `(home, machine)`, if its home's index exceeds
+    /// `floor`. `None` is final for any floor at least this high: victims
+    /// come in descending index order.
+    fn next_above(&mut self, floor: f64) -> Option<(NodeId, NodeId)> {
+        let PollInput { views, hosts, consumers, .. } = *self.input;
+        let home_index = self.home_index;
+        let home_of = |host: NodeId| {
+            views[host.as_usize()]
+                .hosting_for
+                .expect("host set contains only hosting stations")
+        };
+        while self.level > floor {
+            if let Some(&machine) = self.machines.get(self.next) {
+                self.next += 1;
+                return Some((home_of(machine), machine));
+            }
+            let drained = self.level;
+            self.level = consumers
+                .iter()
+                .map(|&(home, _)| home_index[home.as_usize()])
+                .filter(|&index| index < drained)
+                .fold(f64::NEG_INFINITY, f64::max);
+            self.machines.clear();
+            self.next = 0;
+            if self.level > floor {
+                let level = self.level;
+                let at_level = hosts.iter().filter(|&&h| home_index[home_of(h).as_usize()] == level);
+                self.machines.extend(at_level);
+            }
+        }
+        None
+    }
 }
 
 impl UpDown {
@@ -115,13 +172,11 @@ impl UpDown {
         UpDown {
             config,
             index: Vec::new(),
-            scratch_requesters: Vec::new(),
-            scratch_used: Vec::new(),
-            scratch_granted: Vec::new(),
-            scratch_free: Vec::new(),
-            scratch_victims: Vec::new(),
-            scratch_active: Vec::new(),
-            scratch_index: Vec::new(),
+            next_index: Vec::new(),
+            prefix: Vec::new(),
+            grantees: Vec::new(),
+            home_index: Vec::new(),
+            level_machines: Vec::new(),
         }
     }
 
@@ -135,8 +190,9 @@ impl UpDown {
 
     /// Sum of all station indices. Stations at zero carry no entry and
     /// contribute nothing, which leaves an IEEE-754 sum bit-identical to
-    /// summing `index_of` over every station in id order (zero terms never
-    /// change a running sum, and the sum can never sit at `-0.0`).
+    /// summing `index_of` over every station in id order — a zero term
+    /// never changes a running sum — except for the sign of an all-zero
+    /// total (an empty `f64` sum is `-0.0`; adding a `0.0` makes it `0.0`).
     pub fn index_sum(&self) -> f64 {
         self.index.iter().map(|e| e.1).sum()
     }
@@ -155,15 +211,41 @@ impl UpDown {
     }
 }
 
-/// Per-node accumulator for the index-update pass: `(node, machines used,
-/// jobs waiting)`. Kept sorted by node.
-fn merge_active(active: &mut Vec<(NodeId, usize, usize)>, node: NodeId, used: usize, waiting: usize) {
-    match active.binary_search_by_key(&node, |e| e.0) {
-        Ok(i) => {
-            active[i].1 += used;
-            active[i].2 += waiting;
+/// A front-to-back reading position in a list kept in ascending station
+/// id — the index, and every active set of a [`PollInput`]. `decide` reads
+/// several of them side by side and never goes back in any.
+struct Cursor<'a, T, F> {
+    rest: &'a [T],
+    id_of: F,
+}
+
+impl<'a, T, F: Fn(&T) -> NodeId> Cursor<'a, T, F> {
+    /// What [`Cursor::head`] reads once the list is drained: past every id.
+    const DRAINED: u64 = u64::MAX;
+
+    fn new(list: &'a [T], id_of: F) -> Self {
+        Cursor { rest: list, id_of }
+    }
+
+    /// The station id at the front.
+    fn head(&self) -> u64 {
+        self.rest.first().map_or(Self::DRAINED, |e| u64::from((self.id_of)(e).index()))
+    }
+
+    /// `node`'s entry, if the list has one; entries of lower ids are left
+    /// behind, so `node` must not decrease from call to call.
+    fn take(&mut self, node: NodeId) -> Option<&'a T> {
+        while let [first, rest @ ..] = self.rest {
+            let id = (self.id_of)(first);
+            if id > node {
+                break;
+            }
+            self.rest = rest;
+            if id == node {
+                return Some(first);
+            }
         }
-        Err(i) => active.insert(i, (node, used, waiting)),
+        None
     }
 }
 
@@ -179,226 +261,178 @@ impl AllocationPolicy for UpDown {
         self.index.is_empty()
     }
 
+    /// Every step is a front-to-back pass over inputs that already come in
+    /// ascending station id — the index, `requesters`, `consumers`,
+    /// `hosts` — so a poll costs O(active stations) with no map, search or
+    /// fleet-sized sort. Who uses how many machines is not recounted here:
+    /// it arrives as [`PollInput::consumers`].
     fn decide(&mut self, _now: SimTime, input: &PollInput<'_>) -> Vec<Order> {
-        // Every pass below walks the pre-extracted requester/host sets, so
-        // a poll costs O(active stations), not O(fleet). Scratch buffers
-        // are taken out of `self` for the borrow and restored at the end.
-        let mut requesters = std::mem::take(&mut self.scratch_requesters);
-        let mut used_map = std::mem::take(&mut self.scratch_used);
-        let mut granted = std::mem::take(&mut self.scratch_granted);
-        let mut free = std::mem::take(&mut self.scratch_free);
-        let mut victims = std::mem::take(&mut self.scratch_victims);
-        requesters.clear();
-        used_map.clear();
-        granted.clear();
-        free.clear();
-        victims.clear();
+        let UpDown { config, index, next_index, prefix, grantees, home_index, level_machines } =
+            self;
+        let config = *config;
 
-        // 1. How many remote machines does each home currently use?
-        for &h in input.hosts {
-            let home = input.views[h.as_usize()]
-                .hosting_for
-                .expect("host set contains only hosting stations");
-            bump(&mut used_map, home, 1);
-        }
-
-        // 2. Requesters sorted by (index, node id) — lowest index wins.
-        //    Both the requester set and the index are in ascending id
-        //    order, so one co-walk annotates every requester with its
-        //    index — no per-requester binary search. The same pass seeds
-        //    the step-6 `active` accumulator (pure appends while ids
-        //    ascend), saving a second scattered read of the views later.
-        let mut active: Vec<(NodeId, usize, usize)> = std::mem::take(&mut self.scratch_active);
-        active.clear();
-        {
-            let mut ix = 0usize;
-            for &r in input.requesters {
-                while ix < self.index.len() && self.index[ix].0 < r {
-                    ix += 1;
-                }
-                let idx = if ix < self.index.len() && self.index[ix].0 == r {
-                    self.index[ix].1
-                } else {
-                    0.0
-                };
-                let waiting = input.views[r.as_usize()].waiting_jobs;
-                requesters.push((idx, r, waiting));
-                active.push((r, 0, waiting));
-            }
-        }
-        // Steps 4 and 5 below read the priority order only up to a provable
-        // prefix: the grant pass serves at most `max_placements` distinct
-        // requesters (round one hands each unmet requester one machine
-        // until the budget is gone), and the preemption pass visits at most
-        // one requester per satisfied grantee or issued preemption before
-        // breaking. Selecting and sorting just that prefix is therefore
-        // order-identical to a full sort — and O(r) instead of O(r log r)
-        // on a backlogged fleet. Distinct station ids make `(index, id)` a
-        // total order with no equal elements, so the unstable select/sort
-        // pair is deterministic.
+        // 1. The priority prefix: requesters by (index, station id),
+        //    lowest first, as far as steps 2 and 3 can read — the grant
+        //    pass serves at most `max_placements` distinct requesters
+        //    (round one hands each unmet requester one machine until the
+        //    budget is gone), and the preemption pass visits at most one
+        //    requester per satisfied grantee or issued preemption before
+        //    breaking. One pass keeps the best `need` seen so far in
+        //    order: a requester that does not beat the last of a full
+        //    prefix costs one comparison, and only the ones that enter
+        //    have their queue length read.
         let need = input
             .max_placements
-            .saturating_add(self.config.max_preemptions_per_poll)
+            .saturating_add(config.max_preemptions_per_poll)
             .saturating_add(1);
-        let cmp = |a: &(f64, NodeId, usize), b: &(f64, NodeId, usize)| {
-            a.0.partial_cmp(&b.0).expect("no NaN index").then(a.1.cmp(&b.1))
-        };
-        if requesters.len() > need {
-            requesters.select_nth_unstable_by(need - 1, cmp);
-            requesters.truncate(need);
-        }
-        requesters.sort_unstable_by(cmp);
-
-        // 3. Free machines in the cluster's preference order (history-aware
-        //    placement reorders this list before the call).
-        free.extend_from_slice(input.free);
-        free.reverse();
-
-        // 4. Grant machines round-robin across requesters in priority
-        //    order, one per round, until machines or budget run out.
-        let mut orders = Vec::new();
-        let mut progress = true;
-        while progress && orders.len() < input.max_placements && !free.is_empty() {
-            progress = false;
-            for &(_, home, demand) in &requesters {
-                if orders.len() >= input.max_placements || free.is_empty() {
-                    break;
+        prefix.clear();
+        let mut entries = Cursor::new(index, |e| e.0);
+        for &home in input.requesters {
+            let index = entries.take(home).map_or(0.0, |e| e.1);
+            if prefix.len() == need {
+                if prefix[need - 1].outranks(index, home) {
+                    continue;
                 }
-                if lookup(&granted, home) < demand {
-                    let target = free.pop().expect("checked non-empty");
-                    orders.push(Order::Assign { home, target });
-                    bump(&mut granted, home, 1);
+                prefix.pop();
+            }
+            let at = prefix.iter().rposition(|c| c.outranks(index, home)).map_or(0, |i| i + 1);
+            let demand = input.views[home.as_usize()].waiting_jobs;
+            debug_assert!(demand > 0, "requester set contains only stations with waiting jobs");
+            prefix.insert(at, Candidate { index, home, demand, granted: 0 });
+        }
+
+        // 2. Grant machines round-robin across the prefix in priority
+        //    order, one per round, until machines or budget run out.
+        //    Machines come off the front of the cluster's preference order
+        //    (history-aware placement reorders that list before the call).
+        let mut orders = Vec::new();
+        let mut free = input.free.iter();
+        'rounds: loop {
+            let mut progress = false;
+            for c in prefix.iter_mut() {
+                if orders.len() >= input.max_placements {
+                    break 'rounds;
+                }
+                if c.granted < c.demand {
+                    let Some(&target) = free.next() else { break 'rounds };
+                    orders.push(Order::Assign { home: c.home, target });
+                    c.granted += 1;
                     progress = true;
                 }
             }
+            if !progress {
+                break;
+            }
         }
 
-        // 5. Preemption: requesters that remain unsatisfied with no free
+        // 3. Preemption: requesters that remain unsatisfied with no free
         //    machines may claim capacity from consumers whose index exceeds
         //    theirs by the margin. Victim = running job whose *home* has
-        //    the highest index. "No free machines" is judged against the
-        //    whole hostable set, not the (possibly budget-truncated)
-        //    `free` prefix: every order so far is an assign consuming one
-        //    machine, so the fleet is exhausted exactly when the assign
-        //    count reaches `free_total`.
-        let mut preemptions = 0usize;
-        if input.free_total == orders.len() {
-            for &h in input.hosts {
-                let home = input.views[h.as_usize()]
-                    .hosting_for
-                    .expect("host set contains only hosting stations");
-                victims.push((self.index_of(home), home, h));
+        //    the highest index, lowest machine id among equals. "No free
+        //    machines" is judged against the whole hostable set, not the
+        //    (possibly budget-truncated) `free` prefix: every order so far
+        //    is an assign consuming one machine, so the fleet is exhausted
+        //    exactly when the assign count reaches `free_total`.
+        if input.free_total == orders.len()
+            && config.max_preemptions_per_poll > 0
+            && !prefix.is_empty()
+            && !input.consumers.is_empty()
+        {
+            let homes = input.consumers.last().map_or(0, |c| c.0.as_usize() + 1);
+            if home_index.len() < homes {
+                home_index.resize(homes, 0.0);
             }
-            // Highest-index consumer first; ties broken by target id so the
-            // choice is deterministic.
-            victims.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("no NaN").then(a.2.cmp(&b.2)));
-            let mut victim_iter = victims.iter().copied();
-            for &(req_idx, req_home, demand) in &requesters {
-                if preemptions >= self.config.max_preemptions_per_poll {
+            let mut entries = Cursor::new(index, |e| e.0);
+            for &(home, _) in input.consumers {
+                home_index[home.as_usize()] = entries.take(home).map_or(0.0, |e| e.1);
+            }
+            level_machines.clear();
+            let mut victims = Victims {
+                input,
+                home_index,
+                level: f64::INFINITY,
+                machines: level_machines,
+                next: 0,
+            };
+            let mut preemptions = 0usize;
+            for c in prefix.iter() {
+                if preemptions >= config.max_preemptions_per_poll {
                     break;
                 }
-                if lookup(&granted, req_home) >= demand {
+                if c.granted >= c.demand {
                     continue;
                 }
-                // Find the next victim not belonging to the requester
-                // itself and exceeding the margin. Under fractional
+                // The next victim that exceeds the margin and does not
+                // belong to the requester itself. Under fractional
                 // capacities a station can be hosting *and* still
-                // hostable, so a machine already claimed by an assign
-                // this poll is off the victim list — one order per
-                // target.
-                let victim = victim_iter
-                    .by_ref()
-                    .find(|&(v_idx, v_home, target)| {
-                        v_home != req_home
-                            && v_idx > req_idx + self.config.preemption_margin
-                            && !orders.iter().any(|o| {
-                                matches!(o, Order::Assign { target: t, .. } if *t == target)
-                            })
-                    });
-                match victim {
-                    Some((_, _, target)) => {
-                        orders.push(Order::Preempt { target });
-                        preemptions += 1;
-                    }
-                    None => break, // victims are sorted; nobody further qualifies
-                }
+                // hostable, so a machine already claimed by an assign this
+                // poll is off the victim list — one order per target. A
+                // victim passed over is passed over for good.
+                let floor = c.index + config.preemption_margin;
+                let victim = std::iter::from_fn(|| victims.next_above(floor)).find(
+                    |&(home, machine)| {
+                        home != c.home
+                            && !orders.iter().any(
+                                |o| matches!(o, Order::Assign { target, .. } if *target == machine),
+                            )
+                    },
+                );
+                // None: later requesters have higher indexes still, so
+                // nobody further qualifies.
+                let Some((_, target)) = victim else { break };
+                orders.push(Order::Preempt { target });
+                preemptions += 1;
             }
         }
 
-        // 6. Index updates. Only stations that used capacity, got grants,
-        //    or requested can move up or down; everyone else drifts toward
-        //    zero, so only the sparse map's existing entries are walked and
-        //    entries landing on zero are dropped. A station not listed here
-        //    behaves exactly as if its (absent) zero entry had drifted.
-        //    `active` was seeded with the requesters in step 2; fold in the
-        //    (small) consumer and grant maps.
-        for &(n, u) in &used_map {
-            merge_active(&mut active, n, u, 0);
-        }
-        for &(n, g) in &granted {
-            merge_active(&mut active, n, g, 0);
-        }
-        // One linear merge over the sorted index and the sorted active
-        // list replaces the old per-entry map lookups: active entries are
-        // bumped (starting from an implicit 0.0 when absent), inactive
-        // entries drift toward zero, and entries landing exactly on zero
-        // are compacted away. The per-node arithmetic is identical to the
-        // previous entry/retain pair, so every surviving value — and the
-        // id-ordered `index_sum` — stays bit-identical.
-        let config = self.config;
-        let bump_entry = |value: f64, used: usize, waiting: usize, granted_n: usize| -> f64 {
-            let mut v = value;
-            if used > 0 {
-                v += config.up_per_machine * used as f64;
+        // 4. Index updates. A station moves up by what it uses — machines
+        //    it held coming into the poll plus this poll's grants, added
+        //    as integers before the one multiply — and down while it has
+        //    jobs nobody granted a machine for; one that neither uses nor
+        //    wants drifts toward zero, and an entry landing exactly on
+        //    zero is dropped. A station in none of the lists behaves as if
+        //    its (absent) zero entry had drifted. One merge of the index,
+        //    the requesters and the consumers, all in ascending id,
+        //    visits every station that can change; this poll's grantees
+        //    (at most `max_placements`, the one thing not already in id
+        //    order) join it sorted. A requester outside the prefix was
+        //    granted nothing and so is unmet by definition. Per station
+        //    the arithmetic is the same sequence of `f64` operations
+        //    whatever the lists look like, and `next_index` fills in
+        //    ascending id, which `index_sum` adds in.
+        grantees.clear();
+        grantees.extend(prefix.iter().filter(|c| c.granted > 0));
+        grantees.sort_unstable_by_key(|c| c.home);
+        next_index.clear();
+        let mut entries = Cursor::new(index, |e| e.0);
+        let mut requesters = Cursor::new(input.requesters, |&r| r);
+        let mut consumers = Cursor::new(input.consumers, |c| c.0);
+        let mut grantees = Cursor::new(grantees, |g| g.home);
+        loop {
+            let at = entries.head().min(requesters.head()).min(consumers.head());
+            let Ok(at) = u32::try_from(at) else { break };
+            let node = NodeId::new(at);
+            let mut value = entries.take(node).map_or(0.0, |e| e.1);
+            let mut unmet = requesters.take(node).is_some();
+            let mut used = consumers.take(node).map_or(0, |c| c.1 as usize);
+            if let Some(g) = grantees.take(node) {
+                used += g.granted;
+                unmet = g.demand > g.granted;
             }
-            let unmet = waiting > granted_n;
+            if used > 0 {
+                value += config.up_per_machine * used as f64;
+            }
             if unmet {
-                v -= config.down_when_denied;
+                value -= config.down_when_denied;
             }
             if used == 0 && !unmet {
-                v = Self::drift_toward_zero(v, config.idle_drift);
+                value = Self::drift_toward_zero(value, config.idle_drift);
             }
-            v
-        };
-        let mut merged = std::mem::take(&mut self.scratch_index);
-        merged.clear();
-        let mut ai = 0usize;
-        for &(node, value) in &self.index {
-            while ai < active.len() && active[ai].0 < node {
-                let (n, used, waiting) = active[ai];
-                let v = bump_entry(0.0, used, waiting, lookup(&granted, n));
-                if v != 0.0 {
-                    merged.push((n, v));
-                }
-                ai += 1;
-            }
-            let v = if ai < active.len() && active[ai].0 == node {
-                let (n, used, waiting) = active[ai];
-                ai += 1;
-                bump_entry(value, used, waiting, lookup(&granted, n))
-            } else {
-                Self::drift_toward_zero(value, config.idle_drift)
-            };
-            if v != 0.0 {
-                merged.push((node, v));
+            if value != 0.0 {
+                next_index.push((node, value));
             }
         }
-        while ai < active.len() {
-            let (n, used, waiting) = active[ai];
-            let v = bump_entry(0.0, used, waiting, lookup(&granted, n));
-            if v != 0.0 {
-                merged.push((n, v));
-            }
-            ai += 1;
-        }
-        self.scratch_index = std::mem::replace(&mut self.index, merged);
-
-        self.scratch_active = active;
-        self.scratch_requesters = requesters;
-        self.scratch_used = used_map;
-        self.scratch_granted = granted;
-        self.scratch_free = free;
-        self.scratch_victims = victims;
+        std::mem::swap(index, next_index);
         orders
     }
 }

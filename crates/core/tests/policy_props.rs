@@ -11,6 +11,9 @@ use condor_net::NodeId;
 use condor_sim::time::SimTime;
 use proptest::prelude::*;
 
+mod updown_reference;
+use updown_reference::ReferenceUpDown;
+
 /// Arbitrary poll snapshots: per station, (can_host, hosting_for, waiting).
 /// The station count is fixed within one generated sequence (a real fleet
 /// does not change size between polls), but policies are additionally
@@ -182,6 +185,95 @@ proptest! {
     }
 }
 
+/// One station of one poll of the differential test, still raw: three
+/// dice (hostable? hosting? requesting?), the home it would host for —
+/// anywhere in the fleet — and the queue length it would have.
+type RawStation = (u8, u8, u8, u32, usize);
+
+const FLEET: usize = 64;
+
+proptest! {
+    /// Up-Down against its reference (`updown_reference`), poll by poll:
+    /// the same orders in the same order, and bit-identical indexes — of
+    /// every station and summed — over 64-station fleets whose consuming
+    /// homes span the whole fleet. The dice thresholds are drawn per case,
+    /// so cases range from an idle fleet to one with no machine free (the
+    /// preemption pass) and from no backlog to most stations requesting
+    /// (the priority prefix cuts the list); a station may be hosting and
+    /// hostable at once, as fractional fleets have them, so an assigned
+    /// machine can come up as a victim. Two cases in three run non-dyadic
+    /// constants, where a different order of `f64` operations would show
+    /// in the last bit.
+    #[test]
+    fn updown_matches_the_straightforward_reference(
+        polls in prop::collection::vec(
+            prop::collection::vec(
+                (any::<u8>(), any::<u8>(), any::<u8>(), 0u32..FLEET as u32, 1usize..5),
+                FLEET..=FLEET,
+            ),
+            50..64,
+        ),
+        density in (prop_oneof![0u8..8, 0u8..80], any::<u8>(), any::<u8>()),
+        budget in prop_oneof![0usize..=3, 0usize..=40],
+        max_preemptions_per_poll in 0usize..=3,
+        constants in 0u8..3,
+        reversed_preference in any::<bool>(),
+    ) {
+        let config = match constants {
+            0 => UpDownConfig { max_preemptions_per_poll, ..UpDownConfig::default() },
+            // A negative margin lets a requester's own machines pass the
+            // index test, so only the own-home rule keeps them.
+            _ => UpDownConfig {
+                up_per_machine: 0.3,
+                down_when_denied: 0.7,
+                idle_drift: 0.1,
+                preemption_margin: if constants == 1 { 1.3 } else { -0.4 },
+                max_preemptions_per_poll,
+            },
+        };
+        let mut new = UpDown::new(config);
+        let mut reference = ReferenceUpDown::new(config, FLEET);
+        for (poll, raw) in polls.iter().enumerate() {
+            let views: Vec<StationView> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(free, hosting, requesting, home, waiting)): (usize, &RawStation)| {
+                    let can_host = free < density.0;
+                    StationView {
+                        node: NodeId::new(i as u32),
+                        can_host,
+                        free_cpu_milli: if can_host { 500 } else { 0 },
+                        hosting_for: (hosting < density.1).then(|| NodeId::new(home)),
+                        waiting_jobs: if requesting < density.2 { waiting } else { 0 },
+                    }
+                })
+                .collect();
+            let mut free = free_of(&views);
+            if reversed_preference {
+                free.reverse();
+            }
+            let orders = decide_from_views(&mut new, SimTime::ZERO, &views, &free, budget);
+            let expected = reference.decide(&views, &free, budget);
+            prop_assert_eq!(&orders, &expected, "orders differ at poll {}", poll);
+            prop_assert!(validate_orders(&orders, &views).is_ok());
+            for v in &views {
+                prop_assert_eq!(
+                    new.index_of(v.node).to_bits(),
+                    reference.index_of(v.node).to_bits(),
+                    "index of {} differs at poll {}: {} vs {}",
+                    v.node, poll, new.index_of(v.node), reference.index_of(v.node)
+                );
+            }
+            // The sparse sum skips the zeros the dense one adds; only the
+            // sign of an all-zero total can tell the two apart.
+            let (sum, expected) = (new.index_sum(), reference.index_sum());
+            prop_assert!(
+                sum.to_bits() == expected.to_bits() || (sum == 0.0 && expected == 0.0),
+                "index_sum differs at poll {}: {} vs {}", poll, sum, expected
+            );
+        }
+    }
+}
 
 /// Regression: a fleet that shrinks between polls (stations removed from
 /// the configuration) must not panic any policy — found by

@@ -1,11 +1,12 @@
 //! Consistency suite for the incrementally maintained coordinator state:
-//! the free/requester/host membership sets, the bucketed free-capacity
-//! index, the struct-of-arrays occupancy totals, and the raw queue total
-//! must equal a from-scratch recomputation at *any* point in a run, not
-//! just at poll boundaries.
+//! the free/requester/host membership sets, the consumer ledger (machines
+//! in use per home), the bucketed free-capacity index, the
+//! struct-of-arrays occupancy totals, and the raw queue total must equal a
+//! from-scratch recomputation at *any* point in a run, not just at poll
+//! boundaries.
 //!
 //! Debug builds already cross-check after every poll's flush
-//! (`debug_check_coord`); these tests drive the same rescan through the
+//! (`check_coord_rescan`); these tests drive the same rescan through the
 //! public `verify_coord_cache` hook between arbitrary events, in every
 //! build profile, across seeded workloads that exercise the paths most
 //! likely to forget a dirty-mark: fractional capacity packing, chaos
@@ -15,19 +16,23 @@
 use condor::core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
 use condor::model::station::ResourceVec;
 use condor::core::config::Reservation;
+use condor::core::Totals;
 use condor::prelude::*;
 use condor::sim::engine::Engine;
 use proptest::prelude::*;
 
 /// Steps the cluster to `horizon`, rescanning the coordinator cache every
-/// `stride` events and once at the end. Panics (inside the hook) on any
-/// divergence between maintained and recomputed state.
-fn drive_and_verify(
+/// `stride` events and once at the end, and showing the cluster to
+/// `observe` after each mid-run rescan. Panics (inside the hook) on any
+/// divergence between maintained and recomputed state. Returns the events
+/// dispatched and the run's totals.
+fn drive_and_observe(
     cfg: ClusterConfig,
     specs: Vec<JobSpec>,
     horizon: SimDuration,
     stride: u64,
-) -> u64 {
+    mut observe: impl FnMut(&Cluster),
+) -> (u64, Totals) {
     let mut eng = Engine::new(Cluster::new(cfg, specs));
     Cluster::prime(&mut eng);
     let end = SimTime::ZERO + horizon;
@@ -37,10 +42,20 @@ fn drive_and_verify(
         dispatched += 1;
         if dispatched.is_multiple_of(stride) {
             eng.model_mut().verify_coord_cache();
+            observe(eng.model());
         }
     }
     eng.model_mut().verify_coord_cache();
-    dispatched
+    (dispatched, *eng.model().totals())
+}
+
+fn drive_and_verify(
+    cfg: ClusterConfig,
+    specs: Vec<JobSpec>,
+    horizon: SimDuration,
+    stride: u64,
+) -> u64 {
+    drive_and_observe(cfg, specs, horizon, stride, |_| {}).0
 }
 
 fn mixed_jobs(n: u64, stations: u64, fractional: bool) -> Vec<JobSpec> {
@@ -145,4 +160,64 @@ fn failures_reservations_and_gangs_stay_consistent() {
         .expect("valid config");
     let events = drive_and_verify(cfg, specs, SimDuration::from_days(3), 97);
     assert!(events > 1_000, "scenario too quiet to exercise the cache ({events} events)");
+}
+
+/// Whole machines, many consuming homes: 20 homes keep 40 stations busy
+/// under Up-Down at eight placements per poll, with two reservation
+/// windows fencing machines mid-run. Every way a station's `hosting_for`
+/// changes moves the consumer ledger — placement done, owner suspend and
+/// resume, checkpoint-out, priority preemption, completion, and a fence
+/// going up over a resident (its view says `hosting_for: None` while the
+/// job is still there) — and the rescan recounts the ledger from the
+/// views every few events.
+#[test]
+fn many_consuming_homes_keep_the_consumer_ledger_consistent() {
+    let specs: Vec<JobSpec> = (0..240u64)
+        .map(|i| JobSpec {
+            image_bytes: 300_000 + 40_000 * (i % 5),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 20) as u32),
+                NodeId::new(2 * (i % 20) as u32),
+                // Home 0 floods at the start; the rest trickle in.
+                SimTime::from_secs(if i % 20 == 0 { 0 } else { 900 * i }),
+                SimDuration::from_hours(2 + i % 4),
+            )
+        })
+        .collect();
+    let cfg = ClusterConfig::builder()
+        .stations(40)
+        .seed(1988)
+        .record_trace(false)
+        .placements_per_poll(8)
+        .reservation(Reservation {
+            holder: NodeId::new(2),
+            machines: 6,
+            from: SimTime::from_hours(10),
+            until: SimTime::from_hours(30),
+        })
+        .reservation(Reservation {
+            holder: NodeId::new(0),
+            machines: 4,
+            from: SimTime::from_hours(40),
+            until: SimTime::from_hours(52),
+        })
+        .build()
+        .expect("valid config");
+    let mut most_homes = 0usize;
+    let (_, totals) = drive_and_observe(cfg, specs, SimDuration::from_days(4), 41, |cluster| {
+        let mut homes: Vec<NodeId> = cluster
+            .jobs()
+            .iter()
+            .filter(|j| matches!(j.state, JobState::Running { .. }))
+            .map(|j| j.spec.home)
+            .collect();
+        homes.sort_unstable();
+        homes.dedup();
+        most_homes = most_homes.max(homes.len());
+    });
+    assert!(most_homes >= 10, "only {most_homes} homes ever consumed at once");
+    assert!(totals.preemptions_priority > 0, "no priority preemption: {totals:?}");
+    assert!(totals.preemptions_owner > 0, "no owner eviction: {totals:?}");
+    assert!(totals.reservation_placements > 0, "fences never served: {totals:?}");
 }
