@@ -11,9 +11,13 @@
 //! isolation, `flips_only` is a job-free fleet with polling effectively
 //! disabled (owner-transition cost), `poll_only` is a job-free, flip-free
 //! fleet (pure coordinator-poll cost — all memoized after the first
-//! poll), and `queue_only` reserves almost the whole fleet so arrivals
-//! queue without being placed. The `_200`/`_10k` variants rerun the
-//! station-bound scenarios at larger fleets to expose per-poll scaling.
+//! poll), `fold_at_poll` is a job-free fleet with default owners and the
+//! default poll (the owner transitions again, but folded poll-major as in
+//! a real run, so it prices the fold's walk over the fleet's state, which
+//! `flips_only` does not), and `queue_only` reserves almost the whole
+//! fleet so arrivals queue without being placed. The `_200`/`_10k`
+//! variants rerun the station-bound scenarios at larger fleets to expose
+//! per-poll scaling.
 //!
 //! The `cluster/stations/{1000,10k,100k}` rows run the fleet-scale
 //! scenario serially; the `cluster/par/{1,2,4,8}` rows run the same
@@ -733,8 +737,13 @@ fn main() {
     // poll_only — no jobs, owners pinned idle: coordinator polls. With no
     // station ever changing, every poll after the first hits the memo fast
     // path, so poll_only prices the memoized poll; its `poll_memo_hits`
-    // field proves it. Repeated at 200 and 10k stations to expose
-    // per-poll scaling.
+    // field proves it. fold_at_poll — no jobs, default owners, default
+    // poll: the same transitions as flips_only, but brought up to date the
+    // way a run does it — poll-major, a few hundred stations picked by the
+    // owner process at each of 5,039 polls — not station-major in one pass
+    // at `finalize`, which is what flips_only's 30-day poll interval turns
+    // the fold into. Repeated at 200 and 10k stations to expose per-poll
+    // scaling.
     for (stations, suffix) in [(23usize, ""), (200, "_200"), (10_000, "_10k")] {
         let (iters, ms, events) = measure(budget, || {
             let costs = condor_model::costs::CostModel {
@@ -772,6 +781,24 @@ fn main() {
         });
         rows.push(Row {
             name: format!("cluster/attrib/poll_only{suffix}"),
+            iters_measured: iters,
+            memo: Some(memo),
+            wall_ms_per_iter: ms,
+            events_per_iter: Some(events),
+            threads: None,
+        });
+        let (iters, ms, events) = measure(budget, || {
+            let cfg = ClusterConfig::builder()
+                .stations(stations)
+                .record_trace(false)
+                .build()
+                .expect("bench config is valid");
+            let out = Run::new(cfg).horizon(SimDuration::from_days(7)).execute();
+            memo = (out.totals.polls, out.totals.poll_memo_hits);
+            out.events_dispatched
+        });
+        rows.push(Row {
+            name: format!("cluster/attrib/fold_at_poll{suffix}"),
             iters_measured: iters,
             memo: Some(memo),
             wall_ms_per_iter: ms,

@@ -222,7 +222,7 @@ impl Cluster {
                 let st = &self.stations[i];
                 !st.failed
                     && st.reserved_for.is_none()
-                    && st.owner_state == OwnerState::Idle
+                    && self.lanes[i].state == OwnerState::Idle
                     && !st.queue.is_empty()
                     && !st.residents.is_empty()
                     && st.residents.iter().all(|sl| {
@@ -250,7 +250,7 @@ impl Cluster {
                 }
             }
             let st = &self.stations[i];
-            if !st.idle_and_empty() || st.queue.is_empty() {
+            if !self.idle_and_empty(i) || st.queue.is_empty() {
                 continue;
             }
             let arch = self.station_arch(i);

@@ -35,6 +35,13 @@ pub(super) struct CoordCache {
     /// Cached per-station views, kept equal to what a full rescan would
     /// produce whenever `dirty` is empty.
     views: Vec<StationView>,
+    /// What each station would offer *were its owner idle*: 0 when it is
+    /// cut off, failed, fenced or full, else its free CPU share. The
+    /// owner-independent half of `can_host` / `free_cpu_milli`, written
+    /// by [`Cluster::refresh_offer`] whenever the station is flushed, so
+    /// that an owner transition of a clean station settles its view from
+    /// this word and the lane's state alone ([`Cluster::refresh_owner`]).
+    idle_offer: Vec<u32>,
     /// Membership set: `can_host`, with a maintained count and a summary
     /// level so the poll extracts its free head in O(head + active words).
     pub(super) free_bits: Bits,
@@ -91,6 +98,7 @@ impl CoordCache {
                     free_cpu_milli: 0,
                 })
                 .collect(),
+            idle_offer: vec![0; stations],
             free_bits: Bits::new(stations),
             req_bits: Bits::new(stations),
             host_bits: Bits::new(stations),
@@ -128,6 +136,12 @@ impl CoordCache {
             self.dirty.push(station as u32);
         }
     }
+
+    /// Whether `station` is queued for a full refresh.
+    #[inline]
+    pub(super) fn is_dirty(&self, station: usize) -> bool {
+        self.dirty_bits[station / 64] & (1u64 << (station % 64)) != 0
+    }
 }
 
 /// Where `execute_assign` finds fallback machines when the policy's
@@ -146,9 +160,9 @@ enum AssignFallback<'a> {
 impl Cluster {
     // ----- coordinator-view cache ---------------------------------------
 
-    /// Recomputes one station's view from scratch — the single source of
-    /// truth shared by cache refresh and the debug full-rescan check.
-    fn compute_view(&self, i: usize) -> StationView {
+    /// The owner-independent part of station `i`'s view, from scratch:
+    /// `(idle_offer, hosting_for, waiting_jobs)`.
+    fn compute_offer(&self, i: usize) -> (u32, Option<NodeId>, usize) {
         let st = &self.stations[i];
         // A partitioned station is dark to the coordinator: it takes no
         // new placements and its queue is invisible until the link heals.
@@ -157,58 +171,95 @@ impl Cluster {
         // With whole-machine demands (the default) any resident consumes
         // the full capacity vector, so "has free CPU and memory" below is
         // exactly the legacy "no foreign job resident" condition.
-        let can_host = !cut
+        let open = !cut
             && !st.failed
             && st.reserved_for.is_none()
-            && st.owner_state == OwnerState::Idle
             && free.cpu_milli > 0
             && free.mem_milli > 0;
-        StationView {
-            node: NodeId::new(i as u32),
-            can_host,
-            // Fenced machines are invisible to the general policy: it may
-            // neither assign them nor preempt the holder's jobs on them.
-            hosting_for: if st.reserved_for.is_some() {
-                None
-            } else {
-                // A running replica counts as hosting: replication spends
-                // the home's own Up-Down standing, and a rival user's
-                // preemption order cancels the replica.
-                st.residents.iter().find_map(|slot| {
-                    self.slot_executing(slot).then(|| self.jobs[slot.job.0 as usize].spec.home)
-                })
-            },
-            // A downed station's local scheduler is unreachable; its queue
-            // thaws on recovery.
-            waiting_jobs: if st.failed || cut { 0 } else { st.queue.len() },
-            free_cpu_milli: if can_host { free.cpu_milli } else { 0 },
-        }
+        // Fenced machines are invisible to the general policy: it may
+        // neither assign them nor preempt the holder's jobs on them.
+        let hosting_for = if st.reserved_for.is_some() {
+            None
+        } else {
+            // A running replica counts as hosting: replication spends
+            // the home's own Up-Down standing, and a rival user's
+            // preemption order cancels the replica.
+            st.residents.iter().find_map(|slot| {
+                self.slot_executing(slot).then(|| self.jobs[slot.job.0 as usize].spec.home)
+            })
+        };
+        // A downed station's local scheduler is unreachable; its queue
+        // thaws on recovery.
+        let waiting_jobs = if st.failed || cut { 0 } else { st.queue.len() };
+        (if open { free.cpu_milli } else { 0 }, hosting_for, waiting_jobs)
     }
 
-    fn refresh_station(&mut self, i: usize) {
-        let view = self.compute_view(i);
+    /// Station `i`'s idle-owner offer and its view, recomputed from
+    /// scratch — the reference the full-rescan check holds the two refresh
+    /// halves against.
+    fn compute_view(&self, i: usize) -> (u32, StationView) {
+        let (offer, hosting_for, waiting_jobs) = self.compute_offer(i);
+        let idle = self.lanes[i].state == OwnerState::Idle;
+        let view = StationView {
+            node: NodeId::new(i as u32),
+            can_host: idle && offer > 0,
+            hosting_for,
+            waiting_jobs,
+            free_cpu_milli: if idle { offer } else { 0 },
+        };
+        (offer, view)
+    }
+
+    /// The non-owner half of a refresh: the station's queue, whom it
+    /// hosts for (with the consumer ledger) and what it would offer an
+    /// idle owner's coordinator. Reads the [`Station`](super::station::Station);
+    /// runs only from a flush, for a station something marked.
+    fn refresh_offer(&mut self, i: usize) {
+        let (offer, hosting_for, waiting_jobs) = self.compute_offer(i);
         let raw = self.stations[i].queue.len() as u32;
         let c = &mut self.coord;
         c.raw_queue_total = c.raw_queue_total - c.raw_queue[i] + raw;
         c.raw_queue[i] = raw;
-        c.free_bits.set(i, view.can_host);
-        c.req_bits.set(i, view.waiting_jobs > 0);
-        c.host_bits.set(i, view.hosting_for.is_some());
-        let was = c.views[i].hosting_for;
-        if was != view.hosting_for {
+        c.req_bits.set(i, waiting_jobs > 0);
+        c.host_bits.set(i, hosting_for.is_some());
+        let was = std::mem::replace(&mut c.views[i].hosting_for, hosting_for);
+        if was != hosting_for {
             if let Some(home) = was {
                 let h = home.as_usize();
                 c.used_by_home[h] -= 1;
                 c.consumer_bits.set(h, c.used_by_home[h] > 0);
             }
-            if let Some(home) = view.hosting_for {
+            if let Some(home) = hosting_for {
                 let h = home.as_usize();
                 c.used_by_home[h] += 1;
                 c.consumer_bits.set(h, true);
             }
         }
-        c.capacity.update(i, c.views[i].free_cpu_milli, view.free_cpu_milli);
-        c.views[i] = view;
+        c.views[i].waiting_jobs = waiting_jobs;
+        c.idle_offer[i] = offer;
+    }
+
+    /// The owner half of a refresh: `can_host`, `free_cpu_milli`, the free
+    /// set and the capacity index, from the station's offer and its
+    /// owner's state — one lane, one view, one word of `idle_offer`. A
+    /// flush runs it after [`refresh_offer`](Self::refresh_offer); an
+    /// owner transition of a clean station runs it alone.
+    pub(super) fn refresh_owner(&mut self, i: usize) {
+        let c = &mut self.coord;
+        let offer = match self.lanes[i].state {
+            OwnerState::Idle => c.idle_offer[i],
+            OwnerState::Active => 0,
+        };
+        let view = &mut c.views[i];
+        c.free_bits.set(i, offer > 0);
+        c.capacity.update(i, view.free_cpu_milli, offer);
+        view.can_host = offer > 0;
+        view.free_cpu_milli = offer;
+    }
+
+    fn refresh_station(&mut self, i: usize) {
+        self.refresh_offer(i);
+        self.refresh_owner(i);
     }
 
     /// Refreshes every dirty station's cached view.
@@ -243,7 +294,7 @@ impl Cluster {
         let mut host = 0u32;
         let mut used_by_home = vec![0u32; self.stations.len()];
         for i in 0..self.stations.len() {
-            let fresh = self.compute_view(i);
+            let (offer, fresh) = self.compute_view(i);
             assert_eq!(
                 self.hot.used_cap[i],
                 self.stations[i].used(),
@@ -251,8 +302,9 @@ impl Cluster {
             );
             assert_eq!(
                 self.coord.views[i], fresh,
-                "stale cached view for station {i} — a transition forgot to mark it dirty"
+                "stale cached view for station {i} — a transition neither marked it dirty nor settled it"
             );
+            assert_eq!(self.coord.idle_offer[i], offer, "stale idle-owner offer for station {i}");
             assert_eq!(self.coord.free_bits.get(i), fresh.can_host, "free set wrong at {i}");
             assert_eq!(
                 self.coord.req_bits.get(i),
@@ -388,7 +440,10 @@ impl Cluster {
                     continue;
                 };
                 let st = &self.stations[i];
-                if st.failed || st.owner_state != OwnerState::Idle || !st.residents.is_empty() {
+                if st.failed
+                    || self.lanes[i].state != OwnerState::Idle
+                    || !st.residents.is_empty()
+                {
                     continue;
                 }
                 if self.stations[holder.as_usize()].queue.is_empty() {

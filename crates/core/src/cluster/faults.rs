@@ -151,7 +151,7 @@ impl Cluster {
     /// so a run with failures configured keeps every station's queue entry
     /// (`Cluster::prime`) and the draws interleave as they always did.
     pub(super) fn draw_fault_delay(&mut self, i: usize, mean: SimDuration) -> SimDuration {
-        SimDuration::from_secs_f64(self.stations[i].rng.exponential(mean.as_secs_f64()))
+        SimDuration::from_secs_f64(self.lanes[i].rng.exponential(mean.as_secs_f64()))
             .max(SimDuration::SECOND)
     }
 }

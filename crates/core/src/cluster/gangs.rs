@@ -106,7 +106,7 @@ impl Cluster {
         let all_idle = gang
             .members
             .iter()
-            .all(|&m| self.stations[m as usize].owner_state == OwnerState::Idle);
+            .all(|&m| self.lanes[m as usize].state == OwnerState::Idle);
         let lead = gang.members[0];
         if all_idle {
             if let Some(t) = self.gang_mut(job).grace.take() {

@@ -43,7 +43,7 @@ mod station;
 
 use std::collections::BTreeMap;
 
-use condor_model::owner::{build_fleet, OwnerState};
+use condor_model::owner::build_fleet;
 use condor_net::{NodeId, SharedBus};
 use condor_sim::engine::{Engine, Model, Scheduler};
 use condor_sim::series::{BucketAccumulator, StepSeries};
@@ -54,7 +54,7 @@ use self::coordinator::CoordCache;
 use self::gangs::GangState;
 use self::remote_unix::SegmentEnd;
 use self::replicas::RedundancyRuntime;
-use self::station::{Phase, Station, StationHot};
+use self::station::{OwnerLane, Phase, Station, StationHot};
 pub use self::station::{IDLE_EWMA_HISTORY_WEIGHT, IDLE_EWMA_SAMPLE_WEIGHT};
 use crate::config::{ClusterConfig, ConfigError, PolicyKind};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
@@ -377,6 +377,9 @@ impl RunOutput {
 pub struct Cluster {
     config: ClusterConfig,
     stations: Vec<Station>,
+    /// Each station's owner — process, dwell stream, state, streak and
+    /// idle history — parallel to `stations`.
+    lanes: Vec<OwnerLane>,
     /// Parallel hot-state arrays for `stations` (struct-of-arrays).
     hot: StationHot,
     jobs: Vec<Job>,
@@ -528,25 +531,24 @@ impl Cluster {
             config.seed,
         );
         let root = condor_sim::rng::SimRng::seed_from(config.seed);
-        let stations = owners
+        let lanes = owners
             .into_iter()
             .enumerate()
             .map(|(i, owner)| {
-                let owner_state = owner.state();
-                Station {
-                    rng: root.substream(config.seed, &format!("station-dwell-{i}")),
-                    owner,
-                    owner_state,
-                    queue: BackgroundQueue::new(config.local_order),
-                    residents: Vec::new(),
-                    capacity: config.capacity_profiles[i % config.capacity_profiles.len()],
-                    disk_capacity: config.station.disk_capacity,
-                    disk_used: 0,
-                    detection_pending: false,
-                    failed: false,
-                    reserved_for: None,
-                    run_overlaps: Vec::new(),
-                }
+                OwnerLane::new(owner, root.substream(config.seed, &format!("station-dwell-{i}")))
+            })
+            .collect();
+        let stations = (0..config.stations)
+            .map(|i| Station {
+                queue: BackgroundQueue::new(config.local_order),
+                residents: Vec::new(),
+                capacity: config.capacity_profiles[i % config.capacity_profiles.len()],
+                disk_capacity: config.station.disk_capacity,
+                disk_used: 0,
+                detection_pending: false,
+                failed: false,
+                reserved_for: None,
+                run_overlaps: Vec::new(),
             })
             .collect();
         let policy = match config.policy {
@@ -598,6 +600,7 @@ impl Cluster {
         Ok(Cluster {
             hot: StationHot::new(config.stations),
             stations,
+            lanes,
             dependents,
             pending_deps,
             gangs: specs.iter().map(|_| None).collect(),
@@ -659,19 +662,10 @@ impl Cluster {
                 && c.config.failures.is_none()
         };
         engine.model_mut().fold_flips = fold_flips;
-        // Owner processes: fix initial active intervals and first flips.
+        // Owner processes: each station's first transition.
         for i in 0..n_stations {
-            let (dwell, state) = {
-                let st = &mut engine.model_mut().stations[i];
-                let dwell = st.owner.dwell_and_flip(SimTime::ZERO, &mut st.rng);
-                (dwell, st.owner_state)
-            };
-            if state == OwnerState::Active {
-                let hot = &mut engine.model_mut().hot;
-                hot.owner_active_since[i] = Some(SimTime::ZERO);
-                hot.idle_since[i] = None;
-            }
-            let at = SimTime::ZERO + dwell;
+            let lane = &mut engine.model_mut().lanes[i];
+            let at = SimTime::ZERO + lane.process.dwell_and_flip(SimTime::ZERO, &mut lane.rng);
             // A first transition on the first poll's very instant is
             // scheduled before that poll (below), so it keeps its entry
             // and the queue orders the two; see `on_poll` for the rule.
@@ -976,7 +970,7 @@ impl Cluster {
                     self.jobs[job.0 as usize].running_since = horizon;
                 }
             }
-            if let Some(t) = self.hot.owner_active_since[i].filter(|&t| t < horizon) {
+            if let Some(t) = self.lanes[i].active_since().filter(|&t| t < horizon) {
                 self.local_busy
                     .deposit_interval(t, horizon, horizon.since(t).as_millis() as f64);
             }
@@ -1233,7 +1227,8 @@ mod tests {
         let c = engine.model_mut();
         c.occupy(0, job, Phase::Running { finish });
         c.jobs[0].state = JobState::Running { on: NodeId::new(0) };
-        c.hot.owner_active_since[0] = Some(owner_back);
+        c.lanes[0].state = condor_model::owner::OwnerState::Active;
+        c.lanes[0].since = owner_back;
 
         let out = finish_run(engine, horizon);
         let (local, remote) = (out.local_busy.total(), out.remote_busy.total());

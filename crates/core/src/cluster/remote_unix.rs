@@ -356,7 +356,7 @@ impl Cluster {
         }
         self.coord.mark(t);
         self.jobs[job.0 as usize].placements += 1;
-        if self.stations[t].owner_state == OwnerState::Idle {
+        if self.lanes[t].state == OwnerState::Idle {
             self.start_running(now, t, job, sched);
         } else {
             // The owner came back while the image was in flight.
@@ -535,7 +535,7 @@ impl Cluster {
         if !self.timer_is_live(job, on, epoch) {
             return;
         }
-        let ewma = self.hot.ewma_idle_secs[on as usize];
+        let ewma = self.lanes[on as usize].ewma_idle_secs;
         let hazard = if ewma > 0.0 { self.idle_streak_secs(on as usize, now) / ewma } else { 0.0 };
         if hazard >= threshold {
             self.take_running_checkpoint(now, job, on);

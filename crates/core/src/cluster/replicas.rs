@@ -62,7 +62,7 @@ impl Cluster {
         if waiting == 0 {
             return;
         }
-        let free = self.stations.iter().filter(|st| st.idle_and_empty()).count();
+        let free = (0..self.stations.len()).filter(|&i| self.idle_and_empty(i)).count();
         let deficit = waiting
             .min(self.config.placements_per_poll)
             .saturating_sub(free);
@@ -149,7 +149,7 @@ impl Cluster {
             let cand = NodeId::new(i as u32);
             if cand == home
                 || granted.contains(&cand)
-                || !st.idle_and_empty()
+                || !self.idle_and_empty(i)
                 || self.chaos.as_ref().is_some_and(|c| c.partition_depth[i] > 0)
                 || self.station_arch(i) != arch
                 || image > st.disk_free()
@@ -157,7 +157,7 @@ impl Cluster {
             {
                 continue;
             }
-            eligible.push((self.hot.ewma_idle_secs[i] - self.idle_streak_secs(i, now), i));
+            eligible.push((self.lanes[i].ewma_idle_secs - self.idle_streak_secs(i, now), i));
         }
         eligible.sort_by(|a, b| {
             b.0.partial_cmp(&a.0).expect("no NaN idle scores").then(a.1.cmp(&b.1))
@@ -200,7 +200,7 @@ impl Cluster {
         }) {
             return;
         }
-        if self.stations[t].owner_state != OwnerState::Idle {
+        if self.lanes[t].state != OwnerState::Idle {
             self.cancel_replica(now, t, job, Some(sched));
             return;
         }

@@ -51,13 +51,54 @@ pub(super) struct ForeignSlot {
     pub(super) phase: Phase,
 }
 
-/// Per-station simulation state (the "local scheduler" plus hardware).
+/// Everything an owner transition reads and writes, one per station in one
+/// dense `Vec` ([`Cluster::lanes`]): the paper's local scheduler is a few
+/// words of state per workstation — is the owner there, since when (§2.1)
+/// — and at fleet scale almost every event is a transition of a station
+/// that hosts nothing, brought up to date at a poll together with a few
+/// hundred others picked at random from the fleet. What such a transition
+/// touches is this lane, the station's cached view and its
+/// `CoordCache::idle_offer`, never the [`Station`] beside it.
+#[derive(Debug)]
+pub(super) struct OwnerLane {
+    /// The owner model; its `state()` is the one the *next* transition
+    /// enters (the process flips when it draws a dwell).
+    pub(super) process: OwnerProcess,
+    /// Persistent per-station stream for owner dwell draws (and, in runs
+    /// with stochastic failures, the station's crash/repair delays).
+    pub(super) rng: SimRng,
+    /// What the station sees right now.
+    pub(super) state: OwnerState,
+    /// Start of the current active or idle stretch.
+    pub(super) since: SimTime,
+    /// EWMA of completed idle-interval lengths, seconds (history-aware
+    /// placement score).
+    pub(super) ewma_idle_secs: f64,
+}
+
+// The size is the point. A poll's fold visits a few hundred lanes picked at
+// random, and what that costs is set by whether the fleet's lanes, views
+// and offers are still in cache from the poll before: ≈1.2 MB at 10k
+// stations with an 80-byte lane, where the 216-byte `Station`s these fields
+// used to be spread over were not. A field added here is paid at every poll.
+const _: () = assert!(std::mem::size_of::<OwnerLane>() <= 80);
+
+impl OwnerLane {
+    pub(super) fn new(process: OwnerProcess, rng: SimRng) -> Self {
+        OwnerLane { state: process.state(), process, rng, since: SimTime::ZERO, ewma_idle_secs: 0.0 }
+    }
+
+    /// Start of the current owner-active stretch (`None` while idle).
+    pub(super) fn active_since(&self) -> Option<SimTime> {
+        (self.state == OwnerState::Active).then_some(self.since)
+    }
+}
+
+/// Per-station simulation state that an owner transition does not touch
+/// (the cold half of the local scheduler; [`OwnerLane`] is the hot one):
+/// the queue, the residents and the hardware.
 #[derive(Debug)]
 pub(super) struct Station {
-    pub(super) owner: OwnerProcess,
-    /// Persistent per-station stream for owner dwell draws.
-    pub(super) rng: SimRng,
-    pub(super) owner_state: OwnerState,
     pub(super) queue: BackgroundQueue,
     /// Foreign jobs resident on this station. Whole-machine demands (the
     /// default) keep this at most one entry long; fractional demands pack
@@ -98,34 +139,18 @@ impl Station {
         self.residents.iter_mut().find(|slot| slot.job == job)
     }
 
-    /// Up, unfenced, owner away and hosting nothing: the station a
-    /// replica or an autonomous local start may take whole.
-    pub(super) fn idle_and_empty(&self) -> bool {
-        !self.failed
-            && self.reserved_for.is_none()
-            && self.owner_state == OwnerState::Idle
-            && self.residents.is_empty()
-    }
-
     pub(super) fn disk_free(&self) -> u64 {
         self.disk_capacity - self.disk_used
     }
 }
 
-/// Struct-of-arrays hot state: the per-station scalars the owner-flip,
-/// utilization-deposit, and view-refresh paths touch on every event.
-/// Keeping them in dense parallel arrays (a few hundred KB at 100k
-/// stations) means those paths stay cache-resident instead of scattering
-/// reads across the much larger [`Station`] structs.
+/// Struct-of-arrays hot state: the two per-station scalars that are read
+/// on their own — the occupancy total by admission checks and view
+/// refreshes, the next-transition time by the poll's scan — kept in dense
+/// parallel arrays instead of scattered across the much larger
+/// [`Station`] structs.
 #[derive(Debug)]
 pub(super) struct StationHot {
-    /// Start of the current owner-active stretch (`None` while idle).
-    pub(super) owner_active_since: Vec<Option<SimTime>>,
-    /// Start of the current owner-idle stretch (`None` while active).
-    pub(super) idle_since: Vec<Option<SimTime>>,
-    /// EWMA of completed idle-interval lengths, seconds (history-aware
-    /// placement score).
-    pub(super) ewma_idle_secs: Vec<f64>,
     /// Sum of resident demands — the capacity remainder's complement —
     /// maintained at every slot insert/remove so `compute_view` and
     /// admission checks read `capacity − used` without folding the
@@ -147,9 +172,6 @@ pub(super) const NO_LAZY_FLIP: SimTime = SimTime::MAX;
 impl StationHot {
     pub(super) fn new(stations: usize) -> Self {
         StationHot {
-            owner_active_since: vec![None; stations],
-            idle_since: vec![Some(SimTime::ZERO); stations],
-            ewma_idle_secs: vec![0.0; stations],
             used_cap: vec![ResourceVec::ZERO; stations],
             next_flip: vec![NO_LAZY_FLIP; stations],
         }
@@ -186,16 +208,30 @@ impl Cluster {
         self.stations[i].capacity.sub(self.hot.used_cap[i])
     }
 
+    /// Up, unfenced, owner away and hosting nothing: the station a
+    /// replica or an autonomous local start may take whole.
+    pub(super) fn idle_and_empty(&self, i: usize) -> bool {
+        let st = &self.stations[i];
+        !st.failed
+            && st.reserved_for.is_none()
+            && self.lanes[i].state == OwnerState::Idle
+            && st.residents.is_empty()
+    }
+
     /// Length of station `i`'s current owner-idle streak, seconds (zero
     /// while the owner is active).
     pub(super) fn idle_streak_secs(&self, i: usize, now: SimTime) -> f64 {
-        self.hot.idle_since[i].map_or(0.0, |t| now.saturating_since(t).as_secs_f64())
+        let lane = &self.lanes[i];
+        match lane.state {
+            OwnerState::Idle => now.saturating_since(lane.since).as_secs_f64(),
+            OwnerState::Active => 0.0,
+        }
     }
 
     /// History-aware placement score: the longer of the current idle
     /// streak and the EWMA of completed idle intervals.
     pub(super) fn idle_score(&self, i: usize, now: SimTime) -> f64 {
-        self.hot.ewma_idle_secs[i].max(self.idle_streak_secs(i, now))
+        self.lanes[i].ewma_idle_secs.max(self.idle_streak_secs(i, now))
     }
 
     /// The instant up to which a run segment ending at `now` on station
@@ -204,13 +240,13 @@ impl Cluster {
     /// ledgers (the machine cannot be more than 100% busy), even though
     /// the job accrues the full wall time of background cycles it received.
     pub(super) fn owner_capped(&self, i: usize, now: SimTime) -> SimTime {
-        self.hot.owner_active_since[i].map_or(now, |t| t.min(now))
+        self.lanes[i].active_since().map_or(now, |t| t.min(now))
     }
 
     /// Interference: the owner shared the machine from their return until
     /// this detection.
     pub(super) fn charge_interference(&mut self, i: usize, now: SimTime) {
-        if let Some(active_since) = self.hot.owner_active_since[i] {
+        if let Some(active_since) = self.lanes[i].active_since() {
             self.totals.interference_ms += now.saturating_since(active_since).as_millis();
         }
     }
@@ -278,45 +314,39 @@ impl Cluster {
 
     /// One owner transition of station `i`, applied at its own timestamp
     /// `at`: the state change, the idle-length EWMA, the owner's
-    /// `local_busy` deposit, the dirty mark and the trace event. Returns
-    /// the instant of the station's next transition, drawn from its own
-    /// dwell stream. The **only** definition of a transition — the event
-    /// handler and the lazy fold both call it, so a station's history is
-    /// the same draws and the same deposits whichever path carried it.
+    /// `local_busy` deposit, the owner half of the station's cached view
+    /// and the trace event. Returns the instant of the station's next
+    /// transition, drawn from its own dwell stream. The **only**
+    /// definition of a transition — the event handler and the lazy fold
+    /// both call it, so a station's history is the same draws and the
+    /// same deposits whichever path carried it. It stays inside the
+    /// station's [`OwnerLane`] and coordinator-cache entries: what a
+    /// transition means for residents is the handler's business
+    /// ([`on_owner_flip`](Self::on_owner_flip)), because only a queued
+    /// station can have any.
     fn apply_owner_flip(&mut self, at: SimTime, i: usize) -> SimTime {
-        let station = i as u32;
-        let new_state = self.stations[i].owner.state();
-        let dwell = {
-            let st = &mut self.stations[i];
-            st.owner.dwell_and_flip(at, &mut st.rng)
-        };
-        self.coord.mark(i);
-        self.stations[i].owner_state = new_state;
-        match new_state {
+        let station = NodeId::new(i as u32);
+        let lane = &mut self.lanes[i];
+        let new_state = lane.process.state();
+        let dwell = lane.process.dwell_and_flip(at, &mut lane.rng);
+        let ended = std::mem::replace(&mut lane.since, at);
+        lane.state = new_state;
+        let kind = match new_state {
             OwnerState::Active => {
-                self.hot.owner_active_since[i] = Some(at);
-                if let Some(t) = self.hot.idle_since[i].take() {
-                    let len = at.since(t).as_secs_f64();
-                    self.hot.ewma_idle_secs[i] =
-                        ewma_idle_update(self.hot.ewma_idle_secs[i], len);
-                }
-                self.emit(at, TraceKind::OwnerActive { station: NodeId::new(station) });
+                let len = at.since(ended).as_secs_f64();
+                lane.ewma_idle_secs = ewma_idle_update(lane.ewma_idle_secs, len);
+                TraceKind::OwnerActive { station }
             }
             OwnerState::Idle => {
-                if let Some(t) = self.hot.owner_active_since[i].take() {
-                    self.local_busy
-                        .deposit_interval(t, at, at.since(t).as_millis() as f64);
-                    // The foreign job ran right through this owner visit
-                    // (it was shorter than the detection interval): that
-                    // span belongs to the owner in the utilization ledger.
-                    if self.stations[i].residents.iter().any(|slot| self.slot_executing(slot)) {
-                        self.stations[i].run_overlaps.push((t, at));
-                    }
-                }
-                self.hot.idle_since[i] = Some(at);
-                self.emit(at, TraceKind::OwnerIdle { station: NodeId::new(station) });
+                self.local_busy
+                    .deposit_interval(ended, at, at.since(ended).as_millis() as f64);
+                TraceKind::OwnerIdle { station }
             }
+        };
+        if !self.coord.is_dirty(i) {
+            self.refresh_owner(i);
         }
+        self.emit(at, kind);
         at + dwell
     }
 
@@ -362,8 +392,17 @@ impl Cluster {
 
     pub(super) fn on_owner_flip(&mut self, now: SimTime, station: u32, sched: &mut Scheduler<Event>) {
         let i = station as usize;
+        let ended = self.lanes[i].since;
         let next = self.apply_owner_flip(now, i);
-        let new_state = self.stations[i].owner_state;
+        let new_state = self.lanes[i].state;
+        // The foreign job ran right through this owner visit (it was
+        // shorter than the detection interval): that span belongs to the
+        // owner in the utilization ledger.
+        if new_state == OwnerState::Idle
+            && self.stations[i].residents.iter().any(|slot| self.slot_executing(slot))
+        {
+            self.stations[i].run_overlaps.push((ended, now));
+        }
         if self.fold_flips && self.stations[i].residents.is_empty() {
             // Nobody is looking at this station any more: it gives its
             // queue entry up by not re-arming, and the next poll folds it.
@@ -396,7 +435,7 @@ impl Cluster {
         // Conservative: any reconciliation below may change this station's
         // occupancy, and marking an unchanged station costs nothing.
         self.coord.mark(i);
-        let owner_state = self.stations[i].owner_state;
+        let owner_state = self.lanes[i].state;
         enum SlotInfo {
             Running(EventToken, JobId),
             Suspended(EventToken, JobId),

@@ -34,8 +34,10 @@
 //! coordinator polls its own pool), and events are replayed in batches at
 //! window granularity rather than the instant they happen.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -468,6 +470,62 @@ fn merge_outputs(
     }
 }
 
+/// The window protocol of the threaded runner. `threads` persistent
+/// workers each run `work(worker, h)` once per window, two barrier waits
+/// bracketing it; `windows` drives the loop on the calling thread: it is
+/// handed the function that runs one window up to `h` and does the
+/// barrier-instant work itself in between, with every worker parked.
+///
+/// `std::sync::Barrier` cannot be poisoned, so a panic on one side would
+/// leave the other in `wait()` for ever (and `thread::scope` would never
+/// join). Both sides therefore catch the unwind where it happens and
+/// complete the protocol — a worker still arrives at the window's second
+/// wait, the calling thread still releases the workers into exit — and
+/// the first payload is re-raised from here.
+fn run_windows_on_workers(
+    threads: usize,
+    work: impl Fn(usize, SimTime) + Sync,
+    windows: impl FnOnce(&mut dyn FnMut(SimTime)),
+) {
+    let barrier = Barrier::new(threads + 1);
+    let target_ms = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (work, barrier, target_ms, done, failure) =
+                (&work, &barrier, &target_ms, &done, &failure);
+            scope.spawn(move || loop {
+                barrier.wait();
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                let h = SimTime::from_millis(target_ms.load(Ordering::Acquire));
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(t, h))) {
+                    failure.lock().expect("failure slot").get_or_insert(payload);
+                }
+                barrier.wait();
+            });
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            windows(&mut |h| {
+                target_ms.store(h.as_millis(), Ordering::Release);
+                barrier.wait(); // release workers into the window
+                barrier.wait(); // all shards reached the barrier
+                let failed = failure.lock().expect("failure slot").take();
+                if let Some(payload) = failed {
+                    resume_unwind(payload);
+                }
+            })
+        }));
+        done.store(true, Ordering::Release);
+        barrier.wait(); // release workers into exit
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
+        }
+    });
+}
+
 /// The sharded space-parallel runner behind
 /// [`Run::execute`](crate::cluster::Run::execute) for configs carrying a
 /// topology. `threads` of `None` reads [`default_threads`].
@@ -475,7 +533,9 @@ fn merge_outputs(
 /// # Panics
 ///
 /// Panics on an invalid configuration (mirroring [`Cluster::new`]) — in
-/// particular on a dependency edge crossing pools.
+/// particular on a dependency edge crossing pools. A panic raised inside
+/// the run, by a sink or by a shard on a worker thread, is re-raised here
+/// once the other threads have been released.
 pub(crate) fn run_sharded(
     config: ClusterConfig,
     specs: Vec<JobSpec>,
@@ -560,39 +620,15 @@ pub(crate) fn run_sharded(
             }
         });
     } else {
-        // Persistent workers: shard `i` is owned by worker `i % threads`
-        // for the whole run; two barrier waits bracket each window.
-        let barrier = Barrier::new(threads + 1);
-        let target_ms = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let slots = &slots;
-                let barrier = &barrier;
-                let target_ms = &target_ms;
-                let done = &done;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let h = SimTime::from_millis(target_ms.load(Ordering::Acquire));
-                    for (i, slot) in slots.iter().enumerate() {
-                        if i % threads == t {
-                            slot.lock().expect("shard lock").engine.run_until(h);
-                        }
-                    }
-                    barrier.wait();
-                });
+        // Shard `i` is owned by worker `i % threads` for the whole run.
+        let work = |t: usize, h: SimTime| {
+            for (i, slot) in slots.iter().enumerate() {
+                if i % threads == t {
+                    slot.lock().expect("shard lock").engine.run_until(h);
+                }
             }
-            run_windows(&slots, &mut |h| {
-                target_ms.store(h.as_millis(), Ordering::Release);
-                barrier.wait(); // release workers into the window
-                barrier.wait(); // all shards reached the barrier
-            });
-            done.store(true, Ordering::Release);
-            barrier.wait(); // release workers into exit
-        });
+        };
+        run_windows_on_workers(threads, work, |run_window| run_windows(&slots, run_window));
     }
 
     let finished: Vec<ShardSlot> =
@@ -680,6 +716,80 @@ mod tests {
             assert_eq!(job.spec.id.0 as usize, i);
             assert_ne!(job.state, JobState::Forwarded, "job {i} left as a stub");
         }
+    }
+
+    /// Runs `f` on a thread of its own and returns the message it panicked
+    /// with (`None` if it returned) — or fails the test if it is still
+    /// running after a minute, which is how a panic that strands the
+    /// other side of the window barrier shows.
+    fn panic_message_or_hang(f: impl FnOnce() + Send + 'static) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let message = catch_unwind(AssertUnwindSafe(f)).err().map(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the sharded run hung instead of propagating the panic")
+    }
+
+    /// A user sink runs on the main thread, between two windows, while the
+    /// workers are parked at the barrier: its panic must come out of
+    /// `run_sharded`, not leave them (and the scope's join) waiting.
+    #[test]
+    fn a_panicking_sink_propagates_out_of_a_threaded_run() {
+        #[derive(Debug)]
+        struct Exploding;
+        impl TraceSink for Exploding {
+            fn record(&mut self, _ev: &TraceEvent) {
+                panic!("sink exploded on its first event");
+            }
+        }
+        let config = ClusterConfig {
+            stations: 8,
+            topology: Some(PoolTopology::uniform(2, SimDuration::from_secs(600))),
+            ..ClusterConfig::default()
+        };
+        let message = panic_message_or_hang(move || {
+            let sinks: Vec<Box<dyn TraceSink + Send>> = vec![Box::new(Exploding)];
+            run_sharded(config, vec![spec(0, 0, 600, 2)], SimDuration::from_days(1), sinks, Some(2));
+        });
+        assert_eq!(message.as_deref(), Some("sink exploded on its first event"));
+    }
+
+    /// The worker side of the same protocol. Nothing a caller passes in
+    /// runs on a worker (user sinks are replayed on the main thread), so a
+    /// panic there is a model bug and the public API cannot stage one: the
+    /// protocol is driven directly, one worker failing in the second of
+    /// three windows. The other worker and the main thread finish that
+    /// window, the third never starts, and the payload comes out.
+    #[test]
+    fn a_panicking_worker_propagates_out_of_the_window_protocol() {
+        let message = panic_message_or_hang(|| {
+            let ran = Mutex::new(Vec::new());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_windows_on_workers(
+                    2,
+                    |t, h| {
+                        if t == 1 && h == SimTime::from_secs(2) {
+                            panic!("worker exploded in its window");
+                        }
+                        ran.lock().expect("ran").push((h.as_millis() / 1_000, t));
+                    },
+                    |run_window| (1..=3).for_each(|w| run_window(SimTime::from_secs(w))),
+                )
+            }));
+            let mut ran = ran.into_inner().expect("ran");
+            ran.sort_unstable();
+            assert_eq!(ran, [(1, 0), (1, 1), (2, 0)]);
+            resume_unwind(outcome.expect_err("the worker's panic was swallowed"));
+        });
+        assert_eq!(message.as_deref(), Some("worker exploded in its window"));
     }
 
     /// Station ranges and the pool-of-station inverse agree for uneven

@@ -602,6 +602,21 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// Appends `v` in decimal.
+fn push_u64(s: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
 impl TraceEvent {
     /// Renders this event as one line of flat JSON (no trailing newline),
     /// e.g. `{"t_ms":5000,"kind":"job_arrived","job":3}`.
@@ -615,17 +630,26 @@ impl TraceEvent {
 
     /// Like [`TraceEvent::to_jsonl`], appending to a caller-supplied buffer
     /// instead of allocating — the form hot sinks use with a reused
-    /// `String` (no trailing newline is written).
+    /// `String` (no trailing newline is written). Every value is an
+    /// unsigned integer or a fixed token, so the line is literals and
+    /// digits pushed straight into the buffer, with no `fmt` machinery.
     pub fn write_jsonl(&self, s: &mut String) {
-        use std::fmt::Write;
-        write!(s, "{{\"t_ms\":{},\"kind\":\"{}\"", self.at.as_millis(), self.kind.name()).unwrap();
+        fn num(s: &mut String, key: &str, v: impl Into<u64>) {
+            s.push_str(key);
+            push_u64(s, v.into());
+        }
+        num(s, "{\"t_ms\":", self.at.as_millis());
+        s.push_str(",\"kind\":\"");
+        s.push_str(self.kind.name());
+        s.push('"');
         match self.kind {
             TraceKind::JobArrived { job } | TraceKind::JobRejected { job } => {
-                write!(s, ",\"job\":{}", job.0).unwrap();
+                num(s, ",\"job\":", job.0);
             }
             TraceKind::PlacementStarted { job, target }
             | TraceKind::PlacementDiskRejected { job, target } => {
-                write!(s, ",\"job\":{},\"target\":{}", job.0, target.index()).unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"target\":", target.index());
             }
             TraceKind::JobStarted { job, on }
             | TraceKind::JobSuspended { job, on }
@@ -633,81 +657,73 @@ impl TraceEvent {
             | TraceKind::JobKilled { job, on }
             | TraceKind::PeriodicCheckpoint { job, on }
             | TraceKind::JobCompleted { job, on }
-            | TraceKind::CrashRollback { job, on } => {
-                write!(s, ",\"job\":{},\"on\":{}", job.0, on.index()).unwrap();
+            | TraceKind::CrashRollback { job, on }
+            | TraceKind::ChaosLocalStart { job, on }
+            | TraceKind::JobAdopted { job, on }
+            | TraceKind::ReplicaSpawned { job, on } => {
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"on\":", on.index());
             }
             TraceKind::CheckpointStarted { job, from, reason, bytes } => {
-                write!(
-                    s,
-                    ",\"job\":{},\"from\":{},\"reason\":\"{}\",\"bytes\":{}",
-                    job.0,
-                    from.index(),
-                    reason_token(reason),
-                    bytes
-                )
-                .unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"from\":", from.index());
+                s.push_str(",\"reason\":\"");
+                s.push_str(reason_token(reason));
+                num(s, "\",\"bytes\":", bytes);
             }
             TraceKind::CheckpointCompleted { job, from, bytes } => {
-                write!(s, ",\"job\":{},\"from\":{},\"bytes\":{}", job.0, from.index(), bytes)
-                    .unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"from\":", from.index());
+                num(s, ",\"bytes\":", bytes);
             }
             TraceKind::OwnerActive { station }
             | TraceKind::OwnerIdle { station }
             | TraceKind::StationFailed { station }
-            | TraceKind::StationRecovered { station } => {
-                write!(s, ",\"station\":{}", station.index()).unwrap();
+            | TraceKind::StationRecovered { station }
+            | TraceKind::ChaosLinkDown { station }
+            | TraceKind::ChaosLinkUp { station } => {
+                num(s, ",\"station\":", station.index());
             }
             TraceKind::ReservationStarted { holder, machines } => {
-                write!(s, ",\"holder\":{},\"machines\":{}", holder.index(), machines).unwrap();
+                num(s, ",\"holder\":", holder.index());
+                num(s, ",\"machines\":", machines);
             }
             TraceKind::ReservationEnded { holder } => {
-                write!(s, ",\"holder\":{}", holder.index()).unwrap();
+                num(s, ",\"holder\":", holder.index());
             }
             TraceKind::CoordinatorPolled { free_machines, waiting_jobs, placements, preemptions } => {
-                write!(
-                    s,
-                    ",\"free\":{free_machines},\"waiting\":{waiting_jobs},\"placements\":{placements},\"preemptions\":{preemptions}"
-                )
-                .unwrap();
+                num(s, ",\"free\":", free_machines);
+                num(s, ",\"waiting\":", waiting_jobs);
+                num(s, ",\"placements\":", placements);
+                num(s, ",\"preemptions\":", preemptions);
             }
             TraceKind::ChaosPollLost
             | TraceKind::ChaosDupDropped
             | TraceKind::ChaosCoordDown
             | TraceKind::ChaosCoordUp => {}
             TraceKind::ChaosPollDelayed { delay_ms } => {
-                write!(s, ",\"delay_ms\":{delay_ms}").unwrap();
+                num(s, ",\"delay_ms\":", delay_ms);
             }
             TraceKind::ChaosCkptCorrupted { job, from, attempt } => {
-                write!(s, ",\"job\":{},\"from\":{},\"attempt\":{}", job.0, from.index(), attempt)
-                    .unwrap();
-            }
-            TraceKind::ChaosLinkDown { station } | TraceKind::ChaosLinkUp { station } => {
-                write!(s, ",\"station\":{}", station.index()).unwrap();
-            }
-            TraceKind::ChaosLocalStart { job, on } => {
-                write!(s, ",\"job\":{},\"on\":{}", job.0, on.index()).unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"from\":", from.index());
+                num(s, ",\"attempt\":", attempt);
             }
             TraceKind::JobForwarded { job, to_pool } => {
-                write!(s, ",\"job\":{},\"pool\":{}", job.0, to_pool).unwrap();
-            }
-            TraceKind::JobAdopted { job, on } => {
-                write!(s, ",\"job\":{},\"on\":{}", job.0, on.index()).unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"pool\":", to_pool);
             }
             TraceKind::JobGranted { job, on, cpu_milli, mem_milli, tag_milli } => {
-                write!(
-                    s,
-                    ",\"job\":{},\"on\":{},\"cpu_m\":{cpu_milli},\"mem_m\":{mem_milli},\"tag_m\":{tag_milli}",
-                    job.0,
-                    on.index()
-                )
-                .unwrap();
-            }
-            TraceKind::ReplicaSpawned { job, on } => {
-                write!(s, ",\"job\":{},\"on\":{}", job.0, on.index()).unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"on\":", on.index());
+                num(s, ",\"cpu_m\":", cpu_milli);
+                num(s, ",\"mem_m\":", mem_milli);
+                num(s, ",\"tag_m\":", tag_milli);
             }
             TraceKind::ReplicaCancelled { job, on, wasted_ms } => {
-                write!(s, ",\"job\":{},\"on\":{},\"wasted_ms\":{wasted_ms}", job.0, on.index())
-                    .unwrap();
+                num(s, ",\"job\":", job.0);
+                num(s, ",\"on\":", on.index());
+                num(s, ",\"wasted_ms\":", wasted_ms);
             }
         }
         s.push('}');
@@ -982,6 +998,41 @@ mod tests {
             let back = TraceEvent::from_jsonl(&line).expect("round trip");
             assert_eq!(back, ev, "line {line}");
         }
+    }
+
+    /// The writer formats by hand; these are the bytes `fmt` produced.
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        for v in [0, 9, 10, 1_988, u64::from(u32::MAX), u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+        let line = |kind| TraceEvent { at: SimTime::from_millis(120_000), kind }.to_jsonl();
+        let (j, n) = (JobId(7), NodeId::new(3));
+        assert_eq!(line(TraceKind::ChaosCoordUp), r#"{"t_ms":120000,"kind":"chaos_coord_up"}"#);
+        assert_eq!(
+            line(TraceKind::CheckpointStarted {
+                job: j,
+                from: n,
+                reason: PreemptReason::PriorityPreemption,
+                bytes: 123_456,
+            }),
+            r#"{"t_ms":120000,"kind":"checkpoint_started","job":7,"from":3,"reason":"priority_preemption","bytes":123456}"#
+        );
+        assert_eq!(
+            line(TraceKind::CoordinatorPolled {
+                free_machines: 9,
+                waiting_jobs: 2,
+                placements: 1,
+                preemptions: 0,
+            }),
+            r#"{"t_ms":120000,"kind":"coordinator_polled","free":9,"waiting":2,"placements":1,"preemptions":0}"#
+        );
+        assert_eq!(
+            line(TraceKind::JobGranted { job: j, on: n, cpu_milli: 500, mem_milli: 250, tag_milli: 0 }),
+            r#"{"t_ms":120000,"kind":"job_granted","job":7,"on":3,"cpu_m":500,"mem_m":250,"tag_m":0}"#
+        );
     }
 
     #[test]

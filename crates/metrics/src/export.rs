@@ -174,7 +174,8 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 
 /// Renders events as JSONL text (one line per event, `\n`-terminated).
 pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
+    // A line runs 40 to 90 bytes: one allocation instead of ~20 doublings.
+    let mut out = String::with_capacity(events.len() * 96);
     for ev in events {
         ev.write_jsonl(&mut out);
         out.push('\n');

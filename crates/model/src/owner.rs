@@ -17,6 +17,8 @@
 //! 3. **Station heterogeneity** — owners differ; each station carries an
 //!    `activity_scale` so some machines are habitually busier than others.
 
+use std::sync::Arc;
+
 use condor_sim::rng::SimRng;
 use condor_sim::time::{SimDuration, SimTime};
 
@@ -96,16 +98,23 @@ impl OwnerConfig {
             "long regime factor {} outside [1, 2)",
             self.long_regime_factor
         );
-        assert!(
-            self.activity_scale > 0.0 && self.activity_scale.is_finite(),
-            "bad activity scale {}",
-            self.activity_scale
-        );
+        check_activity_scale(self.activity_scale);
         assert!(!self.mean_active_period.is_zero(), "zero active period");
     }
 }
 
+fn check_activity_scale(scale: f64) {
+    assert!(scale > 0.0 && scale.is_finite(), "bad activity scale {scale}");
+}
+
 /// One station's owner, stepped by the cluster simulation.
+///
+/// The process keeps only what is its own — the owner's `activity_scale`,
+/// the state it flips into next and the latent regime — and shares the
+/// rest of its [`OwnerConfig`] with every other owner built from the same
+/// one ([`build_fleet`] allocates the configuration once per fleet). A
+/// fleet-scale cluster walks ten thousand of these at every poll, so the
+/// three words an owner takes are three words of every poll's working set.
 ///
 /// # Examples
 ///
@@ -121,28 +130,41 @@ impl OwnerConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OwnerProcess {
-    config: OwnerConfig,
+    /// Shared by the fleet; its `activity_scale` is the fleet's base, not
+    /// this owner's.
+    config: Arc<OwnerConfig>,
+    activity_scale: f64,
     state: OwnerState,
     regime: Regime,
 }
+
+// Three words: the cluster keeps one per station in its densest array, and
+// a private copy of the configuration here (56 bytes, one heap-shared
+// profile handle each) was most of what an owner transition dragged
+// through the cache.
+const _: () = assert!(std::mem::size_of::<OwnerProcess>() <= 24);
 
 impl OwnerProcess {
     /// Creates the process, drawing the initial state from the profile's
     /// level at time zero.
     pub fn new(config: OwnerConfig, rng: &mut SimRng) -> Self {
         config.validate();
-        let a = Self::effective_activity(&config, SimTime::ZERO);
+        let activity_scale = config.activity_scale;
+        Self::sharing(Arc::new(config), activity_scale, rng)
+    }
+
+    /// One owner of a fleet: `config` is the fleet's (already validated),
+    /// `activity_scale` this owner's own.
+    fn sharing(config: Arc<OwnerConfig>, activity_scale: f64, rng: &mut SimRng) -> Self {
+        check_activity_scale(activity_scale);
+        let a = Self::effective_activity(&config, activity_scale, SimTime::ZERO);
         let state = if rng.chance(a) {
             OwnerState::Active
         } else {
             OwnerState::Idle
         };
         let regime = if rng.chance(0.5) { Regime::Long } else { Regime::Short };
-        OwnerProcess {
-            config,
-            state,
-            regime,
-        }
+        OwnerProcess { config, activity_scale, state, regime }
     }
 
     /// The current state.
@@ -150,20 +172,20 @@ impl OwnerProcess {
         self.state
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &OwnerConfig {
-        &self.config
+    /// This owner's multiplier on the profile's activity level.
+    pub fn activity_scale(&self) -> f64 {
+        self.activity_scale
     }
 
-    fn effective_activity(config: &OwnerConfig, now: SimTime) -> f64 {
-        (config.profile.level_at(now) * config.activity_scale).clamp(0.005, 0.95)
+    fn effective_activity(config: &OwnerConfig, activity_scale: f64, now: SimTime) -> f64 {
+        (config.profile.level_at(now) * activity_scale).clamp(0.005, 0.95)
     }
 
     /// Draws how long the *current* state lasts starting at `now`, then
     /// flips into the next state. The caller schedules the transition event
     /// `dwell` in the future.
     pub fn dwell_and_flip(&mut self, now: SimTime, rng: &mut SimRng) -> SimDuration {
-        let a = Self::effective_activity(&self.config, now);
+        let a = Self::effective_activity(&self.config, self.activity_scale, now);
         let mean_active_s = self.config.mean_active_period.as_secs_f64();
         let dwell_s = match self.state {
             OwnerState::Active => rng.exponential(mean_active_s),
@@ -207,6 +229,8 @@ pub fn build_fleet(
         (0.0..1.0).contains(&heterogeneity_spread),
         "spread {heterogeneity_spread} outside [0, 1)"
     );
+    base.validate();
+    let shared = Arc::new(base.clone());
     let root = SimRng::seed_from(seed);
     (0..n)
         .map(|i| {
@@ -216,11 +240,7 @@ pub fn build_fleet(
             } else {
                 rng.uniform_range_f64(1.0 - heterogeneity_spread, 1.0 + heterogeneity_spread)
             };
-            let cfg = OwnerConfig {
-                activity_scale: base.activity_scale * scale,
-                ..base.clone()
-            };
-            OwnerProcess::new(cfg, &mut rng)
+            OwnerProcess::sharing(shared.clone(), base.activity_scale * scale, &mut rng)
         })
         .collect()
 }
@@ -336,14 +356,7 @@ mod tests {
         let run = |seed| {
             let mut rng = SimRng::seed_from(seed);
             let mut p = OwnerProcess::new(OwnerConfig::default(), &mut rng);
-            let mut now = SimTime::ZERO;
-            let mut out = Vec::new();
-            for _ in 0..100 {
-                let d = p.dwell_and_flip(now, &mut rng);
-                now += d;
-                out.push(d.as_millis());
-            }
-            out
+            dwells_ms(&mut p, &mut rng, 100)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
@@ -366,18 +379,63 @@ mod tests {
         let base = OwnerConfig::default();
         let fleet = build_fleet(23, &base, 0.4, 99);
         assert_eq!(fleet.len(), 23);
-        let scales: Vec<f64> = fleet.iter().map(|p| p.config().activity_scale).collect();
+        let scales: Vec<f64> = fleet.iter().map(|p| p.activity_scale()).collect();
         let min = scales.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = scales.iter().cloned().fold(0.0, f64::max);
         assert!(max - min > 0.2, "fleet should vary: {min}..{max}");
         // Same seed → identical fleet.
         let fleet2 = build_fleet(23, &base, 0.4, 99);
-        let scales2: Vec<f64> = fleet2.iter().map(|p| p.config().activity_scale).collect();
+        let scales2: Vec<f64> = fleet2.iter().map(|p| p.activity_scale()).collect();
         assert_eq!(scales, scales2);
         // Prefix-stability: station i is the same in a bigger fleet.
         let bigger = build_fleet(40, &base, 0.4, 99);
-        let scales3: Vec<f64> = bigger.iter().take(23).map(|p| p.config().activity_scale).collect();
+        let scales3: Vec<f64> = bigger.iter().take(23).map(|p| p.activity_scale()).collect();
         assert_eq!(scales, scales3);
+    }
+
+    fn dwells_ms(p: &mut OwnerProcess, rng: &mut SimRng, n: usize) -> Vec<u64> {
+        let mut now = SimTime::ZERO;
+        (0..n)
+            .map(|_| {
+                let d = p.dwell_and_flip(now, rng);
+                now += d;
+                d.as_millis()
+            })
+            .collect()
+    }
+
+    /// The draws themselves, not just their self-consistency: every golden
+    /// digest downstream is a function of these numbers, so a change to
+    /// what an owner stores must leave them exactly where they were.
+    #[test]
+    fn dwell_sequences_are_pinned() {
+        let mut rng = SimRng::seed_from(1988);
+        let mut solo = OwnerProcess::new(OwnerConfig::default(), &mut rng);
+        assert_eq!(solo.state(), OwnerState::Idle);
+        assert_eq!(
+            dwells_ms(&mut solo, &mut rng, 16),
+            [
+                27792531, 3475615, 1767503, 134265, 219286, 1537047, 866000, 6130481, 7106433,
+                197720, 1944878, 5741113, 1087285, 753737, 174715, 1616666
+            ]
+        );
+        let mut fleet = build_fleet(23, &OwnerConfig::default(), 0.4, 99);
+        let mut rng = SimRng::seed_from(99);
+        assert_eq!(fleet[7].state(), OwnerState::Idle);
+        assert_eq!(fleet[7].activity_scale(), 0.7413412748425932);
+        assert_eq!(
+            dwells_ms(&mut fleet[7], &mut rng, 16),
+            [
+                47448865, 1207574, 4124333, 1329517, 1477438, 2131317, 1859906, 1169293, 1426334,
+                631157, 16540623, 2254098, 8205419, 4231065, 54263726, 2094795
+            ]
+        );
+    }
+
+    #[test]
+    fn a_fleet_shares_one_configuration() {
+        let fleet = build_fleet(23, &OwnerConfig::default(), 0.4, 99);
+        assert!(fleet.iter().all(|p| Arc::ptr_eq(&p.config, &fleet[0].config)));
     }
 
     #[test]

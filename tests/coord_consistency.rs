@@ -221,3 +221,70 @@ fn many_consuming_homes_keep_the_consumer_ledger_consistent() {
     assert!(totals.preemptions_owner > 0, "no owner eviction: {totals:?}");
     assert!(totals.reservation_placements > 0, "fences never served: {totals:?}");
 }
+
+/// Fold mode — nothing records, no chaos, no failures — with the owner
+/// half of a refresh running on its own. Stations 1–4 are fenced for a
+/// holder that never submits, so they host nothing and stay lazily folded
+/// right through the window: each is flushed once when the fence goes up
+/// (its offer drops to zero), its owner's transitions inside the window
+/// settle `can_host` from that zero and the owner's state alone, and the
+/// fence coming down flushes it again (the offer returns — 1500 or 2000
+/// milli-CPUs here, never the whole-machine 1000). The fractional jobs
+/// pack the unfenced machines to other remainders meanwhile. The rescan
+/// runs after every single event, so one transition settled from a stale
+/// offer fails at the next one.
+#[test]
+fn a_fenced_lazily_folded_station_settles_from_its_offer() {
+    let (from, until) = (SimTime::from_hours(1), SimTime::from_hours(11));
+    let fenced = 1..=4u32;
+    let specs: Vec<JobSpec> = (0..30u64)
+        .map(|i| JobSpec {
+            image_bytes: 300_000,
+            resources: ResourceVec::share(250 + 250 * (i % 3) as u32),
+            ..JobSpec::new(
+                JobId(i),
+                UserId((i % 4) as u32),
+                NodeId::new(5 + (i % 9) as u32),
+                SimTime::from_secs(7_200 + 900 * i),
+                SimDuration::from_hours(1 + i % 3),
+            )
+        })
+        .collect();
+    let cfg = |record_trace: bool| {
+        ClusterConfig::builder()
+            .stations(16)
+            .seed(17)
+            .record_trace(record_trace)
+            .policy(PolicyKind::Frac)
+            .placements_per_poll(4)
+            .capacity_profiles(vec![ResourceVec::share(1500), ResourceVec::new(2000, 1000)])
+            .reservation(Reservation { holder: NodeId::new(0), machines: 4, from, until })
+            .build()
+            .expect("valid config")
+    };
+    // Off the poll grid: the stepping loop delivers an event due at the
+    // horizon itself, `Run` does not.
+    let horizon = SimDuration::from_days(2) - SimDuration::from_secs(60);
+    let (stepped, totals) = drive_and_observe(cfg(false), specs.clone(), horizon, 1, |_| {});
+    // The same run with every station in the event queue says what
+    // happened where (a run's books do not depend on who watches:
+    // tests/owner_fold.rs).
+    let watched = Run::new(cfg(true)).specs(specs).horizon(horizon).execute();
+    assert_eq!(totals, watched.totals);
+    assert!(totals.placements > 20 && totals.reservation_placements == 0, "{totals:?}");
+    // Polls aside, most of what the watched run dispatched — the owner
+    // transitions of stations hosting nothing — never entered this queue.
+    let (queued, all) = (stepped - totals.polls, watched.events_dispatched - totals.polls);
+    assert!(queued * 2 < all, "the stepped run was not folding: {queued} of {all} events queued");
+    let events = watched.trace.events();
+    assert!(events.iter().any(|ev| ev.at == from
+        && ev.kind == TraceKind::ReservationStarted { holder: NodeId::new(0), machines: 4 }));
+    // No resident, hence no queue entry, on a fenced station before the
+    // fence came down...
+    assert!(!events.iter().any(|ev| ev.at < until
+        && matches!(ev.kind, TraceKind::PlacementStarted { target, .. } if fenced.contains(&target.index()))));
+    // ...and at least one of their owners left inside the window.
+    assert!(events.iter().any(|ev| from < ev.at
+        && ev.at < until
+        && matches!(ev.kind, TraceKind::OwnerIdle { station } if fenced.contains(&station.index()))));
+}
