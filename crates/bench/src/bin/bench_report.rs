@@ -1,10 +1,11 @@
 //! Machine-readable benchmark snapshot: `BENCH_cluster.json`.
 //!
-//! Times the same scenarios as the Criterion benches (`cluster`, `engine`,
-//! `updown`) with plain wall-clock measurement and writes one JSON file so
-//! regressions are diffable in review. The engine and cluster rows also
-//! report events/sec — the discrete-event kernel's throughput, which is
-//! what the event-queue fast path is meant to move.
+//! The workspace's one timing harness (`benchmark/` owns the end-to-end
+//! claims): times the `cluster/*`, `engine/*` and `updown_decide/*`
+//! scenarios with plain wall-clock measurement and writes one JSON file
+//! so regressions are diffable in review. The engine and cluster rows
+//! also report events/sec — the discrete-event kernel's throughput, which
+//! is what the event-queue fast path is meant to move.
 //!
 //! The `cluster/attrib/*` rows decompose where cluster time goes (see
 //! DESIGN.md § Performance): `emit_only` is the trace/stats sink path in
@@ -28,8 +29,8 @@
 //! Every row reports the *fastest* of its measured iterations along with
 //! `iters_measured`: fast scenarios iterate for `BENCH_REPORT_MS`, slow
 //! ones (over 500 ms/iter) get up to three iterations bounded by
-//! `BENCH_REPORT_SLOW_MS`, so a single descheduling spike cannot read as
-//! a regression.
+//! [`SLOW_CAP`], so a single descheduling spike cannot read as a
+//! regression.
 //!
 //! Run with: `cargo run --release -p condor-bench --bin bench_report`
 //! Writes `BENCH_cluster.json` in the working directory (override with
@@ -140,17 +141,9 @@ fn utc_string(epoch_secs: u64) -> String {
 const SLOW_ITER: Duration = Duration::from_millis(500);
 
 /// Total measured time a slow scenario may consume chasing its three
-/// iterations (override with `BENCH_REPORT_SLOW_MS`). A scenario whose
-/// single iteration blows even this cap stands on one measurement — and
-/// says so via `iters_measured`.
-fn slow_cap() -> Duration {
-    Duration::from_millis(
-        std::env::var("BENCH_REPORT_SLOW_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000),
-    )
-}
+/// iterations. A scenario whose single iteration blows even this cap
+/// stands on one measurement — and says so via `iters_measured`.
+const SLOW_CAP: Duration = Duration::from_secs(20);
 
 /// CI perf gate for `--quick` mode: the fleet-scale 1,000-station row must
 /// clear this floor, set ~3x below the recorded quick-mode baseline
@@ -158,18 +151,11 @@ fn slow_cap() -> Duration {
 /// in BENCH_cluster.json). Generous enough that shared-runner noise never
 /// trips it; tight enough that an accidental O(stations) term creeping
 /// back into the poll path (the regression class this report exists to
-/// catch) fails CI instead of landing silently. Override with
-/// `BENCH_SMOKE_FLOOR_EPS` (events/sec); 0 disables.
+/// catch) fails CI instead of landing silently.
 const QUICK_FLOOR_1000_EPS: f64 = 1_000_000.0;
 
 fn perf_floor_check(rows: &[Row]) {
-    let floor = std::env::var("BENCH_SMOKE_FLOOR_EPS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(QUICK_FLOOR_1000_EPS);
-    if floor <= 0.0 {
-        return;
-    }
+    let floor = QUICK_FLOOR_1000_EPS;
     let row = rows
         .iter()
         .find(|r| r.name == "cluster/stations/1000")
@@ -184,20 +170,19 @@ fn perf_floor_check(rows: &[Row]) {
     println!("perf smoke ok: cluster/stations/1000 at {eps:.0} events/sec (floor {floor:.0})");
 }
 
-/// Times `f` repeatedly and keeps the *fastest* iteration, returning
-/// (iterations measured, best per-iteration wall time in ms, events per
-/// iteration). Minima are the robust estimator on a shared host — outside
+/// Times `f` repeatedly and keeps the *fastest* iteration as the row
+/// `name`. Minima are the robust estimator on a shared host — outside
 /// interference only ever adds time. Fast scenarios iterate until
 /// `budget` is spent; slow scenarios (single iteration over [`SLOW_ITER`])
 /// still get up to three measured iterations so one descheduling spike
-/// cannot masquerade as a regression, bounded by [`slow_cap`]. `f` returns
-/// the number of simulation events it dispatched (0 for non-event
-/// scenarios). A warm-up iteration always precedes timing and at least one
-/// iteration is always timed, so a zero budget (the `--quick` smoke mode)
-/// times each scenario exactly once.
-fn measure(budget: Duration, mut f: impl FnMut() -> u64) -> (u64, f64, u64) {
+/// cannot masquerade as a regression, bounded by [`SLOW_CAP`]. `f` returns
+/// the number of simulation events it dispatched (callers timing something
+/// that is not a simulation overwrite `events_per_iter`). A warm-up
+/// iteration always precedes timing and at least one iteration is always
+/// timed, so a zero budget (the `--quick` smoke mode) times each scenario
+/// exactly once.
+fn measure(name: impl Into<String>, budget: Duration, mut f: impl FnMut() -> u64) -> Row {
     let events = f(); // warm-up iteration, also records the event count
-    let cap = slow_cap();
     let start = Instant::now();
     let mut iters = 0u64;
     let mut best = Duration::MAX;
@@ -210,7 +195,7 @@ fn measure(budget: Duration, mut f: impl FnMut() -> u64) -> (u64, f64, u64) {
         let done = if budget.is_zero() {
             true // --quick: one timed iteration regardless of speed
         } else if best > SLOW_ITER {
-            iters >= 3 || total >= cap
+            iters >= 3 || total >= SLOW_CAP
         } else {
             total >= budget
         };
@@ -218,7 +203,31 @@ fn measure(budget: Duration, mut f: impl FnMut() -> u64) -> (u64, f64, u64) {
             break;
         }
     }
-    (iters, best.as_secs_f64() * 1_000.0, events)
+    Row {
+        name: name.into(),
+        iters_measured: iters,
+        wall_ms_per_iter: best.as_secs_f64() * 1_000.0,
+        events_per_iter: Some(events),
+        threads: None,
+        memo: None,
+    }
+}
+
+/// One simulation of `specs` over `days` on `cfg`: the events dispatched,
+/// and the polls executed with how many the memo answered.
+fn simulate(cfg: ClusterConfig, specs: Vec<JobSpec>, days: u64) -> (u64, (u64, u64)) {
+    let out = Run::new(cfg).specs(specs).horizon(SimDuration::from_days(days)).execute();
+    (out.events_dispatched, (out.totals.polls, out.totals.poll_memo_hits))
+}
+
+/// The standard burst on `cfg` for `days`: 40 jobs with 0.5 MB images.
+fn burst(cfg: ClusterConfig, days: u64) -> u64 {
+    simulate(cfg, jobs(40, 500_000), days).0
+}
+
+/// A trace-free fleet of `stations` with default everything else.
+fn fleet(stations: usize) -> condor_core::config::ClusterConfigBuilder {
+    ClusterConfig::builder().stations(stations).record_trace(false)
 }
 
 fn jobs(n: u64, image_bytes: u64) -> Vec<JobSpec> {
@@ -238,11 +247,7 @@ fn jobs(n: u64, image_bytes: u64) -> Vec<JobSpec> {
 }
 
 fn cluster_config() -> ClusterConfig {
-    ClusterConfig::builder()
-        .stations(23)
-        .record_trace(false)
-        .build()
-        .expect("bench config is valid")
+    fleet(23).build().expect("bench config is valid")
 }
 
 /// An owner model that (after the activity clamp) almost never becomes
@@ -477,40 +482,16 @@ fn main() {
     };
     let mut rows = Vec::new();
 
-    // cluster: full-model simulation speed (as in benches/cluster.rs).
+    // cluster: full-model simulation speed.
     for days in [1u64, 7] {
-        let (iters, ms, events) = measure(budget, || {
-            let out = Run::new(cluster_config())
-                .specs(jobs(40, 500_000))
-                .horizon(SimDuration::from_days(days))
-                .execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: format!("cluster/simulate_days/{days}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+        rows.push(measure(format!("cluster/simulate_days/{days}"), budget, || {
+            burst(cluster_config(), days)
+        }));
     }
     for mb in [1u64, 4] {
-        let (iters, ms, events) = measure(budget, || {
-            let out = Run::new(cluster_config())
-                .specs(jobs(20, mb * 1_000_000))
-                .horizon(SimDuration::from_days(1))
-                .execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: format!("cluster/image_mb/{mb}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+        rows.push(measure(format!("cluster/image_mb/{mb}"), budget, || {
+            simulate(cluster_config(), jobs(20, mb * 1_000_000), 1).0
+        }));
     }
 
     // frac: the fractional-capacity path. `off` is the simulate_days/7
@@ -519,86 +500,36 @@ fn main() {
     // noise); `on` reruns the same burst with half-CPU demands packed by
     // FracPolicy, pricing the capacity-vector bookkeeping and the
     // JobGranted emissions.
-    {
-        let (iters, ms, events) = measure(budget, || {
-            let out = Run::new(cluster_config())
-                .specs(jobs(40, 500_000))
-                .horizon(SimDuration::from_days(7))
-                .execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/frac/off".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig {
-                policy: condor_core::config::PolicyKind::Frac,
-                ..cluster_config()
-            };
-            let specs: Vec<JobSpec> = jobs(40, 500_000)
-                .into_iter()
-                .map(|mut j| {
-                    j.resources = condor_model::station::ResourceVec::share(500);
-                    j
-                })
-                .collect();
-            let out = Run::new(cfg).specs(specs).horizon(SimDuration::from_days(7)).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/frac/on".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-    }
+    rows.push(measure("cluster/frac/off", budget, || burst(cluster_config(), 7)));
+    rows.push(measure("cluster/frac/on", budget, || {
+        let cfg = ClusterConfig {
+            policy: condor_core::config::PolicyKind::Frac,
+            ..cluster_config()
+        };
+        let specs: Vec<JobSpec> = jobs(40, 500_000)
+            .into_iter()
+            .map(|mut j| {
+                j.resources = condor_model::station::ResourceVec::share(500);
+                j
+            })
+            .collect();
+        simulate(cfg, specs, 7).0
+    }));
 
     // chaos: the same week with fault injection armed. `empty` prices the
     // standing cost of an armed-but-silent schedule (must track
     // simulate_days/7 — chaos is schedule data, not a hot-path branch tax);
     // `faults_12` adds a seeded 12-fault schedule's recovery work.
     {
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig {
-                chaos: Some(ChaosConfig::default()),
-                ..cluster_config()
-            };
-            let out = Run::new(cfg).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(7)).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/chaos/empty".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
         let gen = ChaosGen { horizon: SimDuration::from_days(7), stations: 23, faults: 12 };
-        let schedule = ChaosSchedule::generate(7, &gen);
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig {
-                chaos: Some(ChaosConfig::new(schedule.clone())),
-                ..cluster_config()
-            };
-            let out = Run::new(cfg).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(7)).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/chaos/faults_12".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+        for (label, schedule) in
+            [("empty", ChaosSchedule::default()), ("faults_12", ChaosSchedule::generate(7, &gen))]
+        {
+            rows.push(measure(format!("cluster/chaos/{label}"), budget, || {
+                let chaos = Some(ChaosConfig::new(schedule.clone()));
+                burst(ClusterConfig { chaos, ..cluster_config() }, 7)
+            }));
+        }
     }
 
     // redundancy: the speculative-replication policy family. `off` is the
@@ -613,50 +544,19 @@ fn main() {
             ("off", RedundancyConfig::off()),
             ("k2", RedundancyConfig::default()),
         ] {
-            let (iters, ms, events) = measure(budget, || {
-                let cfg = ClusterConfig {
-                    policy: condor_core::config::PolicyKind::Redundant(rc),
-                    ..cluster_config()
-                };
-                let out = Run::new(cfg)
-                    .specs(jobs(40, 500_000))
-                    .horizon(SimDuration::from_days(7))
-                    .execute();
-                out.events_dispatched
-            });
-            rows.push(Row {
-                name: format!("cluster/redundancy/{label}"),
-                iters_measured: iters,
-                memo: None,
-                wall_ms_per_iter: ms,
-                events_per_iter: Some(events),
-                threads: None,
-            });
+            rows.push(measure(format!("cluster/redundancy/{label}"), budget, || {
+                let policy = condor_core::config::PolicyKind::Redundant(rc);
+                burst(ClusterConfig { policy, ..cluster_config() }, 7)
+            }));
         }
     }
 
     // cluster at paper-future scale: the coordinator poll is the station-
     // bound phase, so this row is the scaling check for the incremental
     // poll path (compare per-event cost against simulate_days/7 at 23).
-    {
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig::builder()
-                .stations(200)
-                .record_trace(false)
-                .build()
-                .expect("bench config is valid");
-            let out = Run::new(cfg).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(7)).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/stations/200".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-    }
+    rows.push(measure("cluster/stations/200", budget, || {
+        burst(fleet(200).build().expect("bench config is valid"), 7)
+    }));
 
     // cluster at fleet scale: the fleet-scale scenario at 1k and 10k
     // stations, run serially — the baselines the cluster/par rows are
@@ -665,20 +565,13 @@ fn main() {
     let fleet_days = if quick { 1 } else { 7 };
     for (stations, label) in [(1_000usize, "1000"), (10_000, "10k"), (100_000, "100k")] {
         let mut memo = (0u64, 0u64);
-        let (iters, ms, events) = measure(budget, || {
+        let row = measure(format!("cluster/stations/{label}"), budget, || {
             let s = fleet_scale(1988, stations, 1, fleet_days);
             let out = Run::new(s.config).specs(s.jobs).horizon(s.horizon).execute();
             memo = (out.totals.polls, out.totals.poll_memo_hits);
             out.events_dispatched
         });
-        rows.push(Row {
-            name: format!("cluster/stations/{label}"),
-            iters_measured: iters,
-            memo: Some(memo),
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+        rows.push(Row { memo: Some(memo), ..row });
     }
 
     // cluster/par: the same 10k-station scenario split into eight pools
@@ -694,19 +587,12 @@ fn main() {
             if cap.is_some_and(|c| threads > c) {
                 continue;
             }
-            let (iters, ms, events) = measure(budget, || {
+            let row = measure(format!("cluster/par/{threads}"), budget, || {
                 let s = fleet_scale(1988, 10_000, 8, fleet_days);
                 Run::new(s.config).specs(s.jobs).horizon(s.horizon).threads(threads).execute()
                     .events_dispatched
             });
-            rows.push(Row {
-                name: format!("cluster/par/{threads}"),
-                iters_measured: iters,
-                memo: None,
-                wall_ms_per_iter: ms,
-                events_per_iter: Some(events),
-                threads: Some(threads),
-            });
+            rows.push(Row { threads: Some(threads), ..row });
         }
     }
 
@@ -715,7 +601,7 @@ fn main() {
     {
         let events = emit_sample_events();
         let reps = 10_000usize;
-        let (iters, ms, n) = measure(budget, || {
+        rows.push(measure("cluster/attrib/emit_only", budget, || {
             let mut sink = StatsSink::new();
             for _ in 0..reps {
                 for ev in &events {
@@ -723,15 +609,7 @@ fn main() {
                 }
             }
             (reps * events.len()) as u64
-        });
-        rows.push(Row {
-            name: "cluster/attrib/emit_only".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(n),
-            threads: None,
-        });
+        }));
     }
     // flips_only — no jobs, polling pushed past the horizon: owner flips.
     // poll_only — no jobs, owners pinned idle: coordinator polls. With no
@@ -745,168 +623,86 @@ fn main() {
     // the fold into. Repeated at 200 and 10k stations to expose per-poll
     // scaling.
     for (stations, suffix) in [(23usize, ""), (200, "_200"), (10_000, "_10k")] {
-        let (iters, ms, events) = measure(budget, || {
+        rows.push(measure(format!("cluster/attrib/flips_only{suffix}"), budget, || {
             let costs = condor_model::costs::CostModel {
                 coordinator_poll_interval: SimDuration::from_days(30),
                 ..Default::default()
             };
-            let cfg = ClusterConfig::builder()
-                .stations(stations)
-                .record_trace(false)
-                .costs(costs)
-                .build()
-                .expect("bench config is valid");
-            let out = Run::new(cfg).horizon(SimDuration::from_days(7)).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: format!("cluster/attrib/flips_only{suffix}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-        let mut memo = (0u64, 0u64);
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig::builder()
-                .stations(stations)
-                .record_trace(false)
-                .owner(owners_never_flip())
-                .build()
-                .expect("bench config is valid");
-            let out = Run::new(cfg).horizon(SimDuration::from_days(7)).execute();
-            memo = (out.totals.polls, out.totals.poll_memo_hits);
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: format!("cluster/attrib/poll_only{suffix}"),
-            iters_measured: iters,
-            memo: Some(memo),
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig::builder()
-                .stations(stations)
-                .record_trace(false)
-                .build()
-                .expect("bench config is valid");
-            let out = Run::new(cfg).horizon(SimDuration::from_days(7)).execute();
-            memo = (out.totals.polls, out.totals.poll_memo_hits);
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: format!("cluster/attrib/fold_at_poll{suffix}"),
-            iters_measured: iters,
-            memo: Some(memo),
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+            let cfg = fleet(stations).costs(costs).build().expect("bench config is valid");
+            simulate(cfg, Vec::new(), 7).0
+        }));
+        for (name, owner) in [("poll_only", owners_never_flip()), ("fold_at_poll", OwnerConfig::default())] {
+            let mut memo = (0u64, 0u64);
+            let row = measure(format!("cluster/attrib/{name}{suffix}"), budget, || {
+                let cfg = fleet(stations).owner(owner.clone()).build().expect("bench config is valid");
+                let (events, polls) = simulate(cfg, Vec::new(), 7);
+                memo = polls;
+                events
+            });
+            rows.push(Row { memo: Some(memo), ..row });
+        }
     }
     // queue_only — all but one machine fenced by a standing reservation
     // (a whole-fleet reservation is rejected by config validation), owners
     // pinned idle, jobs homed away from the holder: arrivals accumulate in
     // queues with almost no placements, so queue bookkeeping dominates.
-    {
-        let (iters, ms, events) = measure(budget, || {
-            let cfg = ClusterConfig::builder()
-                .stations(23)
-                .record_trace(false)
-                .owner(owners_never_flip())
-                .reservation(Reservation {
-                    holder: NodeId::new(0),
-                    machines: 22,
-                    from: SimTime::ZERO,
-                    until: SimTime::from_secs(365 * 86_400),
-                })
-                .build()
-                .expect("bench config is valid");
-            let mut specs = jobs(40, 500_000);
-            for s in &mut specs {
-                s.home = NodeId::new(1 + (s.id.0 % 5) as u32);
-            }
-            let out = Run::new(cfg).specs(specs).horizon(SimDuration::from_days(7)).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/attrib/queue_only".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-    }
+    rows.push(measure("cluster/attrib/queue_only", budget, || {
+        let cfg = fleet(23)
+            .owner(owners_never_flip())
+            .reservation(Reservation {
+                holder: NodeId::new(0),
+                machines: 22,
+                from: SimTime::ZERO,
+                until: SimTime::from_secs(365 * 86_400),
+            })
+            .build()
+            .expect("bench config is valid");
+        let mut specs = jobs(40, 500_000);
+        for s in &mut specs {
+            s.home = NodeId::new(1 + (s.id.0 % 5) as u32);
+        }
+        simulate(cfg, specs, 7).0
+    }));
 
     // telemetry: per-event cost of the sink fan-out. 0 extra sinks is the
-    // baseline (StatsSink alone); the others add buffering observers.
-    for extra in [0usize, 4] {
-        let (iters, ms, events) = measure(budget, || {
-            let sinks: Vec<Box<dyn TraceSink + Send>> = (0..extra)
-                .map(|i| -> Box<dyn TraceSink + Send> {
-                    if i % 2 == 0 {
-                        Box::new(VecSink::new())
-                    } else {
-                        Box::new(RingSink::new(256))
-                    }
-                })
-                .collect();
-            let out = sinks.into_iter().fold(Run::new(cluster_config()).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(1)), Run::sink).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: format!("cluster/extra_sinks/{extra}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
-    }
-
-    // observability: the same run with the span folder and the online
-    // invariant auditor attached — the overhead `condor spans`/`condor
-    // audit` pay relative to the extra_sinks/0 baseline.
-    {
-        let (iters, ms, events) = measure(budget, || {
-            let sinks: Vec<Box<dyn TraceSink + Send>> = vec![
+    // baseline (StatsSink alone); 4 adds buffering observers; the last row
+    // attaches the span folder and the online invariant auditor — the
+    // overhead `condor spans`/`condor audit` pay relative to that baseline.
+    type Sinks = fn() -> Vec<Box<dyn TraceSink + Send>>;
+    let observers: [(&str, Sinks); 3] = [
+        ("cluster/extra_sinks/0", Vec::new),
+        ("cluster/extra_sinks/4", || {
+            vec![
+                Box::new(VecSink::new()),
+                Box::new(RingSink::new(256)),
+                Box::new(VecSink::new()),
+                Box::new(RingSink::new(256)),
+            ]
+        }),
+        ("cluster/span_audit_sinks", || {
+            vec![
                 Box::new(condor_core::spans::SpanSink::new()),
                 Box::new(condor_core::audit::AuditSink::new()),
-            ];
-            let out = sinks.into_iter().fold(Run::new(cluster_config()).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(1)), Run::sink).execute();
-            out.events_dispatched
-        });
-        rows.push(Row {
-            name: "cluster/span_audit_sinks".to_string(),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+            ]
+        }),
+    ];
+    for (name, sinks) in observers {
+        rows.push(measure(name, budget, || {
+            let run = Run::new(cluster_config()).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(1));
+            sinks().into_iter().fold(run, Run::sink).execute().events_dispatched
+        }));
     }
 
-    // engine: raw dispatch throughput (as in benches/engine.rs).
+    // engine: raw dispatch throughput.
     for n in [1_000u64, 100_000] {
-        let (iters, ms, events) = measure(budget, || {
+        rows.push(measure(format!("engine/dispatch/{n}"), budget, || {
             let mut eng = Engine::new(PingPong { remaining: n });
             eng.scheduler().at(SimTime::ZERO, 0u32);
             eng.run_to_completion();
             eng.events_dispatched()
-        });
-        rows.push(Row {
-            name: format!("engine/dispatch/{n}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: Some(events),
-            threads: None,
-        });
+        }));
     }
-    let (iters, ms, _) = measure(budget, || {
+    let row = measure("engine/schedule_cancel_10k", budget, || {
         let mut q = condor_sim::event::EventQueue::new();
         let tokens: Vec<_> = (0..10_000u64)
             .map(|i| q.schedule(SimTime::from_millis(i % 977), i))
@@ -920,31 +716,17 @@ fn main() {
         }
         n
     });
-    rows.push(Row {
-        name: "engine/schedule_cancel_10k".into(),
-        iters_measured: iters,
-        memo: None,
-        wall_ms_per_iter: ms,
-        events_per_iter: Some(10_000),
-        threads: None,
-    });
+    rows.push(Row { events_per_iter: Some(10_000), ..row });
 
-    // updown: one poll decision at three fleet sizes (as in benches/updown.rs).
+    // updown: one poll decision at three fleet sizes.
     for n in [23usize, 100, 1_000] {
         let (views, free) = make_views(n);
         let mut policy = UpDown::new(UpDownConfig::default());
-        let (iters, ms, _) = measure(budget, || {
+        let row = measure(format!("updown_decide/{n}"), budget, || {
             let orders = decide_from_views(&mut policy, SimTime::ZERO, &views, &free, 1);
             orders.len() as u64
         });
-        rows.push(Row {
-            name: format!("updown_decide/{n}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: None,
-            threads: None,
-        });
+        rows.push(Row { events_per_iter: None, ..row });
     }
 
     // updown, in-situ shapes: `decide` alone on the active sets of a poll
@@ -975,15 +757,8 @@ fn main() {
         for _ in 0..500 {
             poll();
         }
-        let (iters, ms, _) = measure(budget, poll);
-        rows.push(Row {
-            name: format!("updown_decide/{name}"),
-            iters_measured: iters,
-            memo: None,
-            wall_ms_per_iter: ms,
-            events_per_iter: None,
-            threads: None,
-        });
+        let row = measure(format!("updown_decide/{name}"), budget, poll);
+        rows.push(Row { events_per_iter: None, ..row });
     }
 
     let json = render_json(&meta, &rows);

@@ -6,17 +6,17 @@
 //! autocorrelated. This experiment recomputes those statistics from a
 //! simulated month's owner trace — validating the substituted stochastic
 //! model, not just consuming it.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_availability`
 
-use condor_bench::EXPERIMENT_SEED;
 use condor_core::cluster::Run;
 use condor_core::telemetry::SharedSink;
 use condor_metrics::availability::AvailabilitySink;
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_workload::scenarios::paper_month;
 
-fn main() {
+use super::Ctx;
+use crate::EXPERIMENT_SEED;
+
+pub(super) fn run(_: &Ctx) {
     let mut scenario = paper_month(EXPERIMENT_SEED);
     // The profile streams out of the event feed as the month simulates —
     // no buffered trace, so the run holds no event storage at all.
@@ -30,16 +30,13 @@ fn main() {
     let profile = sink.with(|s| s.profile());
 
     println!("== ref [1] premises: workstation availability profile (simulated month) ==");
-    let mut t = Table::new(
-        vec![
-            "Station",
-            "Available",
-            "Idle intervals",
-            "Mean interval (h)",
-            "Lag-1 autocorr",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Station",
+        "Available",
+        "Idle intervals",
+        "Mean interval (h)",
+        "Lag-1 autocorr",
+    ]);
     for s in &profile.stations {
         t.row(vec![
             s.station.to_string(),

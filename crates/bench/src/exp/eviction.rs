@@ -4,18 +4,17 @@
 //! period, then checkpoints and moves it; the paper discusses switching to
 //! *immediate kill + periodic checkpoints* to minimise owner interference
 //! at the cost of redone work. This experiment quantifies the trade.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_eviction`
 
-use condor_bench::EXPERIMENT_SEED;
-use condor_core::cluster::Run;
-use condor_core::config::{ClusterConfig, EvictionStrategy};
+use condor_core::config::EvictionStrategy;
 use condor_metrics::replicate::par_map;
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_sim::time::SimDuration;
 use condor_workload::scenarios::paper_month;
 
-fn main() {
+use super::Ctx;
+use crate::{run_scenario, EXPERIMENT_SEED};
+
+pub(super) fn run(_: &Ctx) {
     let strategies: Vec<(&str, EvictionStrategy)> = vec![
         (
             "grace 5 min (paper)",
@@ -35,33 +34,22 @@ fn main() {
         ),
     ];
     println!("== §4: eviction strategy trade-off (paper month workload) ==");
-    let mut t = Table::new(
-        vec![
-            "Strategy",
-            "Done",
-            "Work lost (h)",
-            "Resumes in place",
-            "Migrations",
-            "Periodic ckpts",
-            "Interference (min)",
-        ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
-    );
+    let mut t = Table::labelled(&[
+        "Strategy",
+        "Done",
+        "Work lost (h)",
+        "Resumes in place",
+        "Migrations",
+        "Periodic ckpts",
+        "Interference (min)",
+    ]);
     let mut grace_lost = f64::NAN;
     let mut kill_lost = f64::NAN;
     // One month-long simulation per strategy — run them on parallel threads.
     let runs = par_map(&strategies, |&(_, eviction)| {
-        let scenario = paper_month(EXPERIMENT_SEED);
-        let config = ClusterConfig { eviction, ..scenario.config };
-        Run::new(config).specs(scenario.jobs).horizon(scenario.horizon).execute()
+        let mut scenario = paper_month(EXPERIMENT_SEED);
+        scenario.config.eviction = eviction;
+        run_scenario(scenario)
     });
     for ((name, _), out) in strategies.iter().zip(&runs) {
         let name = *name;

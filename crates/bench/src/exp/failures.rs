@@ -6,32 +6,29 @@
 //! sweeps station MTBF from none to brutal and measures completions, redone
 //! work, and delay; a second table shows the §4 checkpoint-server idea
 //! lifting the home-disk limit when disks are small.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_failures`
 
-use condor_bench::{run_scenario, EXPERIMENT_SEED};
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, FailureConfig};
 use condor_metrics::replicate::par_map;
 use condor_metrics::summary::summarize;
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_model::station::StationProfile;
 use condor_sim::time::SimDuration;
 use condor_workload::scenarios::paper_month;
 
-fn main() {
+use super::Ctx;
+use crate::{run_scenario, EXPERIMENT_SEED};
+
+pub(super) fn run(ctx: &Ctx) {
     println!("== §1 guarantee: completions under station failures (paper month) ==");
-    let mut t = Table::new(
-        vec![
-            "MTBF / station",
-            "Crashes",
-            "Rollbacks",
-            "Work redone (h)",
-            "Done",
-            "Mean wait ratio",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "MTBF / station",
+        "Crashes",
+        "Rollbacks",
+        "Work redone (h)",
+        "Done",
+        "Mean wait ratio",
+    ]);
     let sweeps: Vec<(&str, Option<FailureConfig>)> = vec![
         ("never (paper)", None),
         (
@@ -97,19 +94,13 @@ fn main() {
     println!("work since the last checkpoint (the §2.3 guarantee, priced in hours above).\n");
 
     println!("== §4 disk servers: tiny home disks with and without a checkpoint server ==");
-    let mut t2 = Table::new(
-        vec!["Home disk", "Ckpt server", "Rejected at submit", "Done"],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t2 = Table::labelled(&["Home disk", "Ckpt server", "Rejected at submit", "Done"]);
     let disk_setups = [(4_000_000u64, false), (4_000_000, true), (100_000_000, false)];
     let disk_runs = par_map(&disk_setups, |&(disk, server)| {
-        let scenario = paper_month(EXPERIMENT_SEED);
-        let config = ClusterConfig {
-            station: StationProfile::new(1.0, disk),
-            checkpoint_server: server,
-            ..scenario.config
-        };
-        Run::new(config).specs(scenario.jobs).horizon(scenario.horizon).execute()
+        let mut scenario = paper_month(EXPERIMENT_SEED);
+        scenario.config.station = StationProfile::new(1.0, disk);
+        scenario.config.checkpoint_server = server;
+        run_scenario(scenario)
     });
     for (&(disk, server), out) in disk_setups.iter().zip(&disk_runs) {
         let s = summarize(out);
@@ -124,6 +115,5 @@ fn main() {
     println!("paper §4: 'space can be saved if disk servers ... store checkpoint files'");
 
     // Sanity: the default run is unchanged by the failure plumbing.
-    let out = run_scenario(paper_month(EXPERIMENT_SEED));
-    assert_eq!(out.totals.station_failures, 0);
+    assert_eq!(ctx.month().totals.station_failures, 0);
 }

@@ -4,20 +4,19 @@
 //! daily batch. The paper's claim: Up-Down gives light users steady access
 //! regardless of the heavy load; naive policies let the head of the line
 //! monopolise.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_fairness`
 
-use condor_bench::EXPERIMENT_SEED;
-use condor_core::cluster::Run;
-use condor_core::config::{ClusterConfig, PolicyKind};
+use condor_core::config::PolicyKind;
 use condor_core::job::UserId;
 use condor_core::updown::UpDownConfig;
 use condor_metrics::replicate::par_map;
 use condor_metrics::summary::mean_wait_ratio;
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_workload::scenarios::fairness_duel;
 
-fn main() {
+use super::Ctx;
+use crate::{run_scenario, EXPERIMENT_SEED};
+
+pub(super) fn run(_: &Ctx) {
     let policies = [
         PolicyKind::UpDown(UpDownConfig::default()),
         PolicyKind::Fifo,
@@ -25,26 +24,20 @@ fn main() {
         PolicyKind::Random,
     ];
     println!("== §2.4: policy fairness under a monopolising heavy user ==");
-    let mut t = Table::new(
-        vec![
-            "Policy",
-            "Light wait ratio",
-            "Heavy wait ratio",
-            "Light done",
-            "Preemptions",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Policy",
+        "Light wait ratio",
+        "Heavy wait ratio",
+        "Light done",
+        "Preemptions",
+    ]);
     let mut updown_light = f64::NAN;
     let mut worst_baseline_light = 0.0f64;
     // The four policy runs are independent — one thread each.
     let runs = par_map(&policies, |policy| {
-        let scenario = fairness_duel(EXPERIMENT_SEED, 10, 6);
-        let config = ClusterConfig {
-            policy: *policy,
-            ..scenario.config
-        };
-        Run::new(config).specs(scenario.jobs).horizon(scenario.horizon).execute()
+        let mut scenario = fairness_duel(EXPERIMENT_SEED, 10, 6);
+        scenario.config.policy = *policy;
+        run_scenario(scenario)
     });
     for (policy, out) in policies.iter().zip(&runs) {
         let light_wait = mean_wait_ratio(&out.jobs, |j| j.spec.user == UserId(1)).unwrap_or(f64::NAN);

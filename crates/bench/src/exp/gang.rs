@@ -13,17 +13,17 @@
 //!
 //! Each width's seeds are simulated once, in parallel (one seed per
 //! thread); all metrics and the completion check read the same outputs.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_gang`
 
-use condor_bench::EXPERIMENT_SEED;
-use condor_core::cluster::{Run, RunOutput};
+use condor_core::cluster::Run;
 use condor_core::config::ClusterConfig;
 use condor_core::job::{JobId, JobSpec, UserId};
-use condor_metrics::replicate::{par_map, MeanCi};
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::replicate::par_map;
+use condor_metrics::table::{num, Table};
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
+
+use super::Ctx;
+use crate::{ci, EXPERIMENT_SEED};
 
 /// Total work is fixed at 96 machine-hours; width trades job count for
 /// machines-per-job: 8×(1×12h), 4×(2×12h), 2×(4×12h), 1×(8×12h).
@@ -43,24 +43,17 @@ fn workload(width: u32) -> Vec<JobSpec> {
         .collect()
 }
 
-fn ci(outs: &[RunOutput], metric: impl Fn(&RunOutput) -> f64) -> MeanCi {
-    MeanCi::from_values(&outs.iter().map(metric).collect::<Vec<_>>())
-}
-
-fn main() {
+pub(super) fn run(_: &Ctx) {
     println!("== §5(2): gang scheduling — 96 machine-hours at widths 1..8, 12 stations ==");
     let seeds: Vec<u64> = (0..6).map(|i| EXPERIMENT_SEED + i).collect();
-    let mut t = Table::new(
-        vec![
-            "Width",
-            "Jobs",
-            "Turnaround (h)",
-            "Owner interrupts",
-            "Migrations",
-            "Mean leverage",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Width",
+        "Jobs",
+        "Turnaround (h)",
+        "Owner interrupts",
+        "Migrations",
+        "Mean leverage",
+    ]);
     let mut turnarounds = Vec::new();
     for width in [1u32, 2, 4, 8] {
         let outs = par_map(&seeds, |&seed| {

@@ -9,29 +9,26 @@
 //! Expected shape: with no dual binaries, half the fleet is useless to the
 //! (all-VAX) workload; as the dual-binary fraction grows, consumed capacity
 //! and wait ratios recover toward the homogeneous fleet's numbers.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_hetero`
 
-use condor_bench::{run_scenario, EXPERIMENT_SEED};
 use condor_metrics::summary::{mean_wait_ratio, summarize};
-use condor_metrics::table::{num, Align, Table};
-use condor_workload::scenarios::{mixed_arch_month, paper_month};
+use condor_metrics::table::{num, Table};
+use condor_workload::scenarios::mixed_arch_month;
 
-fn main() {
+use super::Ctx;
+use crate::{run_scenario, EXPERIMENT_SEED};
+
+pub(super) fn run(ctx: &Ctx) {
     println!("== §5(4): half-SUN fleet vs dual-binary fraction (paper month workload) ==");
-    let mut t = Table::new(
-        vec![
-            "Fleet / dual fraction",
-            "Done",
-            "Consumed (h)",
-            "Mean wait ratio",
-            "Arch-starved grants",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Fleet / dual fraction",
+        "Done",
+        "Consumed (h)",
+        "Mean wait ratio",
+        "Arch-starved grants",
+    ]);
     // Baseline: the homogeneous all-VAX fleet.
-    let out = run_scenario(paper_month(EXPERIMENT_SEED));
-    let s = summarize(&out);
+    let out = ctx.month();
+    let s = summarize(out);
     t.row(vec![
         "all-VAX (paper)".into(),
         s.jobs_completed.to_string(),

@@ -9,15 +9,14 @@
 //! Replications run in parallel (one seed per thread, see
 //! `condor_metrics::replicate`); each seed is simulated once and all four
 //! metrics are read off the same outputs.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_history`
 
-use condor_bench::EXPERIMENT_SEED;
-use condor_core::cluster::{Run, RunOutput};
-use condor_core::config::ClusterConfig;
-use condor_metrics::replicate::{par_map, MeanCi};
-use condor_metrics::table::{Align, Table};
+use condor_core::cluster::RunOutput;
+use condor_metrics::replicate::par_map;
+use condor_metrics::table::Table;
 use condor_workload::scenarios::paper_month;
+
+use super::Ctx;
+use crate::{ci, run_scenario, EXPERIMENT_SEED};
 
 const SEEDS: [u64; 8] = [EXPERIMENT_SEED, 7, 42, 1234, 9, 77, 4096, 31337];
 
@@ -25,17 +24,10 @@ const SEEDS: [u64; 8] = [EXPERIMENT_SEED, 7, 42, 1234, 9, 77, 4096, 31337];
 /// results in seed order.
 fn run_all(aware: bool) -> Vec<RunOutput> {
     par_map(&SEEDS, |&seed| {
-        let scenario = paper_month(seed);
-        let config = ClusterConfig {
-            history_aware_placement: aware,
-            ..scenario.config
-        };
-        Run::new(config).specs(scenario.jobs).horizon(scenario.horizon).execute()
+        let mut scenario = paper_month(seed);
+        scenario.config.history_aware_placement = aware;
+        run_scenario(scenario)
     })
-}
-
-fn ci(outs: &[RunOutput], metric: impl Fn(&RunOutput) -> f64) -> MeanCi {
-    MeanCi::from_values(&outs.iter().map(metric).collect::<Vec<_>>())
 }
 
 fn long_job_moves(out: &RunOutput) -> f64 {
@@ -47,21 +39,18 @@ fn long_job_moves(out: &RunOutput) -> f64 {
     long.iter().map(|j| f64::from(j.checkpoints)).sum::<f64>() / long.len().max(1) as f64
 }
 
-fn main() {
+pub(super) fn run(_: &Ctx) {
     println!(
         "== §5(1): history-aware placement ablation (paper month, {} seeds, 95% CI) ==",
         SEEDS.len()
     );
-    let mut t = Table::new(
-        vec![
-            "Placement",
-            "Migrations",
-            "Moves/long-job",
-            "Mean leverage",
-            "Mean wait ratio",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Placement",
+        "Migrations",
+        "Moves/long-job",
+        "Mean leverage",
+        "Mean wait ratio",
+    ]);
     let mut long_moves = Vec::new();
     for (name, aware) in [("id-order (paper)", false), ("history-aware", true)] {
         let outs = run_all(aware);

@@ -17,22 +17,22 @@
 //! off when queueing dominates service — exactly the oversubscribed case:
 //! short jobs stuck behind 8-hour residents wait far longer than the 2x
 //! slowdown costs them.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_oversubscribed`
 
-use condor_bench::EXPERIMENT_SEED;
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, PolicyKind};
 use condor_core::job::{JobId, JobSpec, UserId};
 use condor_metrics::render_telemetry;
 use condor_metrics::replicate::par_map;
 use condor_metrics::summary::{mean_leverage, mean_wait_ratio};
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_model::diurnal::DiurnalProfile;
 use condor_model::owner::OwnerConfig;
 use condor_model::station::ResourceVec;
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
+
+use super::Ctx;
+use crate::EXPERIMENT_SEED;
 
 const STATIONS: usize = 8;
 
@@ -87,7 +87,7 @@ fn config(policy: PolicyKind) -> ClusterConfig {
         .expect("oversubscribed config is valid")
 }
 
-fn main() {
+pub(super) fn run(_: &Ctx) {
     println!("== fractional capacity: whole-machine vs half-CPU packing (8 stations, 100 h burst) ==");
     let arms = [
         ("whole", ResourceVec::WHOLE, PolicyKind::default()),
@@ -100,24 +100,14 @@ fn main() {
             .horizon(SimDuration::from_days(3))
             .execute()
     });
-    let mut t = Table::new(
-        vec![
-            "Arm",
-            "Mean wait ratio",
-            "Short-job wait ratio",
-            "Mean leverage",
-            "Done",
-            "Makespan (h)",
-        ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
-    );
+    let mut t = Table::labelled(&[
+        "Arm",
+        "Mean wait ratio",
+        "Short-job wait ratio",
+        "Mean leverage",
+        "Done",
+        "Makespan (h)",
+    ]);
     let mut wait_by_arm = Vec::new();
     for ((name, ..), out) in arms.iter().zip(&runs) {
         let wait = mean_wait_ratio(&out.jobs, |_| true).unwrap_or(f64::NAN);

@@ -16,10 +16,8 @@
 //! idle station finishes the job even when the primary is evicted at a
 //! moment the coordinator cannot re-place it.
 //!
-//! Run with: `cargo run --release -p condor-bench --bin exp_redundancy`
-//! (`--quick` shrinks the month to the one-week close-up for CI).
+//! `--quick` shrinks the month to the one-week close-up for CI.
 
-use condor_bench::EXPERIMENT_SEED;
 use condor_core::audit::AuditSink;
 use condor_core::chaos::{ChaosConfig, ChaosEntry, ChaosGen, ChaosSchedule, Fault};
 use condor_core::cluster::{Run, RunOutput};
@@ -31,6 +29,9 @@ use condor_metrics::summary::{summarize, RunSummary};
 use condor_metrics::table::{num, Align, Table};
 use condor_sim::time::{SimDuration, SimTime};
 use condor_workload::scenarios::{one_week, paper_month, Scenario};
+
+use super::Ctx;
+use crate::EXPERIMENT_SEED;
 
 /// A 6-hour coordinator outage every 12 hours — the §4 "central machine
 /// crashes" scenario, recurring. Placements stop inside each window;
@@ -101,8 +102,8 @@ fn run_case(
     (out, violations, audited)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run(ctx: &Ctx) {
+    let quick = ctx.quick;
     let scenario = |seed| if quick { one_week(seed) } else { paper_month(seed) };
     let horizon = scenario(EXPERIMENT_SEED).horizon;
     let faults = if quick { 14 } else { 60 };

@@ -5,18 +5,18 @@
 //! three machines for a 12-hour window while the heavy user floods the
 //! system; with the reservation their batch runs on time, without it the
 //! batch fights the flood.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_reservation`
 
-use condor_bench::EXPERIMENT_SEED;
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, PolicyKind, Reservation};
 use condor_core::job::{JobId, JobSpec, JobState, UserId};
 use condor_core::updown::UpDownConfig;
 use condor_metrics::replicate::par_map;
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
+
+use super::Ctx;
+use crate::EXPERIMENT_SEED;
 
 fn jobs() -> Vec<JobSpec> {
     let mut jobs: Vec<JobSpec> = (0..60)
@@ -48,7 +48,7 @@ fn jobs() -> Vec<JobSpec> {
     jobs
 }
 
-fn run(policy: PolicyKind, reserve: bool) -> (String, f64, usize, u64) {
+fn flood(policy: PolicyKind, reserve: bool) -> (String, f64, usize, u64) {
     let reservations = if reserve {
         vec![Reservation {
             holder: NodeId::new(1),
@@ -88,17 +88,14 @@ fn run(policy: PolicyKind, reserve: bool) -> (String, f64, usize, u64) {
     (out.policy_name.clone(), mean_wait, done_in_window, out.totals.reservation_placements)
 }
 
-fn main() {
+pub(super) fn run(_: &Ctx) {
     println!("== §5(3): a 3-machine, 12-hour reservation under a 60-job flood ==");
-    let mut t = Table::new(
-        vec![
-            "Setup",
-            "Batch wait ratio",
-            "Batch done in window",
-            "Reservation placements",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Setup",
+        "Batch wait ratio",
+        "Batch done in window",
+        "Reservation placements",
+    ]);
     let mut in_window = Vec::new();
     let setups = [
         (PolicyKind::UpDown(UpDownConfig::default()), false, "up-down, no reservation"),
@@ -107,7 +104,7 @@ fn main() {
         (PolicyKind::Fifo, true, "fifo + reservation"),
     ];
     // The four setups are independent simulations — one thread each.
-    let results = par_map(&setups, |&(policy, reserve, _)| run(policy, reserve));
+    let results = par_map(&setups, |&(policy, reserve, _)| flood(policy, reserve));
     for ((_, _, label), (_, wait, done, placements)) in setups.iter().zip(&results) {
         t.row(vec![
             (*label).into(),

@@ -9,21 +9,21 @@
 //! This experiment sweeps the per-poll placement budget and measures the
 //! burst impact: how long transfers queue on the shared medium and how
 //! much local CPU the submitting machine burns per minute during the burst.
-//!
-//! Run with: `cargo run --release -p condor-bench --bin exp_throttle`
 
-use condor_bench::EXPERIMENT_SEED;
 use condor_core::cluster::Run;
 use condor_core::config::ClusterConfig;
 use condor_core::job::{JobId, JobSpec, UserId};
 use condor_core::telemetry::{SharedSink, TraceSink};
 use condor_core::trace::{TraceEvent, TraceKind};
 use condor_metrics::replicate::par_map;
-use condor_metrics::table::{num, Align, Table};
+use condor_metrics::table::{num, Table};
 use condor_model::diurnal::DiurnalProfile;
 use condor_model::owner::OwnerConfig;
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
+
+use super::Ctx;
+use crate::EXPERIMENT_SEED;
 
 /// Streams out just the placement instants — the only events this
 /// experiment reads — so the runs need no buffered trace.
@@ -55,17 +55,14 @@ fn burst_jobs(n: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-fn main() {
+pub(super) fn run(_: &Ctx) {
     println!("== §4: placement-throttle ablation (20-job burst, 2 MB images, 22 idle machines) ==");
-    let mut t = Table::new(
-        vec![
-            "Placements/poll",
-            "Burst window (min)",
-            "Peak home CPU (s/min)",
-            "Makespan (h)",
-        ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&[
+        "Placements/poll",
+        "Burst window (min)",
+        "Peak home CPU (s/min)",
+        "Makespan (h)",
+    ]);
     let budgets = [1usize, 4, 20];
     // Independent day-long runs — one thread per placement budget.
     let runs = par_map(&budgets, |&budget| {

@@ -1,39 +1,48 @@
-//! # condor-bench — experiment harness
+//! # condor-bench — the experiment suite and the bench harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion micro-benchmarks in `benches/`. This library holds the shared
-//! plumbing: running the standard scenarios and classifying users.
+//! Every table and figure of the paper, and every ablation and extension
+//! measured beside them, is one function in [`exp`], registered in
+//! [`exp::EXPERIMENTS`] and reached through `condor exp <name>… | all`.
+//! The one binary here, `bench_report`, writes `BENCH_cluster.json`.
+//! This library holds the shared plumbing: running the standard scenarios
+//! and classifying users.
 //!
-//! | Binary | Reproduces |
+//! | `condor exp` | Reproduces |
 //! |---|---|
-//! | `exp_table1` | Table 1 — profile of user service requests |
-//! | `exp_fig2` | Fig. 2 — CDF of service demand |
-//! | `exp_fig3` | Fig. 3 — hourly queue length over the month |
-//! | `exp_fig4` | Fig. 4 — average wait ratio vs demand |
-//! | `exp_fig5` | Fig. 5 — month-long utilization |
-//! | `exp_fig6` | Fig. 6 — one-week utilization |
-//! | `exp_fig7` | Fig. 7 — one-week queue lengths |
-//! | `exp_fig8` | Fig. 8 — checkpoint rate vs demand |
-//! | `exp_fig9` | Fig. 9 — leverage vs demand |
-//! | `exp_summary` | §3 headline numbers |
-//! | `exp_fairness` | §2.4 — Up-Down vs baseline policies |
-//! | `exp_eviction` | §4 — grace-then-checkpoint vs immediate kill |
-//! | `exp_throttle` | §4 — the one-placement-per-poll throttle |
-//! | `exp_failures` | §1 — crashes, rollback, and the checkpoint server |
-//! | `exp_history` | §5(1) — history-aware placement ablation |
-//! | `exp_gang` | §5(2) — gang-scheduled parallel programs |
-//! | `exp_reservation` | §5(3) — advance reservations |
-//! | `exp_hetero` | §5(4) — mixed VAX/SUN fleets |
-//! | `exp_availability` | ref. \[1\] — owner-model validation |
+//! | `table1` | Table 1 — profile of user service requests |
+//! | `fig2` | Fig. 2 — CDF of service demand |
+//! | `fig3` | Fig. 3 — hourly queue length over the month |
+//! | `fig4` | Fig. 4 — average wait ratio vs demand |
+//! | `fig5` | Fig. 5 — month-long utilization |
+//! | `fig6` | Fig. 6 — one-week utilization |
+//! | `fig7` | Fig. 7 — one-week queue lengths |
+//! | `fig8` | Fig. 8 — checkpoint rate vs demand |
+//! | `fig9` | Fig. 9 — leverage vs demand |
+//! | `summary` | §3 headline numbers |
+//! | `export` | Figs. 2–9 — every figure's data as CSV |
+//! | `fairness` | §2.4 — Up-Down vs baseline policies |
+//! | `eviction` | §4 — grace-then-checkpoint vs immediate kill |
+//! | `throttle` | §4 — the one-placement-per-poll throttle |
+//! | `failures` | §1 — crashes, rollback, and the checkpoint server |
+//! | `history` | §5(1) — history-aware placement ablation |
+//! | `gang` | §5(2) — gang-scheduled parallel programs |
+//! | `reservation` | §5(3) — advance reservations |
+//! | `hetero` | §5(4) — mixed VAX/SUN fleets |
+//! | `availability` | ref. \[1\] — owner-model validation |
+//! | `oversubscribed` | fractional capacity — whole-machine vs half-CPU packing |
+//! | `redundancy` | speculative replicas and opportunistic checkpoints under faults |
 
 #![warn(missing_docs)]
 
+pub mod exp;
+
 use condor_core::cluster::{Run, RunOutput};
 use condor_core::job::{Job, UserId};
+use condor_metrics::replicate::MeanCi;
 use condor_workload::scenarios::Scenario;
 
-/// The default seed used by every experiment binary, so printed numbers
-/// are reproducible across runs and documented in EXPERIMENTS.md.
+/// The default seed used by every experiment, so printed numbers are
+/// reproducible across runs and documented in EXPERIMENTS.md.
 pub const EXPERIMENT_SEED: u64 = 1988;
 
 /// Runs a scenario to completion and returns its output.
@@ -48,9 +57,9 @@ pub fn is_light(job: &Job) -> bool {
     job.spec.user != UserId(0)
 }
 
-/// Pretty duration for log lines.
-pub fn hours(h: f64) -> String {
-    format!("{h:.1} h")
+/// Mean and 95% confidence interval of one metric over replicated runs.
+pub(crate) fn ci(outs: &[RunOutput], metric: impl Fn(&RunOutput) -> f64) -> MeanCi {
+    MeanCi::from_values(&outs.iter().map(metric).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -77,10 +86,5 @@ mod tests {
         };
         assert!(!is_light(&mk(0)));
         assert!(is_light(&mk(1)));
-    }
-
-    #[test]
-    fn hours_formats() {
-        assert_eq!(hours(4771.04), "4771.0 h");
     }
 }

@@ -137,7 +137,8 @@ impl Delta {
     /// # Errors
     ///
     /// [`DecodeError`] when the delta does not match the base (wrong job,
-    /// wrong base sequence, or base segments shorter than referenced).
+    /// wrong base sequence, base segments shorter than referenced, or a
+    /// segment claiming more bytes than base and literals can supply).
     pub fn apply(&self, base: &CheckpointImage) -> Result<CheckpointImage, DecodeError> {
         if base.job_id() != self.job_id {
             return Err(DecodeError::InvalidDiscriminant {
@@ -158,6 +159,13 @@ impl Delta {
                 .filter(|b| b.base() == sd.base)
                 .map(|b| b.payload().as_ref())
                 .unwrap_or(&[]);
+            // Every output byte is copied from the base or taken from the
+            // literals, so a longer claim is malformed — and must be turned
+            // away before it sizes an allocation.
+            let max = (base_payload.len() + sd.literals.len()) as u64;
+            if sd.new_len > max {
+                return Err(DecodeError::LengthOutOfBounds { len: sd.new_len, max });
+            }
             let mut payload = Vec::with_capacity(sd.new_len as usize);
             let mut lit_cursor = 0usize;
             for (b, &copy) in sd.copy_from_base.iter().enumerate() {
@@ -264,8 +272,8 @@ impl Delta {
             return Err(DecodeError::BadMagic { found });
         }
         let job_id = d.get_varint("job id")?;
-        let base_sequence = d.get_varint("base seq")? as u32;
-        let new_sequence = d.get_varint("new seq")? as u32;
+        let base_sequence = get_sequence(&mut d, "base seq")?;
+        let new_sequence = get_sequence(&mut d, "new seq")?;
         let n = d.get_varint("segment count")?;
         if n > 64 {
             return Err(DecodeError::LengthOutOfBounds { len: n, max: 64 });
@@ -318,6 +326,12 @@ impl Delta {
             registers_and_files,
         })
     }
+}
+
+/// Reads a sequence number, rejecting one that does not fit its `u32`.
+fn get_sequence(d: &mut Decoder, context: &'static str) -> Result<u32, DecodeError> {
+    let v = d.get_varint(context)?;
+    u32::try_from(v).map_err(|_| DecodeError::LengthOutOfBounds { len: v, max: u64::from(u32::MAX) })
 }
 
 fn self_literals_short(lit: &Bytes, cursor: usize, len: usize) -> bool {
@@ -481,6 +495,48 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         assert!(Delta::decode(Bytes::from(bytes)).is_err());
+    }
+
+    /// A well-formed ≈64 KiB frame whose one segment claims 2 GiB: the
+    /// block bitmap is the only thing `decode` can hold `new_len` against.
+    fn oversized_claim() -> Bytes {
+        let new_len = 2u64 << 30;
+        let n_blocks = new_len as usize / BLOCK;
+        let mut e = Encoder::new();
+        e.put_raw(&DELTA_MAGIC);
+        for v in [7, 1, 2, 1, 1, 0x10_000, new_len, n_blocks as u64] {
+            e.put_varint(v);
+        }
+        e.put_bytes(&vec![0u8; n_blocks / 8]); // every block a literal
+        e.put_bytes(&[]); // ...and no literal data
+        let mut meta = Encoder::new();
+        encode_meta(&CheckpointBuilder::new(7, 2).build().unwrap(), &mut meta);
+        e.put_bytes(&meta.finish());
+        e.finish_frame()
+    }
+
+    #[test]
+    fn oversized_length_claim_is_rejected_before_allocating() {
+        let frame = oversized_claim();
+        assert!(frame.len() < 70_000);
+        let delta = Delta::decode(frame).expect("structurally valid");
+        let base = image(1, vec![1u8; 10_000], vec![0u8; 100]);
+        assert_eq!(
+            delta.apply(&base),
+            Err(DecodeError::LengthOutOfBounds { len: 2 << 30, max: 10_000 })
+        );
+    }
+
+    #[test]
+    fn sequence_numbers_past_u32_are_rejected() {
+        let mut e = Encoder::new();
+        e.put_raw(&DELTA_MAGIC);
+        e.put_varint(7);
+        e.put_varint(u64::from(u32::MAX) + 2); // would truncate to 1
+        assert_eq!(
+            Delta::decode(e.finish_frame()),
+            Err(DecodeError::LengthOutOfBounds { len: 1 << 32 | 1, max: u64::from(u32::MAX) })
+        );
     }
 
     #[test]

@@ -239,4 +239,82 @@ proptest! {
         let delta = Delta::diff(&base, &new);
         prop_assert!(delta.encoded_size() <= new.size_bytes() + 1_024);
     }
+
+    /// Flipping any single bit of a delta frame is detected, or lands
+    /// somewhere ignored: what still decodes is the same delta and
+    /// rebuilds the same image.
+    #[test]
+    fn delta_single_bitflip_never_silently_accepted(
+        (base, new) in arb_image_pair(),
+        flip in any::<prop::sample::Index>(),
+    ) {
+        let delta = Delta::diff(&base, &new);
+        if let Ok(decoded) = Delta::decode(flip_bit(&delta.encode(), flip)) {
+            prop_assert_eq!(&decoded, &delta, "corruption produced a different delta");
+            prop_assert_eq!(decoded.apply(&base).expect("apply"), new);
+        }
+    }
+
+    /// The same flip under a recomputed checksum gets past the frame, so
+    /// the structure checks are all that is left: `decode` and `apply`
+    /// answer with a value or a typed error, never a panic, and never
+    /// build more than base and literals can supply.
+    #[test]
+    fn delta_bitflip_behind_the_checksum_never_panics(
+        (base, new) in arb_image_pair(),
+        flip in any::<prop::sample::Index>(),
+    ) {
+        let frame = Delta::diff(&base, &new).encode();
+        let damaged = reframe(&flip_bit(&frame.slice(8..), flip));
+        if let Ok(delta) = Delta::decode(damaged) {
+            if let Ok(img) = delta.apply(&base) {
+                let built: usize = img.segments().iter().map(|s| s.payload().len()).sum();
+                let supply: usize = base.segments().iter().map(|s| s.payload().len()).sum();
+                prop_assert!(built as u64 <= supply as u64 + delta.literal_bytes());
+            }
+        }
+    }
+
+    /// Truncating a delta anywhere is always rejected — as a frame, and as
+    /// a payload cut short under a checksum that matches the cut.
+    #[test]
+    fn delta_truncation_always_rejected(
+        (base, new) in arb_image_pair(),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let frame = Delta::diff(&base, &new).encode();
+        prop_assert!(Delta::decode(frame.slice(0..cut.index(frame.len()))).is_err());
+        let payload = frame.slice(8..);
+        prop_assert!(Delta::decode(reframe(&payload[..cut.index(payload.len())])).is_err());
+    }
+
+    /// Arbitrary garbage never decodes as a delta; behind the magic and a
+    /// matching checksum it may at most decode to something `apply` turns
+    /// away or rebuilds without panicking.
+    #[test]
+    fn delta_garbage_never_decodes(
+        (base, _) in arb_image_pair(),
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        prop_assert!(Delta::decode(Bytes::from(bytes.clone())).is_err());
+        let mut payload = condor_ckpt::delta::DELTA_MAGIC.to_vec();
+        payload.extend_from_slice(&bytes);
+        if let Ok(delta) = Delta::decode(reframe(&payload)) {
+            let _ = delta.apply(&base);
+        }
+    }
+}
+
+fn flip_bit(bytes: &[u8], flip: prop::sample::Index) -> Bytes {
+    let mut damaged = bytes.to_vec();
+    let bit = flip.index(damaged.len() * 8);
+    damaged[bit / 8] ^= 1 << (bit % 8);
+    Bytes::from(damaged)
+}
+
+/// Wraps a raw payload in a frame whose length and CRC match it.
+fn reframe(payload: &[u8]) -> Bytes {
+    let mut e = Encoder::new();
+    e.put_raw(payload);
+    e.finish_frame()
 }

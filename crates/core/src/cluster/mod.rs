@@ -642,11 +642,13 @@ impl Cluster {
     ///
     /// * the trace is recorded or a sink is attached: they are promised
     ///   events in simulation order;
-    /// * chaos or stochastic failures are configured: a delayed poll, the
-    ///   autonomy sweep and the crash/repair chain look at idle stations
-    ///   (or draw from their dwell streams) at instants whose order
-    ///   against a same-millisecond transition the poll grid cannot
-    ///   reconstruct, so those runs do not guess.
+    /// * a chaos schedule with at least one fault, or stochastic failures,
+    ///   are configured: a delayed poll, the autonomy sweep and the
+    ///   crash/repair chain look at idle stations (or draw from their
+    ///   dwell streams) at instants whose order against a same-millisecond
+    ///   transition the poll grid cannot reconstruct, so those runs do not
+    ///   guess. An empty schedule plants no fault and does not count — in
+    ///   a sharded run that is every pool no fault was routed to.
     ///
     /// Either way the run's result is the same: observing a run never
     /// changes it.
@@ -658,7 +660,7 @@ impl Cluster {
             let c = engine.model();
             !c.config.record_trace
                 && c.extra_sinks.is_empty()
-                && c.chaos.is_none()
+                && c.chaos.as_ref().is_none_or(|s| s.cfg.schedule.entries.is_empty())
                 && c.config.failures.is_none()
         };
         engine.model_mut().fold_flips = fold_flips;

@@ -39,34 +39,21 @@ pub fn render_telemetry(t: &Telemetry) -> String {
         t.events_total, t.finished_at
     ));
 
-    let mut counts = Table::new(vec!["event", "count"], vec![Align::Left, Align::Right]);
+    let mut counts = Table::labelled(&["event", "count"]);
     for (name, c) in t.nonzero_counts() {
         counts.row(vec![name.into(), c.to_string()]);
     }
     out.push_str(&counts.render());
     out.push('\n');
 
-    let mut hist = Table::new(
-        vec!["histogram", "count", "mean", "~p50", "~p99", "max"],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
-    );
+    let mut hist = Table::labelled(&["histogram", "count", "mean", "~p50", "~p99", "max"]);
     hist.row(histogram_row("queue wait", &t.queue_wait_ms, "ms"));
     hist.row(histogram_row("remote burst", &t.remote_burst_ms, "ms"));
     hist.row(histogram_row("checkpoint size", &t.checkpoint_bytes, "B"));
     out.push_str(&hist.render());
     out.push('\n');
 
-    let mut gauges = Table::new(
-        vec!["gauge", "samples", "mean", "max", "points"],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right],
-    );
+    let mut gauges = Table::labelled(&["gauge", "samples", "mean", "max", "points"]);
     gauges.row(vec![
         "bus backlog (ms)".into(),
         t.bus_backlog_ms.samples().to_string(),
@@ -110,10 +97,7 @@ pub fn render_spans(log: &SpanLog, limit: usize) -> String {
         }
     };
 
-    let mut agg = Table::new(
-        vec!["phase", "total", "share"],
-        vec![Align::Left, Align::Right, Align::Right],
-    );
+    let mut agg = Table::labelled(&["phase", "total", "share"]);
     for phase in SpanPhase::ALL {
         let d = b.aggregate[phase.index()];
         agg.row(vec![phase.name().into(), d.to_string(), share(d, b.total_wall)]);

@@ -45,6 +45,20 @@ impl Table {
         }
     }
 
+    /// Creates a table in the usual report shape: a left-aligned label
+    /// column, then right-aligned numbers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `headers` is empty.
+    pub fn labelled(headers: &[&str]) -> Self {
+        let mut aligns = vec![Align::Right; headers.len()];
+        if let Some(label) = aligns.first_mut() {
+            *label = Align::Left;
+        }
+        Table::new(headers.to_vec(), aligns)
+    }
+
     /// Appends one row.
     ///
     /// # Panics

@@ -12,13 +12,14 @@
 //! condor export-trace <file.csv> [--seed N]
 //! condor simulate <file.csv> [--stations N] [--days N] [--seed N]
 //! condor live    [--workers N]
+//! condor exp     [<name>... | all] [--quick] [DIR]
 //! ```
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use condor::metrics::summary::{mean_wait_ratio, summarize};
-use condor::metrics::table::{num, Align, Table};
+use condor::metrics::table::{num, Table};
 use condor::prelude::*;
 use condor::workload::scenarios::{fairness_duel, one_week, paper_month};
 use condor::workload::trace::{from_csv, to_csv};
@@ -42,6 +43,7 @@ fn main() -> ExitCode {
         "export-trace" => cmd_export_trace(rest),
         "simulate" => cmd_simulate(rest),
         "live" => cmd_live(rest),
+        "exp" => condor_bench::exp::run(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -97,7 +99,13 @@ USAGE:
   condor simulate FILE.csv [--stations N] [--days N] [--seed N]
                   run a cluster over a CSV job trace
   condor live     [--workers N]
-                  run the live threaded mini-Condor demo";
+                  run the live threaded mini-Condor demo
+  condor exp      [NAME... | all] [--quick] [DIR]
+                  print the reports that reproduce the paper's tables and
+                  figures, the ablations and the extensions, each asserting
+                  its claim; no NAME lists them; `export` writes the figure
+                  data as CSV into DIR (default figures/); --quick shrinks
+                  `redundancy` to one week";
 
 /// Pulls `--flag value` out of an argument list.
 fn opt_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -134,7 +142,7 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 
 fn print_summary(out: &condor::core::cluster::RunOutput) {
     let s = summarize(out);
-    let mut t = Table::new(vec!["Metric", "Value"], vec![Align::Left, Align::Right]);
+    let mut t = Table::labelled(&["Metric", "Value"]);
     t.row(vec!["policy".into(), out.policy_name.clone()]);
     t.row(vec!["stations".into(), s.stations.to_string()]);
     t.row(vec!["horizon".into(), format!("{:.0} h", s.horizon_hours)]);
@@ -403,10 +411,7 @@ fn cmd_week(args: &[String]) -> Result<(), String> {
 
 fn cmd_fairness(args: &[String]) -> Result<(), String> {
     let seed = opt_parse(args, "--seed", 1988u64)?;
-    let mut t = Table::new(
-        vec!["Policy", "Light wait", "Heavy wait", "Preemptions"],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = Table::labelled(&["Policy", "Light wait", "Heavy wait", "Preemptions"]);
     for policy in [
         PolicyKind::UpDown(UpDownConfig::default()),
         PolicyKind::Fifo,

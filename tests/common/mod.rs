@@ -1,7 +1,8 @@
 //! Shared by the integration tests that run the golden *family*: one
 //! scenario per allocation policy and one Up-Down scenario per optional
 //! feature (`golden_trace` pins their digests, `owner_fold` runs each
-//! observed and unobserved).
+//! observed and unobserved) — and the digest `golden_trace` and
+//! `experiments` pin with.
 #![allow(dead_code)]
 
 use condor_core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
@@ -16,6 +17,19 @@ use condor_sim::time::{SimDuration, SimTime};
 use condor_workload::scenarios::{
     assign_speedup_mix, fairness_duel, one_week, paper_month, Scenario,
 };
+
+/// FNV-1a, 64-bit. Implemented inline so the guards have zero
+/// dependencies and an auditable definition.
+pub fn fnv1a64(data: &[u8], mut hash: u64) -> u64 {
+    for &b in data {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// Where an FNV-1a digest starts.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The seed every pinned scenario is built from.
 pub const GOLDEN_SEED: u64 = 1988;

@@ -12,24 +12,12 @@
 
 mod common;
 
-use common::GOLDEN_SEED;
+use common::{fnv1a64, FNV_OFFSET, GOLDEN_SEED};
 use condor_core::chaos::ChaosConfig;
 use condor_core::cluster::{Run, RunOutput};
 use condor_core::config::PoolTopology;
 use condor_sim::time::SimDuration;
 use condor_workload::scenarios::{fleet_scale, paper_month, Scenario};
-
-/// FNV-1a, 64-bit. Implemented inline so the guard has zero dependencies
-/// and an auditable definition.
-fn fnv1a64(data: &[u8], mut hash: u64) -> u64 {
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The pinned digest of the paper-month JSONL trace at seed 1988.
 /// Captured from the pre-optimization simulator; see module docs.

@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::{loaded, FAMILY};
+use condor_core::chaos::ChaosConfig;
 use condor_core::cluster::{Cluster, Run, RunOutput, Totals};
 use condor_core::config::PolicyKind;
 use condor_core::telemetry::TraceSink;
@@ -260,27 +261,58 @@ fn a_transition_on_a_polls_millisecond_keeps_its_side_of_the_poll() {
 /// `(owner seed, the transition precedes the poll)`.
 const TIE_SEEDS: [(u64, bool); 2] = [(3633, false), (4124, true)];
 
+/// Events a hand-primed run puts through the engine's queue — as opposed
+/// to the `events_dispatched` a run reports, which counts folded
+/// transitions too.
+fn queue_dispatches(scenario: Scenario, sink: bool) -> u64 {
+    let Scenario { config, jobs, horizon, .. } = scenario;
+    let mut cluster = Cluster::new(config, jobs);
+    if sink {
+        cluster.attach_sink(Box::new(NullSink));
+    }
+    let mut engine = Engine::new(cluster);
+    Cluster::prime(&mut engine);
+    engine.run_until(SimTime::ZERO + horizon);
+    engine.events_dispatched()
+}
+
 /// The fold is on the path: an unwatched 1,000-station run dispatches
 /// fewer events than it reports, a watched twin dispatches every one.
 #[test]
 fn unwatched_stations_leave_the_event_queue() {
     let scenario = || fleet_scale(1988, 1000, 1, 2);
     let reported = run(scenario(), Watch::Nobody).events_dispatched;
-    let dispatched = |sink: bool| {
-        let Scenario { config, jobs, horizon, .. } = scenario();
-        let mut cluster = Cluster::new(config, jobs);
-        if sink {
-            cluster.attach_sink(Box::new(NullSink));
-        }
-        let mut engine = Engine::new(cluster);
-        Cluster::prime(&mut engine);
-        engine.run_until(SimTime::ZERO + horizon);
-        engine.events_dispatched()
-    };
-    let dark = dispatched(false);
+    let dark = queue_dispatches(scenario(), false);
     assert!(
         dark < reported / 2,
         "{dark} of {reported} events went through the queue: the fold is off"
     );
-    assert_eq!(dispatched(true), reported, "a watched run dispatches what it reports");
+    assert_eq!(queue_dispatches(scenario(), true), reported, "a watched run dispatches what it reports");
+}
+
+/// A chaos configuration whose schedule is empty plants no fault, so it
+/// decides nothing in `prime`: every family member that configures no
+/// chaos keeps its books under `Some(ChaosConfig::default())`, and the
+/// stations still leave the queue.
+#[test]
+fn an_empty_chaos_schedule_keeps_the_fold_on() {
+    let armed = |mut s: Scenario| {
+        s.config.chaos = Some(ChaosConfig::default());
+        s
+    };
+    for (name, build) in FAMILY {
+        if build().config.chaos.is_some() {
+            continue;
+        }
+        let plain = books(&run(build(), Watch::Nobody));
+        let empty = books(&run(armed(build()), Watch::Nobody));
+        assert_same_books(&format!("{name} (empty chaos)"), &plain, &empty);
+    }
+    let fleet = || armed(fleet_scale(1988, 1000, 1, 2));
+    let folded = queue_dispatches(fleet(), false);
+    let queued = queue_dispatches(fleet(), true);
+    assert!(
+        folded < queued / 2,
+        "{folded} of {queued} events went through the queue: an empty schedule switched the fold off"
+    );
 }
