@@ -26,68 +26,20 @@
 //! Violations are *recorded, not panicked*: the auditor keeps streaming so
 //! one corruption early in a trace still yields a full report. The first
 //! [`AuditSink::MAX_RECORDED`] violations are kept verbatim; beyond that
-//! only the count grows. Auditing state is O(active jobs + stations).
+//! only the count grows. Auditing state is one row per job and station seen.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
 use condor_model::station::ResourceVec;
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
 
+use crate::fold::{rules, JobRow, LifecycleFold, Life, Rule};
 use crate::job::JobId;
-use crate::telemetry::TraceSink;
+use crate::spans::SpanPhase;
+use crate::telemetry::{KindMask, TraceSink};
 use crate::trace::{TraceEvent, TraceKind};
-
-/// Phase a job occupies in the auditor's replica of the lifecycle machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    Queued,
-    Transfer,
-    Running,
-    Suspended,
-    Checkpointing,
-    /// Terminal: completed, or rejected at admission.
-    Done,
-}
-
-impl JobPhase {
-    fn name(self) -> &'static str {
-        match self {
-            JobPhase::Queued => "queued",
-            JobPhase::Transfer => "transfer",
-            JobPhase::Running => "running",
-            JobPhase::Suspended => "suspended",
-            JobPhase::Checkpointing => "checkpointing",
-            JobPhase::Done => "done",
-        }
-    }
-}
-
-/// Auditor-side record for one job that has entered the system.
-#[derive(Debug)]
-struct JobAudit {
-    phase: JobPhase,
-    /// Checkpoint transfers in flight (started, not yet completed).
-    ckpt_in_flight: u32,
-    /// Instant of the gang fan-out currently in progress, if any: extra
-    /// same-instant `PlacementStarted` / `CheckpointStarted` events for
-    /// the same job are legal only at exactly this time.
-    fanout_at: Option<SimTime>,
-    /// Instant of the last `JobStarted`, pairing the two legal
-    /// resume-event orders (start-then-marker and marker-then-start).
-    started_at: Option<SimTime>,
-    /// Instant of the last `JobResumedInPlace`.
-    resumed_at: Option<SimTime>,
-    /// Instant of the last `ChaosLocalStart` (an autonomous start while
-    /// the coordinator is unreachable); the paired same-instant
-    /// `JobStarted` is legal straight from `Queued`.
-    local_start_at: Option<SimTime>,
-    /// Resource demand, set by `JobGranted` ahead of a fractional
-    /// placement; whole-machine jobs never emit the grant and stay here.
-    demand: ResourceVec,
-}
+use AuditViolationKind as K;
 
 /// One invariant breach, with the instant it was observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,7 +196,6 @@ pub enum AuditViolationKind {
 
 impl fmt::Display for AuditViolationKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use AuditViolationKind as K;
         match self {
             K::DuplicateArrival { job } => write!(f, "{job:?} arrived twice"),
             K::EventBeforeArrival { job, event } => {
@@ -301,9 +252,9 @@ impl fmt::Display for AuditViolationKind {
     }
 }
 
-/// Returns whether `gap` is a positive whole multiple of `cadence`.
+/// Whether `gap` is a positive whole multiple of `cadence` (mostly once: no division).
 fn whole_multiple(gap: SimDuration, cadence: SimDuration) -> bool {
-    !gap.is_zero() && !cadence.is_zero() && cadence * (gap / cadence) == gap
+    !gap.is_zero() && (gap == cadence || (!cadence.is_zero() && cadence * (gap / cadence) == gap))
 }
 
 /// A [`TraceSink`] that audits the protocol invariants online.
@@ -329,18 +280,12 @@ fn whole_multiple(gap: SimDuration, cadence: SimDuration) -> bool {
 /// ```
 #[derive(Debug, Default)]
 pub struct AuditSink {
-    jobs: HashMap<JobId, JobAudit>,
-    /// The foreign jobs each station currently hosts, with their granted
-    /// demand vectors (several residents are legal when every dimension
-    /// stays within the station's capacity).
-    residents: HashMap<NodeId, Vec<(JobId, ResourceVec)>>,
+    /// Per-job phase, holdings, demand, checkpoints in flight and live
+    /// replicas; per-station residents, owner state and partition depth.
+    fold: LifecycleFold,
     /// Per-station capacity vectors, indexed by station id; stations past
     /// the end (or an empty vector) default to a whole machine.
     capacities: Vec<ResourceVec>,
-    /// Reverse of `residents`: every station a job holds (k for gangs).
-    held: HashMap<JobId, Vec<NodeId>>,
-    /// Last owner transition per station (`true` = active).
-    owner_active: HashMap<NodeId, bool>,
     /// Established poll cadence; inferred from observed gaps unless pinned
     /// via [`AuditSink::with_poll_interval`].
     cadence: Option<SimDuration>,
@@ -362,12 +307,6 @@ pub struct AuditSink {
     delayed_poll_at: Option<SimTime>,
     /// Nesting depth of chaos coordinator-outage windows.
     chaos_coord_depth: u32,
-    /// Nesting depth of chaos partitions, per cut-off station.
-    chaos_link_depth: HashMap<NodeId, u32>,
-    /// Stations holding a live speculative replica of each job (see
-    /// [`crate::redundancy`]); every entry must be closed by a
-    /// `ReplicaCancelled` or consumed by the job's completion.
-    live_replicas: HashMap<JobId, Vec<NodeId>>,
     /// `ReplicaSpawned` events observed.
     replicas_spawned: u64,
     /// `ReplicaCancelled` events observed.
@@ -460,41 +399,45 @@ impl AuditSink {
         }
     }
 
-    /// Fetches the job record, reporting if the job never arrived or is
-    /// already terminal. Returns `None` when the event must be dropped.
-    fn job_for_event(&mut self, at: SimTime, job: JobId, event: &'static str) -> bool {
-        match self.jobs.get(&job) {
-            None => {
-                self.report(at, AuditViolationKind::EventBeforeArrival { job, event });
-                false
-            }
-            Some(a) if a.phase == JobPhase::Done => {
-                self.report(at, AuditViolationKind::EventAfterTerminal { job, event });
-                false
-            }
-            Some(_) => true,
+    /// The one lookup every lifecycle event starts with: the job's row, or the
+    /// report that it never arrived or is already terminal (the event drops).
+    fn live(&mut self, ev: &TraceEvent, job: JobId) -> Option<&mut JobRow> {
+        let event = ev.kind.name();
+        let kind = match self.fold.live(job) {
+            Ok(row) => return Some(row),
+            Err(Life::Done) => K::EventAfterTerminal { job, event },
+            Err(_) => K::EventBeforeArrival { job, event },
+        };
+        // `report`, spelled out: the row's borrow of the fold reaches here.
+        self.total += 1;
+        if self.violations.len() < Self::MAX_RECORDED {
+            self.violations.push(AuditViolation { at: ev.at, kind });
+        }
+        None
+    }
+
+    /// Reports the event as illegal in `phase` unless `legal`.
+    fn judged(&mut self, ev: &TraceEvent, job: JobId, phase: &'static str, legal: bool) {
+        if !legal {
+            let event = ev.kind.name();
+            self.report(ev.at, K::IllegalTransition { job, phase, event });
         }
     }
 
-    /// Copies out the phase and fan-out instant for a job known to exist.
-    fn job_snapshot(&self, job: JobId) -> (JobPhase, Option<SimTime>) {
-        let a = self.jobs.get(&job).expect("caller checked presence");
-        (a.phase, a.fanout_at)
+    /// Steps a job that is in the system through `rule`, reporting the step
+    /// if the rule forbids it: whether the job held `node`, or `None` when
+    /// the event was dropped.
+    fn step(&mut self, ev: &TraceEvent, job: JobId, node: NodeId, rule: &Rule) -> Option<bool> {
+        let row = self.live(ev, job)?;
+        let (from, legal) = row.judge(ev.at, rule);
+        let held = row.advance(ev.at, node, rule).held;
+        self.judged(ev, job, from.name(), legal);
+        Some(held)
     }
 
-    fn illegal(&mut self, at: SimTime, job: JobId, phase: JobPhase, event: &'static str) {
-        self.report(
-            at,
-            AuditViolationKind::IllegalTransition { job, phase: phase.name(), event },
-        );
-    }
-
-    /// The audited capacity of a station (whole machine unless pinned).
-    fn capacity_of(&self, station: NodeId) -> ResourceVec {
-        self.capacities
-            .get(station.as_usize())
-            .copied()
-            .unwrap_or(ResourceVec::WHOLE)
+    /// [`step`](Self::step), for the events that end there.
+    fn follow(&mut self, ev: &TraceEvent, job: JobId, node: NodeId, rule: &Rule) {
+        self.step(ev, job, node, rule);
     }
 
     /// Admits `job` onto `station`, checking per-dimension capacity
@@ -502,74 +445,127 @@ impl AuditSink {
     /// demands landing on an occupied station report the classic
     /// `DoubleOccupancy`; fractional overcommits report the offending
     /// dimension.
-    fn admit(&mut self, at: SimTime, job: JobId, station: NodeId) {
-        let demand = self.jobs.get(&job).map_or(ResourceVec::WHOLE, |a| a.demand);
-        let capacity = self.capacity_of(station);
-        let list = self.residents.entry(station).or_default();
-        let used = list
-            .iter()
-            .fold(ResourceVec::ZERO, |acc, &(_, d)| acc.add(d));
+    fn admit(&mut self, at: SimTime, job: JobId, demand: ResourceVec, station: NodeId) {
+        // A whole machine unless pinned.
+        let capacity = self.capacities.get(station.as_usize()).copied().unwrap_or_default();
+        let list = &mut self.fold.station(station).residents;
+        let used = list.iter().fold(ResourceVec::ZERO, |acc, &(_, d)| acc.add(d));
         let first_resident = list.first().map(|&(j, _)| j);
         list.push((job, demand));
-        self.held.entry(job).or_default().push(station);
         let granted = used.add(demand);
-        if granted.fits(capacity) {
-            return;
-        }
-        if let (true, Some(resident)) = (demand.is_whole(), first_resident) {
-            self.report(
-                at,
-                AuditViolationKind::DoubleOccupancy { station, resident, incoming: job },
-            );
-            return;
-        }
         let over = [
             ("cpu", granted.cpu_milli, capacity.cpu_milli),
             ("mem", granted.mem_milli, capacity.mem_milli),
             ("tag", granted.tag_milli, capacity.tag_milli),
         ];
-        for (dimension, granted_milli, capacity_milli) in over {
-            if granted_milli > capacity_milli {
-                self.report(
-                    at,
-                    AuditViolationKind::CapacityExceeded {
-                        station,
-                        dimension,
-                        granted_milli,
-                        capacity_milli,
-                        incoming: job,
-                    },
-                );
+        let (incoming, over) = (job, over.into_iter().find(|&(_, granted, cap)| granted > cap));
+        match (over, first_resident) {
+            (None, _) => {}
+            (Some(_), Some(resident)) if demand.is_whole() => {
+                self.report(at, K::DoubleOccupancy { station, resident, incoming });
+            }
+            (Some((dimension, granted_milli, capacity_milli)), _) => self.report(
+                at,
+                K::CapacityExceeded { station, dimension, granted_milli, capacity_milli, incoming },
+            ),
+        }
+    }
+
+    /// Takes `job` off `station`'s resident list.
+    fn vacate(&mut self, job: JobId, station: NodeId) {
+        let list = &mut self.fold.station(station).residents;
+        if let Some(p) = list.iter().position(|&(j, _)| j == job) {
+            list.swap_remove(p);
+        }
+    }
+
+    /// Settles a step that gave `station` back: off the resident list if the
+    /// job held it, a wrong-station release if it did not.
+    fn released(&mut self, ev: &TraceEvent, job: JobId, station: NodeId, held: bool) {
+        if held {
+            self.vacate(job, station);
+        } else {
+            let event = ev.kind.name();
+            self.report(ev.at, K::WrongStationRelease { station, job, event });
+        }
+    }
+
+    /// Frees every station the job held (completion or crash teardown).
+    fn vacate_all(&mut self, job: JobId, held: Vec<(NodeId, SimTime)>) {
+        for (station, _) in held {
+            self.vacate(job, station);
+        }
+    }
+
+    /// A job enters the system — alive on arrival, terminal when rejected at
+    /// admission; either one for a job already known is a duplicate.
+    fn enter(&mut self, at: SimTime, job: JobId, life: Life) {
+        let row = self.fold.jobs.entry(job.0);
+        if row.life != Life::Absent {
+            return self.report(at, K::DuplicateArrival { job });
+        }
+        row.begin(at);
+        row.life = life;
+    }
+
+    /// Throttle: fan-outs for *different* placements must sit at least one
+    /// poll cadence apart. A fan-out from a chaos-delayed poll is off the
+    /// grid by construction and is not remembered, so the next on-grid
+    /// fan-out is measured against the previous on-grid one. In a merged
+    /// multi-pool stream, same-instant fan-outs are distinct pools ticking
+    /// the shared grid together — only that zero gap is exempt.
+    fn throttle(&mut self, at: SimTime, job: JobId) {
+        if self.delayed_poll_at == Some(at) {
+            return;
+        }
+        if let (Some((prev, _)), Some(cadence)) = (self.last_placement, self.cadence) {
+            let gap = at.since(prev);
+            let cross_pool_tie = self.pools > 1 && gap.is_zero();
+            if gap < cadence && !cross_pool_tie {
+                self.report(at, K::PlacementThrottleBroken { gap, cadence });
+            }
+        }
+        self.last_placement = Some((at, job));
+    }
+
+    /// One owner transition: two of the same in a row is a violation.
+    fn owner(&mut self, at: SimTime, station: NodeId, active: bool) {
+        if self.fold.station(station).owner_active.replace(active) == Some(active) {
+            self.report(at, K::OwnerTransitionRepeated { station, active });
+        }
+    }
+
+    /// Polls tick a fixed grid. A chaos-delayed poll is off the grid by
+    /// construction; it neither gets the cadence check nor becomes the
+    /// baseline the next on-grid poll is measured against.
+    fn poll(&mut self, at: SimTime) {
+        if self.delayed_poll_at == Some(at) {
+            return;
+        }
+        if let Some(prev) = self.last_poll {
+            let gap = at.since(prev);
+            // Merged multi-pool streams tick one shared grid: same-instant
+            // polls are distinct pools tying, which a single coordinator
+            // can never legally produce. Only that zero gap is exempt;
+            // nonzero gaps keep the check.
+            if self.pools > 1 && gap.is_zero() {
                 return;
             }
-        }
-    }
-
-    /// Removes one station from the job's holdings, reporting a
-    /// wrong-station release if it was not held.
-    fn release(&mut self, at: SimTime, job: JobId, station: NodeId, event: &'static str) {
-        let held = self.held.entry(job).or_default();
-        if let Some(pos) = held.iter().position(|&n| n == station) {
-            held.swap_remove(pos);
-            if let Some(list) = self.residents.get_mut(&station) {
-                if let Some(p) = list.iter().position(|&(j, _)| j == job) {
-                    list.swap_remove(p);
+            match self.cadence {
+                None => self.cadence = Some(gap),
+                Some(cadence) if whole_multiple(gap, cadence) => {}
+                // A shorter gap that evenly divides the inferred cadence
+                // means the first gap we saw spanned coordinator downtime:
+                // re-baseline rather than report.
+                Some(cadence)
+                    if !self.cadence_pinned && gap < cadence && whole_multiple(cadence, gap) =>
+                {
+                    self.cadence = Some(gap);
                 }
-            }
-        } else {
-            self.report(at, AuditViolationKind::WrongStationRelease { station, job, event });
-        }
-    }
-
-    /// Frees every station the job holds (completion or crash teardown).
-    fn release_all(&mut self, job: JobId) {
-        for station in self.held.remove(&job).unwrap_or_default() {
-            if let Some(list) = self.residents.get_mut(&station) {
-                if let Some(p) = list.iter().position(|&(j, _)| j == job) {
-                    list.swap_remove(p);
-                }
+                Some(cadence) => self.report(at, K::PollCadenceBroken { gap, cadence }),
             }
         }
+        self.last_poll = Some(at);
     }
 }
 
@@ -578,394 +574,138 @@ impl TraceSink for AuditSink {
         self.events += 1;
         let at = ev.at;
         match ev.kind {
-            TraceKind::JobArrived { job } => {
-                let duplicate = match self.jobs.entry(job) {
-                    Entry::Occupied(_) => true,
-                    Entry::Vacant(slot) => {
-                        slot.insert(JobAudit {
-                            phase: JobPhase::Queued,
-                            ckpt_in_flight: 0,
-                            fanout_at: None,
-                            started_at: None,
-                            resumed_at: None,
-                            local_start_at: None,
-                            demand: ResourceVec::WHOLE,
-                        });
-                        false
-                    }
-                };
-                if duplicate {
-                    self.report(at, AuditViolationKind::DuplicateArrival { job });
-                }
-            }
-            TraceKind::JobRejected { job } => {
-                // Rejection replaces arrival; both for one job is illegal.
-                let duplicate = match self.jobs.entry(job) {
-                    Entry::Occupied(_) => true,
-                    Entry::Vacant(slot) => {
-                        slot.insert(JobAudit {
-                            phase: JobPhase::Done,
-                            ckpt_in_flight: 0,
-                            fanout_at: None,
-                            started_at: None,
-                            resumed_at: None,
-                            local_start_at: None,
-                            demand: ResourceVec::WHOLE,
-                        });
-                        false
-                    }
-                };
-                if duplicate {
-                    self.report(at, AuditViolationKind::DuplicateArrival { job });
-                }
-            }
-            TraceKind::JobGranted { job, cpu_milli, mem_milli, tag_milli, .. } => {
+            TraceKind::JobArrived { job } => self.enter(at, job, Life::Live),
+            // Rejection replaces arrival; both for one job is illegal.
+            TraceKind::JobRejected { job } => self.enter(at, job, Life::Done),
+            TraceKind::JobGranted { job, on, cpu_milli, mem_milli, tag_milli } => {
                 // Announces the fractional demand of the placement that
                 // follows at this same instant; the demand is fixed for
                 // the job's life, so it persists across re-placements.
-                if self.job_for_event(at, job, "job_granted") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.demand = ResourceVec { cpu_milli, mem_milli, tag_milli };
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "job_granted");
-                    }
+                if let Some(row) = self.live(ev, job) {
+                    row.demand = ResourceVec { cpu_milli, mem_milli, tag_milli };
+                    self.follow(ev, job, on, &rules::GRANTED);
                 }
             }
             TraceKind::PlacementStarted { job, target } => {
-                if self.job_for_event(at, job, "placement_started") {
-                    let (phase, fanout_at) = self.job_snapshot(job);
-                    match phase {
-                        JobPhase::Queued => {
-                            // Throttle: fan-outs for *different* placements
-                            // must sit at least one poll cadence apart. A
-                            // fan-out from a chaos-delayed poll is off the
-                            // grid by construction and is not remembered,
-                            // so the next on-grid fan-out is measured
-                            // against the previous on-grid one. In a merged
-                            // multi-pool stream, same-instant fan-outs are
-                            // distinct pools ticking the shared grid
-                            // together — only that zero gap is exempt.
-                            if self.delayed_poll_at != Some(at) {
-                                if let (Some((prev, _)), Some(cadence)) =
-                                    (self.last_placement, self.cadence)
-                                {
-                                    let gap = at.since(prev);
-                                    let cross_pool_tie = self.pools > 1 && gap.is_zero();
-                                    if gap < cadence && !cross_pool_tie {
-                                        self.report(
-                                            at,
-                                            AuditViolationKind::PlacementThrottleBroken {
-                                                gap,
-                                                cadence,
-                                            },
-                                        );
-                                    }
-                                }
-                                self.last_placement = Some((at, job));
-                            }
-                            let a = self.jobs.get_mut(&job).expect("checked");
-                            a.phase = JobPhase::Transfer;
-                            a.fanout_at = Some(at);
-                        }
-                        // Gang fan-out: extra members at the same instant.
-                        JobPhase::Transfer if fanout_at == Some(at) => {}
-                        phase => {
-                            // Report, then follow the event anyway so one
-                            // corruption does not cascade into noise.
-                            self.illegal(at, job, phase, "placement_started");
-                            let a = self.jobs.get_mut(&job).expect("checked");
-                            a.phase = JobPhase::Transfer;
-                            a.fanout_at = Some(at);
-                        }
+                if let Some(row) = self.live(ev, job) {
+                    let demand = row.demand;
+                    let (from, legal) = row.judge(at, &rules::PLACED);
+                    row.advance(at, target, &rules::PLACED);
+                    if from == SpanPhase::Queued {
+                        self.throttle(at, job);
                     }
-                    self.admit(at, job, target);
+                    self.judged(ev, job, from.name(), legal);
+                    self.admit(at, job, demand, target);
                 }
             }
-            TraceKind::PlacementDiskRejected { job, .. } => {
-                if self.job_for_event(at, job, "placement_disk_rejected") {
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "placement_disk_rejected");
-                    }
-                }
+            TraceKind::PlacementDiskRejected { job, target } => {
+                self.follow(ev, job, target, &rules::DISK_REJECTED)
             }
-            TraceKind::JobStarted { job, on: _ } => {
-                if self.job_for_event(at, job, "job_started") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let (phase, resumed_at, local_start_at) =
-                        (a.phase, a.resumed_at, a.local_start_at);
-                    a.started_at = Some(at);
-                    a.phase = JobPhase::Running;
-                    // Legal from a landed transfer or a suspension; also as
-                    // the restart notification paired with a same-instant
-                    // resume marker (the gang event order), or straight
-                    // from the queue when paired with a same-instant
-                    // autonomous chaos start.
-                    let legal = matches!(phase, JobPhase::Transfer | JobPhase::Suspended)
-                        || (phase == JobPhase::Running && resumed_at == Some(at))
-                        || (phase == JobPhase::Queued && local_start_at == Some(at));
-                    if !legal {
-                        self.illegal(at, job, phase, "job_started");
-                    }
-                }
+            TraceKind::JobStarted { job, on } => self.follow(ev, job, on, &rules::STARTED),
+            TraceKind::JobResumedInPlace { job, on } => self.follow(ev, job, on, &rules::RESUMED),
+            TraceKind::JobSuspended { job, on } => self.follow(ev, job, on, &rules::SUSPENDED),
+            TraceKind::PeriodicCheckpoint { job, on } => self.follow(ev, job, on, &rules::PERIODIC),
+            // The retry keeps the transfer in flight: phase and
+            // `ckpt_in_flight` are both unchanged.
+            TraceKind::ChaosCkptCorrupted { job, from, .. } => {
+                self.follow(ev, job, from, &rules::CKPT_CORRUPTED)
             }
-            TraceKind::JobResumedInPlace { job, on: _ } => {
-                if self.job_for_event(at, job, "job_resumed_in_place") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let (phase, started_at) = (a.phase, a.started_at);
-                    a.resumed_at = Some(at);
-                    a.phase = JobPhase::Running;
-                    // Legal from a suspension; also as the marker paired
-                    // with a same-instant restart (single-job event order).
-                    let legal = phase == JobPhase::Suspended
-                        || (phase == JobPhase::Running && started_at == Some(at));
-                    if !legal {
-                        self.illegal(at, job, phase, "job_resumed_in_place");
-                    }
-                }
-            }
-            TraceKind::JobSuspended { job, on: _ } => {
-                if self.job_for_event(at, job, "job_suspended") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.phase = JobPhase::Suspended;
-                    // Transfer → Suspended is legal: the owner was already
-                    // active when the placement image landed.
-                    if !matches!(phase, JobPhase::Running | JobPhase::Transfer) {
-                        self.illegal(at, job, phase, "job_suspended");
-                    }
-                }
-            }
-            TraceKind::CheckpointStarted { job, .. } => {
-                if self.job_for_event(at, job, "checkpoint_started") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let (phase, fanout_at) = (a.phase, a.fanout_at);
-                    a.ckpt_in_flight += 1;
-                    a.phase = JobPhase::Checkpointing;
-                    // Gang checkpoint-out repeats at the same instant.
-                    let gang_member = phase == JobPhase::Checkpointing && fanout_at == Some(at);
-                    if !gang_member {
-                        a.fanout_at = Some(at);
-                    }
-                    let legal =
-                        matches!(phase, JobPhase::Running | JobPhase::Suspended) || gang_member;
-                    if !legal {
-                        self.illegal(at, job, phase, "checkpoint_started");
-                    }
+            TraceKind::CheckpointStarted { job, from, .. } => {
+                if let Some(row) = self.live(ev, job) {
+                    row.ckpt_in_flight += 1;
+                    self.follow(ev, job, from, &rules::CKPT_STARTED);
                 }
             }
             TraceKind::CheckpointCompleted { job, from, .. } => {
-                if self.job_for_event(at, job, "checkpoint_completed") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    if a.ckpt_in_flight == 0 {
-                        self.report(
-                            at,
-                            AuditViolationKind::UnmatchedCheckpointCompletion {
-                                job,
-                                station: from,
-                            },
-                        );
-                    } else {
-                        a.ckpt_in_flight -= 1;
-                        if a.ckpt_in_flight == 0 {
-                            a.phase = JobPhase::Queued;
-                        }
+                if let Some(row) = self.live(ev, job) {
+                    // A gang is checkpointing until its last image lands.
+                    let matched = row.ckpt_in_flight > 0;
+                    row.ckpt_in_flight = row.ckpt_in_flight.saturating_sub(1);
+                    let rule = match (matched, row.ckpt_in_flight) {
+                        (true, 0) => &rules::CKPT_LANDED,
+                        _ => &rules::CKPT_MEMBER_LANDED,
+                    };
+                    let held = row.advance(at, from, rule).held;
+                    if !matched {
+                        self.report(at, K::UnmatchedCheckpointCompletion { job, station: from });
                     }
-                    self.release(at, job, from, "checkpoint_completed");
+                    self.released(ev, job, from, held);
                 }
             }
             TraceKind::JobKilled { job, on } => {
-                if self.job_for_event(at, job, "job_killed") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.phase = JobPhase::Queued;
-                    if !matches!(
-                        phase,
-                        JobPhase::Transfer | JobPhase::Running | JobPhase::Suspended
-                    ) {
-                        self.illegal(at, job, phase, "job_killed");
-                    }
-                    self.release(at, job, on, "job_killed");
-                }
-            }
-            TraceKind::PeriodicCheckpoint { job, on: _ } => {
-                if self.job_for_event(at, job, "periodic_checkpoint") {
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Running {
-                        self.illegal(at, job, phase, "periodic_checkpoint");
-                    }
+                if let Some(held) = self.step(ev, job, on, &rules::KILLED) {
+                    self.released(ev, job, on, held);
                 }
             }
             TraceKind::JobCompleted { job, on } => {
-                if self.job_for_event(at, job, "job_completed") {
+                if let Some(row) = self.live(ev, job) {
                     // A completion delivered by a live replica on `on` is
                     // legal from *any* primary phase: the win tears the
                     // primary down wherever it was — queued, mid-transfer,
                     // suspended, even mid-checkpoint (that transfer will
                     // never complete, so its in-flight count is forgiven).
-                    let replica_win = self
-                        .live_replicas
-                        .get(&job)
-                        .is_some_and(|stations| stations.contains(&on));
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Running && !replica_win {
-                        self.illegal(at, job, phase, "job_completed");
+                    let replica_win = row.replicas.contains(&on);
+                    if replica_win {
+                        row.ckpt_in_flight = 0;
                     }
-                    {
-                        let a = self.jobs.get_mut(&job).expect("checked");
-                        a.phase = JobPhase::Done;
-                        if replica_win {
-                            a.ckpt_in_flight = 0;
-                        }
-                    }
-                    if !self.held.get(&job).is_some_and(|h| h.contains(&on)) {
-                        self.report(
-                            at,
-                            AuditViolationKind::WrongStationRelease {
-                                station: on,
-                                job,
-                                event: "job_completed",
-                            },
-                        );
-                    }
-                    self.release_all(job);
                     // Completion consumes at most the winning replica;
                     // rivals must have been cancelled beforehand.
-                    if let Some(mut stations) = self.live_replicas.remove(&job) {
-                        stations.retain(|&n| n != on);
-                        if !stations.is_empty() {
-                            self.report(
-                                at,
-                                AuditViolationKind::ReplicaLeaked {
-                                    job,
-                                    live: stations.len() as u32,
-                                },
-                            );
-                        }
+                    let live = row.replicas.iter().filter(|&&n| n != on).count() as u32;
+                    row.replicas.clear();
+                    let (from, legal) = row.judge(at, &rules::COMPLETED);
+                    let named = row.advance(at, on, &rules::COMPLETED).held;
+                    let held = std::mem::take(&mut row.held);
+                    self.judged(ev, job, from.name(), legal || replica_win);
+                    if !named {
+                        let (station, event) = (on, "job_completed");
+                        self.report(at, K::WrongStationRelease { station, job, event });
+                    }
+                    self.vacate_all(job, held);
+                    if live > 0 {
+                        self.report(at, K::ReplicaLeaked { job, live });
                     }
                 }
             }
-            TraceKind::CrashRollback { job, on: _ } => {
-                if self.job_for_event(at, job, "crash_rollback") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    a.phase = JobPhase::Queued;
+            TraceKind::CrashRollback { job, on } => {
+                if let Some(row) = self.live(ev, job) {
                     // The crash tears down any in-flight checkpoint
                     // transfer: the completion will never come.
-                    a.ckpt_in_flight = 0;
-                    self.release_all(job);
+                    row.ckpt_in_flight = 0;
+                    row.advance(at, on, &rules::CRASHED);
+                    let held = std::mem::take(&mut row.held);
+                    self.vacate_all(job, held);
                 }
             }
-            TraceKind::OwnerActive { station } => {
-                if self.owner_active.insert(station, true) == Some(true) {
-                    self.report(
-                        at,
-                        AuditViolationKind::OwnerTransitionRepeated { station, active: true },
-                    );
-                }
-            }
-            TraceKind::OwnerIdle { station } => {
-                if self.owner_active.insert(station, false) == Some(false) {
-                    self.report(
-                        at,
-                        AuditViolationKind::OwnerTransitionRepeated { station, active: false },
-                    );
-                }
-            }
-            TraceKind::CoordinatorPolled { .. } => {
-                // A chaos-delayed poll is off the grid by construction; it
-                // neither gets the cadence check nor becomes the baseline
-                // the next on-grid poll is measured against.
-                if self.delayed_poll_at == Some(at) {
-                    return;
-                }
-                if let Some(prev) = self.last_poll {
-                    let gap = at.since(prev);
-                    // Merged multi-pool streams tick one shared grid:
-                    // same-instant polls are distinct pools tying, which a
-                    // single coordinator can never legally produce. Only
-                    // that zero gap is exempt; nonzero gaps keep the check.
-                    if self.pools > 1 && gap.is_zero() {
-                        return;
-                    }
-                    match self.cadence {
-                        None => self.cadence = Some(gap),
-                        Some(cadence) => {
-                            if !whole_multiple(gap, cadence) {
-                                // A shorter gap that evenly divides the
-                                // inferred cadence means the first gap we
-                                // saw spanned coordinator downtime:
-                                // re-baseline rather than report.
-                                if !self.cadence_pinned
-                                    && gap < cadence
-                                    && whole_multiple(cadence, gap)
-                                {
-                                    self.cadence = Some(gap);
-                                } else {
-                                    self.report(
-                                        at,
-                                        AuditViolationKind::PollCadenceBroken { gap, cadence },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                self.last_poll = Some(at);
-            }
-            TraceKind::ChaosPollDelayed { .. } => {
-                self.delayed_poll_at = Some(at);
-            }
+            TraceKind::OwnerActive { station } => self.owner(at, station, true),
+            TraceKind::OwnerIdle { station } => self.owner(at, station, false),
+            TraceKind::CoordinatorPolled { .. } => self.poll(at),
+            TraceKind::ChaosPollDelayed { .. } => self.delayed_poll_at = Some(at),
             TraceKind::ChaosLocalStart { job, on } => {
-                if self.job_for_event(at, job, "chaos_local_start") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.local_start_at = Some(at);
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "chaos_local_start");
-                    }
-                    self.admit(at, job, on);
-                }
-            }
-            TraceKind::ChaosCkptCorrupted { job, .. } => {
-                if self.job_for_event(at, job, "chaos_ckpt_corrupted") {
-                    // The retry keeps the transfer in flight: phase and
-                    // `ckpt_in_flight` are both unchanged.
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Checkpointing {
-                        self.illegal(at, job, phase, "chaos_ckpt_corrupted");
-                    }
+                if let Some(row) = self.live(ev, job) {
+                    let demand = row.demand;
+                    self.follow(ev, job, on, &rules::LOCAL_START);
+                    self.admit(at, job, demand, on);
                 }
             }
             TraceKind::ChaosCoordDown => self.chaos_coord_depth += 1,
-            TraceKind::ChaosCoordUp => {
-                if self.chaos_coord_depth == 0 {
-                    self.report(
-                        at,
-                        AuditViolationKind::UnmatchedChaosRecovery { event: "chaos_coord_up" },
-                    );
-                } else {
-                    self.chaos_coord_depth -= 1;
+            TraceKind::ChaosCoordUp => match self.chaos_coord_depth.checked_sub(1) {
+                Some(depth) => self.chaos_coord_depth = depth,
+                None => self.report(at, K::UnmatchedChaosRecovery { event: "chaos_coord_up" }),
+            },
+            TraceKind::ChaosLinkDown { station } => self.fold.station(station).partitions += 1,
+            TraceKind::ChaosLinkUp { station } => {
+                let depth = &mut self.fold.station(station).partitions;
+                match depth.checked_sub(1) {
+                    Some(less) => *depth = less,
+                    None => self.report(at, K::UnmatchedChaosRecovery { event: "chaos_link_up" }),
                 }
             }
-            TraceKind::ChaosLinkDown { station } => {
-                *self.chaos_link_depth.entry(station).or_insert(0) += 1;
-            }
-            TraceKind::ChaosLinkUp { station } => match self.chaos_link_depth.get_mut(&station) {
-                Some(depth) if *depth > 0 => *depth -= 1,
-                _ => self.report(
-                    at,
-                    AuditViolationKind::UnmatchedChaosRecovery { event: "chaos_link_up" },
-                ),
-            },
             TraceKind::JobForwarded { job, .. } => {
                 // The job leaves this pool while still queued; it stays
                 // tracked so a merged trace can follow it into adoption.
-                if self.job_for_event(at, job, "job_forwarded") {
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "job_forwarded");
-                    }
+                if let Some(row) = self.live(ev, job) {
+                    let (from, legal) = row.judge(at, &rules::FORWARDED);
+                    self.judged(ev, job, from.name(), legal);
                 }
             }
             TraceKind::JobAdopted { job, on: _ } => {
@@ -973,65 +713,49 @@ impl TraceSink for AuditSink {
                 // job. In a merged trace the job is already tracked (it
                 // was forwarded while queued); in a per-pool trace this is
                 // its first appearance and plays the role of an arrival.
-                match self.jobs.entry(job) {
-                    Entry::Occupied(mut slot) => {
-                        let phase = slot.get().phase;
-                        slot.get_mut().phase = JobPhase::Queued;
-                        if phase != JobPhase::Queued {
-                            self.illegal(at, job, phase, "job_adopted");
-                        }
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(JobAudit {
-                            phase: JobPhase::Queued,
-                            ckpt_in_flight: 0,
-                            fanout_at: None,
-                            started_at: None,
-                            resumed_at: None,
-                            local_start_at: None,
-                            demand: ResourceVec::WHOLE,
-                        });
-                    }
-                }
+                let row = self.fold.jobs.entry(job.0);
+                let (was, legal) = match row.life {
+                    Life::Absent => return row.begin(at),
+                    Life::Live => (row.phase.name(), row.phase == SpanPhase::Queued),
+                    Life::Done => ("done", false),
+                };
+                (row.life, row.phase) = (Life::Live, SpanPhase::Queued);
+                self.judged(ev, job, was, legal);
             }
             TraceKind::ReplicaSpawned { job, on } => {
                 // Replicas are phase-independent of the primary (they
                 // spawn alongside its placement and outlive its evictions)
                 // but still occupy real capacity on their station.
-                if self.job_for_event(at, job, "replica_spawned") {
-                    let list = self.live_replicas.entry(job).or_default();
-                    if list.contains(&on) {
-                        self.report(
-                            at,
-                            AuditViolationKind::DuplicateReplica { job, station: on },
-                        );
-                    } else {
-                        list.push(on);
+                if let Some(row) = self.live(ev, job) {
+                    let duplicate = row.replicas.contains(&on);
+                    if !duplicate {
+                        row.replicas.push(on);
+                    }
+                    row.held.push((on, at));
+                    let demand = row.demand;
+                    if duplicate {
+                        self.report(at, K::DuplicateReplica { job, station: on });
                     }
                     self.replicas_spawned += 1;
-                    self.admit(at, job, on);
+                    self.admit(at, job, demand, on);
                 }
             }
             TraceKind::ReplicaCancelled { job, on, wasted_ms } => {
-                if self.job_for_event(at, job, "replica_cancelled") {
-                    let matched = self
-                        .live_replicas
-                        .get_mut(&job)
-                        .and_then(|list| {
-                            list.iter().position(|&n| n == on).map(|p| {
-                                list.swap_remove(p);
-                            })
-                        })
-                        .is_some();
-                    if !matched {
-                        self.report(
-                            at,
-                            AuditViolationKind::UnmatchedReplicaCancel { job, station: on },
-                        );
+                if let Some(row) = self.live(ev, job) {
+                    let replica = row.replicas.iter().position(|&n| n == on);
+                    if let Some(p) = replica {
+                        row.replicas.swap_remove(p);
+                    }
+                    let held = row.held.iter().position(|&(n, _)| n == on);
+                    if let Some(p) = held {
+                        row.held.swap_remove(p);
+                    }
+                    if replica.is_none() {
+                        self.report(at, K::UnmatchedReplicaCancel { job, station: on });
                     }
                     self.replicas_cancelled += 1;
                     self.replica_wasted_ms += wasted_ms;
-                    self.release(at, job, on, "replica_cancelled");
+                    self.released(ev, job, on, held.is_some());
                 }
             }
             TraceKind::ChaosPollLost
@@ -1043,31 +767,34 @@ impl TraceSink for AuditSink {
         }
     }
 
+    /// Every event counts towards [`events_seen`](AuditSink::events_seen),
+    /// so every kind is asked for; the gauge samples are not.
+    fn interest(&self) -> KindMask {
+        KindMask::ALL.without_samples()
+    }
+
     fn finish(&mut self, at: SimTime) {
         // Transfers still in flight at the horizon are legal only while
         // the job is mid-checkpoint; anything else lost a completion.
-        let mut imbalanced: Vec<(JobId, u32)> = self
-            .jobs
-            .iter()
-            .filter(|(_, a)| a.ckpt_in_flight > 0 && a.phase != JobPhase::Checkpointing)
-            .map(|(&job, a)| (job, a.ckpt_in_flight))
-            .collect();
-        imbalanced.sort_unstable_by_key(|&(job, _)| job);
-        for (job, in_flight) in imbalanced {
-            self.report(at, AuditViolationKind::CheckpointImbalance { job, in_flight });
-        }
-        // Replica conservation: every spawned copy must have been
+        // Then replica conservation: every spawned copy must have been
         // cancelled or consumed by its job's completion by the horizon
-        // (the simulation cancels survivors in `finalize`).
-        let mut leaked: Vec<(JobId, u32)> = self
-            .live_replicas
-            .iter()
-            .filter(|(_, stations)| !stations.is_empty())
-            .map(|(&job, stations)| (job, stations.len() as u32))
-            .collect();
-        leaked.sort_unstable_by_key(|&(job, _)| job);
-        for (job, live) in leaked {
-            self.report(at, AuditViolationKind::ReplicaLeaked { job, live });
+        // (the simulation cancels survivors in `finalize`). Both in job
+        // order.
+        let mut imbalanced = Vec::new();
+        let mut leaked = Vec::new();
+        for (id, row) in self.fold.jobs.iter_mut() {
+            let mid_checkpoint = row.life == Life::Live && row.phase == SpanPhase::Checkpointing;
+            if row.ckpt_in_flight > 0 && !mid_checkpoint {
+                let (job, in_flight) = (JobId(id), row.ckpt_in_flight);
+                imbalanced.push(K::CheckpointImbalance { job, in_flight });
+            }
+            if !row.replicas.is_empty() {
+                let (job, live) = (JobId(id), row.replicas.len() as u32);
+                leaked.push(K::ReplicaLeaked { job, live });
+            }
+        }
+        for kind in imbalanced.into_iter().chain(leaked) {
+            self.report(at, kind);
         }
     }
 }

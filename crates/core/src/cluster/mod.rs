@@ -62,7 +62,7 @@ use crate::policy::{
     AllocationPolicy, FifoPolicy, FracPolicy, RandomPolicy, RedundantPolicy, RoundRobinPolicy,
 };
 use crate::queue::BackgroundQueue;
-use crate::telemetry::{GaugeSample, StatsSink, Telemetry, TraceSink};
+use crate::telemetry::{GaugeSample, KindMask, StatsSink, Telemetry, TraceSink};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::updown::UpDown;
 
@@ -388,8 +388,9 @@ pub struct Cluster {
     trace: Trace,
     /// Always-on telemetry aggregation (cheap: O(1) per event).
     stats: StatsSink,
-    /// Caller-attached observers, fed before the legacy trace.
-    extra_sinks: Vec<Box<dyn TraceSink + Send>>,
+    /// Caller-attached observers, fed before the legacy trace, each with
+    /// the kinds it asked for when it was attached.
+    extra_sinks: Vec<(KindMask, Box<dyn TraceSink + Send>)>,
     totals: Totals,
     queue_total: StepSeries,
     /// Per-user queue series, indexed by dense user slot (see
@@ -758,7 +759,7 @@ impl Cluster {
                     self.attach_sink(child);
                 }
             }
-            None => self.extra_sinks.push(sink),
+            None => self.extra_sinks.push((sink.interest(), sink)),
         }
     }
 
@@ -777,16 +778,20 @@ impl Cluster {
     /// no-extra-sinks emit path stays branch-and-return small.
     #[cold]
     fn emit_extra(&mut self, ev: &TraceEvent) {
-        for s in &mut self.extra_sinks {
-            s.record(ev);
+        for (interest, s) in &mut self.extra_sinks {
+            if interest.contains(&ev.kind) {
+                s.record(ev);
+            }
         }
     }
 
     /// Routes one gauge sample through every observer.
     fn emit_sample(&mut self, s: GaugeSample) {
         self.stats.sample(&s);
-        for sink in &mut self.extra_sinks {
-            sink.sample(&s);
+        for (interest, sink) in &mut self.extra_sinks {
+            if interest.samples() {
+                sink.sample(&s);
+            }
         }
     }
 
@@ -978,7 +983,7 @@ impl Cluster {
             }
         }
         self.stats.finish(horizon);
-        for s in &mut self.extra_sinks {
+        for (_, s) in &mut self.extra_sinks {
             s.finish(horizon);
         }
     }

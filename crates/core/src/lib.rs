@@ -48,6 +48,8 @@
 #![warn(missing_debug_implementations)]
 
 mod bits;
+mod dense;
+mod fold;
 pub mod audit;
 pub mod chaos;
 pub mod cluster;
@@ -83,8 +85,8 @@ pub use spans::{
     Breakdown, JobBreakdown, JobSpans, Occupancy, Span, SpanLog, SpanMarker, SpanPhase, SpanSink,
 };
 pub use telemetry::{
-    FanoutSink, GaugeSample, KindFilterSink, RingSink, SharedSink, StatsSink, Telemetry,
-    TraceSink, VecSink,
+    FanoutSink, GaugeSample, KindFilterSink, KindMask, RingSink, SharedSink, StatsSink,
+    Telemetry, TraceSink, VecSink,
 };
 pub use trace::{Trace, TraceEvent, TraceKind, TraceParseError};
 pub use updown::{UpDown, UpDownConfig};

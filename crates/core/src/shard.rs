@@ -49,7 +49,7 @@ use condor_sim::time::{SimDuration, SimTime};
 use crate::cluster::{finish_run, Cluster, Event, RunOutput, Totals};
 use crate::config::{ClusterConfig, ConfigError, PoolTopology};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
-use crate::telemetry::{GaugeSample, SharedSink, Telemetry, TraceSink};
+use crate::telemetry::{GaugeSample, KindMask, SharedSink, Telemetry, TraceSink};
 use crate::trace::{Trace, TraceEvent};
 
 /// Worker threads to use when the caller does not pin a count: the
@@ -108,10 +108,13 @@ impl EmitItem {
 }
 
 /// Buffers one shard's emissions (events and gauge samples) in emission
-/// order so the main thread can drain and merge them at each barrier.
-#[derive(Debug, Default)]
+/// order so the main thread can drain and merge them at each barrier. It
+/// asks its shard for the union of what the user's sinks consume, so a
+/// kind none of them wants is never buffered, remapped or sorted.
+#[derive(Debug)]
 struct EmitLog {
     items: Vec<EmitItem>,
+    interest: KindMask,
 }
 
 impl TraceSink for EmitLog {
@@ -121,6 +124,10 @@ impl TraceSink for EmitLog {
 
     fn sample(&mut self, s: &GaugeSample) {
         self.items.push(EmitItem::Sample(*s));
+    }
+
+    fn interest(&self) -> KindMask {
+        self.interest
     }
 }
 
@@ -291,7 +298,7 @@ fn remap_event(ev: TraceEvent, meta: &ShardMeta) -> TraceEvent {
 fn drain_emit_logs(
     logs: &[SharedSink<EmitLog>],
     slots: &[Mutex<ShardSlot>],
-    user_sinks: &mut [Box<dyn TraceSink + Send>],
+    user_sinks: &mut [(KindMask, Box<dyn TraceSink + Send>)],
 ) {
     if logs.is_empty() || user_sinks.is_empty() {
         return;
@@ -313,10 +320,11 @@ fn drain_emit_logs(
     }
     batch.sort_by_key(|&(at, p, i, _)| (at, p, i));
     for (_, _, _, item) in batch {
-        for sink in user_sinks.iter_mut() {
+        for (interest, sink) in user_sinks.iter_mut() {
             match &item {
-                EmitItem::Event(ev) => sink.record(ev),
-                EmitItem::Sample(s) => sink.sample(s),
+                EmitItem::Event(ev) if interest.contains(&ev.kind) => sink.record(ev),
+                EmitItem::Sample(s) if interest.samples() => sink.sample(s),
+                EmitItem::Event(_) | EmitItem::Sample(_) => {}
             }
         }
     }
@@ -559,7 +567,9 @@ pub(crate) fn run_sharded(
         .chaos
         .as_ref()
         .map(|c| crate::chaos::route_to_pools(c, &ranges, coordinator_pool));
-    let mut user_sinks = sinks;
+    let mut user_sinks: Vec<(KindMask, Box<dyn TraceSink + Send>)> =
+        sinks.into_iter().map(|s| (s.interest(), s)).collect();
+    let wanted = user_sinks.iter().fold(KindMask::NONE, |mask, (i, _)| mask.union(*i));
     let mut emit_logs: Vec<SharedSink<EmitLog>> = Vec::new();
     let slots: Vec<Mutex<ShardSlot>> = (0..pools)
         .map(|p| {
@@ -569,11 +579,11 @@ pub(crate) fn run_sharded(
                 if pools == 1 {
                     // Single shard: attach the user's sinks directly —
                     // they see the exact serial stream, no batching.
-                    for sink in user_sinks.drain(..) {
+                    for (_, sink) in user_sinks.drain(..) {
                         cluster.attach_sink(sink);
                     }
                 } else {
-                    let log = SharedSink::new(EmitLog::default());
+                    let log = SharedSink::new(EmitLog { items: Vec::new(), interest: wanted });
                     cluster.attach_sink(Box::new(log.clone()));
                     emit_logs.push(log);
                 }
@@ -609,7 +619,7 @@ pub(crate) fn run_sharded(
                 break;
             }
         }
-        for sink in user_sinks.iter_mut() {
+        for (_, sink) in user_sinks.iter_mut() {
             sink.finish(end);
         }
     };

@@ -18,7 +18,7 @@
 //! [`SpanSink`] is a [`TraceSink`]: attach it to a run (or replay a saved
 //! JSONL trace into it) and it produces a [`SpanLog`] — per-job span lists,
 //! a per-station occupancy timeline, and instant markers for preemptions.
-//! The folding state is O(active jobs); the log itself grows with the
+//! The folding state is one row per job; the log itself grows with the
 //! spans it records, like any trace.
 //!
 //! Spans are **gapless by construction**: every transition closes the
@@ -28,19 +28,22 @@
 //! per-job and aggregate where-time-went fractions plus the critical path
 //! of the run's makespan.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
 
+use crate::dense::DenseTable;
+use crate::fold::{rules, Hold, LifecycleFold, Life, Next, Rule};
 use crate::job::JobId;
-use crate::telemetry::TraceSink;
+use crate::telemetry::{KindMask, TraceSink};
 use crate::trace::{TraceEvent, TraceKind};
 
 /// A lifecycle phase a job passes through, as observable from the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanPhase {
     /// Waiting in the home station's queue (includes dependency holds).
+    #[default]
     Queued,
     /// Placement image in flight to the target machine.
     Transfer,
@@ -271,30 +274,38 @@ impl SpanLog {
     }
 }
 
-/// Folding state for one in-flight job: its open span and the stations it
-/// currently holds. This — not the [`SpanLog`] — is what stays O(active
-/// jobs).
-#[derive(Debug)]
-struct OpenJob {
-    phase: SpanPhase,
-    since: SimTime,
-    station: Option<NodeId>,
-    /// Stations this job occupies, with the occupancy start (one for a
-    /// plain job, k for a width-k gang).
-    holding: Vec<(NodeId, SimTime)>,
-    /// Granted CPU milli-fraction, set by `JobGranted` ahead of the
-    /// placement it describes; 1000 when no grant event was seen.
-    cpu_milli: u32,
+/// Closed spans with their jobs, in closing order: one append per transition
+/// while the run is on, dealt out per job when it ends.
+#[derive(Debug, Default)]
+struct ClosedSpans {
+    spans: Vec<(JobId, Span)>,
+    /// How many of them each job has, by job id.
+    per_job: DenseTable<u32>,
+}
+
+impl ClosedSpans {
+    fn push(&mut self, job: JobId, span: Span) {
+        self.spans.push((job, span));
+        *self.per_job.entry(job.0) += 1;
+    }
+
+    fn count(&mut self, job: JobId) -> u32 {
+        self.per_job.get_mut(job.0).map_or(0, |n| *n)
+    }
 }
 
 /// A [`TraceSink`] that folds the event stream into a [`SpanLog`] online.
 ///
-/// The transition rules mirror the cluster's lifecycle exactly, including
-/// the gang-scheduling corners (k placement starts and k checkpoint
-/// completions per migration collapse into single `Transfer` /
-/// `Checkpointing` spans on the gang lead). Feeding the same events in the
-/// same order — live or replayed from a JSONL file — produces an identical
-/// log.
+/// The phases and holdings come from the shared
+/// `LifecycleFold` (`fold.rs`): every event steps the job's row through its
+/// one transition function, `JobRow::advance`, and the sink keeps the
+/// span each step closes and the occupancy each freed station ends. It
+/// follows the stream wherever it goes — legality is the auditor's
+/// business — including the gang-scheduling corners (k placement starts
+/// and k checkpoint completions per migration collapse into single
+/// `Transfer` / `Checkpointing` spans on the gang lead). Feeding the same
+/// events in the same order — live or replayed from a JSONL file —
+/// produces an identical log.
 ///
 /// # Examples
 ///
@@ -326,8 +337,15 @@ struct OpenJob {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpanSink {
+    /// Markers as they happen; `jobs` and `stations` are dealt out of the
+    /// tables below when the run finishes.
     log: SpanLog,
-    open: HashMap<JobId, OpenJob>,
+    fold: LifecycleFold,
+    /// Arrival, completion and bytes shipped per job that ever arrived.
+    jobs: DenseTable<Option<JobSpans>>,
+    closed: ClosedSpans,
+    /// Every ended occupancy with its station, in release order.
+    ended: Vec<(NodeId, Occupancy)>,
 }
 
 impl SpanSink {
@@ -336,7 +354,9 @@ impl SpanSink {
         SpanSink::default()
     }
 
-    /// The log accumulated so far (open spans not yet closed).
+    /// The log. Its markers accumulate as events arrive; its `jobs` and
+    /// `stations` are complete once [`finish`](TraceSink::finish) has
+    /// closed the open spans at the horizon, and empty before.
     pub fn log(&self) -> &SpanLog {
         &self.log
     }
@@ -359,241 +379,191 @@ impl SpanSink {
         sink.into_log()
     }
 
-    /// Closes the job's open span at `at` and opens the next phase.
-    fn transition(&mut self, job: JobId, at: SimTime, phase: SpanPhase, station: Option<NodeId>) {
-        let Some(open) = self.open.get_mut(&job) else { return };
-        if open.phase == phase {
-            return; // gang members repeat the collective transition
-        }
-        let closed = Span { phase: open.phase, from: open.since, until: at, station: open.station };
-        open.phase = phase;
-        open.since = at;
-        open.station = station;
-        self.log.jobs.entry(job).or_default().spans.push(closed);
+    /// Opens the job's timeline in the queue at `at` — an arrival, or an
+    /// adoption into this pool — forgetting whatever it was doing.
+    fn begin(&mut self, job: JobId, at: SimTime) -> &mut JobSpans {
+        self.fold.jobs.entry(job.0).begin(at);
+        self.jobs.entry(job.0).get_or_insert_with(JobSpans::default)
     }
 
-    /// Closes the job's open span and retires it (completion).
-    fn close(&mut self, job: JobId, at: SimTime) {
-        let Some(open) = self.open.remove(&job) else { return };
-        let js = self.log.jobs.entry(job).or_default();
-        js.spans.push(Span { phase: open.phase, from: open.since, until: at, station: open.station });
-        js.completed = Some(at);
-        for (node, since) in open.holding {
-            self.log
-                .stations
-                .entry(node)
-                .or_default()
-                .push(Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli });
+    /// Steps a job that is in the system through `rule`, keeping the span
+    /// the step closed and the occupancies it ended.
+    fn follow(&mut self, at: SimTime, job: JobId, node: NodeId, rule: &Rule) {
+        let Ok(row) = self.fold.live(job) else { return };
+        let moved = row.advance(at, node, rule);
+        if let Some(span) = moved.closed {
+            self.closed.push(job, span);
+        }
+        let cpu_milli = row.demand.cpu_milli;
+        let ended = |(node, from)| (node, Occupancy { job, from, until: at, cpu_milli });
+        self.ended.extend(moved.freed.map(|from| ended((node, from))));
+        if rule.hold == Hold::FreeAll {
+            self.ended.extend(row.held.drain(..).map(ended));
+        }
+        if let (Next::Done, Some(history)) = (rule.next, self.history(job)) {
+            history.completed = Some(at);
         }
     }
 
-    /// Releases one station the job holds (checkpoint landed, kill).
-    fn release_station(&mut self, job: JobId, node: NodeId, at: SimTime) {
-        let Some(open) = self.open.get_mut(&job) else { return };
-        if let Some(pos) = open.holding.iter().position(|(n, _)| *n == node) {
-            let (_, since) = open.holding.swap_remove(pos);
-            let cpu_milli = open.cpu_milli;
-            self.log
-                .stations
-                .entry(node)
-                .or_default()
-                .push(Occupancy { job, from: since, until: at, cpu_milli });
-        }
-    }
-
-    /// Releases every station the job holds (crash teardown).
-    fn release_all(&mut self, job: JobId, at: SimTime) {
-        let Some(open) = self.open.get_mut(&job) else { return };
-        let cpu_milli = open.cpu_milli;
-        for (node, since) in std::mem::take(&mut open.holding) {
-            self.log
-                .stations
-                .entry(node)
-                .or_default()
-                .push(Occupancy { job, from: since, until: at, cpu_milli });
-        }
-    }
-
-    fn mark(&mut self, at: SimTime, job: JobId, station: NodeId, label: &'static str) {
-        self.log.markers.push(SpanMarker { at, job, station, label });
+    /// The job's history, if it ever arrived.
+    fn history(&mut self, job: JobId) -> Option<&mut JobSpans> {
+        self.jobs.get_mut(job.0)?.as_mut()
     }
 }
 
 impl TraceSink for SpanSink {
     fn record(&mut self, ev: &TraceEvent) {
+        use TraceKind as K;
         let at = ev.at;
-        match ev.kind {
-            TraceKind::JobArrived { job } => {
-                let js = self.log.jobs.entry(job).or_default();
-                js.arrived = at;
-                self.open.insert(
-                    job,
-                    OpenJob {
-                        phase: SpanPhase::Queued,
-                        since: at,
-                        station: None,
-                        holding: Vec::new(),
-                        cpu_milli: 1000,
-                    },
-                );
+        // Job, machine, the rule that steps the job's row, the marker left.
+        let (job, node, rule, label) = match ev.kind {
+            K::PlacementStarted { job, target } => (job, target, Some(&rules::PLACED), None),
+            K::JobStarted { job, on } => (job, on, Some(&rules::STARTED), None),
+            K::JobSuspended { job, on } => (job, on, Some(&rules::SUSPENDED), Some("suspended")),
+            // The cluster emits `JobStarted` alongside this marker (in
+            // either order, depending on the gang path), so the step is
+            // usually a no-op for one of the two.
+            K::JobResumedInPlace { job, on } => {
+                (job, on, Some(&rules::RESUMED), Some("resumed_in_place"))
             }
-            TraceKind::JobGranted { job, cpu_milli, .. } => {
-                // Emitted immediately ahead of the placement it describes;
-                // the grant is fixed for the job's stay on that station.
-                if let Some(open) = self.open.get_mut(&job) {
-                    open.cpu_milli = cpu_milli;
+            K::CheckpointStarted { job, from, .. } => {
+                (job, from, Some(&rules::CKPT_STARTED), Some("checkpoint_out"))
+            }
+            // The timeline is the gang lead's: the first image home puts
+            // the job back in the queue.
+            K::CheckpointCompleted { job, from, bytes } => {
+                if let Some(history) = self.history(job) {
+                    history.transfer_bytes += bytes;
                 }
+                (job, from, Some(&rules::CKPT_LANDED), None)
             }
-            TraceKind::PlacementStarted { job, target } => {
-                self.transition(job, at, SpanPhase::Transfer, Some(target));
-                if let Some(open) = self.open.get_mut(&job) {
-                    open.holding.push((target, at));
-                }
+            K::JobKilled { job, on } => (job, on, Some(&rules::KILLED), Some("killed")),
+            K::PeriodicCheckpoint { job, on } => (job, on, None, Some("periodic_checkpoint")),
+            K::CrashRollback { job, on } => {
+                (job, on, Some(&rules::CRASHED), Some("crash_rollback"))
             }
-            TraceKind::JobStarted { job, on } => {
-                self.transition(job, at, SpanPhase::Running, Some(on));
+            K::JobCompleted { job, on } => (job, on, Some(&rules::COMPLETED), None),
+            // The job stays Checkpointing; the marker records the retry.
+            K::ChaosCkptCorrupted { job, from, .. } => {
+                (job, from, None, Some("chaos_ckpt_corrupted"))
             }
-            TraceKind::JobSuspended { job, on } => {
-                self.transition(job, at, SpanPhase::Suspended, Some(on));
-                self.mark(at, job, on, "suspended");
-            }
-            TraceKind::JobResumedInPlace { job, on } => {
-                // The cluster emits `JobStarted` alongside this marker (in
-                // either order, depending on the gang path), so the
-                // transition below is usually a no-op for one of the two.
-                self.transition(job, at, SpanPhase::Running, Some(on));
-                self.mark(at, job, on, "resumed_in_place");
-            }
-            TraceKind::CheckpointStarted { job, from, .. } => {
-                self.transition(job, at, SpanPhase::Checkpointing, Some(from));
-                self.mark(at, job, from, "checkpoint_out");
-            }
-            TraceKind::CheckpointCompleted { job, from, bytes } => {
-                self.transition(job, at, SpanPhase::Queued, None);
-                self.release_station(job, from, at);
-                if let Some(js) = self.log.jobs.get_mut(&job) {
-                    js.transfer_bytes += bytes;
-                }
-            }
-            TraceKind::JobKilled { job, on } => {
-                self.transition(job, at, SpanPhase::Queued, None);
-                self.release_station(job, on, at);
-                self.mark(at, job, on, "killed");
-            }
-            TraceKind::PeriodicCheckpoint { job, on } => {
-                self.mark(at, job, on, "periodic_checkpoint");
-            }
-            TraceKind::CrashRollback { job, on } => {
-                self.transition(job, at, SpanPhase::Queued, None);
-                self.release_all(job, at);
-                self.mark(at, job, on, "crash_rollback");
-            }
-            TraceKind::JobCompleted { job, .. } => {
-                self.close(job, at);
-            }
-            TraceKind::ChaosCkptCorrupted { job, from, .. } => {
-                // The job stays Checkpointing; the marker records the retry.
-                self.mark(at, job, from, "chaos_ckpt_corrupted");
-            }
-            TraceKind::ChaosLocalStart { job, on } => {
-                // An autonomous start occupies the home station just like a
-                // placed image; the paired `JobStarted` does the phase
-                // transition.
-                if let Some(open) = self.open.get_mut(&job) {
-                    open.holding.push((on, at));
-                }
-                self.mark(at, job, on, "chaos_local_start");
-            }
-            TraceKind::JobForwarded { job, .. } => {
-                // The job leaves this pool mid-queue: end its open span
-                // here without marking it completed. Forwarded jobs hold
-                // no stations, so there is nothing to release.
-                if let Some(open) = self.open.remove(&job) {
-                    let js = self.log.jobs.entry(job).or_default();
-                    js.spans.push(Span {
-                        phase: open.phase,
-                        from: open.since,
-                        until: at,
-                        station: open.station,
-                    });
-                }
-            }
-            TraceKind::JobAdopted { job, on } => {
-                // Adoption opens the job's life in the destination pool,
-                // exactly like an arrival; the marker records the station
-                // whose queue adopted it.
-                let js = self.log.jobs.entry(job).or_default();
-                if js.spans.is_empty() && js.arrived == SimTime::ZERO {
-                    js.arrived = at;
-                }
-                self.open.insert(
-                    job,
-                    OpenJob {
-                        phase: SpanPhase::Queued,
-                        since: at,
-                        station: None,
-                        holding: Vec::new(),
-                        cpu_milli: 1000,
-                    },
-                );
-                self.mark(at, job, on, "adopted");
+            // An autonomous start occupies the home station just like a
+            // placed image; the paired `JobStarted` does the phase
+            // transition.
+            K::ChaosLocalStart { job, on } => {
+                (job, on, Some(&rules::LOCAL_START), Some("chaos_local_start"))
             }
             // Replicas never alter the primary's phase timeline — the job
             // stays Queued (or Running elsewhere) while copies race. The
             // markers record where and when the redundancy budget went.
-            TraceKind::ReplicaSpawned { job, on } => {
-                self.mark(at, job, on, "replica_spawned");
+            K::ReplicaSpawned { job, on } => (job, on, None, Some("replica_spawned")),
+            K::ReplicaCancelled { job, on, .. } => (job, on, None, Some("replica_cancelled")),
+            // Adoption opens the job's life in the destination pool,
+            // exactly like an arrival; the marker records the station
+            // whose queue adopted it.
+            K::JobAdopted { job, on } => {
+                let unspanned = self.closed.count(job) == 0;
+                let history = self.begin(job, at);
+                if unspanned && history.arrived == SimTime::ZERO {
+                    history.arrived = at;
+                }
+                (job, on, None, Some("adopted"))
             }
-            TraceKind::ReplicaCancelled { job, on, .. } => {
-                self.mark(at, job, on, "replica_cancelled");
+            K::JobArrived { job } => return self.begin(job, at).arrived = at,
+            // Emitted immediately ahead of the placement it describes;
+            // the grant is fixed for the job's stay on that station.
+            K::JobGranted { job, cpu_milli, .. } => {
+                if let Ok(row) = self.fold.live(job) {
+                    row.demand.cpu_milli = cpu_milli;
+                }
+                return;
             }
-            TraceKind::JobRejected { .. }
-            | TraceKind::PlacementDiskRejected { .. }
-            | TraceKind::OwnerActive { .. }
-            | TraceKind::OwnerIdle { .. }
-            | TraceKind::StationFailed { .. }
-            | TraceKind::StationRecovered { .. }
-            | TraceKind::ReservationStarted { .. }
-            | TraceKind::ReservationEnded { .. }
-            | TraceKind::CoordinatorPolled { .. }
-            | TraceKind::ChaosPollLost
-            | TraceKind::ChaosPollDelayed { .. }
-            | TraceKind::ChaosDupDropped
-            | TraceKind::ChaosLinkDown { .. }
-            | TraceKind::ChaosLinkUp { .. }
-            | TraceKind::ChaosCoordDown
-            | TraceKind::ChaosCoordUp => {}
+            // The job leaves this pool mid-queue: end its open span here
+            // without marking it completed. Forwarded jobs hold no
+            // stations, so there is nothing to release.
+            K::JobForwarded { job, .. } => {
+                if let Ok(row) = self.fold.live(job) {
+                    row.life = Life::Done;
+                    self.closed.push(job, row.open_span(at));
+                }
+                return;
+            }
+            // The kinds `interest` leaves out.
+            K::JobRejected { .. }
+            | K::PlacementDiskRejected { .. }
+            | K::OwnerActive { .. }
+            | K::OwnerIdle { .. }
+            | K::StationFailed { .. }
+            | K::StationRecovered { .. }
+            | K::ReservationStarted { .. }
+            | K::ReservationEnded { .. }
+            | K::CoordinatorPolled { .. }
+            | K::ChaosPollLost
+            | K::ChaosPollDelayed { .. }
+            | K::ChaosDupDropped
+            | K::ChaosLinkDown { .. }
+            | K::ChaosLinkUp { .. }
+            | K::ChaosCoordDown
+            | K::ChaosCoordUp => return,
+        };
+        if let Some(rule) = rule {
+            self.follow(at, job, node, rule);
+        }
+        if let Some(label) = label {
+            self.log.markers.push(SpanMarker { at, job, station: node, label });
         }
     }
 
     fn finish(&mut self, at: SimTime) {
         self.log.finished_at = at;
-        // Close open spans and occupancies at the horizon; keys are sorted
-        // so the output is deterministic regardless of hash order.
-        let mut pending: Vec<JobId> = self.open.keys().copied().collect();
-        pending.sort_unstable();
-        for job in pending {
-            let open = self.open.remove(&job).expect("key listed");
-            let js = self.log.jobs.entry(job).or_default();
-            js.spans.push(Span {
-                phase: open.phase,
-                from: open.since,
-                until: at,
-                station: open.station,
-            });
-            for (node, since) in open.holding {
-                self.log
-                    .stations
-                    .entry(node)
-                    .or_default()
-                    .push(Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli });
+        // Close open spans and occupancies at the horizon, in job order.
+        for (id, row) in self.fold.jobs.iter_mut() {
+            if row.life == Life::Live {
+                let job = JobId(id);
+                row.life = Life::Done;
+                self.closed.push(job, row.open_span(at));
+                let cpu_milli = row.demand.cpu_milli;
+                let ended = |(node, from)| (node, Occupancy { job, from, until: at, cpu_milli });
+                self.ended.extend(row.held.drain(..).map(ended));
             }
+        }
+        // Deal the spans out to their jobs and the occupancies to their
+        // stations; each list keeps the order its entries closed in.
+        for (id, history) in self.jobs.iter_mut() {
+            if let Some(history) = history {
+                history.spans.reserve_exact(self.closed.count(JobId(id)) as usize);
+            }
+        }
+        for (job, span) in self.closed.spans.drain(..) {
+            if let Some(Some(history)) = self.jobs.get_mut(job.0) {
+                history.spans.push(span);
+            }
+        }
+        for (id, history) in self.jobs.iter_mut() {
+            if let Some(history) = history.take() {
+                self.log.jobs.insert(JobId(id), history);
+            }
+        }
+        for (station, occupancy) in self.ended.drain(..) {
+            self.log.stations.entry(station).or_default().push(occupancy);
         }
         // Occupancy lists fill in release order; present them in start
         // order per station.
         for occ in self.log.stations.values_mut() {
             occ.sort_by_key(|o| o.from);
         }
+    }
+
+    /// The job lifecycle alone: polls, owner transitions and station events
+    /// — two thirds of a month — and the gauge samples are never delivered.
+    fn interest(&self) -> KindMask {
+        KindMask::all_but(&[
+            "job_rejected", "placement_disk_rejected", "owner_active", "owner_idle",
+            "station_failed", "station_recovered", "reservation_started", "reservation_ended",
+            "coordinator_polled", "chaos_poll_lost", "chaos_poll_delayed", "chaos_dup_dropped",
+            "chaos_link_down", "chaos_link_up", "chaos_coord_down", "chaos_coord_up",
+        ])
+        .without_samples()
     }
 }
 

@@ -16,6 +16,11 @@
 //!   sink after handing it to the cluster.
 //! * `Trace` itself implements [`TraceSink`], closing the loop.
 //!
+//! A sink declares the event kinds it consumes ([`TraceSink::interest`], a
+//! [`KindMask`]); the cluster tests the mask before the call, so a span
+//! folder is never handed the polls and owner transitions that make up two
+//! thirds of a month.
+//!
 //! Sinks also receive periodic [`GaugeSample`]s — instantaneous cluster
 //! state (bus backlog, free machines, Up-Down index) captured at each
 //! coordinator poll, which no discrete event carries.
@@ -27,6 +32,7 @@ use condor_sim::series::CoarseSeries;
 use condor_sim::stats::LogHistogram;
 use condor_sim::time::{SimDuration, SimTime};
 
+use crate::dense::DenseTable;
 use crate::job::JobId;
 use crate::trace::{Trace, TraceEvent, TraceKind, TraceParseError};
 
@@ -51,10 +57,56 @@ pub struct GaugeSample {
     pub updown_mean_index: Option<f64>,
 }
 
+/// What a sink subscribes to: a set of [`TraceKind`]s, one bit per
+/// [`TraceKind::index`], and one more bit for the per-poll
+/// [`GaugeSample`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindMask(u64);
+
+const _: () = assert!(TraceKind::COUNT < u64::BITS as usize);
+
+impl KindMask {
+    const SAMPLES: u64 = 1 << (u64::BITS - 1);
+    /// Every kind, and the gauge samples.
+    pub const ALL: KindMask = KindMask(((1 << TraceKind::COUNT) - 1) | Self::SAMPLES);
+    /// Nothing.
+    pub const NONE: KindMask = KindMask(0);
+
+    /// Everything but the named kinds (snake_case, as in
+    /// [`TraceKind::names`]); a name that matches no kind removes nothing.
+    pub fn all_but(names: &[&str]) -> KindMask {
+        let dropped = names.iter().filter_map(|n| TraceKind::index_of_name(n));
+        KindMask(dropped.fold(Self::ALL.0, |mask, i| mask & !(1 << i)))
+    }
+
+    /// The same kinds, without the gauge samples.
+    pub fn without_samples(self) -> KindMask {
+        KindMask(self.0 & !Self::SAMPLES)
+    }
+
+    /// Whether `kind` is in the set.
+    #[inline]
+    pub fn contains(self, kind: &TraceKind) -> bool {
+        self.0 >> kind.index() & 1 != 0
+    }
+
+    /// Whether the gauge samples are subscribed to.
+    #[inline]
+    pub fn samples(self) -> bool {
+        self.0 & Self::SAMPLES != 0
+    }
+
+    /// Everything either mask subscribes to.
+    pub fn union(self, other: KindMask) -> KindMask {
+        KindMask(self.0 | other.0)
+    }
+}
+
 /// An observer of the cluster's event stream.
 ///
 /// The cluster calls [`record`](TraceSink::record) once per
-/// [`TraceEvent`] in simulation order, [`sample`](TraceSink::sample) once
+/// [`TraceEvent`] of a kind in the sink's [`interest`](TraceSink::interest),
+/// in simulation order, [`sample`](TraceSink::sample) once
 /// per coordinator poll, and [`finish`](TraceSink::finish) exactly once
 /// when the run ends. Implementations must be `Send` so runs stay usable
 /// from the parallel replication harness.
@@ -67,6 +119,15 @@ pub trait TraceSink: std::fmt::Debug + Send {
 
     /// Called once when the run reaches its horizon. Default: no-op.
     fn finish(&mut self, _at: SimTime) {}
+
+    /// The kinds this sink does anything with, and whether it reads the
+    /// gauge samples; anything else need not be delivered, and the cluster
+    /// does not deliver it. Asked once, when the sink is attached.
+    /// Default: everything — right for any sink that counts or stores what
+    /// it is handed.
+    fn interest(&self) -> KindMask {
+        KindMask::ALL
+    }
 
     /// For pure fan-out containers: surrenders the child sinks so the
     /// cluster can attach them directly, flattening nested fan-outs to one
@@ -244,6 +305,10 @@ impl TraceSink for FanoutSink {
         }
     }
 
+    fn interest(&self) -> KindMask {
+        self.sinks.iter().fold(KindMask::NONE, |mask, s| mask.union(s.interest()))
+    }
+
     fn take_children(&mut self) -> Option<Vec<Box<dyn TraceSink + Send>>> {
         Some(std::mem::take(&mut self.sinks))
     }
@@ -253,7 +318,10 @@ impl TraceSink for FanoutSink {
 /// gauge samples and `finish` always pass through.
 ///
 /// Backs `condor trace --kind a,b`: wrap the printing/exporting sink so a
-/// month-scale run streams only the event families of interest.
+/// month-scale run streams only the event families of interest. The
+/// filter keeps the default [`interest`](TraceSink::interest) — every kind
+/// — because it counts what it suppresses: [`dropped`](Self::dropped)
+/// would read zero if the cluster withheld those events upstream.
 ///
 /// # Examples
 ///
@@ -407,6 +475,10 @@ impl<S: TraceSink> TraceSink for SharedSink<S> {
 
     fn finish(&mut self, at: SimTime) {
         self.with(|s| s.finish(at));
+    }
+
+    fn interest(&self) -> KindMask {
+        self.with(|s| s.interest())
     }
 }
 
@@ -569,24 +641,20 @@ static MARK_ACTIONS: [MarkAction; TraceKind::COUNT] = [
     MarkAction::None,       // ReplicaCancelled (wasted work is accounting, not a wait edge)
 ];
 
-/// Dense per-job timestamp marks (job ids are the dense sequence `0..n`).
-/// Replaces a `HashMap<JobId, SimTime>` on the per-event hot path.
+/// Dense per-job timestamp marks (job ids are the dense sequence `0..n`;
+/// one a caller invents cannot size the table, see [`DenseTable`]).
 #[derive(Debug, Default)]
-struct JobMarks(Vec<Option<SimTime>>);
+struct JobMarks(DenseTable<Option<SimTime>>);
 
 impl JobMarks {
     #[inline]
     fn insert(&mut self, job: JobId, at: SimTime) {
-        let i = job.0 as usize;
-        if i >= self.0.len() {
-            self.0.resize(i + 1, None);
-        }
-        self.0[i] = Some(at);
+        *self.0.entry(job.0) = Some(at);
     }
 
     #[inline]
     fn remove(&mut self, job: JobId) -> Option<SimTime> {
-        self.0.get_mut(job.0 as usize).and_then(Option::take)
+        self.0.get_mut(job.0).and_then(Option::take)
     }
 }
 
