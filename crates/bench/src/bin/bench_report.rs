@@ -20,6 +20,12 @@
 //! variants rerun the station-bound scenarios at larger fleets to expose
 //! per-poll scaling.
 //!
+//! The `cluster/extra_sinks/*`, `cluster/span_audit_sinks` and `month/*`
+//! rows price the sink fan-out: a small cluster with no, four buffering,
+//! or the two lifecycle observers attached, and the paper's traced month
+//! without and with those two (`month/trace_only`, `month/sinks_armed`).
+//! Writing the report gates the small-cluster ratio (`SINK_GATE`).
+//!
 //! The `cluster/stations/{1000,10k,100k}` rows run the fleet-scale
 //! scenario serially; the `cluster/par/{1,2,4,8}` rows run the same
 //! 10k-station fleet split into eight pools through the space-parallel
@@ -45,14 +51,16 @@ use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, Reservation};
 use condor_core::job::{JobId, JobSpec, UserId};
 use condor_core::policy::{decide_from_views, AllocationPolicy, PollInput, StationView};
-use condor_core::telemetry::{RingSink, StatsSink, TraceSink, VecSink};
+use condor_core::audit::AuditSink;
+use condor_core::spans::SpanSink;
+use condor_core::telemetry::{RingSink, SharedSink, StatsSink, TraceSink, VecSink};
 use condor_core::trace::{TraceEvent, TraceKind};
 use condor_core::updown::{UpDown, UpDownConfig};
 use condor_model::owner::OwnerConfig;
 use condor_net::NodeId;
 use condor_sim::engine::{Engine, Model, Scheduler};
 use condor_sim::time::{SimDuration, SimTime};
-use condor_workload::scenarios::fleet_scale;
+use condor_workload::scenarios::{fleet_scale, paper_month};
 
 /// Bumped whenever the report's JSON shape changes incompatibly.
 /// `/3`: `iters` became `iters_measured`, `wall_ms_per_iter` reports the
@@ -153,6 +161,39 @@ const SLOW_CAP: Duration = Duration::from_secs(20);
 /// back into the poll path (the regression class this report exists to
 /// catch) fails CI instead of landing silently.
 const QUICK_FLOOR_1000_EPS: f64 = 1_000_000.0;
+
+/// Gate on what watching a run costs: `cluster/span_audit_sinks` over
+/// `cluster/extra_sinks/0`, checked when the report is written (`--quick`
+/// times each row once, which cannot resolve it, and only prints it).
+/// ROADMAP 2b's target is +25 %. Attaching *any* sink costs about +15 % on
+/// this scenario — it takes idle stations' owner transitions out of the
+/// poll's fold and back into the event queue (ROADMAP 2c) — and the two
+/// sinks' own work about +20 % more (+55 % in all before they shared the
+/// dense lifecycle table), so the gate sits where a sink regression trips
+/// it and moves to the target with 2c.
+const SINK_GATE: f64 = 1.45;
+
+fn sink_overhead_check(rows: &[Row], enforce: bool) {
+    let wall = |name: &str| {
+        rows.iter()
+            .find(|r| r.name == name)
+            .map(|r| r.wall_ms_per_iter)
+            .unwrap_or_else(|| panic!("{name} row missing from report"))
+    };
+    let ratio = wall("cluster/span_audit_sinks") / wall("cluster/extra_sinks/0");
+    let armed = wall("month/sinks_armed") / wall("month/trace_only");
+    println!(
+        "sink overhead: span_audit_sinks at {:+.0}% of extra_sinks/0 (gate {:+.0}%, target +25%); \
+         month/sinks_armed at {:+.0}% of month/trace_only",
+        (ratio - 1.0) * 100.0,
+        (SINK_GATE - 1.0) * 100.0,
+        (armed - 1.0) * 100.0
+    );
+    if enforce && ratio > SINK_GATE {
+        eprintln!("sink gate FAILED");
+        std::process::exit(1);
+    }
+}
 
 fn perf_floor_check(rows: &[Row]) {
     let floor = QUICK_FLOOR_1000_EPS;
@@ -680,16 +721,32 @@ fn main() {
             ]
         }),
         ("cluster/span_audit_sinks", || {
-            vec![
-                Box::new(condor_core::spans::SpanSink::new()),
-                Box::new(condor_core::audit::AuditSink::new()),
-            ]
+            vec![Box::new(SpanSink::new()), Box::new(AuditSink::new())]
         }),
     ];
     for (name, sinks) in observers {
         rows.push(measure(name, budget, || {
             let run = Run::new(cluster_config()).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(1));
             sinks().into_iter().fold(run, Run::sink).execute().events_dispatched
+        }));
+    }
+
+    // The paper's month (23 stations, 918 jobs, trace recorded) without and
+    // with the two lifecycle observers behind `SharedSink` handles, as
+    // `condor month` and the repo benchmark's `paper_month` attach them:
+    // the difference is what watching the month costs.
+    let month = paper_month(1988);
+    for (name, armed) in [("month/trace_only", false), ("month/sinks_armed", true)] {
+        rows.push(measure(name, budget, || {
+            let config = month.config.clone();
+            let cadence = config.costs.coordinator_poll_interval;
+            let mut run = Run::new(config).specs(month.jobs.clone()).horizon(month.horizon);
+            if armed {
+                run = run
+                    .sink(Box::new(SharedSink::new(SpanSink::new())))
+                    .sink(Box::new(SharedSink::new(AuditSink::new().with_poll_interval(cadence))));
+            }
+            run.execute().events_dispatched
         }));
     }
 
@@ -778,10 +835,12 @@ fn main() {
             std::process::exit(1);
         }
         perf_floor_check(&rows);
+        sink_overhead_check(&rows, false);
         return;
     }
     let path = std::env::var("BENCH_REPORT_PATH").unwrap_or_else(|_| "BENCH_cluster.json".into());
     std::fs::write(&path, &json).expect("write benchmark report");
     println!("{json}");
     println!("wrote {path}");
+    sink_overhead_check(&rows, true);
 }

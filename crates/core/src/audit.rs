@@ -402,11 +402,10 @@ impl AuditSink {
     /// The one lookup every lifecycle event starts with: the job's row, or the
     /// report that it never arrived or is already terminal (the event drops).
     fn live(&mut self, ev: &TraceEvent, job: JobId) -> Option<&mut JobRow> {
-        let event = ev.kind.name();
         let kind = match self.fold.live(job) {
             Ok(row) => return Some(row),
-            Err(Life::Done) => K::EventAfterTerminal { job, event },
-            Err(_) => K::EventBeforeArrival { job, event },
+            Err(Life::Done) => K::EventAfterTerminal { job, event: ev.kind.name() },
+            Err(_) => K::EventBeforeArrival { job, event: ev.kind.name() },
         };
         // `report`, spelled out: the row's borrow of the fold reaches here.
         self.total += 1;

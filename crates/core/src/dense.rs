@@ -57,9 +57,11 @@ impl<T: Default> DenseTable<T> {
             if id < Self::FLOOR.max(self.created.saturating_mul(4)) {
                 self.dense.resize_with(id as usize + 1, T::default);
                 // Rows that spilled while the bound was lower come home.
-                let beyond = self.spill.split_off(&(id + 1));
-                for (k, row) in std::mem::replace(&mut self.spill, beyond) {
-                    self.dense[k as usize] = row;
+                if !self.spill.is_empty() {
+                    let beyond = self.spill.split_off(&(id + 1));
+                    for (k, row) in std::mem::replace(&mut self.spill, beyond) {
+                        self.dense[k as usize] = row;
+                    }
                 }
                 return &mut self.dense[id as usize];
             }

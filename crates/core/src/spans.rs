@@ -400,8 +400,10 @@ impl SpanSink {
         if rule.hold == Hold::FreeAll {
             self.ended.extend(row.held.drain(..).map(ended));
         }
-        if let (Next::Done, Some(history)) = (rule.next, self.history(job)) {
-            history.completed = Some(at);
+        if rule.next == Next::Done {
+            if let Some(history) = self.history(job) {
+                history.completed = Some(at);
+            }
         }
     }
 

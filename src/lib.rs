@@ -62,8 +62,8 @@ pub mod prelude {
     pub use condor_core::job::{Job, JobId, JobSpec, JobState, SpeedupCurve, UserId};
     pub use condor_core::spans::{Breakdown, SpanLog, SpanPhase, SpanSink};
     pub use condor_core::telemetry::{
-        FanoutSink, GaugeSample, KindFilterSink, RingSink, SharedSink, StatsSink, Telemetry,
-        TraceSink, VecSink,
+        FanoutSink, GaugeSample, KindFilterSink, KindMask, RingSink, SharedSink, StatsSink,
+        Telemetry, TraceSink, VecSink,
     };
     pub use condor_core::trace::{Trace, TraceEvent, TraceKind};
     pub use condor_core::updown::{UpDown, UpDownConfig};

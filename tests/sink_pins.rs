@@ -33,12 +33,13 @@ use condor_core::audit::{AuditSink, AuditViolationKind};
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, PoolTopology};
 use condor_core::spans::{SpanLog, SpanSink};
-use condor_core::telemetry::{SharedSink, TraceSink};
+use condor_core::telemetry::{SharedSink, StatsSink, TraceSink};
 use condor_core::trace::{TraceEvent, TraceKind};
 use condor_model::station::ResourceVec;
 use condor_sim::rng::SimRng;
 use condor_sim::time::{SimDuration, SimTime};
-use condor_workload::scenarios::{fleet_scale, paper_month, Scenario};
+use condor_workload::scenarios::{fairness_duel, fleet_scale, paper_month, Scenario};
+use proptest::prelude::*;
 
 /// Drawn mutants per stream; 16 streams make the corpus 256 strong before
 /// the aimed ones.
@@ -209,11 +210,13 @@ fn with_field(ev: &TraceEvent, keys: &[&str], value: u64) -> Option<TraceEvent> 
     })
 }
 
+/// The JSONL keys that carry a station id.
+const STATION_KEYS: [&str; 5] = ["target", "on", "from", "station", "holder"];
+
 /// Points `ev` at another job (or, for events that carry none, or on a
 /// coin flip, another station). Mostly an id the stream already uses; one
 /// time in four the far end of the id space.
 fn retarget(ev: &TraceEvent, jobs: u64, stations: u64, rng: &mut SimRng) -> TraceEvent {
-    const STATION_KEYS: [&str; 5] = ["target", "on", "from", "station", "holder"];
     let wild = rng.index(4) == 0;
     let job = if wild { u64::MAX } else { rng.index(jobs.max(1) as usize) as u64 };
     let station =
@@ -364,4 +367,89 @@ fn span_and_audit_outputs_are_pinned_on_clean_and_corrupted_streams() {
          unprovoked — current values:\n{}",
         table.join("\n")
     );
+}
+
+/// Records the largest single allocation the calling thread has asked for
+/// since its gauge was last zeroed; everything goes straight on to the
+/// system allocator.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK_ALLOC: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // A thread being torn down has no gauge left; nothing to record then.
+    let _ = PEAK_ALLOC.try_with(|peak| peak.set(peak.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        std::alloc::System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A dense table must not trust an id it did not create: one extra
+    /// event carrying a job and a station id from the far end of the id
+    /// space, anywhere in a valid stream, is folded and audited without a
+    /// panic, without an allocation sized by the id, and without touching
+    /// what the sinks make of the real jobs and stations.
+    #[test]
+    fn an_id_the_stream_did_not_introduce_sizes_no_allocation(
+        copied in 0usize..1_000_000,
+        inserted in 0usize..1_000_000,
+        wild in prop_oneof![Just(u64::MAX), Just(1u64 << 40), Just(u64::from(u32::MAX)), Just(1u64 << 20)],
+    ) {
+        let Scenario { config, jobs, horizon, .. } = fairness_duel(GOLDEN_SEED, 10, 2);
+        let out = Run::new(config).specs(jobs).horizon(horizon).execute();
+        let events = out.trace.events();
+        let fold = |events: &[TraceEvent]| {
+            let (mut spans, mut audit, mut stats) = (SpanSink::new(), AuditSink::new(), StatsSink::new());
+            PEAK_ALLOC.with(|peak| peak.set(0));
+            for ev in events {
+                spans.record(ev);
+                audit.record(ev);
+                stats.record(ev);
+            }
+            spans.finish(out.horizon);
+            audit.finish(out.horizon);
+            (spans.into_log(), PEAK_ALLOC.with(|peak| peak.get()))
+        };
+        let (clean, clean_peak) = fold(events);
+        // Some event of the stream, re-addressed to the wild job and
+        // station and stamped like the event it is inserted before.
+        let (template, at) = (events[copied % events.len()], inserted % events.len());
+        let station = wild.min(u64::from(u32::MAX));
+        let by_job = with_field(&template, &["job"], wild).unwrap_or(template);
+        let mut extra = with_field(&by_job, &STATION_KEYS, station).unwrap_or(by_job);
+        extra.at = events[at].at;
+        let mut corrupted = events.to_vec();
+        corrupted.insert(at, extra);
+        let (mut log, peak) = fold(&corrupted);
+        prop_assert!(
+            peak <= clean_peak.max(1 << 20),
+            "{extra:?} made a sink allocate {peak} bytes at once ({clean_peak} without it)"
+        );
+        log.jobs.retain(|job, _| job.0 != wild);
+        log.stations.retain(|node, _| u64::from(node.index()) != station);
+        prop_assert_eq!(&log.jobs, &clean.jobs);
+        prop_assert_eq!(&log.stations, &clean.stations);
+    }
 }

@@ -67,3 +67,63 @@ fn attached_sinks_and_report_cover_a_dark_run() {
     assert!(text.contains("coordinator_polled"), "{text}");
     assert!(text.contains("bus backlog"), "{text}");
 }
+
+/// Counts what it is handed, and subscribes to part of the stream only.
+#[derive(Debug, Default)]
+struct Picky {
+    events: u64,
+    unwanted: u64,
+    samples: u64,
+}
+
+impl TraceSink for Picky {
+    fn record(&mut self, ev: &TraceEvent) {
+        self.events += 1;
+        if !self.interest().contains(&ev.kind) {
+            self.unwanted += 1;
+        }
+    }
+
+    fn sample(&mut self, _s: &GaugeSample) {
+        self.samples += 1;
+    }
+
+    fn interest(&self) -> KindMask {
+        KindMask::all_but(&["owner_active", "owner_idle", "coordinator_polled"]).without_samples()
+    }
+}
+
+/// A sink is handed the kinds it asked for and nothing else — serially,
+/// behind a `SharedSink`, inside a `FanoutSink`, and through the sharded
+/// runner's per-pool buffers — while its neighbours still get everything.
+#[test]
+fn a_sink_is_handed_only_the_kinds_it_asked_for() {
+    for pools in [1, 4] {
+        let mut scenario = paper_month(7);
+        if pools > 1 {
+            scenario.config.topology =
+                Some(PoolTopology::uniform(pools, SimDuration::from_secs(300)));
+        }
+        let picky = SharedSink::new(Picky::default());
+        let nested = SharedSink::new(Picky::default());
+        let all = SharedSink::new(VecSink::new());
+        let out = Run::new(scenario.config)
+            .specs(scenario.jobs)
+            .horizon(SimDuration::from_days(3))
+            .sink(Box::new(picky.clone()))
+            .sink(Box::new(FanoutSink::new().with(Box::new(nested.clone()))))
+            .sink(Box::new(all.clone()))
+            .execute();
+        let wanted = all.with(|s| {
+            assert_eq!(s.len() as u64, out.telemetry.events_total);
+            let mask = Picky::default().interest();
+            s.events().iter().filter(|e| mask.contains(&e.kind)).count() as u64
+        });
+        assert!(wanted > 0 && wanted < out.telemetry.events_total);
+        for handle in [&picky, &nested] {
+            handle.with(|p| {
+                assert_eq!((p.events, p.unwanted, p.samples), (wanted, 0, 0), "{pools} pool(s)");
+            });
+        }
+    }
+}
