@@ -576,13 +576,14 @@ impl TraceSink for AuditSink {
             TraceKind::JobArrived { job } => self.enter(at, job, Life::Live),
             // Rejection replaces arrival; both for one job is illegal.
             TraceKind::JobRejected { job } => self.enter(at, job, Life::Done),
-            TraceKind::JobGranted { job, on, cpu_milli, mem_milli, tag_milli } => {
+            TraceKind::JobGranted { job, cpu_milli, mem_milli, tag_milli, .. } => {
                 // Announces the fractional demand of the placement that
                 // follows at this same instant; the demand is fixed for
                 // the job's life, so it persists across re-placements.
                 if let Some(row) = self.live(ev, job) {
                     row.demand = ResourceVec { cpu_milli, mem_milli, tag_milli };
-                    self.follow(ev, job, on, &rules::GRANTED);
+                    let (from, legal) = row.judge(at, &rules::GRANTED);
+                    self.judged(ev, job, from.name(), legal);
                 }
             }
             TraceKind::PlacementStarted { job, target } => {

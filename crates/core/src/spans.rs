@@ -296,16 +296,14 @@ impl ClosedSpans {
 
 /// A [`TraceSink`] that folds the event stream into a [`SpanLog`] online.
 ///
-/// The phases and holdings come from the shared
-/// `LifecycleFold` (`fold.rs`): every event steps the job's row through its
-/// one transition function, `JobRow::advance`, and the sink keeps the
-/// span each step closes and the occupancy each freed station ends. It
-/// follows the stream wherever it goes — legality is the auditor's
-/// business — including the gang-scheduling corners (k placement starts
-/// and k checkpoint completions per migration collapse into single
-/// `Transfer` / `Checkpointing` spans on the gang lead). Feeding the same
-/// events in the same order — live or replayed from a JSONL file —
-/// produces an identical log.
+/// The phases and holdings come from the shared `LifecycleFold` (`fold.rs`):
+/// every event steps the job's row through `JobRow::advance`, and the sink
+/// keeps the span each step closes and the occupancy each freed station
+/// ends. It follows the stream wherever it goes — legality is the auditor's
+/// business — including the gang-scheduling corners (k placement starts and
+/// k checkpoint completions per migration collapse into single `Transfer` /
+/// `Checkpointing` spans on the gang lead). Feeding the same events in the
+/// same order — live or replayed from a JSONL file — gives an identical log.
 ///
 /// # Examples
 ///
