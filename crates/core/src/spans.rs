@@ -34,7 +34,7 @@ use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
 
 use crate::dense::DenseTable;
-use crate::fold::{rules, Hold, LifecycleFold, Life, Next, Rule};
+use crate::fold::{rules, Hold, JobRow, LifecycleFold, Life, Next, Rule};
 use crate::job::JobId;
 use crate::telemetry::{KindMask, TraceSink};
 use crate::trace::{TraceEvent, TraceKind};
@@ -274,26 +274,6 @@ impl SpanLog {
     }
 }
 
-/// Closed spans with their jobs, in closing order: one append per transition
-/// while the run is on, dealt out per job when it ends.
-#[derive(Debug, Default)]
-struct ClosedSpans {
-    spans: Vec<(JobId, Span)>,
-    /// How many of them each job has, by job id.
-    per_job: DenseTable<u32>,
-}
-
-impl ClosedSpans {
-    fn push(&mut self, job: JobId, span: Span) {
-        self.spans.push((job, span));
-        *self.per_job.entry(job.0) += 1;
-    }
-
-    fn count(&mut self, job: JobId) -> u32 {
-        self.per_job.get_mut(job.0).map_or(0, |n| *n)
-    }
-}
-
 /// A [`TraceSink`] that folds the event stream into a [`SpanLog`] online.
 ///
 /// The phases and holdings come from the shared `LifecycleFold` (`fold.rs`):
@@ -335,15 +315,14 @@ impl ClosedSpans {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpanSink {
-    /// Markers as they happen; `jobs` and `stations` are dealt out of the
+    /// Markers as they happen; `jobs` and `stations` move in from the
     /// tables below when the run finishes.
     log: SpanLog,
     fold: LifecycleFold,
-    /// Arrival, completion and bytes shipped per job that ever arrived.
+    /// Span history per job that ever arrived.
     jobs: DenseTable<Option<JobSpans>>,
-    closed: ClosedSpans,
-    /// Every ended occupancy with its station, in release order.
-    ended: Vec<(NodeId, Occupancy)>,
+    /// Ended occupancies per station, in release order.
+    stations: DenseTable<Vec<Occupancy>>,
 }
 
 impl SpanSink {
@@ -389,17 +368,16 @@ impl SpanSink {
     fn follow(&mut self, at: SimTime, job: JobId, node: NodeId, rule: &Rule) {
         let Ok(row) = self.fold.live(job) else { return };
         let moved = row.advance(at, node, rule);
-        if let Some(span) = moved.closed {
-            self.closed.push(job, span);
+        if let Some(from) = moved.freed {
+            vacate(&mut self.stations, job, row.demand.cpu_milli, (node, from), at);
         }
-        let cpu_milli = row.demand.cpu_milli;
-        let ended = |(node, from)| (node, Occupancy { job, from, until: at, cpu_milli });
-        self.ended.extend(moved.freed.map(|from| ended((node, from))));
         if rule.hold == Hold::FreeAll {
-            self.ended.extend(row.held.drain(..).map(ended));
+            vacate_all(&mut self.stations, job, row, at);
         }
-        if rule.next == Next::Done {
-            if let Some(history) = self.history(job) {
+        let Some(span) = moved.closed else { return };
+        if let Some(history) = self.history(job) {
+            history.spans.push(span);
+            if rule.next == Next::Done {
                 history.completed = Some(at);
             }
         }
@@ -408,6 +386,25 @@ impl SpanSink {
     /// The job's history, if it ever arrived.
     fn history(&mut self, job: JobId) -> Option<&mut JobSpans> {
         self.jobs.get_mut(job.0)?.as_mut()
+    }
+}
+
+/// Ends one occupancy of `job` at `at`: the station and since when.
+fn vacate(
+    stations: &mut DenseTable<Vec<Occupancy>>,
+    job: JobId,
+    cpu_milli: u32,
+    (station, from): (NodeId, SimTime),
+    at: SimTime,
+) {
+    let ended = Occupancy { job, from, until: at, cpu_milli };
+    stations.entry(station.index().into()).push(ended);
+}
+
+/// Ends the occupancy of every station `job` holds.
+fn vacate_all(stations: &mut DenseTable<Vec<Occupancy>>, job: JobId, row: &mut JobRow, at: SimTime) {
+    for held in row.held.drain(..) {
+        vacate(stations, job, row.demand.cpu_milli, held, at);
     }
 }
 
@@ -462,9 +459,8 @@ impl TraceSink for SpanSink {
             // exactly like an arrival; the marker records the station
             // whose queue adopted it.
             K::JobAdopted { job, on } => {
-                let unspanned = self.closed.count(job) == 0;
                 let history = self.begin(job, at);
-                if unspanned && history.arrived == SimTime::ZERO {
+                if history.spans.is_empty() && history.arrived == SimTime::ZERO {
                     history.arrived = at;
                 }
                 (job, on, None, Some("adopted"))
@@ -484,7 +480,10 @@ impl TraceSink for SpanSink {
             K::JobForwarded { job, .. } => {
                 if let Ok(row) = self.fold.live(job) {
                     row.life = Life::Done;
-                    self.closed.push(job, row.open_span(at));
+                    let open = row.open_span(at);
+                    if let Some(history) = self.history(job) {
+                        history.spans.push(open);
+                    }
                 }
                 return;
             }
@@ -519,24 +518,11 @@ impl TraceSink for SpanSink {
         // Close open spans and occupancies at the horizon, in job order.
         for (id, row) in self.fold.jobs.iter_mut() {
             if row.life == Life::Live {
-                let job = JobId(id);
                 row.life = Life::Done;
-                self.closed.push(job, row.open_span(at));
-                let cpu_milli = row.demand.cpu_milli;
-                let ended = |(node, from)| (node, Occupancy { job, from, until: at, cpu_milli });
-                self.ended.extend(row.held.drain(..).map(ended));
-            }
-        }
-        // Deal the spans out to their jobs and the occupancies to their
-        // stations; each list keeps the order its entries closed in.
-        for (id, history) in self.jobs.iter_mut() {
-            if let Some(history) = history {
-                history.spans.reserve_exact(self.closed.count(JobId(id)) as usize);
-            }
-        }
-        for (job, span) in self.closed.spans.drain(..) {
-            if let Some(Some(history)) = self.jobs.get_mut(job.0) {
-                history.spans.push(span);
+                if let Some(Some(history)) = self.jobs.get_mut(id) {
+                    history.spans.push(row.open_span(at));
+                }
+                vacate_all(&mut self.stations, JobId(id), row, at);
             }
         }
         for (id, history) in self.jobs.iter_mut() {
@@ -544,13 +530,14 @@ impl TraceSink for SpanSink {
                 self.log.jobs.insert(JobId(id), history);
             }
         }
-        for (station, occupancy) in self.ended.drain(..) {
-            self.log.stations.entry(station).or_default().push(occupancy);
-        }
         // Occupancy lists fill in release order; present them in start
         // order per station.
-        for occ in self.log.stations.values_mut() {
-            occ.sort_by_key(|o| o.from);
+        for (id, occupancies) in self.stations.iter_mut() {
+            if !occupancies.is_empty() {
+                occupancies.sort_by_key(|o| o.from);
+                let station = NodeId::new(u32::try_from(id).unwrap_or(u32::MAX));
+                self.log.stations.insert(station, std::mem::take(occupancies));
+            }
         }
     }
 
