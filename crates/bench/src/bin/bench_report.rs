@@ -168,7 +168,7 @@ const QUICK_FLOOR_1000_EPS: f64 = 1_000_000.0;
 /// ROADMAP 2b's target is +25 %. Attaching *any* sink costs about +15 % on
 /// this scenario — it takes idle stations' owner transitions out of the
 /// poll's fold and back into the event queue (ROADMAP 2c) — and the two
-/// sinks' own work about +20 % more (+55 % in all before they shared the
+/// sinks' own work about +15 % more (+55 % in all before they shared the
 /// dense lifecycle table), so the gate sits where a sink regression trips
 /// it and moves to the target with 2c.
 const SINK_GATE: f64 = 1.45;
