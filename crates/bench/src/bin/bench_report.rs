@@ -4,8 +4,10 @@
 //! claims): times the `cluster/*`, `engine/*` and `updown_decide/*`
 //! scenarios with plain wall-clock measurement and writes one JSON file
 //! so regressions are diffable in review. The engine and cluster rows
-//! also report events/sec — the discrete-event kernel's throughput, which
-//! is what the event-queue fast path is meant to move.
+//! also report events/sec — the discrete-event kernel's throughput.
+//! `engine/dispatch/*` and `engine/schedule_cancel_10k` are synthetic;
+//! `engine/loaded_churn` gives the event queue the shape the repo
+//! benchmark's `fleet_loaded` run gives it (see `loaded_churn`).
 //!
 //! The `cluster/attrib/*` rows decompose where cluster time goes (see
 //! DESIGN.md § Performance): `emit_only` is the trace/stats sink path in
@@ -315,6 +317,58 @@ impl Model for PingPong {
             sched.after(SimDuration::MILLISECOND, ev.wrapping_add(1));
         }
     }
+}
+
+/// The event queue in the shape the repo benchmark's traced `fleet_loaded`
+/// run gives it: 21,000 arrivals planted in order over a week and waiting
+/// days to fire, about 1,400 live entries besides them (1,000 short timers
+/// re-armed up to ten minutes ahead, as owner checks and polls are; 400
+/// finishes hours ahead), and one pop in six cancelling a finish and
+/// planting a new one, as an owner's return does to a running job. Returns
+/// the pops; every sixth one adds a cancel.
+fn loaded_churn() -> u64 {
+    #[derive(Clone, Copy)]
+    enum Churn {
+        Arrival,
+        Timer,
+        Finish(usize),
+    }
+    const POPS: u64 = 60_000;
+    // Delays drawn uniformly from [lo, hi) seconds.
+    const TIMER: (u64, u64) = (1, 600);
+    const FINISH: (u64, u64) = (3_600, 43_200);
+    let mut rng = condor_sim::rng::SimRng::seed_from(1988);
+    let mut ahead = |(lo, hi): (u64, u64)| {
+        SimDuration::from_millis(rng.uniform_range_u64(lo * 1_000, hi * 1_000))
+    };
+    let mut q = condor_sim::event::EventQueue::new();
+    let week = SimDuration::WEEK.as_millis();
+    for j in 0..21_000 {
+        q.schedule_in_order(SimTime::from_millis(j * week / 21_000), Churn::Arrival);
+    }
+    for _ in 0..1_000 {
+        q.schedule(SimTime::ZERO + ahead(TIMER), Churn::Timer);
+    }
+    let mut finish: Vec<_> = (0..400)
+        .map(|i| q.schedule(SimTime::ZERO + ahead(FINISH), Churn::Finish(i)))
+        .collect();
+    for n in 0..POPS {
+        let Some((now, ev)) = q.pop() else { break };
+        match ev {
+            Churn::Arrival => {}
+            Churn::Timer => {
+                q.schedule(now + ahead(TIMER), ev);
+            }
+            Churn::Finish(i) => finish[i] = q.schedule(now + ahead(FINISH), ev),
+        }
+        if n % 6 == 5 {
+            // A fixed stride picks the victim; every held token is live.
+            let i = (n / 6 * 7_919) as usize % finish.len();
+            q.cancel(finish[i]);
+            finish[i] = q.schedule(now + ahead(FINISH), Churn::Finish(i));
+        }
+    }
+    POPS
 }
 
 fn make_views(n: usize) -> (Vec<StationView>, Vec<NodeId>) {
@@ -774,6 +828,7 @@ fn main() {
         n
     });
     rows.push(Row { events_per_iter: Some(10_000), ..row });
+    rows.push(measure("engine/loaded_churn", budget, loaded_churn));
 
     // updown: one poll decision at three fleet sizes.
     for n in [23usize, 100, 1_000] {

@@ -678,9 +678,11 @@ impl Cluster {
                 engine.scheduler().at(at, Event::OwnerFlip { station: i as u32 });
             }
         }
+        // Workloads list jobs in arrival order, so the arrivals wait in the
+        // queue's in-order lane rather than in its heap.
         for j in 0..n_jobs {
             let at = engine.model().jobs[j].spec.arrival;
-            engine.scheduler().at(at, Event::Arrival(JobId(j as u64)));
+            engine.scheduler().at_in_order(at, Event::Arrival(JobId(j as u64)));
         }
         let reservations = engine.model().config.reservations.clone();
         for (idx, r) in reservations.iter().enumerate() {

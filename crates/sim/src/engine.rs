@@ -80,12 +80,32 @@ impl<'a, E> Scheduler<'a, E> {
     /// Panics if `at` is in the past — delivering events before the current
     /// clock would corrupt causality.
     pub fn at(&mut self, at: SimTime, event: E) -> EventToken {
+        self.check_not_past(at);
+        self.queue.schedule(at, event)
+    }
+
+    /// Schedules `event` at the absolute instant `at`, like
+    /// [`Scheduler::at`], through the queue's in-order lane
+    /// ([`EventQueue::schedule_in_order`]): for planting a batch already
+    /// sorted by time, such as a workload's arrivals. Delivery order is the
+    /// same as through [`Scheduler::at`]; an instant earlier than the last
+    /// one planted this way simply takes the ordinary path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, as [`Scheduler::at`] does.
+    pub fn at_in_order(&mut self, at: SimTime, event: E) -> EventToken {
+        self.check_not_past(at);
+        self.queue.schedule_in_order(at, event)
+    }
+
+    #[track_caller]
+    fn check_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={}, requested={at}",
             self.now
         );
-        self.queue.schedule(at, event)
     }
 
     /// Schedules `event` to fire immediately (at the current instant, after
@@ -210,25 +230,26 @@ impl<M: Model> Engine<M> {
                     return StopReason::EventBudgetExhausted;
                 }
             }
-            match self.queue.peek_time() {
-                None => return StopReason::QueueExhausted,
-                Some(t) if t >= horizon => {
-                    self.now = horizon;
-                    return StopReason::HorizonReached;
+            let Some((t, ev)) = self.queue.pop_before(horizon) else {
+                if self.queue.is_empty() {
+                    return StopReason::QueueExhausted;
                 }
-                Some(_) => {
-                    let (t, ev) = self.queue.pop().expect("peeked event vanished");
-                    debug_assert!(t >= self.now, "event queue delivered out of order");
-                    self.now = t;
-                    self.events_dispatched += 1;
-                    let mut sched = Scheduler {
-                        now: self.now,
-                        queue: &mut self.queue,
-                    };
-                    self.model.handle(t, ev, &mut sched);
-                }
-            }
+                self.now = horizon;
+                return StopReason::HorizonReached;
+            };
+            self.dispatch(t, ev);
         }
+    }
+
+    fn dispatch(&mut self, t: SimTime, ev: M::Event) {
+        debug_assert!(t >= self.now, "event queue delivered out of order");
+        self.now = t;
+        self.events_dispatched += 1;
+        let mut sched = Scheduler {
+            now: self.now,
+            queue: &mut self.queue,
+        };
+        self.model.handle(t, ev, &mut sched);
     }
 
     /// Runs for `span` of simulated time from the current instant.
@@ -247,14 +268,7 @@ impl<M: Model> Engine<M> {
     /// `None` if the queue is empty.
     pub fn step(&mut self) -> Option<SimTime> {
         let (t, ev) = self.queue.pop()?;
-        debug_assert!(t >= self.now);
-        self.now = t;
-        self.events_dispatched += 1;
-        let mut sched = Scheduler {
-            now: self.now,
-            queue: &mut self.queue,
-        };
-        self.model.handle(t, ev, &mut sched);
+        self.dispatch(t, ev);
         Some(t)
     }
 }
@@ -298,10 +312,12 @@ mod tests {
     fn delivers_in_chronological_order() {
         let mut eng = Engine::new(Recorder::default());
         {
+            // The in-order lane and the heap share one FIFO order: 3 ties
+            // with 1 and was planted after it.
             let mut s = eng.scheduler();
             s.at(SimTime::from_secs(10), 1);
-            s.at(SimTime::from_secs(5), 2);
-            s.at(SimTime::from_secs(10), 3);
+            s.at_in_order(SimTime::from_secs(5), 2);
+            s.at_in_order(SimTime::from_secs(10), 3);
         }
         assert_eq!(eng.run_to_completion(), StopReason::QueueExhausted);
         let times: Vec<u64> = eng.model().seen.iter().map(|(t, _)| t.as_secs()).collect();

@@ -109,18 +109,21 @@ impl StepSeries {
     /// Panics if `parts` is empty.
     pub fn merge_sum(parts: &[&StepSeries]) -> StepSeries {
         assert!(!parts.is_empty(), "merge_sum needs at least one series");
-        // Gather every change instant across all parts, then sweep.
-        let mut instants: Vec<SimTime> = parts
-            .iter()
-            .flat_map(|p| p.points.iter().map(|&(t, _)| t))
-            .collect();
-        instants.sort_unstable();
-        instants.dedup();
-        let initial: f64 = parts.iter().map(|p| p.points[0].1).sum();
-        let mut merged = StepSeries::new(initial);
-        for &t in &instants {
-            let total: f64 = parts.iter().map(|p| p.value_at(t)).sum();
-            merged.set(t, total);
+        // One cursor per part at the point in effect; every part's first
+        // point is at time zero. Sweep the change instants in order,
+        // summing the parts in part order at each.
+        let mut at = vec![0usize; parts.len()];
+        let in_effect =
+            |at: &[usize]| -> f64 { parts.iter().zip(at).map(|(p, &i)| p.points[i].1).sum() };
+        let mut merged = StepSeries::new(in_effect(&at));
+        let next = |p: &StepSeries, i: usize| p.points.get(i + 1).map(|&(t, _)| t);
+        while let Some(t) = parts.iter().zip(&at).filter_map(|(p, &i)| next(p, i)).min() {
+            for (p, i) in parts.iter().zip(&mut at) {
+                if next(p, *i) == Some(t) {
+                    *i += 1;
+                }
+            }
+            merged.set(t, in_effect(&at));
         }
         merged
     }

@@ -7,6 +7,24 @@ use condor_sim::stats::{percentile, Running};
 use condor_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// `StepSeries::merge_sum` as it was before it swept one cursor per part:
+/// the reference the property below holds it to.
+fn merge_sum_reference(parts: &[&StepSeries]) -> StepSeries {
+    let mut instants: Vec<SimTime> = parts
+        .iter()
+        .flat_map(|p| p.iter().map(|(t, _)| t))
+        .collect();
+    instants.sort_unstable();
+    instants.dedup();
+    let initial: f64 = parts.iter().map(|p| p.value_at(SimTime::ZERO)).sum();
+    let mut merged = StepSeries::new(initial);
+    for &t in &instants {
+        let total: f64 = parts.iter().map(|p| p.value_at(t)).sum();
+        merged.set(t, total);
+    }
+    merged
+}
+
 proptest! {
     /// Events always come out of the queue in non-decreasing time order,
     /// and same-time events come out in insertion order.
@@ -147,8 +165,12 @@ proptest! {
     }
 
     /// The queue agrees with a naive reference model (a sorted Vec scanned
-    /// linearly) under an arbitrary interleaving of schedule / cancel /
-    /// pop / peek operations, including len() and the activity counters.
+    /// linearly) under an arbitrary interleaving of schedule / in-order
+    /// planting / cancel / pop / peek operations, including len() and the
+    /// activity counters. In-order batches are mostly in order (the lane)
+    /// and sometimes not (they must fall back to the heap); cancels hit
+    /// lane entries, heap entries, and tokens that already fired or were
+    /// cancelled, whose heap slots have been reused since.
     #[test]
     fn queue_matches_reference_model(
         ops in prop::collection::vec((0u8..100, 0u64..5_000, any::<prop::sample::Index>()), 1..300),
@@ -161,16 +183,34 @@ proptest! {
         let mut next_id = 0usize;
         let mut scheduled = 0u64;
         let mut cancelled = 0u64;
+        // The time the last in-order batch ended on.
+        let mut planted = 0u64;
         for (choice, t, pick) in ops {
             match choice {
                 // Schedule a fresh event.
-                0..=54 => {
+                0..=39 => {
                     let at = SimTime::from_millis(t);
                     let tok = q.schedule(at, next_id);
                     model.push((at, tokens.len() as u64, next_id));
                     tokens.push(tok);
                     next_id += 1;
                     scheduled += 1;
+                }
+                // Plant a batch of up to four through the in-order path:
+                // nondecreasing from the last batch's end (ties included),
+                // or — one batch in four — from an arbitrary instant.
+                40..=54 => {
+                    let n = 1 + pick.index(4);
+                    let mut at = if t % 4 == 0 { t } else { planted + t % 7 };
+                    for k in 0..n {
+                        at += (t >> k) % 3;
+                        let tok = q.schedule_in_order(SimTime::from_millis(at), next_id);
+                        model.push((SimTime::from_millis(at), tokens.len() as u64, next_id));
+                        tokens.push(tok);
+                        next_id += 1;
+                        scheduled += 1;
+                    }
+                    planted = at;
                 }
                 // Cancel an arbitrary already-issued token (possibly one
                 // that has fired or was cancelled before).
@@ -211,6 +251,43 @@ proptest! {
             prop_assert_eq!(q.pop(), Some((at, id)));
         }
         prop_assert_eq!(q.pop(), None);
+        // Every token is stale now, through however many reuses of its slot.
+        for tok in tokens {
+            prop_assert!(!q.cancel(tok));
+        }
+        prop_assert_eq!(q.cancelled_total(), cancelled);
+    }
+
+    /// `StepSeries::merge_sum` is bit-identical to the straightforward
+    /// merge it replaced: every change instant of every part, sorted, and
+    /// at each a `value_at` per part summed in part order.
+    #[test]
+    fn merge_sum_matches_the_lookup_per_instant(
+        parts in prop::collection::vec(
+            prop::collection::vec((0u64..4, 0u64..3_000, -50.0f64..50.0), 0..40),
+            1..6,
+        ),
+    ) {
+        let series: Vec<StepSeries> = parts
+            .iter()
+            .map(|changes| {
+                let mut s = StepSeries::new(0.0);
+                let mut t = 0u64;
+                for &(gap, dt, v) in changes {
+                    // Gap 0 rewrites the same instant; small steps make
+                    // parts share instants.
+                    t += if gap == 0 { 0 } else { dt % (gap * 10) };
+                    s.set(SimTime::from_millis(t), (v * 8.0).round() / 8.0 + v * 1e-3);
+                }
+                s
+            })
+            .collect();
+        let refs: Vec<&StepSeries> = series.iter().collect();
+        let got: Vec<(SimTime, u64)> =
+            StepSeries::merge_sum(&refs).iter().map(|(t, v)| (t, v.to_bits())).collect();
+        let want: Vec<(SimTime, u64)> =
+            merge_sum_reference(&refs).iter().map(|(t, v)| (t, v.to_bits())).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Identical seeds yield identical streams; the substream derivation is
@@ -228,4 +305,23 @@ proptest! {
             prop_assert_eq!(s1.next_u64(), s2.next_u64());
         }
     }
+}
+
+/// Two heap slots serve 20,000 events in turn; no fired or cancelled
+/// token ever reaches a later occupant of its slot.
+#[test]
+fn stale_tokens_stay_dead_through_many_slot_reuses() {
+    let mut q = EventQueue::new();
+    let mut stale = Vec::new();
+    for i in 0..10_000u64 {
+        let fired = q.schedule(SimTime::from_millis(i), i);
+        let cancelled = q.schedule(SimTime::from_millis(i + 1), i);
+        assert!(q.cancel(cancelled));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(i), i)));
+        stale.extend([fired, cancelled]);
+    }
+    let live = q.schedule(SimTime::ZERO, 0);
+    assert!(stale.iter().all(|&t| !q.cancel(t)));
+    assert_eq!(q.len(), 1);
+    assert!(q.cancel(live));
 }
