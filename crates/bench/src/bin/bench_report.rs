@@ -28,6 +28,10 @@
 //! without and with those two (`month/trace_only`, `month/sinks_armed`).
 //! Writing the report gates the small-cluster ratio (`SINK_GATE`).
 //!
+//! The `runtime/*` rows time the live coordinator's grant path: one job
+//! submitted to a two-worker `condor-runtime` pool and run until its
+//! result is back (see `live_pool`).
+//!
 //! The `cluster/stations/{1000,10k,100k}` rows run the fleet-scale
 //! scenario serially; the `cluster/par/{1,2,4,8}` rows run the same
 //! 10k-station fleet split into eight pools through the space-parallel
@@ -60,6 +64,8 @@ use condor_core::trace::{TraceEvent, TraceKind};
 use condor_core::updown::{UpDown, UpDownConfig};
 use condor_model::owner::OwnerConfig;
 use condor_net::NodeId;
+use condor_runtime::program::SeriesSum;
+use condor_runtime::runtime::{Runtime, RuntimeConfig};
 use condor_sim::engine::{Engine, Model, Scheduler};
 use condor_sim::time::{SimDuration, SimTime};
 use condor_workload::scenarios::{fleet_scale, paper_month};
@@ -317,6 +323,18 @@ impl Model for PingPong {
             sched.after(SimDuration::MILLISECOND, ev.wrapping_add(1));
         }
     }
+}
+
+/// A live pool shaped like the repo benchmark's `live_turnaround` one: two
+/// workers, 1,000-unit slices, a 5 ms poll and a 12 ms grace.
+fn live_pool() -> Runtime {
+    Runtime::new(RuntimeConfig {
+        workers: 2,
+        slice_units: 1_000,
+        poll_interval: Duration::from_millis(5),
+        grace: Duration::from_millis(12),
+        ..RuntimeConfig::default()
+    })
 }
 
 /// The event queue in the shape the repo benchmark's traced `fleet_loaded`
@@ -829,6 +847,33 @@ fn main() {
     });
     rows.push(Row { events_per_iter: Some(10_000), ..row });
     rows.push(measure("engine/loaded_churn", budget, loaded_churn));
+
+    // runtime: one job per iteration, submitted and run until its result is
+    // back. `grant`'s job is a single slice, so the row is the coordinator's
+    // poll, the placement, the worker's restore and the report of the
+    // finish; `turnaround`'s is the repo benchmark's `live_turnaround`
+    // program (≈0.6 ms alone). A pool keeps every job it ran and reports
+    // them all at the end of each `run`, so it is replaced every 64 jobs;
+    // min-of-N leaves the iteration that replaces it out of the row.
+    for (name, units) in [("grant", 1_000u64), ("turnaround", 100_000)] {
+        let program = SeriesSum::new(units, 1_000_003);
+        let mut pool: Option<(Runtime, u32)> = None;
+        let row = measure(format!("runtime/{name}"), budget, || {
+            if let Some((rt, _)) = pool.take_if(|(_, jobs)| *jobs >= 64) {
+                rt.shutdown();
+            }
+            let (rt, jobs) = pool.get_or_insert_with(|| (live_pool(), 0));
+            *jobs += 1;
+            let job = rt.submit(0, &program);
+            let report = rt.run(Duration::from_secs(30));
+            assert!(report.results.contains_key(&job), "live job finished");
+            report.polls
+        });
+        if let Some((rt, _)) = pool {
+            rt.shutdown();
+        }
+        rows.push(Row { events_per_iter: None, ..row });
+    }
 
     // updown: one poll decision at three fleet sizes.
     for n in [23usize, 100, 1_000] {

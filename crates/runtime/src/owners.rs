@@ -6,7 +6,8 @@
 //! dwell times, scales them down to wall-clock milliseconds, and toggles
 //! the workers' owner-activity flags accordingly — so a live run sees the
 //! same statistical interference pattern as a simulated month, just
-//! compressed.
+//! compressed. The owner thread sleeps until the next owner is due to
+//! flip, or until it is stopped.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,11 +16,13 @@ use std::time::{Duration, Instant};
 
 use condor_model::owner::{build_fleet, OwnerConfig, OwnerProcess, OwnerState};
 use condor_sim::rng::SimRng;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 /// Drives the owner flags of a set of live workers.
 #[derive(Debug)]
 pub struct OwnerSimulator {
-    stop: Arc<AtomicBool>,
+    /// Sending on it, or dropping it, stops the owner thread.
+    stop: Sender<()>,
     join: Option<JoinHandle<u64>>,
 }
 
@@ -47,11 +50,10 @@ impl OwnerSimulator {
         for (flag, process) in flags.iter().zip(&processes) {
             flag.store(process.state() == OwnerState::Active, Ordering::SeqCst);
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let (stop, stop_rx) = crossbeam::channel::unbounded();
         let join = std::thread::Builder::new()
             .name("condor-owners".into())
-            .spawn(move || owner_loop(&flags, processes, sim_minute, seed, &stop_flag))
+            .spawn(move || owner_loop(&flags, processes, sim_minute, seed, &stop_rx))
             .expect("spawn owner simulator");
         OwnerSimulator {
             stop,
@@ -60,23 +62,27 @@ impl OwnerSimulator {
     }
 
     /// Stops the simulator, clears every owner flag, and returns the total
-    /// number of owner transitions it performed.
+    /// number of owner transitions it performed. A panic on the owner
+    /// thread resumes here.
     pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::SeqCst);
-        self.join
-            .take()
-            .expect("owner simulator joined twice")
-            .join()
-            .expect("owner simulator panicked")
+        match self.halt() {
+            Some(Ok(transitions)) => transitions,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None => 0,
+        }
+    }
+
+    /// Stops and joins the owner thread, the first time only.
+    fn halt(&mut self) -> Option<std::thread::Result<u64>> {
+        let join = self.join.take()?;
+        let _ = self.stop.send(());
+        Some(join.join())
     }
 }
 
 impl Drop for OwnerSimulator {
     fn drop(&mut self) {
-        if let Some(join) = self.join.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = join.join();
-        }
+        let _ = self.halt();
     }
 }
 
@@ -87,7 +93,7 @@ fn owner_loop(
     mut processes: Vec<OwnerProcess>,
     sim_minute: Duration,
     seed: u64,
-    stop: &AtomicBool,
+    stop: &Receiver<()>,
 ) -> u64 {
     let n = flags.len();
     let root = SimRng::seed_from(seed);
@@ -105,7 +111,12 @@ fn owner_loop(
         let real = Duration::from_secs_f64(dwell.as_secs_f64() * scale);
         deadlines.push((start + real, processes[i].state()));
     }
-    while !stop.load(Ordering::SeqCst) {
+    loop {
+        let next = deadlines.iter().map(|&(at, _)| at).min().unwrap_or(start);
+        match stop.recv_timeout(next.saturating_duration_since(Instant::now())) {
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
+        }
         let now = Instant::now();
         sim_now = condor_sim::time::SimTime::from_millis(
             ((now - start).as_secs_f64() / scale * 1_000.0) as u64,
@@ -120,7 +131,6 @@ fn owner_loop(
                 deadlines[i] = (now + real.max(Duration::from_micros(200)), processes[i].state());
             }
         }
-        std::thread::sleep(Duration::from_micros(500));
     }
     for f in flags {
         f.store(false, Ordering::SeqCst);
@@ -172,6 +182,23 @@ mod tests {
         assert!(changed, "at least one owner must flip");
         assert!(transitions > 0, "transitions {transitions}");
         // Stop clears all flags.
+        assert!(f.iter().all(|x| !x.load(Ordering::SeqCst)));
+    }
+
+    #[test]
+    fn stop_wakes_an_owner_thread_waiting_for_a_distant_flip() {
+        let f = flags(2);
+        let config = OwnerConfig {
+            profile: DiurnalProfile::flat(0.5),
+            mean_active_period: condor_sim::time::SimDuration::from_minutes(60),
+            ..OwnerConfig::default()
+        };
+        // 1 sim minute = 1 s: the next flip is most likely minutes away.
+        let sim = OwnerSimulator::start(f.clone(), config, Duration::from_secs(1), 5);
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        sim.stop();
+        assert!(t0.elapsed() < Duration::from_secs(1), "stop waited for a flip");
         assert!(f.iter().all(|x| !x.load(Ordering::SeqCst)));
     }
 

@@ -11,6 +11,13 @@
 //! element of the paper is present: polling, queueing at the home station,
 //! placement, owner detection between work slices, a grace period,
 //! eviction checkpoints, and migration with zero lost results.
+//!
+//! The coordinator is event-driven. It sleeps on the workers' event
+//! channel until a message arrives or its next timer is due, and it has
+//! only two kinds of timer: the poll, and one grace timer per owner
+//! interruption. A finished, evicted or interrupted job is handled the
+//! moment its worker reports it, and an idle pool costs one wake-up per
+//! poll.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -21,7 +28,7 @@ use condor_ckpt::store::CheckpointStore;
 use condor_core::policy::{Order, StationView};
 use condor_core::updown::{UpDown, UpDownConfig};
 use condor_net::NodeId;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use crate::worker::{Command, Worker, WorkerEvent};
 
@@ -85,8 +92,8 @@ struct LiveJob {
     home: usize,
     kind: String,
     state: LiveState,
+    /// When the current owner interruption began; names its grace timer.
     suspended_at: Option<Instant>,
-    evict_sent: bool,
     migrations: u32,
     units_total: u64,
     result: Option<Vec<u8>>,
@@ -110,6 +117,9 @@ pub struct RuntimeReport {
     /// Jobs started autonomously on their idle home while the coordinator
     /// flag was down (the hybrid structure's degraded mode).
     pub local_starts: u64,
+    /// Times the coordinator woke from waiting: for a worker message, a
+    /// poll or grace timer, or the end of a `run`.
+    pub wakeups: u64,
 }
 
 /// A live mini-Condor pool.
@@ -136,6 +146,13 @@ pub struct Runtime {
     event_rx: Receiver<WorkerEvent>,
     policy: UpDown,
     jobs: HashMap<u64, LiveJob>,
+    /// Submitted jobs not yet done; `run` returns when none is left.
+    open: usize,
+    /// One grace timer per owner interruption: when it began, and the job.
+    /// The grace is one constant, so the order they began in is the order
+    /// they expire in. A timer whose job resumed or left since is stale and
+    /// is dropped when it expires.
+    grace_timers: VecDeque<(Instant, u64)>,
     queues: Vec<VecDeque<u64>>,
     hosting: Vec<Option<u64>>,
     stores: Vec<CheckpointStore>,
@@ -146,6 +163,7 @@ pub struct Runtime {
     polls: u64,
     coordinator_down: std::sync::Arc<std::sync::atomic::AtomicBool>,
     local_starts: u64,
+    wakeups: u64,
 }
 
 impl Runtime {
@@ -169,6 +187,8 @@ impl Runtime {
             event_rx,
             policy: UpDown::new(UpDownConfig::default()),
             jobs: HashMap::new(),
+            open: 0,
+            grace_timers: VecDeque::new(),
             queues: vec![VecDeque::new(); config.workers],
             hosting: vec![None; config.workers],
             stores,
@@ -179,6 +199,7 @@ impl Runtime {
             polls: 0,
             coordinator_down: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
             local_starts: 0,
+            wakeups: 0,
             config,
         }
     }
@@ -202,12 +223,12 @@ impl Runtime {
                 kind: program.kind().to_string(),
                 state: LiveState::Queued,
                 suspended_at: None,
-                evict_sent: false,
                 migrations: 0,
                 units_total: 0,
                 result: None,
             },
         );
+        self.open += 1;
         self.queues[home].push_back(id);
         id
     }
@@ -258,105 +279,119 @@ impl Runtime {
             .expect("home checkpoint store full");
     }
 
+    /// The job's latest snapshot. One is stored at submit and replaced at
+    /// every eviction, and it leaves the home store only when the job
+    /// finishes, so a job that can be placed has one.
     fn fetch_snapshot(&self, home: usize, job: u64) -> Vec<u8> {
-        let image = self.stores[home].get(job).expect("snapshot stored at home");
-        image
-            .segment(SegmentKind::Data)
-            .expect("data segment present")
-            .payload()
-            .to_vec()
+        self.stores[home]
+            .get(job)
+            .ok()
+            .and_then(|image| Some(image.segment(SegmentKind::Data)?.payload().to_vec()))
+            .expect("a queued job's snapshot is at its home")
     }
 
     fn drain_events(&mut self) {
         while let Ok(ev) = self.event_rx.try_recv() {
-            match ev {
-                WorkerEvent::Started { worker, job } => {
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.state = LiveState::Running { on: worker };
+            self.handle(ev);
+        }
+    }
+
+    fn handle(&mut self, ev: WorkerEvent) {
+        match ev {
+            WorkerEvent::Started { worker, job } => {
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    j.state = LiveState::Running { on: worker };
+                }
+            }
+            WorkerEvent::PlaceFailed { worker, job, reason } => {
+                // Snapshot corrupt at the host: requeue from home copy.
+                self.hosting[worker] = None;
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    j.state = LiveState::Queued;
+                    self.queues[j.home].push_front(job);
+                }
+                debug_assert!(false, "placement failed: {reason}");
+            }
+            WorkerEvent::OwnerInterrupted { worker, job } => {
+                self.interruptions += 1;
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    let now = Instant::now();
+                    j.state = LiveState::Suspended { on: worker };
+                    j.suspended_at = Some(now);
+                    self.grace_timers.push_back((now, job));
+                }
+            }
+            WorkerEvent::ResumedInPlace { worker, job } => {
+                self.resumes += 1;
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    j.state = LiveState::Running { on: worker };
+                    j.suspended_at = None;
+                }
+            }
+            WorkerEvent::Finished { worker, job, result, units_here } => {
+                self.hosting[worker] = None;
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    if j.state != LiveState::Done {
+                        self.open -= 1;
                     }
+                    j.state = LiveState::Done;
+                    j.result = Some(result);
+                    j.units_total += units_here;
+                    self.stores[j.home].remove(job);
                 }
-                WorkerEvent::PlaceFailed { worker, job, reason } => {
-                    // Snapshot corrupt at the host: requeue from home copy.
-                    self.hosting[worker] = None;
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.state = LiveState::Queued;
-                        let home = j.home;
-                        self.queues[home].push_front(job);
-                    }
-                    debug_assert!(false, "placement failed: {reason}");
+            }
+            WorkerEvent::Evicted { worker, job, snapshot, kind: _, units_here } => {
+                self.hosting[worker] = None;
+                self.migrations += 1;
+                let Some(j) = self.jobs.get_mut(&job) else {
+                    return;
+                };
+                j.migrations += 1;
+                j.units_total += units_here;
+                j.state = LiveState::Queued;
+                j.suspended_at = None;
+                let (home, seq) = (j.home, j.migrations);
+                self.store_snapshot(home, job, seq, &snapshot);
+                self.queues[home].push_front(job);
+            }
+            WorkerEvent::Killed { worker, job } => {
+                self.hosting[worker] = None;
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    // Restart from the last stored checkpoint.
+                    j.state = LiveState::Queued;
+                    j.suspended_at = None;
+                    self.queues[j.home].push_front(job);
                 }
-                WorkerEvent::OwnerInterrupted { worker, job } => {
-                    self.interruptions += 1;
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.state = LiveState::Suspended { on: worker };
-                        j.suspended_at = Some(Instant::now());
-                    }
+            }
+            WorkerEvent::CommandMiss { .. } => {}
+        }
+    }
+
+    /// Fires every grace timer due by `now`: a job still suspended by the
+    /// interruption that set the timer is evicted.
+    fn expire_grace(&mut self, now: Instant) {
+        let grace = self.config.grace;
+        while let Some(&(since, job)) = self.grace_timers.front() {
+            if now < since + grace {
+                break;
+            }
+            self.grace_timers.pop_front();
+            match self.jobs.get(&job) {
+                Some(&LiveJob { state: LiveState::Suspended { on }, suspended_at, .. })
+                    if suspended_at == Some(since) =>
+                {
+                    self.workers[on].send(Command::Evict { job });
                 }
-                WorkerEvent::ResumedInPlace { worker, job } => {
-                    self.resumes += 1;
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.state = LiveState::Running { on: worker };
-                        j.suspended_at = None;
-                        j.evict_sent = false;
-                    }
-                }
-                WorkerEvent::Finished { worker, job, result, units_here } => {
-                    self.hosting[worker] = None;
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.state = LiveState::Done;
-                        j.result = Some(result);
-                        j.units_total += units_here;
-                        let home = j.home;
-                        self.stores[home].remove(job);
-                    }
-                }
-                WorkerEvent::Evicted { worker, job, snapshot, kind: _, units_here } => {
-                    self.hosting[worker] = None;
-                    self.migrations += 1;
-                    let (home, seq) = {
-                        let j = self.jobs.get_mut(&job).expect("evicted job known");
-                        j.migrations += 1;
-                        j.units_total += units_here;
-                        j.state = LiveState::Queued;
-                        j.suspended_at = None;
-                        j.evict_sent = false;
-                        (j.home, j.migrations)
-                    };
-                    self.store_snapshot(home, job, seq, &snapshot);
-                    self.queues[home].push_front(job);
-                }
-                WorkerEvent::Killed { worker, job } => {
-                    self.hosting[worker] = None;
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        // Restart from the last stored checkpoint.
-                        j.state = LiveState::Queued;
-                        j.suspended_at = None;
-                        j.evict_sent = false;
-                        let home = j.home;
-                        self.queues[home].push_front(job);
-                    }
-                }
-                WorkerEvent::CommandMiss { .. } => {}
+                _ => {}
             }
         }
     }
 
-    fn enforce_grace(&mut self) {
-        let grace = self.config.grace;
-        let mut evictions: Vec<(usize, u64)> = Vec::new();
-        for (&id, j) in &mut self.jobs {
-            if let LiveState::Suspended { on } = j.state {
-                if !j.evict_sent
-                    && j.suspended_at.is_some_and(|t| t.elapsed() >= grace)
-                {
-                    j.evict_sent = true;
-                    evictions.push((on, id));
-                }
-            }
-        }
-        for (worker, job) in evictions {
-            self.workers[worker].send(Command::Evict { job });
-        }
+    /// The earlier of the next poll and the next grace expiry.
+    fn next_timer(&self, next_poll: Instant) -> Instant {
+        self.grace_timers
+            .front()
+            .map_or(next_poll, |&(since, _)| next_poll.min(since + self.config.grace))
     }
 
     /// Degraded-mode scheduling while the coordinator is down: each idle,
@@ -435,24 +470,39 @@ impl Runtime {
     /// Drives the pool until every submitted job completes or `deadline`
     /// elapses, then reports. Owner flags may be toggled concurrently from
     /// other threads (or between `run` calls).
+    ///
+    /// Every call polls at once and then every `poll_interval`. Between
+    /// timers the coordinator sleeps until a worker reports.
     pub fn run(&mut self, deadline: Duration) -> RuntimeReport {
         let started = Instant::now();
-        let mut last_poll = Instant::now() - self.config.poll_interval;
-        while started.elapsed() < deadline {
+        // A deadline past what `Instant` can represent never ends the run.
+        let end = started.checked_add(deadline);
+        let mut next_poll = started;
+        let mut now = started;
+        while end.is_none_or(|end| now < end) {
             self.drain_events();
-            self.enforce_grace();
-            if last_poll.elapsed() >= self.config.poll_interval {
-                last_poll = Instant::now();
+            self.expire_grace(now);
+            if now >= next_poll {
+                next_poll = now + self.config.poll_interval;
                 if self.coordinator_down.load(std::sync::atomic::Ordering::Relaxed) {
                     self.autonomy_sweep();
                 } else {
                     self.poll();
                 }
             }
-            if self.jobs.values().all(|j| j.state == LiveState::Done) {
+            if self.open == 0 {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            let wake = self.next_timer(next_poll);
+            let wake = end.map_or(wake, |end| wake.min(end));
+            self.wakeups += 1;
+            match self.event_rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+                Ok(ev) => self.handle(ev),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Every worker thread is gone: nothing will report again.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+            now = Instant::now();
         }
         self.drain_events();
         let mut results = HashMap::new();
@@ -474,6 +524,7 @@ impl Runtime {
             resumes_in_place: self.resumes,
             polls: self.polls,
             local_starts: self.local_starts,
+            wakeups: self.wakeups,
         }
     }
 
@@ -611,6 +662,104 @@ mod tests {
             report.results[&job2],
             run_to_completion(&mut PrimeCounter::new(2_000))
         );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_busy_pool_wakes_for_polls_and_messages_only() {
+        let mut rt = Runtime::new(RuntimeConfig {
+            poll_interval: Duration::from_millis(10),
+            ..fast_config(2)
+        });
+        let _ = rt.submit(0, &SeriesSum::new(u64::MAX / 4, 1_000_003));
+        let report = rt.run(Duration::from_millis(200));
+        assert!(report.unfinished.len() == 1 && report.polls >= 2, "{report:?}");
+        // A poll timer per poll after the first, the job's `Started`, and
+        // the end of the run; a little room for a timer the OS fires early.
+        assert!(report.wakeups <= report.polls + 4, "{report:?}");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_finished_job_ends_the_run_before_the_next_poll() {
+        let mut rt = Runtime::new(RuntimeConfig {
+            poll_interval: Duration::from_secs(10),
+            ..fast_config(2)
+        });
+        let job = rt.submit(0, &PrimeCounter::new(3_000));
+        let t0 = Instant::now();
+        let report = rt.run(Duration::from_secs(30));
+        assert!(t0.elapsed() < Duration::from_secs(5), "waited for a timer");
+        assert_eq!(report.polls, 1);
+        assert_eq!(report.results[&job], run_to_completion(&mut PrimeCounter::new(3_000)));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn the_grace_timer_evicts_between_polls() {
+        let mut rt = Runtime::new(RuntimeConfig {
+            poll_interval: Duration::from_secs(10),
+            grace: Duration::from_millis(20),
+            ..fast_config(2)
+        });
+        let job = rt.submit(0, &SeriesSum::new(u64::MAX / 4, 1_000_003));
+        let _ = rt.run(Duration::from_millis(50));
+        assert!(matches!(rt.jobs[&job].state, LiveState::Running { .. }));
+        rt.set_owner_active(0, true);
+        rt.set_owner_active(1, true);
+        let mut report = rt.run(Duration::from_millis(500));
+        // Only the poll each `run` starts with: the eviction came from the
+        // grace timer alone.
+        assert_eq!(report.polls, 2);
+        for _ in 0..20 {
+            if report.migrations > 0 {
+                break;
+            }
+            report = rt.run(Duration::from_millis(500));
+        }
+        assert_eq!((report.interruptions, report.migrations), (1, 1), "{report:?}");
+        assert_eq!(rt.jobs[&job].state, LiveState::Queued);
+        rt.set_owner_active(0, false);
+        rt.set_owner_active(1, false);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_resumed_interruption_leaves_no_live_timer_behind() {
+        let mut rt = Runtime::new(RuntimeConfig {
+            poll_interval: Duration::from_secs(10),
+            grace: Duration::from_millis(300),
+            ..fast_config(2)
+        });
+        let _ = rt.submit(0, &SeriesSum::new(u64::MAX / 4, 1_000_003));
+        let _ = rt.run(Duration::from_millis(50));
+        // Owners sit down, leave at 100 ms and are back at 200 ms: the
+        // first interruption's timer (300 ms) is stale, the second's is
+        // due at 500 ms.
+        let flags = rt.owner_flags();
+        let owners = std::thread::spawn(move || {
+            for active in [true, false, true] {
+                flags.iter().for_each(|f| f.store(active, std::sync::atomic::Ordering::SeqCst));
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let report = rt.run(Duration::from_millis(400));
+        owners.join().unwrap();
+        assert_eq!(
+            (report.interruptions, report.resumes_in_place, report.migrations),
+            (2, 1, 0),
+            "{report:?}"
+        );
+        let mut report = rt.run(Duration::from_millis(200));
+        for _ in 0..20 {
+            if report.migrations > 0 {
+                break;
+            }
+            report = rt.run(Duration::from_millis(200));
+        }
+        assert_eq!(report.migrations, 1, "{report:?}");
+        rt.set_owner_active(0, false);
+        rt.set_owner_active(1, false);
         rt.shutdown();
     }
 

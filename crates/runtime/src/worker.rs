@@ -7,13 +7,17 @@
 //! and reports the interruption; the coordinator decides — exactly as in
 //! the paper — whether to wait out a grace period or order an eviction
 //! checkpoint.
+//!
+//! An idle worker blocks on its command channel. Only a worker whose owner
+//! is active wakes on a timer, every `OWNER_CHECK`, to see whether the
+//! owner has left; a command still reaches it at once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::program::{restore, JobProgram, StepOutcome};
 
@@ -120,6 +124,9 @@ pub enum WorkerEvent {
     },
 }
 
+/// How often a worker whose owner is active looks at the owner flag again.
+const OWNER_CHECK: Duration = Duration::from_micros(200);
+
 /// Handle to a running worker thread.
 #[derive(Debug)]
 pub struct Worker {
@@ -176,23 +183,27 @@ impl Worker {
         let _ = self.cmd_tx.send(cmd);
     }
 
-    /// Stops the thread and returns the total work units it executed.
+    /// Stops the thread and returns the total work units it executed. A
+    /// panic on the worker thread resumes here.
     pub fn shutdown(mut self) -> u64 {
+        match self.stop() {
+            Some(Ok(units)) => units,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None => 0,
+        }
+    }
+
+    /// Stops and joins the thread, the first time only.
+    fn stop(&mut self) -> Option<std::thread::Result<u64>> {
+        let join = self.join.take()?;
         let _ = self.cmd_tx.send(Command::Shutdown);
-        self.join
-            .take()
-            .expect("worker joined twice")
-            .join()
-            .expect("worker thread panicked")
+        Some(join.join())
     }
 }
 
 impl Drop for Worker {
     fn drop(&mut self) {
-        if let Some(join) = self.join.take() {
-            let _ = self.cmd_tx.send(Command::Shutdown);
-            let _ = join.join();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -213,12 +224,26 @@ fn worker_loop(
     let mut resident: Option<Resident> = None;
     let mut total_units = 0u64;
     loop {
-        // Drain pending commands.
-        let cmd = if resident.is_some() {
-            cmd_rx.try_recv().ok()
-        } else {
-            // Idle: block briefly so an idle worker does not spin.
-            cmd_rx.recv_timeout(Duration::from_millis(1)).ok()
+        let cmd = match &mut resident {
+            // Idle: nothing to do until the coordinator sends something.
+            None => match cmd_rx.recv() {
+                Ok(cmd) => Some(cmd),
+                Err(_) => return total_units,
+            },
+            // The owner has the machine: report it once, then look again
+            // after one owner check unless a command comes first.
+            Some(r) if owner_active.load(Ordering::SeqCst) => {
+                if !r.interrupted {
+                    r.interrupted = true;
+                    let _ = event_tx.send(WorkerEvent::OwnerInterrupted { worker: index, job: r.job });
+                }
+                match cmd_rx.recv_timeout(OWNER_CHECK) {
+                    Ok(cmd) => Some(cmd),
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return total_units,
+                }
+            }
+            Some(_) => cmd_rx.try_recv().ok(),
         };
         if let Some(cmd) = cmd {
             match cmd {
@@ -269,17 +294,8 @@ fn worker_loop(
             continue;
         }
 
-        // Execute a slice if we may.
+        // No command, and the owner was away at the last look: run a slice.
         let Some(r) = &mut resident else { continue };
-        if owner_active.load(Ordering::SeqCst) {
-            if !r.interrupted {
-                r.interrupted = true;
-                let _ = event_tx.send(WorkerEvent::OwnerInterrupted { worker: index, job: r.job });
-            }
-            // Yield the CPU to the "owner".
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
-        }
         if r.interrupted {
             r.interrupted = false;
             let _ = event_tx.send(WorkerEvent::ResumedInPlace { worker: index, job: r.job });
@@ -288,13 +304,14 @@ fn worker_loop(
         r.units_here += slice_units;
         total_units += slice_units;
         if outcome == StepOutcome::Finished {
-            let r = resident.take().expect("resident checked above");
-            let _ = event_tx.send(WorkerEvent::Finished {
-                worker: index,
-                job: r.job,
-                result: r.program.result().expect("finished program has result"),
-                units_here: r.units_here,
-            });
+            if let Some(r) = resident.take() {
+                let _ = event_tx.send(WorkerEvent::Finished {
+                    worker: index,
+                    job: r.job,
+                    result: r.program.result().expect("finished program has result"),
+                    units_here: r.units_here,
+                });
+            }
         }
     }
 }
