@@ -18,6 +18,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use condor::core::trace::TraceParseError;
 use condor::metrics::summary::{mean_wait_ratio, summarize};
 use condor::metrics::table::{num, Table};
 use condor::prelude::*;
@@ -451,27 +452,21 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--kind a,b,c` into a per-kind mask; `None` means no filtering.
-fn parse_kind_mask(args: &[String]) -> Result<[bool; TraceKind::COUNT], String> {
-    match opt_value(args, "--kind")? {
-        None => Ok([true; TraceKind::COUNT]),
-        Some(list) => {
-            let mut mask = [false; TraceKind::COUNT];
-            for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                let idx = TraceKind::index_of_name(name).ok_or_else(|| {
-                    format!(
-                        "unknown trace kind {name:?}; known kinds: {}",
-                        TraceKind::names().join(", ")
-                    )
-                })?;
-                mask[idx] = true;
-            }
-            if mask.iter().all(|m| !m) {
-                return Err("--kind selected no event kinds".into());
-            }
-            Ok(mask)
-        }
+/// Parses `--kind a,b,c` into a kind mask; without `--kind`, every kind.
+fn parse_kind_mask(args: &[String]) -> Result<KindMask, String> {
+    let Some(list) = opt_value(args, "--kind")? else { return Ok(KindMask::ALL) };
+    let names = list.split(',').map(str::trim).filter(|s| !s.is_empty());
+    let mask = KindMask::from_names(names).map_err(|e| match e {
+        TraceParseError::UnknownKind(name) => format!(
+            "unknown trace kind {name:?}; known kinds: {}",
+            TraceKind::names().join(", ")
+        ),
+        e => e.to_string(),
+    })?;
+    if mask == KindMask::NONE {
+        return Err("--kind selected no event kinds".into());
     }
+    Ok(mask)
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
