@@ -93,6 +93,25 @@ impl TraceSink for Picky {
     }
 }
 
+/// A kind filter forwards exactly what its mask holds: a mask built from
+/// kind names carries no gauge samples, `KindMask::ALL` carries them.
+#[test]
+fn a_kind_filter_forwards_samples_only_if_its_mask_holds_them() {
+    let sample = GaugeSample {
+        at: SimTime::ZERO,
+        bus_backlog: SimDuration::ZERO,
+        free_machines: 1,
+        waiting_jobs: 0,
+        updown_mean_index: None,
+    };
+    let named = KindMask::from_names(["job_arrived"]).expect("known kind");
+    for (mask, want) in [(named, 0), (KindMask::ALL, 1)] {
+        let mut filter = KindFilterSink::new(Picky::default(), mask);
+        filter.sample(&sample);
+        assert_eq!(filter.inner().samples, want, "{mask:?}");
+    }
+}
+
 /// A sink is handed the kinds it asked for and nothing else — serially,
 /// behind a `SharedSink`, inside a `FanoutSink`, and through the sharded
 /// runner's per-pool buffers — while its neighbours still get everything.
