@@ -10,11 +10,22 @@
 //!   the paper's 30-second local-scheduler check) — an active owner gets
 //!   the CPU back immediately ([`worker`]);
 //! * the coordinator runs the *same* Up-Down policy as the simulator, with
-//!   scaled-down poll and grace intervals ([`runtime`]);
+//!   scaled-down poll and grace intervals;
 //! * checkpoints are real `condor-ckpt` images stored at the submitting
 //!   home, and migration provably never changes a job's final result —
 //!   even for stochastic programs, whose RNG state rides in the
 //!   checkpoint.
+//!
+//! The coordinator is split in two. A crate-private `Coordinator` makes
+//! every decision — the job table, home queues, checkpoint stores, grace
+//! timers, poll or autonomy sweep, the Up-Down call and the counters —
+//! through one clock-free `step(now, input, &mut out) -> next_wake`, so
+//! its timer semantics are tested on virtual time and a seeded
+//! interleaver checks the paper's guarantees on it. [`Runtime`] is the
+//! threaded shell around it ([`runtime`]): it spawns the workers, reads
+//! the clock, waits on the workers' channel until the next wake-up,
+//! samples the owner flags and the coordinator-down bit for each tick,
+//! and forwards the commands.
 //!
 //! ## Example
 //!
@@ -33,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod coordinator;
 pub mod owners;
 pub mod program;
 pub mod runtime;
@@ -40,5 +52,5 @@ pub mod worker;
 
 pub use owners::OwnerSimulator;
 pub use program::{restore, JobProgram, MonteCarloPi, PrimeCounter, RestoreError, SeriesSum, StepOutcome};
-pub use runtime::{LiveState, Runtime, RuntimeConfig, RuntimeReport};
+pub use runtime::{Runtime, RuntimeConfig, RuntimeReport};
 pub use worker::{Command, Worker, WorkerEvent};

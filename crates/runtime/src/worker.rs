@@ -22,7 +22,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use crate::program::{restore, JobProgram, StepOutcome};
 
 /// Commands from the coordinator to one worker.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Install and start a job from a snapshot.
     Place {
@@ -37,11 +37,6 @@ pub enum Command {
     /// priority preemption).
     Evict {
         /// Job id to vacate.
-        job: u64,
-    },
-    /// Drop the job without a checkpoint (immediate-kill strategy).
-    Kill {
-        /// Job id to kill.
         job: u64,
     },
     /// Stop the worker thread.
@@ -91,8 +86,6 @@ pub enum WorkerEvent {
         job: u64,
         /// The program's result bytes.
         result: Vec<u8>,
-        /// Work units executed on this worker.
-        units_here: u64,
     },
     /// Eviction checkpoint taken; the machine is free again.
     Evicted {
@@ -102,19 +95,8 @@ pub enum WorkerEvent {
         job: u64,
         /// The checkpoint snapshot.
         snapshot: Vec<u8>,
-        /// Program kind, for the restore at the next host.
-        kind: String,
-        /// Work units executed on this worker.
-        units_here: u64,
     },
-    /// The job was killed without a checkpoint.
-    Killed {
-        /// Worker index.
-        worker: usize,
-        /// Job id.
-        job: u64,
-    },
-    /// An `Evict`/`Kill` arrived for a job no longer resident (it finished
+    /// An `Evict` arrived for a job no longer resident (it finished
     /// first); harmless race, reported for observability.
     CommandMiss {
         /// Worker index.
@@ -130,7 +112,6 @@ const OWNER_CHECK: Duration = Duration::from_micros(200);
 /// Handle to a running worker thread.
 #[derive(Debug)]
 pub struct Worker {
-    index: usize,
     cmd_tx: Sender<Command>,
     owner_active: Arc<AtomicBool>,
     join: Option<JoinHandle<u64>>,
@@ -149,16 +130,10 @@ impl Worker {
             .spawn(move || worker_loop(index, slice_units, &cmd_rx, &event_tx, &flag))
             .expect("spawn worker thread");
         Worker {
-            index,
             cmd_tx,
             owner_active,
             join: Some(join),
         }
-    }
-
-    /// The worker's station index.
-    pub fn index(&self) -> usize {
-        self.index
     }
 
     /// Simulates the owner sitting down (`true`) or leaving (`false`).
@@ -210,7 +185,6 @@ impl Drop for Worker {
 struct Resident {
     job: u64,
     program: Box<dyn JobProgram>,
-    units_here: u64,
     interrupted: bool,
 }
 
@@ -250,12 +224,7 @@ fn worker_loop(
                 Command::Shutdown => return total_units,
                 Command::Place { job, kind, snapshot } => match restore(&kind, &snapshot) {
                     Ok(program) => {
-                        resident = Some(Resident {
-                            job,
-                            program,
-                            units_here: 0,
-                            interrupted: false,
-                        });
+                        resident = Some(Resident { job, program, interrupted: false });
                         let _ = event_tx.send(WorkerEvent::Started { worker: index, job });
                     }
                     Err(e) => {
@@ -273,8 +242,6 @@ fn worker_loop(
                                 worker: index,
                                 job,
                                 snapshot: r.program.snapshot(),
-                                kind: r.program.kind().to_string(),
-                                units_here: r.units_here,
                             });
                         }
                         None => {
@@ -282,14 +249,6 @@ fn worker_loop(
                         }
                     }
                 }
-                Command::Kill { job } => match resident.take_if(|r| r.job == job) {
-                    Some(_) => {
-                        let _ = event_tx.send(WorkerEvent::Killed { worker: index, job });
-                    }
-                    None => {
-                        let _ = event_tx.send(WorkerEvent::CommandMiss { worker: index, job });
-                    }
-                },
             }
             continue;
         }
@@ -301,7 +260,6 @@ fn worker_loop(
             let _ = event_tx.send(WorkerEvent::ResumedInPlace { worker: index, job: r.job });
         }
         let outcome = r.program.step(slice_units);
-        r.units_here += slice_units;
         total_units += slice_units;
         if outcome == StepOutcome::Finished {
             if let Some(r) = resident.take() {
@@ -309,7 +267,6 @@ fn worker_loop(
                     worker: index,
                     job: r.job,
                     result: r.program.result().expect("finished program has result"),
-                    units_here: r.units_here,
                 });
             }
         }
@@ -361,82 +318,21 @@ mod tests {
         assert_eq!(recv(&rx), WorkerEvent::OwnerInterrupted { worker: 3, job: 9 });
         w.set_owner_active(false);
         assert_eq!(recv(&rx), WorkerEvent::ResumedInPlace { worker: 3, job: 9 });
-        // Evict and confirm the snapshot restores elsewhere.
+        // The eviction checkpoint is exactly the program after the units it
+        // ran, so a restore anywhere continues it (see `program`'s tests).
         w.send(Command::Evict { job: 9 });
         match recv(&rx) {
-            WorkerEvent::Evicted { job: 9, snapshot, kind, units_here, .. } => {
-                assert_eq!(kind, SeriesSum::KIND);
-                assert!(units_here > 0);
-                assert!(crate::program::restore(&kind, &snapshot).is_ok());
+            WorkerEvent::Evicted { job: 9, snapshot, .. } => {
+                let left = restore(SeriesSum::KIND, &snapshot).expect("restores").remaining_units();
+                let mut reference = p.clone();
+                reference.step(p.remaining_units() - left);
+                assert!(left < p.remaining_units() && reference.snapshot() == snapshot);
             }
             other => panic!("expected Evicted, got {other:?}"),
         }
-        w.shutdown();
-    }
-
-    #[test]
-    fn eviction_migration_preserves_result() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let w0 = Worker::spawn(0, 200, tx.clone());
-        let w1 = Worker::spawn(1, 200, tx);
-        let program = PrimeCounter::new(20_000);
-        let expected = {
-            let mut straight = PrimeCounter::new(20_000);
-            crate::program::run_to_completion(&mut straight)
-        };
-        w0.send(Command::Place {
-            job: 5,
-            kind: PrimeCounter::KIND.into(),
-            snapshot: program.snapshot(),
-        });
-        assert_eq!(recv(&rx), WorkerEvent::Started { worker: 0, job: 5 });
-        // Let it run a moment, then evict and move to the other worker.
-        std::thread::sleep(Duration::from_millis(5));
-        w0.send(Command::Evict { job: 5 });
-        let (snapshot, kind) = match recv(&rx) {
-            WorkerEvent::Evicted { snapshot, kind, .. } => (snapshot, kind),
-            WorkerEvent::Finished { result, .. } => {
-                // It was quick enough to finish before the eviction —
-                // still a valid outcome; check and bail.
-                assert_eq!(result, expected);
-                w0.shutdown();
-                w1.shutdown();
-                return;
-            }
-            other => panic!("unexpected {other:?}"),
-        };
-        w1.send(Command::Place { job: 5, kind, snapshot });
-        loop {
-            match recv(&rx) {
-                WorkerEvent::Started { worker: 1, job: 5 } => {}
-                WorkerEvent::Finished { worker: 1, job: 5, result, .. } => {
-                    assert_eq!(result, expected, "migration must not change the answer");
-                    break;
-                }
-                WorkerEvent::CommandMiss { .. } => {}
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        w0.shutdown();
-        w1.shutdown();
-    }
-
-    #[test]
-    fn kill_discards_job() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let w = Worker::spawn(0, 100, tx);
-        let p = SeriesSum::new(u64::MAX / 2, 7);
-        w.send(Command::Place {
-            job: 2,
-            kind: SeriesSum::KIND.into(),
-            snapshot: p.snapshot(),
-        });
-        assert_eq!(recv(&rx), WorkerEvent::Started { worker: 0, job: 2 });
-        w.send(Command::Kill { job: 2 });
-        assert_eq!(recv(&rx), WorkerEvent::Killed { worker: 0, job: 2 });
-        // A second kill misses.
-        w.send(Command::Kill { job: 2 });
-        assert_eq!(recv(&rx), WorkerEvent::CommandMiss { worker: 0, job: 2 });
+        // The job has left: a second eviction misses.
+        w.send(Command::Evict { job: 9 });
+        assert_eq!(recv(&rx), WorkerEvent::CommandMiss { worker: 3, job: 9 });
         w.shutdown();
     }
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 use condor::model::diurnal::DiurnalProfile;
 use condor::model::owner::OwnerConfig;
 use condor::runtime::owners::OwnerSimulator;
-use condor::runtime::program::{run_to_completion, MonteCarloPi, PrimeCounter, SeriesSum};
+use condor::runtime::program::{run_to_completion, JobProgram, MonteCarloPi, PrimeCounter, SeriesSum};
 use condor::runtime::runtime::{Runtime, RuntimeConfig};
 
 #[test]
@@ -21,19 +21,15 @@ fn live_pool_under_stochastic_owners_produces_exact_results() {
     });
 
     // Reference results computed straight.
-    let expected: Vec<(u64, Vec<u8>)> = vec![
-        (rt.submit(0, &PrimeCounter::new(60_000)), {
-            run_to_completion(&mut PrimeCounter::new(60_000))
-        }),
-        (rt.submit(1, &MonteCarloPi::new(5, 8_000_000)), {
-            let mut p = MonteCarloPi::new(5, 8_000_000);
-            run_to_completion(&mut p)
-        }),
-        (rt.submit(2, &SeriesSum::new(30_000_000, 1_000_003)), {
-            let mut p = SeriesSum::new(30_000_000, 1_000_003);
-            run_to_completion(&mut p)
-        }),
+    let programs: [Box<dyn JobProgram>; 3] = [
+        Box::new(PrimeCounter::new(60_000)),
+        Box::new(MonteCarloPi::new(5, 8_000_000)),
+        Box::new(SeriesSum::new(30_000_000, 1_000_003)),
     ];
+    let expected: Vec<(u64, Vec<u8>)> = (0..)
+        .zip(programs)
+        .map(|(home, mut p)| (rt.submit(home, &*p), run_to_completion(&mut *p)))
+        .collect();
 
     // Aggressive owners at a compressed timescale.
     let owners = OwnerSimulator::start(
