@@ -275,8 +275,8 @@ fn burst(cfg: ClusterConfig, days: u64) -> u64 {
 }
 
 /// A trace-free fleet of `stations` with default everything else.
-fn fleet(stations: usize) -> condor_core::config::ClusterConfigBuilder {
-    ClusterConfig::builder().stations(stations).record_trace(false)
+fn fleet(stations: usize) -> ClusterConfig {
+    ClusterConfig { stations, record_trace: false, ..ClusterConfig::default() }
 }
 
 fn jobs(n: u64, image_bytes: u64) -> Vec<JobSpec> {
@@ -293,10 +293,6 @@ fn jobs(n: u64, image_bytes: u64) -> Vec<JobSpec> {
             )
         })
         .collect()
-}
-
-fn cluster_config() -> ClusterConfig {
-    fleet(23).build().expect("bench config is valid")
 }
 
 /// An owner model that (after the activity clamp) almost never becomes
@@ -598,12 +594,12 @@ fn main() {
     // cluster: full-model simulation speed.
     for days in [1u64, 7] {
         rows.push(measure(format!("cluster/simulate_days/{days}"), budget, || {
-            burst(cluster_config(), days)
+            burst(fleet(23), days)
         }));
     }
     for mb in [1u64, 4] {
         rows.push(measure(format!("cluster/image_mb/{mb}"), budget, || {
-            simulate(cluster_config(), jobs(20, mb * 1_000_000), 1).0
+            simulate(fleet(23), jobs(20, mb * 1_000_000), 1).0
         }));
     }
 
@@ -613,11 +609,11 @@ fn main() {
     // noise); `on` reruns the same burst with half-CPU demands packed by
     // FracPolicy, pricing the capacity-vector bookkeeping and the
     // JobGranted emissions.
-    rows.push(measure("cluster/frac/off", budget, || burst(cluster_config(), 7)));
+    rows.push(measure("cluster/frac/off", budget, || burst(fleet(23), 7)));
     rows.push(measure("cluster/frac/on", budget, || {
         let cfg = ClusterConfig {
             policy: condor_core::config::PolicyKind::Frac,
-            ..cluster_config()
+            ..fleet(23)
         };
         let specs: Vec<JobSpec> = jobs(40, 500_000)
             .into_iter()
@@ -640,7 +636,7 @@ fn main() {
         {
             rows.push(measure(format!("cluster/chaos/{label}"), budget, || {
                 let chaos = Some(ChaosConfig::new(schedule.clone()));
-                burst(ClusterConfig { chaos, ..cluster_config() }, 7)
+                burst(ClusterConfig { chaos, ..fleet(23) }, 7)
             }));
         }
     }
@@ -659,7 +655,7 @@ fn main() {
         ] {
             rows.push(measure(format!("cluster/redundancy/{label}"), budget, || {
                 let policy = condor_core::config::PolicyKind::Redundant(rc);
-                burst(ClusterConfig { policy, ..cluster_config() }, 7)
+                burst(ClusterConfig { policy, ..fleet(23) }, 7)
             }));
         }
     }
@@ -668,7 +664,7 @@ fn main() {
     // bound phase, so this row is the scaling check for the incremental
     // poll path (compare per-event cost against simulate_days/7 at 23).
     rows.push(measure("cluster/stations/200", budget, || {
-        burst(fleet(200).build().expect("bench config is valid"), 7)
+        burst(fleet(200), 7)
     }));
 
     // cluster at fleet scale: the fleet-scale scenario at 1k and 10k
@@ -741,13 +737,13 @@ fn main() {
                 coordinator_poll_interval: SimDuration::from_days(30),
                 ..Default::default()
             };
-            let cfg = fleet(stations).costs(costs).build().expect("bench config is valid");
+            let cfg = ClusterConfig { costs, ..fleet(stations) };
             simulate(cfg, Vec::new(), 7).0
         }));
         for (name, owner) in [("poll_only", owners_never_flip()), ("fold_at_poll", OwnerConfig::default())] {
             let mut memo = (0u64, 0u64);
             let row = measure(format!("cluster/attrib/{name}{suffix}"), budget, || {
-                let cfg = fleet(stations).owner(owner.clone()).build().expect("bench config is valid");
+                let cfg = ClusterConfig { owner: owner.clone(), ..fleet(stations) };
                 let (events, polls) = simulate(cfg, Vec::new(), 7);
                 memo = polls;
                 events
@@ -760,16 +756,16 @@ fn main() {
     // pinned idle, jobs homed away from the holder: arrivals accumulate in
     // queues with almost no placements, so queue bookkeeping dominates.
     rows.push(measure("cluster/attrib/queue_only", budget, || {
-        let cfg = fleet(23)
-            .owner(owners_never_flip())
-            .reservation(Reservation {
+        let cfg = ClusterConfig {
+            owner: owners_never_flip(),
+            reservations: vec![Reservation {
                 holder: NodeId::new(0),
                 machines: 22,
                 from: SimTime::ZERO,
                 until: SimTime::from_secs(365 * 86_400),
-            })
-            .build()
-            .expect("bench config is valid");
+            }],
+            ..fleet(23)
+        };
         let mut specs = jobs(40, 500_000);
         for s in &mut specs {
             s.home = NodeId::new(1 + (s.id.0 % 5) as u32);
@@ -798,7 +794,7 @@ fn main() {
     ];
     for (name, sinks) in observers {
         rows.push(measure(name, budget, || {
-            let run = Run::new(cluster_config()).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(1));
+            let run = Run::new(fleet(23)).specs(jobs(40, 500_000)).horizon(SimDuration::from_days(1));
             sinks().into_iter().fold(run, Run::sink).execute().events_dispatched
         }));
     }

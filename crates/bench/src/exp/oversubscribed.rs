@@ -73,18 +73,18 @@ fn burst(demand: ResourceVec) -> Vec<JobSpec> {
 }
 
 fn config(policy: PolicyKind) -> ClusterConfig {
-    ClusterConfig::builder()
-        .stations(STATIONS)
-        .seed(EXPERIMENT_SEED)
-        .policy(policy)
-        .owner(OwnerConfig {
+    ClusterConfig {
+        stations: STATIONS,
+        seed: EXPERIMENT_SEED,
+        policy,
+        owner: OwnerConfig {
             // Quiet owners: the comparison is about packing, not evictions.
             profile: DiurnalProfile::flat(0.02),
             ..OwnerConfig::default()
-        })
-        .record_trace(false)
-        .build()
-        .expect("oversubscribed config is valid")
+        },
+        record_trace: false,
+        ..ClusterConfig::default()
+    }
 }
 
 pub(super) fn run(_: &Ctx) {

@@ -66,17 +66,17 @@ pub(super) fn run(_: &Ctx) {
     let budgets = [1usize, 4, 20];
     // Independent day-long runs — one thread per placement budget.
     let runs = par_map(&budgets, |&budget| {
-        let config = ClusterConfig::builder()
-            .stations(23)
-            .seed(EXPERIMENT_SEED)
-            .placements_per_poll(budget)
-            .owner(OwnerConfig {
+        let config = ClusterConfig {
+            stations: 23,
+            seed: EXPERIMENT_SEED,
+            placements_per_poll: budget,
+            owner: OwnerConfig {
                 profile: DiurnalProfile::flat(0.02),
                 ..OwnerConfig::default()
-            })
-            .record_trace(false)
-            .build()
-            .expect("throttle sweep config is valid");
+            },
+            record_trace: false,
+            ..ClusterConfig::default()
+        };
         let placements = SharedSink::new(PlacementTimes::default());
         let out = Run::new(config)
             .specs(burst_jobs(20))

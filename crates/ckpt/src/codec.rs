@@ -13,7 +13,7 @@ use crate::error::DecodeError;
 
 /// Sanity bound on any single length field (1 GiB). A VAXstation II had a
 /// few megabytes of memory; even generous modern images stay far below this.
-pub const MAX_FIELD_LEN: u64 = 1 << 30;
+const MAX_FIELD_LEN: u64 = 1 << 30;
 
 /// Encoder half of the codec: a thin, append-only wrapper over `BytesMut`.
 #[derive(Debug, Default)]
@@ -42,11 +42,6 @@ impl Encoder {
     /// Appends a fixed-width little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
         self.buf.put_u16_le(v);
-    }
-
-    /// Appends a fixed-width little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
     }
 
     /// Appends a LEB128 varint.
@@ -177,18 +172,6 @@ impl Decoder {
         Ok(self.buf.get_u16_le())
     }
 
-    /// Reads a fixed-width little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::UnexpectedEof`] on truncation.
-    pub fn get_u32(&mut self, context: &'static str) -> Result<u32, DecodeError> {
-        if self.buf.remaining() < 4 {
-            return Err(DecodeError::UnexpectedEof { context });
-        }
-        Ok(self.buf.get_u32_le())
-    }
-
     /// Reads a LEB128 varint.
     ///
     /// # Errors
@@ -214,7 +197,7 @@ impl Decoder {
         }
     }
 
-    /// Reads a length-prefixed byte field, enforcing [`MAX_FIELD_LEN`].
+    /// Reads a length-prefixed byte field, enforcing the 1 GiB `MAX_FIELD_LEN` bound.
     ///
     /// # Errors
     ///
@@ -310,12 +293,10 @@ mod tests {
         let mut e = Encoder::new();
         e.put_str("héllo wörld");
         e.put_bytes(&[1, 2, 3]);
-        e.put_u32(0xDEAD_BEEF);
         e.put_u16(42);
         let mut d = Decoder::new(e.finish());
         assert_eq!(d.get_str("s").unwrap(), "héllo wörld");
         assert_eq!(d.get_bytes("b").unwrap().as_ref(), &[1, 2, 3]);
-        assert_eq!(d.get_u32("u").unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.get_u16("w").unwrap(), 42);
         d.finish().unwrap();
     }

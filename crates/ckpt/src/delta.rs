@@ -22,7 +22,7 @@ use crate::error::DecodeError;
 use crate::image::{CheckpointImage, SegmentKind};
 
 /// Block granularity of the differ (4 KiB, a period page size).
-pub const BLOCK: usize = 4096;
+const BLOCK: usize = 4096;
 
 /// Magic bytes of an encoded delta ("CKDL").
 pub const DELTA_MAGIC: [u8; 4] = *b"CKDL";
@@ -204,16 +204,6 @@ impl Delta {
     /// The job both images belong to.
     pub fn job_id(&self) -> u64 {
         self.job_id
-    }
-
-    /// Sequence of the required base image.
-    pub fn base_sequence(&self) -> u32 {
-        self.base_sequence
-    }
-
-    /// Sequence of the image this delta produces.
-    pub fn new_sequence(&self) -> u32 {
-        self.new_sequence
     }
 
     /// Bytes of literal (changed) data carried.
@@ -545,8 +535,6 @@ mod tests {
         let new = image(4, vec![1u8; 100], vec![0u8; 100]);
         let d = Delta::diff(&base, &new);
         assert_eq!(d.job_id(), 7);
-        assert_eq!(d.base_sequence(), 3);
-        assert_eq!(d.new_sequence(), 4);
         assert!(d.literal_bytes() > 0);
     }
 }

@@ -18,10 +18,10 @@ use crate::codec::{Decoder, Encoder};
 use crate::error::DecodeError;
 
 /// Magic bytes at the start of every checkpoint image ("CKPT").
-pub const MAGIC: [u8; 4] = *b"CKPT";
+const MAGIC: [u8; 4] = *b"CKPT";
 
 /// Current format version.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 /// The kind of a memory segment in a checkpoint image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -40,7 +40,6 @@ pub struct CheckpointStore {
     used: u64,
     images: HashMap<u64, StoredImage>,
     puts: u64,
-    rejected_full: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -57,7 +56,6 @@ impl CheckpointStore {
             used: 0,
             images: HashMap::new(),
             puts: 0,
-            rejected_full: 0,
         }
     }
 
@@ -84,13 +82,6 @@ impl CheckpointStore {
     /// `true` when no checkpoints are stored.
     pub fn is_empty(&self) -> bool {
         self.images.is_empty()
-    }
-
-    /// Whether an image of `size` bytes would fit right now, accounting for
-    /// the space freed by replacing job `job_id`'s existing image (if any).
-    pub fn would_fit(&self, job_id: u64, size: u64) -> bool {
-        let freed = self.images.get(&job_id).map_or(0, |s| s.frame.len() as u64);
-        size <= self.capacity - self.used + freed
     }
 
     /// Stores (or replaces) the checkpoint for the image's job.
@@ -124,7 +115,6 @@ impl CheckpointStore {
             }
         }
         if size > self.capacity - self.used + freed {
-            self.rejected_full += 1;
             return Err(StoreError::DiskFull {
                 needed: size,
                 available: self.capacity - self.used + freed,
@@ -173,16 +163,6 @@ impl CheckpointStore {
     /// Total successful writes over the store's lifetime.
     pub fn puts(&self) -> u64 {
         self.puts
-    }
-
-    /// Writes rejected because the volume was full.
-    pub fn rejected_full(&self) -> u64 {
-        self.rejected_full
-    }
-
-    /// Job ids with stored checkpoints, in unspecified order.
-    pub fn job_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.images.keys().copied()
     }
 }
 
@@ -234,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_full_rejected_and_counted() {
+    fn disk_full_rejected() {
         let img = image(1, 1, 300);
         let mut s = CheckpointStore::new(img.size_bytes() - 1);
         match s.put(&img) {
@@ -243,22 +223,20 @@ mod tests {
             }
             other => panic!("expected DiskFull, got {other:?}"),
         }
-        assert_eq!(s.rejected_full(), 1);
         assert_eq!(s.len(), 0);
         assert_eq!(s.used(), 0);
     }
 
     #[test]
-    fn would_fit_accounts_for_replacement() {
+    fn replacement_reuses_the_replaced_space() {
         let img = image(1, 1, 400);
-        let size = img.size_bytes();
-        let mut s = CheckpointStore::new(size);
-        assert!(s.would_fit(1, size));
+        let mut s = CheckpointStore::new(img.size_bytes());
         s.put(&img).unwrap();
         // No room for a second job...
-        assert!(!s.would_fit(2, size));
+        assert!(matches!(s.put(&image(2, 1, 400)), Err(StoreError::DiskFull { .. })));
         // ...but the same job can checkpoint again.
-        assert!(s.would_fit(1, size));
+        s.put(&image(1, 2, 400)).unwrap();
+        assert_eq!(s.sequence_of(1), Some(2));
     }
 
     #[test]
@@ -295,9 +273,7 @@ mod tests {
             s.put(&image(job, 1, 64)).unwrap();
         }
         assert_eq!(s.len(), 10);
-        let mut ids: Vec<u64> = s.job_ids().collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        assert!((0..10).all(|job| s.sequence_of(job) == Some(1)));
         assert_eq!(s.available(), s.capacity() - s.used());
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! Violations are *recorded, not panicked*: the auditor keeps streaming so
 //! one corruption early in a trace still yields a full report. The first
-//! [`AuditSink::MAX_RECORDED`] violations are kept verbatim; beyond that
+//! 1,024 violations are kept verbatim; beyond that
 //! only the count grows. Auditing state is one row per job and station seen.
 
 use std::fmt;
@@ -320,7 +320,7 @@ pub struct AuditSink {
 
 impl AuditSink {
     /// Violations kept verbatim; beyond this only the total count grows.
-    pub const MAX_RECORDED: usize = 1024;
+    const MAX_RECORDED: usize = 1024;
 
     /// Creates an auditor that infers the poll cadence from the trace.
     pub fn new() -> Self {
@@ -367,8 +367,8 @@ impl AuditSink {
         self.total
     }
 
-    /// The recorded violations, in observation order (first
-    /// [`AuditSink::MAX_RECORDED`] only).
+    /// The recorded violations, in observation order (the first 1,024
+    /// only).
     pub fn violations(&self) -> &[AuditViolation] {
         &self.violations
     }
@@ -385,11 +385,6 @@ impl AuditSink {
     /// copies threw away.
     pub fn replica_totals(&self) -> (u64, u64, u64) {
         (self.replicas_spawned, self.replicas_cancelled, self.replica_wasted_ms)
-    }
-
-    /// Consumes the auditor, yielding the recorded violations.
-    pub fn into_violations(self) -> Vec<AuditViolation> {
-        self.violations
     }
 
     fn report(&mut self, at: SimTime, kind: AuditViolationKind) {

@@ -414,15 +414,11 @@ impl ChaosConfig {
 /// shard-local ids and the machine count clipped to the overlap.
 /// Control-plane faults ([`Fault::CtrlLoss`], [`Fault::CtrlDelay`],
 /// [`Fault::CtrlDup`], [`Fault::CoordinatorOutage`]) hit exactly one
-/// coordinator, so they go to the pool owning the global coordinator
-/// host. [`Fault::CkptCorrupt`] models shared-medium corruption and
+/// coordinator, so they go to pool 0, whose station 0 holds the global
+/// coordinator. [`Fault::CkptCorrupt`] models shared-medium corruption and
 /// broadcasts to every pool. Entry order is preserved within each shard,
 /// so a one-pool topology gets back a config identical to the input.
-pub fn route_to_pools(
-    cfg: &ChaosConfig,
-    ranges: &[std::ops::Range<usize>],
-    coordinator_pool: usize,
-) -> Vec<ChaosConfig> {
+pub fn route_to_pools(cfg: &ChaosConfig, ranges: &[std::ops::Range<usize>]) -> Vec<ChaosConfig> {
     let mut out: Vec<ChaosConfig> = ranges
         .iter()
         .map(|_| ChaosConfig { schedule: ChaosSchedule::default(), ..cfg.clone() })
@@ -456,7 +452,7 @@ pub fn route_to_pools(
             | Fault::CtrlDelay { .. }
             | Fault::CtrlDup
             | Fault::CoordinatorOutage { .. } => {
-                out[coordinator_pool].schedule.entries.push(*entry);
+                out[0].schedule.entries.push(*entry);
             }
         }
     }
@@ -687,7 +683,7 @@ pub(crate) mod test_hooks {
     }
 
     /// Runs `f` with the broken-retry mutation enabled.
-    pub fn with_broken_ckpt_retry<R>(f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_broken_ckpt_retry<R>(f: impl FnOnce() -> R) -> R {
         BREAK_CKPT_RETRY.with(|b| b.set(true));
         let out = f();
         BREAK_CKPT_RETRY.with(|b| b.set(false));
@@ -942,12 +938,12 @@ mod tests {
         let cfg = ChaosConfig::new(schedule);
 
         // One pool: routing is the identity, entry for entry.
-        let whole = route_to_pools(&cfg, std::slice::from_ref(&(0..8)), 0);
+        let whole = route_to_pools(&cfg, std::slice::from_ref(&(0..8)));
         assert_eq!(whole.len(), 1);
         assert_eq!(whole[0].schedule, cfg.schedule);
 
-        // Two pools of four stations each, coordinator hosted by pool 1.
-        let routed = route_to_pools(&cfg, &[0..4, 4..8], 1);
+        // Two pools of four stations each; pool 0 holds the coordinator.
+        let routed = route_to_pools(&cfg, &[0..4, 4..8]);
         assert_eq!(routed.len(), 2);
 
         // The partition over global stations 2..6 splits into a local
@@ -963,11 +959,11 @@ mod tests {
 
         // The control-plane fault lands only in the coordinator's pool;
         // the checkpoint corruption broadcasts to both.
-        assert_eq!(routed[0].schedule.entries.len(), 2);
-        assert_eq!(routed[1].schedule.entries.len(), 3);
-        assert!(matches!(routed[0].schedule.entries[1].fault, Fault::CkptCorrupt { .. }));
-        assert!(matches!(routed[1].schedule.entries[1].fault, Fault::CtrlLoss { .. }));
-        assert!(matches!(routed[1].schedule.entries[2].fault, Fault::CkptCorrupt { .. }));
+        assert_eq!(routed[0].schedule.entries.len(), 3);
+        assert_eq!(routed[1].schedule.entries.len(), 2);
+        assert!(matches!(routed[0].schedule.entries[1].fault, Fault::CtrlLoss { .. }));
+        assert!(matches!(routed[0].schedule.entries[2].fault, Fault::CkptCorrupt { .. }));
+        assert!(matches!(routed[1].schedule.entries[1].fault, Fault::CkptCorrupt { .. }));
 
         // Each routed shard config stays valid for its local fleet, and
         // non-schedule knobs (backoffs) carry over untouched.

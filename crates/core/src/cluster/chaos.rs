@@ -234,10 +234,8 @@ impl Cluster {
                     })
             };
             if yieldable {
-                let mut order = Vec::new();
-                self.stations[i].queue.service_order_into(&mut order);
                 let arch = self.station_arch(i);
-                let runnable = order.iter().any(|id| {
+                let runnable = self.stations[i].queue.iter().any(|id| {
                     let j = &self.jobs[id.0 as usize];
                     j.spec.width == 1 && j.can_run_on(arch)
                 });

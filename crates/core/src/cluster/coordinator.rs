@@ -641,7 +641,8 @@ impl Cluster {
         // excluded, so a grant costs O(candidates inspected), not a
         // materialised copy of the whole free list.
         let mut service = std::mem::take(&mut self.coord.service);
-        self.stations[h].queue.service_order_into(&mut service);
+        service.clear();
+        service.extend(self.stations[h].queue.iter());
         let mut machines = std::mem::take(&mut self.coord.machines);
         let mut disk_blocked: Option<(JobId, NodeId)> = None;
         let mut chosen: Option<JobId> = None;

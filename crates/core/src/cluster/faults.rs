@@ -12,6 +12,12 @@ use super::{Cluster, Event};
 use crate::job::JobId;
 use crate::trace::TraceKind;
 
+/// The station holding the central coordinator (paper §2.1: "One
+/// workstation holds the central coordinator"); in a sharded run, each
+/// pool's station 0. While it is down, allocation of new capacity stops;
+/// running jobs are unaffected.
+const COORDINATOR_HOST: u32 = 0;
+
 impl Cluster {
     pub(super) fn on_reservation_start(&mut self, now: SimTime, idx: u32, sched: &mut Scheduler<Event>) {
         let r = self.config.reservations[idx as usize];
@@ -117,7 +123,7 @@ impl Cluster {
         // Coordinator failover: while its host is down, allocation stops
         // (paper §2.1: "Only the allocation of new capacity ... is
         // affected").
-        if station == self.config.coordinator_host {
+        if station == COORDINATOR_HOST {
             self.coordinator_down = true;
         }
         // With stochastic failures configured, repairs self-schedule;
@@ -135,7 +141,7 @@ impl Cluster {
         self.stations[i].failed = false;
         self.coord.mark(i);
         self.emit(now, TraceKind::StationRecovered { station: NodeId::new(station) });
-        if station == self.config.coordinator_host {
+        if station == COORDINATOR_HOST {
             self.coordinator_down = false;
         }
         if let Some(failures) = self.config.failures {

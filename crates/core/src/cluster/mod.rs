@@ -541,7 +541,7 @@ impl Cluster {
             .collect();
         let stations = (0..config.stations)
             .map(|i| Station {
-                queue: BackgroundQueue::new(config.local_order),
+                queue: BackgroundQueue::default(),
                 residents: Vec::new(),
                 capacity: config.capacity_profiles[i % config.capacity_profiles.len()],
                 disk_capacity: config.station.disk_capacity,
@@ -1077,12 +1077,11 @@ impl Model for Cluster {
 /// use condor_sim::time::SimDuration;
 ///
 /// let events = SharedSink::new(VecSink::new());
-/// let out = Run::new(
-///     ClusterConfig::builder().stations(4).record_trace(false).build().unwrap(),
-/// )
-/// .horizon(SimDuration::from_hours(6))
-/// .sink(Box::new(events.clone()))
-/// .execute();
+/// let config = ClusterConfig { stations: 4, record_trace: false, ..ClusterConfig::default() };
+/// let out = Run::new(config)
+///     .horizon(SimDuration::from_hours(6))
+///     .sink(Box::new(events.clone()))
+///     .execute();
 /// // The sink saw the owner activity even though the trace was off.
 /// assert_eq!(events.with(|s| s.len()) as u64, out.telemetry.events_total);
 /// ```

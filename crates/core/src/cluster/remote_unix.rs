@@ -254,8 +254,7 @@ impl Cluster {
         let j = &mut self.jobs[job.0 as usize];
         j.state = JobState::Queued;
         let home = j.spec.home.as_usize();
-        let remaining = j.remaining();
-        self.stations[home].queue.enqueue_front(job, remaining);
+        self.stations[home].queue.enqueue_front(job);
         self.coord.mark(home);
     }
 
@@ -329,8 +328,7 @@ impl Cluster {
             self.jobs[job.0 as usize].state = JobState::Held;
             return;
         }
-        let remaining = self.jobs[job.0 as usize].remaining();
-        self.stations[home].queue.enqueue(job, remaining);
+        self.stations[home].queue.enqueue(job);
     }
 
     pub(super) fn on_placement_done(
@@ -441,9 +439,8 @@ impl Cluster {
             *count = count.saturating_sub(1);
             if *count == 0 {
                 let home = self.jobs[d.0 as usize].spec.home.as_usize();
-                let remaining = self.jobs[d.0 as usize].remaining();
                 self.jobs[d.0 as usize].state = JobState::Queued;
-                self.stations[home].queue.enqueue(d, remaining);
+                self.stations[home].queue.enqueue(d);
                 self.coord.mark(home);
             }
         }

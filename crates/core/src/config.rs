@@ -1,21 +1,20 @@
 //! Cluster configuration.
 
 use condor_model::costs::CostModel;
-use condor_model::owner::OwnerConfig;
+use condor_model::owner::{check_spread, OwnerConfig, OwnerConfigError};
 use condor_model::station::{Arch, ResourceVec, StationProfile};
 use condor_net::{BusConfig, NodeId, PoolLinks};
 use condor_sim::time::{SimDuration, SimTime};
 
 use crate::chaos::ChaosConfig;
 use crate::job::JobId;
-use crate::queue::LocalOrder;
 use crate::redundancy::RedundancyConfig;
 use crate::updown::UpDownConfig;
 
 /// Why a configuration (or the job set submitted with it) is invalid.
 ///
-/// Produced by [`ClusterConfig::check`], [`ClusterConfig::builder`],
-/// [`FailureConfig::check`], [`Reservation::check`], and
+/// Produced by [`ClusterConfig::check`], [`FailureConfig::check`],
+/// [`Reservation::check`], and
 /// [`Cluster::try_new`](crate::cluster::Cluster::try_new).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -34,11 +33,9 @@ pub enum ConfigError {
     ZeroMtbf,
     /// Failure injection with a zero mean time to repair.
     ZeroMttr,
-    /// `coordinator_host` does not index a station.
-    CoordinatorHostOutsideFleet {
-        /// The configured host index.
-        host: u32,
-    },
+    /// An owner parameter (`owner` or `owner_heterogeneity`) outside its
+    /// range.
+    Owner(OwnerConfigError),
     /// `arch_pattern` is empty.
     EmptyArchPattern,
     /// `capacity_profiles` is empty.
@@ -173,9 +170,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroMtbf => f.write_str("zero MTBF"),
             ConfigError::ZeroMttr => f.write_str("zero MTTR"),
-            ConfigError::CoordinatorHostOutsideFleet { host } => {
-                write!(f, "coordinator host {host} outside the fleet")
-            }
+            ConfigError::Owner(e) => write!(f, "owner process: {e}"),
             ConfigError::EmptyArchPattern => f.write_str("empty architecture pattern"),
             ConfigError::EmptyCapacityProfiles => f.write_str("empty capacity-profile pattern"),
             ConfigError::CapacityProfileZeroCpu { index } => {
@@ -410,8 +405,6 @@ pub struct ClusterConfig {
     pub station: StationProfile,
     /// Network parameters.
     pub bus: BusConfig,
-    /// How local schedulers order their own queues.
-    pub local_order: LocalOrder,
     /// Maximum placements started per coordinator poll (paper §4: one).
     pub placements_per_poll: usize,
     /// Prefer placement targets with the longest expected idle periods
@@ -419,11 +412,6 @@ pub struct ClusterConfig {
     pub history_aware_placement: bool,
     /// Optional stochastic station failures (None = stations never fail).
     pub failures: Option<FailureConfig>,
-    /// The station hosting the central coordinator (paper §2.1: "One
-    /// workstation holds the central coordinator"). If that station fails,
-    /// allocation of new capacity stops until it recovers — running jobs
-    /// are unaffected.
-    pub coordinator_host: u32,
     /// Architecture of each station, cycled over the fleet (station `i`
     /// has `arch_pattern[i % len]`). The 1988 fleet is all-VAX
     /// (`vec![Arch::Vax]`); a mixed pattern reproduces the §5(4) planned
@@ -572,11 +560,9 @@ impl Default for ClusterConfig {
             owner_heterogeneity: 0.4,
             station: StationProfile::default(),
             bus: BusConfig::default(),
-            local_order: LocalOrder::Fifo,
             placements_per_poll: 1,
             history_aware_placement: false,
             failures: None,
-            coordinator_host: 0,
             arch_pattern: vec![Arch::Vax],
             capacity_profiles: vec![ResourceVec::WHOLE],
             checkpoint_server: false,
@@ -589,26 +575,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Starts a fluent builder seeded with [`ClusterConfig::default`] (the
-    /// paper's 23-station setup); its `build()` runs [`check`](Self::check).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use condor_core::config::ClusterConfig;
-    ///
-    /// let config = ClusterConfig::builder()
-    ///     .stations(8)
-    ///     .seed(7)
-    ///     .record_trace(false)
-    ///     .build()
-    ///     .expect("valid configuration");
-    /// assert_eq!(config.stations, 8);
-    /// ```
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder { config: ClusterConfig::default() }
-    }
-
     /// Checks the configuration for structural impossibilities.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.stations == 0 {
@@ -631,9 +597,8 @@ impl ClusterConfig {
         if let Some(f) = &self.failures {
             f.check()?;
         }
-        if (self.coordinator_host as usize) >= self.stations {
-            return Err(ConfigError::CoordinatorHostOutsideFleet { host: self.coordinator_host });
-        }
+        self.owner.check().map_err(ConfigError::Owner)?;
+        check_spread(self.owner_heterogeneity).map_err(ConfigError::Owner)?;
         if self.arch_pattern.is_empty() {
             return Err(ConfigError::EmptyArchPattern);
         }
@@ -661,158 +626,6 @@ impl ClusterConfig {
     }
 }
 
-/// Fluent constructor for [`ClusterConfig`], created by
-/// [`ClusterConfig::builder`].
-///
-/// Every field starts at its [`ClusterConfig::default`] value; setters
-/// override individual fields and [`build`](Self::build) validates the
-/// result — invalid combinations surface as a [`ConfigError`] instead of a
-/// panic deep inside the simulator.
-#[derive(Debug, Clone)]
-pub struct ClusterConfigBuilder {
-    config: ClusterConfig,
-}
-
-impl ClusterConfigBuilder {
-    /// Sets the number of workstations.
-    pub fn stations(mut self, stations: usize) -> Self {
-        self.config.stations = stations;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the coordinator's allocation policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Sets control-plane intervals and per-operation costs.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.config.costs = costs;
-        self
-    }
-
-    /// Sets owner-return handling.
-    pub fn eviction(mut self, eviction: EvictionStrategy) -> Self {
-        self.config.eviction = eviction;
-        self
-    }
-
-    /// Sets the owner-activity process parameters.
-    pub fn owner(mut self, owner: OwnerConfig) -> Self {
-        self.config.owner = owner;
-        self
-    }
-
-    /// Sets the spread of per-station activity scales.
-    pub fn owner_heterogeneity(mut self, spread: f64) -> Self {
-        self.config.owner_heterogeneity = spread;
-        self
-    }
-
-    /// Sets the hardware profile applied to every station.
-    pub fn station(mut self, station: StationProfile) -> Self {
-        self.config.station = station;
-        self
-    }
-
-    /// Sets the network parameters.
-    pub fn bus(mut self, bus: BusConfig) -> Self {
-        self.config.bus = bus;
-        self
-    }
-
-    /// Sets how local schedulers order their own queues.
-    pub fn local_order(mut self, order: LocalOrder) -> Self {
-        self.config.local_order = order;
-        self
-    }
-
-    /// Sets the maximum placements started per coordinator poll.
-    pub fn placements_per_poll(mut self, n: usize) -> Self {
-        self.config.placements_per_poll = n;
-        self
-    }
-
-    /// Enables or disables history-aware placement.
-    pub fn history_aware_placement(mut self, enabled: bool) -> Self {
-        self.config.history_aware_placement = enabled;
-        self
-    }
-
-    /// Enables stochastic station failures.
-    pub fn failures(mut self, failures: FailureConfig) -> Self {
-        self.config.failures = Some(failures);
-        self
-    }
-
-    /// Sets the station hosting the central coordinator.
-    pub fn coordinator_host(mut self, host: u32) -> Self {
-        self.config.coordinator_host = host;
-        self
-    }
-
-    /// Sets the architecture pattern cycled over the fleet.
-    pub fn arch_pattern(mut self, pattern: Vec<Arch>) -> Self {
-        self.config.arch_pattern = pattern;
-        self
-    }
-
-    /// Sets the capacity-profile pattern cycled over the fleet.
-    pub fn capacity_profiles(mut self, profiles: Vec<ResourceVec>) -> Self {
-        self.config.capacity_profiles = profiles;
-        self
-    }
-
-    /// Enables the dedicated checkpoint server.
-    pub fn checkpoint_server(mut self, enabled: bool) -> Self {
-        self.config.checkpoint_server = enabled;
-        self
-    }
-
-    /// Adds one advance capacity reservation.
-    pub fn reservation(mut self, r: Reservation) -> Self {
-        self.config.reservations.push(r);
-        self
-    }
-
-    /// Replaces the whole reservation list.
-    pub fn reservations(mut self, rs: Vec<Reservation>) -> Self {
-        self.config.reservations = rs;
-        self
-    }
-
-    /// Enables or disables full event-trace recording.
-    pub fn record_trace(mut self, enabled: bool) -> Self {
-        self.config.record_trace = enabled;
-        self
-    }
-
-    /// Enables deterministic chaos fault injection.
-    pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.config.chaos = Some(chaos);
-        self
-    }
-
-    /// Partitions the fleet into per-pool shards (see [`PoolTopology`]).
-    pub fn topology(mut self, topology: PoolTopology) -> Self {
-        self.config.topology = Some(topology);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ClusterConfig, ConfigError> {
-        self.config.check()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,7 +643,6 @@ mod tests {
         ));
         assert!(!c.history_aware_placement);
         assert!(c.failures.is_none());
-        assert_eq!(c.coordinator_host, 0);
         assert!(!c.checkpoint_server);
         assert_eq!(c.arch_pattern, vec![Arch::Vax]);
         assert!(c.reservations.is_empty());
@@ -866,18 +678,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ConfigError::ZeroMtbf);
         assert_eq!(err.to_string(), "zero MTBF");
-    }
-
-    #[test]
-    fn coordinator_host_must_exist() {
-        let err = ClusterConfig {
-            coordinator_host: 99,
-            ..ClusterConfig::default()
-        }
-        .check()
-        .unwrap_err();
-        assert_eq!(err, ConfigError::CoordinatorHostOutsideFleet { host: 99 });
-        assert!(err.to_string().contains("outside the fleet"));
     }
 
     #[test]
@@ -918,18 +718,65 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::EmptyCapacityProfiles);
 
-        let err = ClusterConfig::builder()
-            .capacity_profiles(vec![ResourceVec::WHOLE, ResourceVec::new(0, 1000)])
-            .build()
-            .unwrap_err();
+        let err = ClusterConfig {
+            capacity_profiles: vec![ResourceVec::WHOLE, ResourceVec::new(0, 1000)],
+            ..ClusterConfig::default()
+        }
+        .check()
+        .unwrap_err();
         assert_eq!(err, ConfigError::CapacityProfileZeroCpu { index: 1 });
         assert!(err.to_string().contains("zero CPU"));
 
-        let c = ClusterConfig::builder()
-            .capacity_profiles(vec![ResourceVec::share(2000)])
-            .build()
-            .expect("oversized capacity is legal");
-        assert_eq!(c.capacity_profiles[0].cpu_milli, 2000);
+        let oversized = ClusterConfig {
+            capacity_profiles: vec![ResourceVec::share(2000)],
+            ..ClusterConfig::default()
+        };
+        assert_eq!(oversized.check(), Ok(()), "oversized capacity is legal");
+    }
+
+    #[test]
+    fn owner_parameters_outside_their_ranges_are_typed_errors() {
+        use crate::cluster::Cluster;
+        let base = ClusterConfig { stations: 4, ..ClusterConfig::default() };
+        let spread = |s: f64| ClusterConfig { owner_heterogeneity: s, ..base.clone() };
+        let owner = |edit: fn(&mut OwnerConfig)| {
+            let mut c = base.clone();
+            edit(&mut c.owner);
+            c
+        };
+        let rejected = [
+            ("spread 1", spread(1.0)),
+            ("spread below 0", spread(-0.01)),
+            ("spread NaN", spread(f64::NAN)),
+            ("persistence below 0", owner(|o| o.regime_persistence = -0.01)),
+            ("persistence above 1", owner(|o| o.regime_persistence = 1.01)),
+            ("persistence NaN", owner(|o| o.regime_persistence = f64::NAN)),
+            ("long factor below 1", owner(|o| o.long_regime_factor = 0.99)),
+            ("long factor 2", owner(|o| o.long_regime_factor = 2.0)),
+            ("long factor NaN", owner(|o| o.long_regime_factor = f64::NAN)),
+            ("activity scale 0", owner(|o| o.activity_scale = 0.0)),
+            ("activity scale infinite", owner(|o| o.activity_scale = f64::INFINITY)),
+            ("activity scale NaN", owner(|o| o.activity_scale = f64::NAN)),
+            ("zero active period", owner(|o| o.mean_active_period = SimDuration::ZERO)),
+        ];
+        for (case, config) in rejected {
+            let err = Cluster::try_new(config, Vec::new()).err();
+            assert!(matches!(err, Some(ConfigError::Owner(_))), "{case}: {err:?}");
+        }
+        let accepted = [
+            ("spread 0", spread(0.0)),
+            ("spread just below 1", spread(0.99)),
+            ("persistence 0", owner(|o| o.regime_persistence = 0.0)),
+            ("persistence 1", owner(|o| o.regime_persistence = 1.0)),
+            ("long factor 1", owner(|o| o.long_regime_factor = 1.0)),
+            ("long factor just below 2", owner(|o| o.long_regime_factor = 1.99)),
+            ("shortest active period", owner(|o| o.mean_active_period = SimDuration::MILLISECOND)),
+        ];
+        for (case, config) in accepted {
+            assert!(Cluster::try_new(config, Vec::new()).is_ok(), "{case}");
+        }
+        let err = spread(1.0).check().unwrap_err();
+        assert_eq!(err.to_string(), "owner process: spread 1 outside [0, 1)");
     }
 
     #[test]
@@ -949,32 +796,5 @@ mod tests {
         assert_eq!(empty.check(23), Err(ConfigError::ReservationEmptyWindow));
         let none = Reservation { machines: 0, ..r };
         assert_eq!(none.check(23), Err(ConfigError::ReservationZeroMachines));
-    }
-
-    #[test]
-    fn builder_builds_and_validates() {
-        let c = ClusterConfig::builder()
-            .stations(8)
-            .seed(42)
-            .placements_per_poll(3)
-            .record_trace(false)
-            .reservation(Reservation {
-                holder: NodeId::new(1),
-                machines: 2,
-                from: SimTime::ZERO,
-                until: SimTime::from_hours(2),
-            })
-            .build()
-            .expect("valid config");
-        assert_eq!(c.stations, 8);
-        assert_eq!(c.seed, 42);
-        assert_eq!(c.placements_per_poll, 3);
-        assert!(!c.record_trace);
-        assert_eq!(c.reservations.len(), 1);
-        // Untouched fields keep their defaults.
-        assert!(matches!(c.policy, PolicyKind::UpDown(_)));
-
-        let err = ClusterConfig::builder().stations(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::NoStations);
     }
 }

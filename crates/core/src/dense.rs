@@ -29,7 +29,7 @@ impl<T> Default for DenseTable<T> {
 
 impl<T: Default> DenseTable<T> {
     /// Ids below this are always dense.
-    pub const FLOOR: u64 = 1 << 16;
+    const FLOOR: u64 = 1 << 16;
 
     /// The row of `id`, if it was ever created.
     #[inline]

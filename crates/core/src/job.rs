@@ -220,13 +220,6 @@ impl JobState {
             JobState::Held | JobState::Queued | JobState::Completed | JobState::Forwarded => None,
         }
     }
-
-    /// `true` while the job occupies a slot in the system (arrived, not
-    /// completed) — the paper counts jobs in service as part of the queue.
-    /// A forwarded stub left its pool's system entirely.
-    pub fn in_system(self) -> bool {
-        !matches!(self, JobState::Completed | JobState::Forwarded)
-    }
 }
 
 /// Why a running job was taken off its host.
@@ -340,11 +333,6 @@ impl Job {
         self.spec.demand.saturating_sub(self.work_done)
     }
 
-    /// `true` once all demand is delivered.
-    pub fn is_complete(&self) -> bool {
-        self.work_done >= self.spec.demand
-    }
-
     /// Accrues a run segment of `wall` duration ending now: counts toward
     /// both `work_done` and the gross `remote_cpu` ledger, and charges the
     /// shadow's system-call support cost for the segment. A gang of width
@@ -447,7 +435,6 @@ mod tests {
         let j = Job::new(spec(6));
         assert_eq!(j.state, JobState::Queued);
         assert_eq!(j.remaining(), SimDuration::from_hours(6));
-        assert!(!j.is_complete());
         assert_eq!(j.wait_ratio(), None);
         assert_eq!(j.leverage(), None);
     }
@@ -522,9 +509,8 @@ mod tests {
     fn completion_detection() {
         let mut j = Job::new(spec(1));
         j.accrue_run(SimDuration::from_minutes(59), 0);
-        assert!(!j.is_complete());
+        assert_eq!(j.remaining(), SimDuration::from_minutes(1));
         j.accrue_run(SimDuration::from_minutes(1), 0);
-        assert!(j.is_complete());
         assert_eq!(j.remaining(), SimDuration::ZERO);
     }
 
@@ -535,8 +521,6 @@ mod tests {
             Some(NodeId::new(3))
         );
         assert_eq!(JobState::Queued.remote_station(), None);
-        assert!(JobState::Queued.in_system());
-        assert!(!JobState::Completed.in_system());
         assert_eq!(
             JobState::CheckpointingOut { from: NodeId::new(1) }.remote_station(),
             Some(NodeId::new(1))

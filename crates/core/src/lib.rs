@@ -71,15 +71,14 @@ pub use chaos::{
 };
 pub use cluster::{Cluster, Event, Run, RunOutput, Totals};
 pub use config::{
-    ClusterConfig, ClusterConfigBuilder, ConfigError, EvictionStrategy, FailureConfig, PolicyKind,
-    Reservation,
+    ClusterConfig, ConfigError, EvictionStrategy, FailureConfig, PolicyKind, Reservation,
 };
 pub use job::{Job, JobId, JobSpec, JobState, PreemptReason, SpeedupCurve, UserId};
 pub use policy::{
     AllocationPolicy, FifoPolicy, Order, RandomPolicy, RedundantPolicy, RoundRobinPolicy,
     StationView,
 };
-pub use queue::{BackgroundQueue, LocalOrder};
+pub use queue::BackgroundQueue;
 pub use redundancy::{CkptTiming, RedundancyConfig};
 pub use spans::{
     Breakdown, JobBreakdown, JobSpans, Occupancy, Span, SpanLog, SpanMarker, SpanPhase, SpanSink,

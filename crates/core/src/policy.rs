@@ -25,7 +25,7 @@ use crate::bits::Bits;
 /// One bucket per distinct `free_cpu_milli` value, each holding a
 /// two-level bitset (`bits::Bits`) of its stations. Membership updates are
 /// O(log buckets) on a value change and O(1) within a bucket, and best-fit
-/// iteration ([`CapacityIndex::for_each_best_fit`]) visits stations in
+/// iteration visits stations in
 /// ascending `(free_cpu_milli, id)` order at O(matches + buckets) — so
 /// [`FracPolicy`] finds its tightest targets without sorting the fleet's
 /// whole free list every poll. The distinct-value set is small in practice
@@ -78,7 +78,7 @@ impl CapacityIndex {
     /// Calls `f` for each hostable station in ascending
     /// `(free_cpu_milli, id)` order — best-fit order — until it returns
     /// `false`.
-    pub fn for_each_best_fit(&self, mut f: impl FnMut(NodeId) -> bool) {
+    fn for_each_best_fit(&self, mut f: impl FnMut(NodeId) -> bool) {
         for (_, bucket) in &self.buckets {
             let mut go = true;
             bucket.for_each(|id| {

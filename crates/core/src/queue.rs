@@ -2,27 +2,15 @@
 //!
 //! Paper §2.1: *"A local scheduler with more than one background job
 //! waiting makes its own decision of which job should be executed next."*
-//! The queue therefore carries its own ordering policy, independent of the
-//! coordinator: the coordinator grants capacity to the *station*, and the
-//! station picks the job.
+//! The coordinator grants capacity to the *station*, and the station picks
+//! the job. The 1988 local scheduler's choice is first come, first served:
+//! the first waiting job the granted machine can run.
 
 use std::collections::VecDeque;
 
-use condor_sim::time::SimDuration;
-
 use crate::job::JobId;
 
-/// How a local scheduler orders its own waiting jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LocalOrder {
-    /// First submitted, first placed (the 1988 implementation's behaviour).
-    #[default]
-    Fifo,
-    /// Shortest remaining demand first (a local-policy ablation).
-    ShortestFirst,
-}
-
-/// A station's queue of background jobs awaiting remote capacity.
+/// A station's FIFO of background jobs awaiting remote capacity.
 ///
 /// Jobs *running remotely* are not in this queue; it holds only jobs
 /// waiting to be (re)placed.
@@ -31,81 +19,46 @@ pub enum LocalOrder {
 ///
 /// ```
 /// use condor_core::job::JobId;
-/// use condor_core::queue::{BackgroundQueue, LocalOrder};
-/// use condor_sim::time::SimDuration;
+/// use condor_core::queue::BackgroundQueue;
 ///
-/// let mut q = BackgroundQueue::new(LocalOrder::Fifo);
-/// q.enqueue(JobId(1), SimDuration::from_hours(5));
-/// q.enqueue(JobId(2), SimDuration::from_hours(1));
-/// assert_eq!(q.pop_next(), Some(JobId(1)));
+/// let mut q = BackgroundQueue::default();
+/// q.enqueue(JobId(1));
+/// q.enqueue(JobId(2));
+/// assert_eq!(q.pop_next_where(|_| true), Some(JobId(1)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BackgroundQueue {
-    order: LocalOrder,
-    entries: VecDeque<(JobId, SimDuration)>,
+    entries: VecDeque<JobId>,
 }
 
 impl BackgroundQueue {
-    /// Creates an empty queue with the given local ordering policy.
-    pub fn new(order: LocalOrder) -> Self {
-        BackgroundQueue {
-            order,
-            entries: VecDeque::new(),
-        }
-    }
-
-    /// The ordering policy in force.
-    pub fn order(&self) -> LocalOrder {
-        self.order
-    }
-
-    /// Adds a job with its remaining demand (used by `ShortestFirst`).
-    pub fn enqueue(&mut self, job: JobId, remaining: SimDuration) {
+    /// Adds a job at the back.
+    pub fn enqueue(&mut self, job: JobId) {
         debug_assert!(
             !self.contains(job),
             "job {job:?} enqueued twice on the same station"
         );
-        self.entries.push_back((job, remaining));
+        self.entries.push_back(job);
     }
 
     /// Puts a preempted job back at the *front*: it already waited its turn
     /// and lost its machine through no fault of its own.
-    pub fn enqueue_front(&mut self, job: JobId, remaining: SimDuration) {
+    pub fn enqueue_front(&mut self, job: JobId) {
         debug_assert!(!self.contains(job), "job {job:?} re-enqueued twice");
-        self.entries.push_front((job, remaining));
+        self.entries.push_front(job);
     }
 
-    /// Removes and returns the next job per the local policy.
-    pub fn pop_next(&mut self) -> Option<JobId> {
-        self.pop_next_where(|_| true)
-    }
-
-    /// Removes and returns the next job (per the local policy) among those
-    /// satisfying `eligible` — used for architecture-constrained placement
-    /// (paper §5(4)): the granted machine may only run some of the waiting
-    /// jobs.
+    /// Removes and returns the first job satisfying `eligible` — the
+    /// granted machine may only run some of the waiting jobs
+    /// (architecture-constrained placement, paper §5(4)).
     pub fn pop_next_where(&mut self, eligible: impl Fn(JobId) -> bool) -> Option<JobId> {
-        match self.order {
-            LocalOrder::Fifo => {
-                let idx = self.entries.iter().position(|(j, _)| eligible(*j))?;
-                self.entries.remove(idx).map(|(j, _)| j)
-            }
-            LocalOrder::ShortestFirst => {
-                let idx = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (job, _))| eligible(*job))
-                    .min_by_key(|(_, (job, rem))| (*rem, job.0))?
-                    .0;
-                self.entries.remove(idx).map(|(j, _)| j)
-            }
-        }
+        let idx = self.entries.iter().position(|&j| eligible(j))?;
+        self.entries.remove(idx)
     }
 
     /// Removes a specific job (e.g. cancelled by the user).
     pub fn remove(&mut self, job: JobId) -> bool {
-        if let Some(idx) = self.entries.iter().position(|(j, _)| *j == job) {
+        if let Some(idx) = self.entries.iter().position(|&j| j == job) {
             self.entries.remove(idx);
             true
         } else {
@@ -115,7 +68,7 @@ impl BackgroundQueue {
 
     /// Whether the job is waiting here.
     pub fn contains(&self, job: JobId) -> bool {
-        self.entries.iter().any(|(j, _)| *j == job)
+        self.entries.contains(&job)
     }
 
     /// Number of waiting jobs.
@@ -128,32 +81,9 @@ impl BackgroundQueue {
         self.entries.is_empty()
     }
 
-    /// Iterates over waiting job ids in queue order.
+    /// Iterates over waiting job ids in service order.
     pub fn iter(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.entries.iter().map(|(j, _)| *j)
-    }
-
-    /// Job ids in the order [`BackgroundQueue::pop_next`] would serve
-    /// them, without removing anything.
-    pub fn ids_in_service_order(&self) -> Vec<JobId> {
-        let mut out = Vec::new();
-        self.service_order_into(&mut out);
-        out
-    }
-
-    /// Like [`BackgroundQueue::ids_in_service_order`], writing into a
-    /// reused buffer — the allocation-free form for hot callers. The
-    /// buffer is cleared first.
-    pub fn service_order_into(&self, out: &mut Vec<JobId>) {
-        out.clear();
-        match self.order {
-            LocalOrder::Fifo => out.extend(self.entries.iter().map(|(j, _)| *j)),
-            LocalOrder::ShortestFirst => {
-                let mut v: Vec<(JobId, SimDuration)> = self.entries.iter().copied().collect();
-                v.sort_by_key(|(job, rem)| (*rem, job.0));
-                out.extend(v.into_iter().map(|(j, _)| j));
-            }
-        }
+        self.entries.iter().copied()
     }
 }
 
@@ -161,88 +91,47 @@ impl BackgroundQueue {
 mod tests {
     use super::*;
 
+    fn pop(q: &mut BackgroundQueue) -> Option<JobId> {
+        q.pop_next_where(|_| true)
+    }
+
     #[test]
     fn fifo_order() {
-        let mut q = BackgroundQueue::new(LocalOrder::Fifo);
-        q.enqueue(JobId(1), SimDuration::from_hours(5));
-        q.enqueue(JobId(2), SimDuration::from_hours(1));
-        q.enqueue(JobId(3), SimDuration::from_hours(3));
-        assert_eq!(q.pop_next(), Some(JobId(1)));
-        assert_eq!(q.pop_next(), Some(JobId(2)));
-        assert_eq!(q.pop_next(), Some(JobId(3)));
-        assert_eq!(q.pop_next(), None);
+        let mut q = BackgroundQueue::default();
+        q.enqueue(JobId(1));
+        q.enqueue(JobId(2));
+        q.enqueue(JobId(3));
+        assert_eq!(pop(&mut q), Some(JobId(1)));
+        assert_eq!(pop(&mut q), Some(JobId(2)));
+        assert_eq!(pop(&mut q), Some(JobId(3)));
+        assert_eq!(pop(&mut q), None);
     }
 
     #[test]
-    fn shortest_first_order() {
-        let mut q = BackgroundQueue::new(LocalOrder::ShortestFirst);
-        q.enqueue(JobId(1), SimDuration::from_hours(5));
-        q.enqueue(JobId(2), SimDuration::from_hours(1));
-        q.enqueue(JobId(3), SimDuration::from_hours(3));
-        assert_eq!(q.pop_next(), Some(JobId(2)));
-        assert_eq!(q.pop_next(), Some(JobId(3)));
-        assert_eq!(q.pop_next(), Some(JobId(1)));
-    }
-
-    #[test]
-    fn shortest_first_ties_break_by_id() {
-        let mut q = BackgroundQueue::new(LocalOrder::ShortestFirst);
-        q.enqueue(JobId(9), SimDuration::HOUR);
-        q.enqueue(JobId(2), SimDuration::HOUR);
-        assert_eq!(q.pop_next(), Some(JobId(2)));
-    }
-
-    #[test]
-    fn preempted_jobs_go_to_front_under_fifo() {
-        let mut q = BackgroundQueue::new(LocalOrder::Fifo);
-        q.enqueue(JobId(1), SimDuration::HOUR);
-        q.enqueue_front(JobId(7), SimDuration::HOUR);
-        assert_eq!(q.pop_next(), Some(JobId(7)));
+    fn preempted_jobs_go_to_front() {
+        let mut q = BackgroundQueue::default();
+        q.enqueue(JobId(1));
+        q.enqueue_front(JobId(7));
+        assert_eq!(pop(&mut q), Some(JobId(7)));
     }
 
     #[test]
     fn pop_next_where_skips_ineligible() {
-        let mut q = BackgroundQueue::new(LocalOrder::Fifo);
-        q.enqueue(JobId(1), SimDuration::HOUR);
-        q.enqueue(JobId(2), SimDuration::HOUR);
-        q.enqueue(JobId(3), SimDuration::HOUR);
+        let mut q = BackgroundQueue::default();
+        q.enqueue(JobId(1));
+        q.enqueue(JobId(2));
+        q.enqueue(JobId(3));
         assert_eq!(q.pop_next_where(|j| j.0 % 2 == 0), Some(JobId(2)));
         // Queue order of the others is intact.
-        assert_eq!(q.pop_next(), Some(JobId(1)));
-        assert_eq!(q.pop_next(), Some(JobId(3)));
-        assert_eq!(q.pop_next_where(|_| true), None);
-    }
-
-    #[test]
-    fn pop_next_where_respects_shortest_first() {
-        let mut q = BackgroundQueue::new(LocalOrder::ShortestFirst);
-        q.enqueue(JobId(1), SimDuration::from_hours(1)); // shortest, ineligible
-        q.enqueue(JobId(2), SimDuration::from_hours(3));
-        q.enqueue(JobId(3), SimDuration::from_hours(2));
-        assert_eq!(q.pop_next_where(|j| j != JobId(1)), Some(JobId(3)));
-    }
-
-    #[test]
-    fn service_order_matches_pop_order() {
-        for order in [LocalOrder::Fifo, LocalOrder::ShortestFirst] {
-            let mut q = BackgroundQueue::new(order);
-            q.enqueue(JobId(3), SimDuration::from_hours(2));
-            q.enqueue(JobId(1), SimDuration::from_hours(9));
-            q.enqueue(JobId(2), SimDuration::from_hours(1));
-            let predicted = q.ids_in_service_order();
-            let mut popped = Vec::new();
-            while let Some(j) = q.pop_next() {
-                popped.push(j);
-            }
-            assert_eq!(predicted, popped, "{order:?}");
-        }
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![JobId(1), JobId(3)]);
+        assert_eq!(q.pop_next_where(|j| j.0 > 3), None);
     }
 
     #[test]
     fn remove_and_contains() {
-        let mut q = BackgroundQueue::new(LocalOrder::Fifo);
-        q.enqueue(JobId(1), SimDuration::HOUR);
-        q.enqueue(JobId(2), SimDuration::HOUR);
+        let mut q = BackgroundQueue::default();
+        q.enqueue(JobId(1));
+        q.enqueue(JobId(2));
         assert!(q.contains(JobId(1)));
         assert!(q.remove(JobId(1)));
         assert!(!q.contains(JobId(1)));

@@ -133,9 +133,9 @@ impl TraceSink for EmitLog {
 
 /// Derives pool `p`'s shard configuration from the global one: local
 /// fleet size, decorrelated seed, the arch pattern rotated so every
-/// station keeps its global architecture, the coordinator host and
-/// reservations remapped into local ids, and the chaos schedule routed to
-/// the pools it targets.
+/// station keeps its global architecture, reservations remapped into local
+/// ids, and the chaos schedule routed to the pools it targets. Each pool's
+/// coordinator sits on its station 0, as the serial run's does.
 fn shard_config(
     config: &ClusterConfig,
     range: &Range<usize>,
@@ -153,11 +153,6 @@ fn shard_config(
     let m = config.capacity_profiles.len();
     c.capacity_profiles =
         (0..m).map(|k| config.capacity_profiles[(range.start + k) % m]).collect();
-    let coord = config.coordinator_host as usize;
-    // Each pool runs its own coordinator. The pool holding the global
-    // coordinator host keeps it; the others default to their station 0.
-    c.coordinator_host =
-        if range.contains(&coord) { (coord - range.start) as u32 } else { 0 };
     c.reservations = config
         .reservations
         .iter()
@@ -562,11 +557,7 @@ pub(crate) fn run_sharded(
     let threads = threads.unwrap_or_else(default_threads).clamp(1, pools);
     let ranges: Vec<Range<usize>> = (0..pools).map(|p| topo.range(p, stations)).collect();
     let (mut shard_specs, mut to_global) = partition_jobs(&specs, &topo, stations, &ranges);
-    let coordinator_pool = topo.pool_of(config.coordinator_host as usize, stations);
-    let chaos_parts = config
-        .chaos
-        .as_ref()
-        .map(|c| crate::chaos::route_to_pools(c, &ranges, coordinator_pool));
+    let chaos_parts = config.chaos.as_ref().map(|c| crate::chaos::route_to_pools(c, &ranges));
     let mut user_sinks: Vec<(KindMask, Box<dyn TraceSink + Send>)> =
         sinks.into_iter().map(|s| (s.interest(), s)).collect();
     let wanted = user_sinks.iter().fold(KindMask::NONE, |mask, (i, _)| mask.union(*i));

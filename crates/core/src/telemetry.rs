@@ -532,11 +532,6 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Count of one event kind.
-    pub fn count_of(&self, kind: &TraceKind) -> u64 {
-        self.counts[kind.index()]
-    }
-
     /// Per-kind counts as `(name, count)`, nonzero kinds only, in
     /// [`TraceKind::index`] order.
     pub fn nonzero_counts(&self) -> Vec<(&'static str, u64)> {
@@ -796,8 +791,8 @@ mod tests {
 
         let t = s.telemetry();
         assert_eq!(t.events_total, 7);
-        assert_eq!(t.count_of(&TraceKind::JobArrived { job: JobId(0) }), 1);
-        assert_eq!(t.count_of(&TraceKind::JobStarted { job: JobId(0), on: n }), 2);
+        let counts = t.nonzero_counts();
+        assert!(counts.contains(&("job_arrived", 1)) && counts.contains(&("job_started", 2)));
         // Two queue waits: 60 s after arrival, 100 s after the checkpoint.
         assert_eq!(t.queue_wait_ms.count(), 2);
         assert_eq!(t.queue_wait_ms.min(), Some(60_000));

@@ -61,7 +61,6 @@ fn coordinator_host_crash_stalls_allocation_only() {
     // Deterministic scripted crash via direct model driving.
     let cfg = ClusterConfig {
         stations: 4,
-        coordinator_host: 0,
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.02),
             ..OwnerConfig::default()

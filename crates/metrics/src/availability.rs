@@ -96,12 +96,7 @@ impl AvailabilitySink {
     /// [`TraceSink::finish`] (or the latest observed transition when the
     /// sink was fed manually).
     pub fn profile(&self) -> AvailabilityProfile {
-        self.profile_at(self.finished_at)
-    }
-
-    /// The profile with an explicit horizon.
-    pub fn profile_at(&self, horizon: SimTime) -> AvailabilityProfile {
-        let horizon_ms = horizon.as_millis() as f64;
+        let horizon_ms = self.finished_at.as_millis() as f64;
         let mut stations = Vec::with_capacity(self.replays.len());
         let mut all_intervals = Running::new();
         let mut autocorrs = Running::new();

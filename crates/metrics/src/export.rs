@@ -44,20 +44,6 @@ impl CsvSeries {
         self
     }
 
-    /// Builds a series from two parallel columns (the common x/y case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn from_xy(x_name: &str, y_name: &str, xs: &[f64], ys: &[f64]) -> CsvSeries {
-        assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
-        let mut s = CsvSeries::new(&[x_name, y_name]);
-        for (&x, &y) in xs.iter().zip(ys) {
-            s.row(&[x, y]);
-        }
-        s
-    }
-
     /// Renders the CSV text (header + rows, `\n`-terminated).
     pub fn render(&self) -> String {
         let mut out = self.columns.join(",");
@@ -454,13 +440,6 @@ mod tests {
         s.row(&[0.0, 3.0]).row(&[1.0, 4.5]);
         let text = s.render();
         assert_eq!(text, "hour,queue\n0,3\n1,4.5\n");
-    }
-
-    #[test]
-    fn from_xy_zips() {
-        let s = CsvSeries::from_xy("x", "y", &[1.0, 2.0], &[10.0, 20.0]);
-        assert_eq!(s.rows.len(), 2);
-        assert_eq!(s.rows[1], vec![2.0, 20.0]);
     }
 
     #[test]

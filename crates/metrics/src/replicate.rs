@@ -103,8 +103,8 @@ where
     MeanCi::from_values(&values)
 }
 
-/// Runs `f` once per seed across [`worker_threads`] threads and aggregates
-/// the returned metric.
+/// Runs `f` once per seed across the replication workers
+/// (`CONDOR_THREADS`) and aggregates the returned metric.
 ///
 /// Bit-identical to [`replicate`]: results are collected in seed order
 /// before aggregation, so the output carries no trace of thread timing.
@@ -152,7 +152,7 @@ where
 
 /// The replication worker count: `CONDOR_THREADS` when set to a positive
 /// integer, otherwise the machine's available parallelism (1 if unknown).
-pub fn worker_threads() -> usize {
+fn worker_threads() -> usize {
     match std::env::var("CONDOR_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n > 0 => n,

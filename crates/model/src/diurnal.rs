@@ -31,7 +31,7 @@ impl DiurnalProfile {
     /// # Panics
     ///
     /// Panics unless exactly 168 values in `[0, 1]` are given.
-    pub fn from_hourly(hourly: Vec<f64>) -> Self {
+    fn from_hourly(hourly: Vec<f64>) -> Self {
         assert_eq!(hourly.len(), 168, "a week has 168 hours");
         for &v in &hourly {
             assert!((0.0..=1.0).contains(&v), "activity level {v} outside [0, 1]");
@@ -90,11 +90,6 @@ impl DiurnalProfile {
     pub fn peak(&self) -> f64 {
         self.hourly.iter().cloned().fold(0.0, f64::max)
     }
-
-    /// Smallest hourly level in the week.
-    pub fn trough(&self) -> f64 {
-        self.hourly.iter().cloned().fold(1.0, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +110,6 @@ mod tests {
         let mean = p.weekly_mean();
         assert!((0.22..=0.32).contains(&mean), "weekly mean {mean}");
         assert_eq!(p.peak(), 0.58);
-        assert_eq!(p.trough(), 0.12);
     }
 
     #[test]
@@ -135,7 +129,6 @@ mod tests {
         assert_eq!(p.level_at(SimTime::from_hours(100)), 0.3);
         assert!((p.weekly_mean() - 0.3).abs() < 1e-12);
         assert_eq!(p.peak(), 0.3);
-        assert_eq!(p.trough(), 0.3);
     }
 
     #[test]

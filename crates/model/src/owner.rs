@@ -17,6 +17,7 @@
 //! 3. **Station heterogeneity** — owners differ; each station carries an
 //!    `activity_scale` so some machines are habitually busier than others.
 
+use std::fmt;
 use std::sync::Arc;
 
 use condor_sim::rng::SimRng;
@@ -81,30 +82,83 @@ impl Default for OwnerConfig {
     }
 }
 
-impl OwnerConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range parameters.
-    fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.regime_persistence),
-            "regime persistence {} outside [0, 1]",
-            self.regime_persistence
-        );
-        assert!(
-            (1.0..2.0).contains(&self.long_regime_factor),
-            "long regime factor {} outside [1, 2)",
-            self.long_regime_factor
-        );
-        check_activity_scale(self.activity_scale);
-        assert!(!self.mean_active_period.is_zero(), "zero active period");
+/// An owner parameter outside its range, found by [`OwnerConfig::check`]
+/// or [`check_spread`]. NaN is outside every range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[non_exhaustive]
+pub enum OwnerConfigError {
+    /// `regime_persistence` outside `[0, 1]` (it is a probability).
+    RegimePersistence(f64),
+    /// `long_regime_factor` outside `[1, 2)`: the Short regime's factor
+    /// `2 - long` must stay positive.
+    LongRegimeFactor(f64),
+    /// An activity scale that is not a finite positive number.
+    ActivityScale(f64),
+    /// A zero `mean_active_period`.
+    ZeroActivePeriod,
+    /// A heterogeneity spread outside `[0, 1)`, which would give some
+    /// station a scale of zero or less.
+    HeterogeneitySpread(f64),
+}
+
+impl fmt::Display for OwnerConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OwnerConfigError::RegimePersistence(v) => {
+                write!(f, "regime persistence {v} outside [0, 1]")
+            }
+            OwnerConfigError::LongRegimeFactor(v) => {
+                write!(f, "long regime factor {v} outside [1, 2)")
+            }
+            OwnerConfigError::ActivityScale(v) => write!(f, "bad activity scale {v}"),
+            OwnerConfigError::ZeroActivePeriod => f.write_str("zero active period"),
+            OwnerConfigError::HeterogeneitySpread(v) => write!(f, "spread {v} outside [0, 1)"),
+        }
     }
 }
 
-fn check_activity_scale(scale: f64) {
-    assert!(scale > 0.0 && scale.is_finite(), "bad activity scale {scale}");
+impl std::error::Error for OwnerConfigError {}
+
+impl OwnerConfig {
+    /// Checks every parameter against its range.
+    pub fn check(&self) -> Result<(), OwnerConfigError> {
+        if !(0.0..=1.0).contains(&self.regime_persistence) {
+            return Err(OwnerConfigError::RegimePersistence(self.regime_persistence));
+        }
+        if !(1.0..2.0).contains(&self.long_regime_factor) {
+            return Err(OwnerConfigError::LongRegimeFactor(self.long_regime_factor));
+        }
+        check_activity_scale(self.activity_scale)?;
+        if self.mean_active_period.is_zero() {
+            return Err(OwnerConfigError::ZeroActivePeriod);
+        }
+        Ok(())
+    }
+}
+
+/// Checks a [`build_fleet`] heterogeneity spread: station scales are drawn
+/// from `[1 − spread, 1 + spread]`, so the spread lies in `[0, 1)`.
+pub fn check_spread(spread: f64) -> Result<(), OwnerConfigError> {
+    if (0.0..1.0).contains(&spread) {
+        Ok(())
+    } else {
+        Err(OwnerConfigError::HeterogeneitySpread(spread))
+    }
+}
+
+fn check_activity_scale(scale: f64) -> Result<(), OwnerConfigError> {
+    if scale > 0.0 && scale.is_finite() {
+        Ok(())
+    } else {
+        Err(OwnerConfigError::ActivityScale(scale))
+    }
+}
+
+/// The constructors' contract: an out-of-range parameter is a caller bug.
+fn assert_in_range(checked: Result<(), OwnerConfigError>) {
+    if let Err(e) = checked {
+        panic!("{e}");
+    }
 }
 
 /// One station's owner, stepped by the cluster simulation.
@@ -147,8 +201,12 @@ const _: () = assert!(std::mem::size_of::<OwnerProcess>() <= 24);
 impl OwnerProcess {
     /// Creates the process, drawing the initial state from the profile's
     /// level at time zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`OwnerConfig::check`] rejects `config`.
     pub fn new(config: OwnerConfig, rng: &mut SimRng) -> Self {
-        config.validate();
+        assert_in_range(config.check());
         let activity_scale = config.activity_scale;
         Self::sharing(Arc::new(config), activity_scale, rng)
     }
@@ -156,7 +214,7 @@ impl OwnerProcess {
     /// One owner of a fleet: `config` is the fleet's (already validated),
     /// `activity_scale` this owner's own.
     fn sharing(config: Arc<OwnerConfig>, activity_scale: f64, rng: &mut SimRng) -> Self {
-        check_activity_scale(activity_scale);
+        assert_in_range(check_activity_scale(activity_scale));
         let a = Self::effective_activity(&config, activity_scale, SimTime::ZERO);
         let state = if rng.chance(a) {
             OwnerState::Active
@@ -170,11 +228,6 @@ impl OwnerProcess {
     /// The current state.
     pub fn state(&self) -> OwnerState {
         self.state
-    }
-
-    /// This owner's multiplier on the profile's activity level.
-    pub fn activity_scale(&self) -> f64 {
-        self.activity_scale
     }
 
     fn effective_activity(config: &OwnerConfig, activity_scale: f64, now: SimTime) -> f64 {
@@ -219,17 +272,19 @@ impl OwnerProcess {
 ///
 /// Station activity scales are spread uniformly over
 /// `[1 − spread, 1 + spread]`.
+///
+/// # Panics
+///
+/// Panics if [`check_spread`] rejects the spread or
+/// [`OwnerConfig::check`] rejects `base`.
 pub fn build_fleet(
     n: usize,
     base: &OwnerConfig,
     heterogeneity_spread: f64,
     seed: u64,
 ) -> Vec<OwnerProcess> {
-    assert!(
-        (0.0..1.0).contains(&heterogeneity_spread),
-        "spread {heterogeneity_spread} outside [0, 1)"
-    );
-    base.validate();
+    assert_in_range(check_spread(heterogeneity_spread));
+    assert_in_range(base.check());
     let shared = Arc::new(base.clone());
     let root = SimRng::seed_from(seed);
     (0..n)
@@ -379,17 +434,17 @@ mod tests {
         let base = OwnerConfig::default();
         let fleet = build_fleet(23, &base, 0.4, 99);
         assert_eq!(fleet.len(), 23);
-        let scales: Vec<f64> = fleet.iter().map(|p| p.activity_scale()).collect();
+        let scales: Vec<f64> = fleet.iter().map(|p| p.activity_scale).collect();
         let min = scales.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = scales.iter().cloned().fold(0.0, f64::max);
         assert!(max - min > 0.2, "fleet should vary: {min}..{max}");
         // Same seed → identical fleet.
         let fleet2 = build_fleet(23, &base, 0.4, 99);
-        let scales2: Vec<f64> = fleet2.iter().map(|p| p.activity_scale()).collect();
+        let scales2: Vec<f64> = fleet2.iter().map(|p| p.activity_scale).collect();
         assert_eq!(scales, scales2);
         // Prefix-stability: station i is the same in a bigger fleet.
         let bigger = build_fleet(40, &base, 0.4, 99);
-        let scales3: Vec<f64> = bigger.iter().take(23).map(|p| p.activity_scale()).collect();
+        let scales3: Vec<f64> = bigger.iter().take(23).map(|p| p.activity_scale).collect();
         assert_eq!(scales, scales3);
     }
 
@@ -422,7 +477,7 @@ mod tests {
         let mut fleet = build_fleet(23, &OwnerConfig::default(), 0.4, 99);
         let mut rng = SimRng::seed_from(99);
         assert_eq!(fleet[7].state(), OwnerState::Idle);
-        assert_eq!(fleet[7].activity_scale(), 0.7413412748425932);
+        assert_eq!(fleet[7].activity_scale, 0.7413412748425932);
         assert_eq!(
             dwells_ms(&mut fleet[7], &mut rng, 16),
             [

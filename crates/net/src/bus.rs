@@ -3,8 +3,8 @@
 //! A [`SharedBus`] answers one question for the scheduler: *if I start this
 //! transfer now, when does it complete?* Bulk transfers (checkpoint images,
 //! job placements) serialise FIFO on the medium; control messages (polls,
-//! status replies, preemption orders) see only propagation latency because
-//! their few hundred bytes are negligible next to megabyte images.
+//! status replies, preemption orders) do not occupy it, because their few
+//! hundred bytes are negligible next to megabyte images.
 //!
 //! The model is deliberately coarse — Condor's behaviour depends on
 //! transfer *duration* and *serialisation*, not on CSMA/CD micro-dynamics —
@@ -22,8 +22,6 @@ pub struct BusConfig {
     /// Sustained payload bandwidth in bytes per second. The default models
     /// 10 Mbit/s Ethernet at ~60% goodput: 750 kB/s.
     pub bandwidth_bytes_per_sec: u64,
-    /// One-way latency for a control message.
-    pub control_latency: SimDuration,
     /// Fixed per-transfer setup overhead (connection establishment,
     /// process-creation on the serving side).
     pub transfer_setup: SimDuration,
@@ -33,7 +31,6 @@ impl Default for BusConfig {
     fn default() -> Self {
         BusConfig {
             bandwidth_bytes_per_sec: 750_000,
-            control_latency: SimDuration::from_millis(5),
             transfer_setup: SimDuration::from_millis(200),
         }
     }
@@ -64,13 +61,6 @@ pub struct Transfer {
     pub completes_at: SimTime,
 }
 
-impl Transfer {
-    /// Total time from request to completion, including queueing.
-    pub fn total_duration(&self, requested_at: SimTime) -> SimDuration {
-        self.completes_at.saturating_since(requested_at)
-    }
-}
-
 /// The shared network medium. All bulk transfers serialise through it.
 ///
 /// # Examples
@@ -92,7 +82,6 @@ pub struct SharedBus {
     busy_until: SimTime,
     transfers_booked: u64,
     bytes_moved: u64,
-    control_messages: u64,
     /// Cumulative time the medium spent occupied by bulk transfers.
     busy_time: SimDuration,
     /// Start of the current (latest) contiguous busy run. Bookings that
@@ -110,7 +99,6 @@ impl SharedBus {
             busy_until: SimTime::ZERO,
             transfers_booked: 0,
             bytes_moved: 0,
-            control_messages: 0,
             busy_time: SimDuration::ZERO,
             run_start: SimTime::ZERO,
         }
@@ -146,28 +134,11 @@ impl SharedBus {
         }
     }
 
-    /// Delivery time of a small control message sent at `now`. Control
-    /// traffic does not occupy the medium in this model.
-    pub fn control_delivery(&mut self, now: SimTime) -> SimTime {
-        self.control_messages += 1;
-        now + self.config.control_latency
-    }
-
-    /// When the medium next becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Whether a transfer booked at `now` would start immediately.
-    pub fn is_free_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// How long a transfer booked at `now` would wait before starting:
     /// the time until the medium frees, zero when it already is.
     ///
     /// The medium is a single FIFO track that never backfills: a booking
-    /// always starts at [`SharedBus::busy_until`], even if requested
+    /// always starts when the latest booking completes, even if requested
     /// during an idle gap *before* the latest booking was made. A query
     /// with `now` earlier than that booking therefore reports the full
     /// wait such a booking would really experience — idle gap included —
@@ -184,11 +155,6 @@ impl SharedBus {
     /// Total payload bytes moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
-    }
-
-    /// Total control messages carried.
-    pub fn control_messages(&self) -> u64 {
-        self.control_messages
     }
 
     /// Cumulative time the medium has been occupied by bulk transfers.
@@ -298,7 +264,6 @@ mod tests {
         assert_eq!(t.starts_at, SimTime::from_secs(10));
         // setup 200 ms + 1 s transmission.
         assert_eq!(t.completes_at, SimTime::from_millis(11_200));
-        assert_eq!(t.total_duration(SimTime::from_secs(10)), SimDuration::from_millis(1_200));
         assert_eq!(b.bytes_moved(), 750_000);
         assert_eq!(b.transfers_booked(), 1);
     }
@@ -312,27 +277,17 @@ mod tests {
         let third = b.book_transfer(t0, NodeId::new(4), NodeId::new(5), 750_000);
         assert_eq!(second.starts_at, first.completes_at);
         assert_eq!(third.starts_at, second.completes_at);
-        assert_eq!(b.busy_until(), third.completes_at);
+        assert_eq!(b.backlog_at(t0), third.completes_at.saturating_since(t0));
     }
 
     #[test]
     fn bus_frees_up_between_spaced_transfers() {
         let mut b = bus();
         let first = b.book_transfer(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 100_000);
-        assert!(b.is_free_at(SimTime::from_hours(1)));
+        assert_eq!(b.backlog_at(SimTime::from_hours(1)), SimDuration::ZERO);
         let second = b.book_transfer(SimTime::from_hours(1), NodeId::new(1), NodeId::new(0), 100_000);
         assert_eq!(second.starts_at, SimTime::from_hours(1));
         assert!(second.starts_at > first.completes_at);
-    }
-
-    #[test]
-    fn control_messages_bypass_queue() {
-        let mut b = bus();
-        b.book_transfer(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 10_000_000);
-        // Even with a huge transfer in flight, control mail flows.
-        let delivered = b.control_delivery(SimTime::from_millis(1));
-        assert_eq!(delivered, SimTime::from_millis(6));
-        assert_eq!(b.control_messages(), 1);
     }
 
     #[test]
@@ -406,7 +361,7 @@ mod tests {
         // condor-model's cost model).
         let mut b = bus();
         let t = b.book_transfer(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 500_000);
-        let d = t.total_duration(SimTime::ZERO);
+        let d = t.completes_at.saturating_since(SimTime::ZERO);
         assert!(d >= SimDuration::from_millis(500) && d <= SimDuration::from_secs(2), "{d}");
     }
 }

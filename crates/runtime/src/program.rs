@@ -381,32 +381,32 @@ pub fn run_to_completion(program: &mut dyn JobProgram) -> Vec<u8> {
     program.result().expect("finished program has a result")
 }
 
-/// Runs a program with a checkpoint/restore cycle every `interval` units —
-/// the harness behind the migration-correctness tests.
-pub fn run_with_migrations(
-    mut program: Box<dyn JobProgram>,
-    interval: u64,
-) -> Result<(Vec<u8>, u32), RestoreError> {
-    let mut migrations = 0u32;
-    loop {
-        if program.step(interval) == StepOutcome::Finished {
-            return Ok((
-                program.result().expect("finished program has a result"),
-                migrations,
-            ));
-        }
-        // Checkpoint, "travel", restore — as if on a different machine.
-        let kind = program.kind().to_string();
-        let snap = program.snapshot();
-        drop(program);
-        program = restore(&kind, &snap)?;
-        migrations += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs a program with a checkpoint/restore cycle every `interval`
+    /// units; returns its result and the number of migrations.
+    fn run_with_migrations(
+        mut program: Box<dyn JobProgram>,
+        interval: u64,
+    ) -> Result<(Vec<u8>, u32), RestoreError> {
+        let mut migrations = 0u32;
+        loop {
+            if program.step(interval) == StepOutcome::Finished {
+                return Ok((
+                    program.result().expect("finished program has a result"),
+                    migrations,
+                ));
+            }
+            // Checkpoint, "travel", restore — as if on a different machine.
+            let kind = program.kind().to_string();
+            let snap = program.snapshot();
+            drop(program);
+            program = restore(&kind, &snap)?;
+            migrations += 1;
+        }
+    }
 
     #[test]
     fn prime_counter_is_correct() {

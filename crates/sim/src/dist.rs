@@ -164,56 +164,6 @@ impl Sample for Hyperexponential {
     }
 }
 
-/// Bounded Pareto distribution on `[lo, hi]` with shape `alpha`.
-///
-/// Used for heavy-tailed checkpoint-image sizes and as an alternative
-/// demand model in ablations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    alpha: f64,
-    lo: f64,
-    hi: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto with shape `alpha` on `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha <= 0`, `lo <= 0`, or `lo >= hi`.
-    pub fn new(alpha: f64, lo: f64, hi: f64) -> Self {
-        assert!(alpha.is_finite() && alpha > 0.0, "invalid pareto shape {alpha}");
-        assert!(
-            lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi,
-            "invalid pareto bounds [{lo}, {hi}]"
-        );
-        BoundedPareto { alpha, lo, hi }
-    }
-}
-
-impl Sample for BoundedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Inverse CDF of the bounded Pareto.
-        let u = rng.uniform_f64();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha);
-        x.clamp(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        let a = self.alpha;
-        let (l, h) = (self.lo, self.hi);
-        let norm = l.powf(a) / (1.0 - (l / h).powf(a));
-        if (a - 1.0).abs() < 1e-12 {
-            // α = 1: ∫ₗʰ x · L·x⁻² / (1 − L/H) dx = norm · ln(H/L).
-            norm * (h / l).ln()
-        } else {
-            norm * (a / (a - 1.0)) * (l.powf(1.0 - a) - h.powf(1.0 - a))
-        }
-    }
-}
-
 /// Log-normal distribution parameterised by the mean and sigma of the
 /// underlying normal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,65 +202,6 @@ impl Sample for LogNormal {
     }
     fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-/// Empirical distribution: resamples uniformly from observed values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Creates an empirical distribution from observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or contains negative/non-finite entries.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "empirical distribution needs data");
-        for &v in &values {
-            assert!(v.is_finite() && v >= 0.0, "bad empirical value {v}");
-        }
-        Empirical { values }
-    }
-}
-
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        *rng.pick(&self.values)
-    }
-    fn mean(&self) -> f64 {
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-}
-
-/// A distribution scaled by a constant factor (e.g. convert hours → seconds
-/// without re-deriving parameters).
-#[derive(Debug)]
-pub struct Scaled<D> {
-    inner: D,
-    factor: f64,
-}
-
-impl<D: Sample> Scaled<D> {
-    /// Wraps `inner`, multiplying every draw by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or non-finite.
-    pub fn new(inner: D, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor >= 0.0, "invalid scale factor {factor}");
-        Scaled { inner, factor }
-    }
-}
-
-impl<D: Sample> Sample for Scaled<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.inner.sample(rng) * self.factor
-    }
-    fn mean(&self) -> f64 {
-        self.inner.mean() * self.factor
     }
 }
 
@@ -376,29 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_respects_bounds() {
-        let d = BoundedPareto::new(1.5, 0.1, 10.0);
-        let mut rng = SimRng::seed_from(7);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((0.1..=10.0).contains(&x), "out of bounds {x}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_analytic_mean_matches_empirical() {
-        for &(alpha, lo, hi) in &[(1.5, 0.1, 10.0), (2.5, 1.0, 100.0), (1.0, 0.5, 8.0)] {
-            let d = BoundedPareto::new(alpha, lo, hi);
-            let m = empirical_mean(&d, 77, 400_000);
-            let a = d.mean();
-            assert!(
-                (m - a).abs() / a < 0.03,
-                "alpha={alpha}: analytic {a} vs empirical {m}"
-            );
-        }
-    }
-
-    #[test]
     fn lognormal_with_mean_hits_target() {
         let d = LogNormal::with_mean(0.5, 0.8);
         assert!((d.mean() - 0.5).abs() < 1e-12);
@@ -408,25 +276,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(d.sample(&mut rng) > 0.0);
         }
-    }
-
-    #[test]
-    fn empirical_resamples_observations() {
-        let d = Empirical::new(vec![1.0, 2.0, 3.0]);
-        let mut rng = SimRng::seed_from(10);
-        for _ in 0..100 {
-            let x = d.sample(&mut rng);
-            assert!(x == 1.0 || x == 2.0 || x == 3.0);
-        }
-        assert_eq!(d.mean(), 2.0);
-    }
-
-    #[test]
-    fn scaled_multiplies_draws_and_mean() {
-        let d = Scaled::new(Deterministic::new(2.0), 3.0);
-        let mut rng = SimRng::seed_from(11);
-        assert_eq!(d.sample(&mut rng), 6.0);
-        assert_eq!(d.mean(), 6.0);
     }
 
     #[test]

@@ -132,8 +132,6 @@ pub enum StopReason {
     QueueExhausted,
     /// The horizon was reached; events at or beyond it remain pending.
     HorizonReached,
-    /// The per-run event budget was exhausted (runaway-model guard).
-    EventBudgetExhausted,
 }
 
 /// Drives a [`Model`] through simulated time.
@@ -142,7 +140,6 @@ pub struct Engine<M: Model> {
     queue: EventQueue<M::Event>,
     now: SimTime,
     events_dispatched: u64,
-    event_budget: Option<u64>,
 }
 
 impl<M: Model> Engine<M> {
@@ -153,16 +150,7 @@ impl<M: Model> Engine<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events_dispatched: 0,
-            event_budget: None,
         }
-    }
-
-    /// Caps the total number of events a run may dispatch; exceeded budgets
-    /// stop the run with [`StopReason::EventBudgetExhausted`]. Useful as a
-    /// guard against accidentally self-perpetuating event storms in tests.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = Some(budget);
-        self
     }
 
     /// The current simulated instant.
@@ -214,7 +202,7 @@ impl<M: Model> Engine<M> {
     /// Runs until the queue drains or the clock would pass `horizon`.
     /// Events timestamped exactly at `horizon` are **not** delivered. On
     /// return the clock is at `horizon` (even if the queue drained earlier),
-    /// so consecutive `run_until`/[`Engine::run_for`] calls tile cleanly.
+    /// so consecutive `run_until` calls tile cleanly.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         let reason = self.drain_until(horizon);
         if reason == StopReason::QueueExhausted && horizon != SimTime::MAX && self.now < horizon {
@@ -225,11 +213,6 @@ impl<M: Model> Engine<M> {
 
     fn drain_until(&mut self, horizon: SimTime) -> StopReason {
         loop {
-            if let Some(budget) = self.event_budget {
-                if self.events_dispatched >= budget {
-                    return StopReason::EventBudgetExhausted;
-                }
-            }
             let Some((t, ev)) = self.queue.pop_before(horizon) else {
                 if self.queue.is_empty() {
                     return StopReason::QueueExhausted;
@@ -250,12 +233,6 @@ impl<M: Model> Engine<M> {
             queue: &mut self.queue,
         };
         self.model.handle(t, ev, &mut sched);
-    }
-
-    /// Runs for `span` of simulated time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) -> StopReason {
-        let horizon = self.now + span;
-        self.run_until(horizon)
     }
 
     /// Runs until the event queue is completely drained; the clock stops at
@@ -354,23 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_stops_runaway() {
-        let mut eng = Engine::new(Recorder {
-            seen: Vec::new(),
-            echo_delay: Some(SimDuration::MILLISECOND),
-        })
-        .with_event_budget(10);
-        eng.scheduler().at(SimTime::ZERO, u32::MAX);
-        assert_eq!(eng.run_to_completion(), StopReason::EventBudgetExhausted);
-        assert_eq!(eng.events_dispatched(), 10);
-    }
-
-    #[test]
-    fn run_for_tiles_cleanly() {
+    fn run_until_tiles_cleanly() {
         let mut eng = Engine::new(Recorder::default());
         eng.scheduler().at(SimTime::from_secs(30), 1);
-        for _ in 0..10 {
-            eng.run_for(SimDuration::from_secs(10));
+        for k in 1..=10 {
+            eng.run_until(SimTime::from_secs(10 * k));
         }
         assert_eq!(eng.now(), SimTime::from_secs(100));
         assert_eq!(eng.model().seen.len(), 1);

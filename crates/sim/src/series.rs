@@ -201,9 +201,9 @@ impl StepSeries {
 /// use condor_sim::time::{SimDuration, SimTime};
 ///
 /// let mut acc = BucketAccumulator::new(SimDuration::HOUR);
-/// acc.deposit_point(SimTime::from_secs(10), 5.0);
-/// acc.deposit_point(SimTime::from_hours(1), 7.0);
-/// assert_eq!(acc.bucket_totals(2), vec![5.0, 7.0]);
+/// // Six units spread over 90 minutes: two thirds land in the first hour.
+/// acc.deposit_interval(SimTime::ZERO, SimTime::from_secs(90 * 60), 6.0);
+/// assert_eq!(acc.bucket_totals(2), vec![4.0, 2.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BucketAccumulator {
@@ -241,7 +241,7 @@ impl BucketAccumulator {
     }
 
     /// Deposits `amount` entirely into the bucket containing instant `t`.
-    pub fn deposit_point(&mut self, t: SimTime, amount: f64) {
+    fn deposit_point(&mut self, t: SimTime, amount: f64) {
         let idx = self.bucket_index(t);
         self.ensure(idx);
         self.buckets[idx] += amount;

@@ -86,11 +86,6 @@ impl Running {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -225,16 +220,6 @@ impl Histogram {
     /// Total observations recorded, including under/overflow.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The inclusive lower edge of bucket `i`.
-    pub fn bucket_lo(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / self.counts.len() as f64
-    }
-
-    /// The exclusive upper edge of bucket `i`.
-    pub fn bucket_hi(&self, i: usize) -> f64 {
-        self.bucket_lo(i + 1)
     }
 }
 
@@ -459,7 +444,6 @@ mod tests {
         assert_eq!(r.count(), 8);
         assert_eq!(r.mean(), 5.0);
         assert_eq!(r.population_variance(), 4.0);
-        assert_eq!(r.std_dev(), 2.0);
         assert!((r.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(r.min(), Some(2.0));
         assert_eq!(r.max(), Some(9.0));
@@ -532,9 +516,6 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
         assert_eq!(h.total(), 7);
-        assert_eq!(h.bucket_lo(0), 0.0);
-        assert_eq!(h.bucket_hi(0), 2.0);
-        assert_eq!(h.bucket_hi(4), 10.0);
     }
 
     #[test]

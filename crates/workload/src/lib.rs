@@ -10,9 +10,7 @@
 //!   Table 1 summarisation, and CSV round-tripping;
 //! * [`scenarios`] — the ready-made experiment inputs: the Table 1 month,
 //!   the Figures 6–7 week, a controlled heavy-vs-light fairness duel, and
-//!   the §5(4) mixed-architecture month;
-//! * [`dag`] — dependency-graph builders (pipelines, fork-join) for the
-//!   §5(2) process-pipeline workloads.
+//!   the §5(4) mixed-architecture month.
 //!
 //! ## Example
 //!
@@ -29,12 +27,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dag;
 pub mod scenarios;
 pub mod trace;
 pub mod user;
 
-pub use dag::DagBuilder;
 pub use scenarios::{
     assign_speedup_mix, fairness_duel, mixed_arch_month, one_week, paper_month, Scenario,
     PAPER_USERS,

@@ -9,13 +9,10 @@ use condor::prelude::*;
 fn main() {
     // Eight workstations with typical owners (diurnal activity, the
     // paper's cost model: 2-minute coordinator polls, 30-second owner
-    // checks, 5-minute eviction grace, 5 s/MB image moves). The builder
-    // validates the configuration up front instead of panicking later.
-    let config = ClusterConfig::builder()
-        .stations(8)
-        .seed(7)
-        .build()
-        .expect("quickstart config is valid");
+    // checks, 5-minute eviction grace, 5 s/MB image moves). `check`
+    // reports an invalid configuration up front as a typed `ConfigError`.
+    let config = ClusterConfig { stations: 8, seed: 7, ..ClusterConfig::default() };
+    config.check().expect("quickstart config is valid");
 
     // Two users submit batches of CPU-hungry simulations from their own
     // workstations.

@@ -49,8 +49,7 @@ pub use condor_workload as workload;
 pub mod prelude {
     pub use condor_core::cluster::{Cluster, Run, RunOutput};
     pub use condor_core::config::{
-        ClusterConfig, ClusterConfigBuilder, ConfigError, EvictionStrategy, FailureConfig,
-        PolicyKind, PoolTopology,
+        ClusterConfig, ConfigError, EvictionStrategy, FailureConfig, PolicyKind, PoolTopology,
     };
     pub use condor_core::redundancy::{CkptTiming, RedundancyConfig};
     pub use condor_core::shard::default_threads;

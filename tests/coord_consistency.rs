@@ -95,13 +95,13 @@ proptest! {
         let horizon = SimDuration::from_days(2);
         let gen = ChaosGen { horizon, stations: stations as u32, faults };
         let schedule = ChaosSchedule::generate(seed, &gen);
-        let cfg = ClusterConfig::builder()
-            .stations(stations)
-            .seed(seed)
-            .record_trace(false)
-            .chaos(ChaosConfig::new(schedule))
-            .build()
-            .expect("valid config");
+        let cfg = ClusterConfig {
+            stations,
+            seed,
+            record_trace: false,
+            chaos: Some(ChaosConfig::new(schedule)),
+            ..ClusterConfig::default()
+        };
         let events = drive_and_verify(cfg, mixed_jobs(18, stations as u64, false), horizon, 157);
         prop_assert!(events > 0);
     }
@@ -114,18 +114,18 @@ proptest! {
         seed in 0u64..1_000,
         stations in 8usize..28,
     ) {
-        let cfg = ClusterConfig::builder()
-            .stations(stations)
-            .seed(seed)
-            .record_trace(false)
-            .policy(PolicyKind::Frac)
-            .capacity_profiles(vec![
+        let cfg = ClusterConfig {
+            stations,
+            seed,
+            record_trace: false,
+            policy: PolicyKind::Frac,
+            capacity_profiles: vec![
                 ResourceVec::WHOLE,
                 ResourceVec::share(1500),
                 ResourceVec::new(2000, 1000),
-            ])
-            .build()
-            .expect("valid config");
+            ],
+            ..ClusterConfig::default()
+        };
         let events =
             drive_and_verify(cfg, mixed_jobs(24, stations as u64, true), SimDuration::from_days(2), 131);
         prop_assert!(events > 0);
@@ -141,23 +141,23 @@ fn failures_reservations_and_gangs_stay_consistent() {
     let mut specs = mixed_jobs(20, 12, false);
     specs[7].width = 2;
     specs[13].width = 2;
-    let cfg = ClusterConfig::builder()
-        .stations(12)
-        .seed(77)
-        .record_trace(false)
-        .history_aware_placement(true)
-        .failures(FailureConfig {
+    let cfg = ClusterConfig {
+        stations: 12,
+        seed: 77,
+        record_trace: false,
+        history_aware_placement: true,
+        failures: Some(FailureConfig {
             mtbf: SimDuration::from_days(1),
             mttr: SimDuration::from_hours(4),
-        })
-        .reservation(Reservation {
+        }),
+        reservations: vec![Reservation {
             holder: NodeId::new(0),
             machines: 3,
             from: SimTime::from_hours(6),
             until: SimTime::from_hours(30),
-        })
-        .build()
-        .expect("valid config");
+        }],
+        ..ClusterConfig::default()
+    };
     let events = drive_and_verify(cfg, specs, SimDuration::from_days(3), 97);
     assert!(events > 1_000, "scenario too quiet to exercise the cache ({events} events)");
 }
@@ -185,25 +185,27 @@ fn many_consuming_homes_keep_the_consumer_ledger_consistent() {
             )
         })
         .collect();
-    let cfg = ClusterConfig::builder()
-        .stations(40)
-        .seed(1988)
-        .record_trace(false)
-        .placements_per_poll(8)
-        .reservation(Reservation {
-            holder: NodeId::new(2),
-            machines: 6,
-            from: SimTime::from_hours(10),
-            until: SimTime::from_hours(30),
-        })
-        .reservation(Reservation {
-            holder: NodeId::new(0),
-            machines: 4,
-            from: SimTime::from_hours(40),
-            until: SimTime::from_hours(52),
-        })
-        .build()
-        .expect("valid config");
+    let cfg = ClusterConfig {
+        stations: 40,
+        seed: 1988,
+        record_trace: false,
+        placements_per_poll: 8,
+        reservations: vec![
+            Reservation {
+                holder: NodeId::new(2),
+                machines: 6,
+                from: SimTime::from_hours(10),
+                until: SimTime::from_hours(30),
+            },
+            Reservation {
+                holder: NodeId::new(0),
+                machines: 4,
+                from: SimTime::from_hours(40),
+                until: SimTime::from_hours(52),
+            },
+        ],
+        ..ClusterConfig::default()
+    };
     let mut most_homes = 0usize;
     let (_, totals) = drive_and_observe(cfg, specs, SimDuration::from_days(4), 41, |cluster| {
         let mut homes: Vec<NodeId> = cluster
@@ -251,16 +253,16 @@ fn a_fenced_lazily_folded_station_settles_from_its_offer() {
         })
         .collect();
     let cfg = |record_trace: bool| {
-        ClusterConfig::builder()
-            .stations(16)
-            .seed(17)
-            .record_trace(record_trace)
-            .policy(PolicyKind::Frac)
-            .placements_per_poll(4)
-            .capacity_profiles(vec![ResourceVec::share(1500), ResourceVec::new(2000, 1000)])
-            .reservation(Reservation { holder: NodeId::new(0), machines: 4, from, until })
-            .build()
-            .expect("valid config")
+        ClusterConfig {
+            stations: 16,
+            seed: 17,
+            record_trace,
+            policy: PolicyKind::Frac,
+            placements_per_poll: 4,
+            capacity_profiles: vec![ResourceVec::share(1500), ResourceVec::new(2000, 1000)],
+            reservations: vec![Reservation { holder: NodeId::new(0), machines: 4, from, until }],
+            ..ClusterConfig::default()
+        }
     };
     // Off the poll grid: the stepping loop delivers an event due at the
     // horizon itself, `Run` does not.

@@ -24,18 +24,18 @@ use proptest::prelude::*;
 /// to a floor) with decade-long dwells, plus zero heterogeneity so every
 /// station runs at the reference speed.
 fn quiet_config(stations: usize) -> ClusterConfig {
-    ClusterConfig::builder()
-        .stations(stations)
-        .seed(7)
-        .policy(PolicyKind::Frac)
-        .owner(OwnerConfig {
+    ClusterConfig {
+        stations,
+        seed: 7,
+        policy: PolicyKind::Frac,
+        owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.0),
             mean_active_period: SimDuration::from_days(3_650),
             ..OwnerConfig::default()
-        })
-        .owner_heterogeneity(0.0)
-        .build()
-        .expect("quiet config is valid")
+        },
+        owner_heterogeneity: 0.0,
+        ..ClusterConfig::default()
+    }
 }
 
 fn job(id: u64, resources: ResourceVec) -> JobSpec {
@@ -132,17 +132,17 @@ proptest! {
         } else {
             vec![ResourceVec::WHOLE]
         };
-        let config = ClusterConfig::builder()
-            .stations(stations)
-            .seed(seed)
-            .policy(PolicyKind::Frac)
-            .capacity_profiles(profiles.clone())
-            .owner(OwnerConfig {
+        let config = ClusterConfig {
+            stations,
+            seed,
+            policy: PolicyKind::Frac,
+            capacity_profiles: profiles.clone(),
+            owner: OwnerConfig {
                 profile: DiurnalProfile::flat(0.1),
                 ..OwnerConfig::default()
-            })
-            .build()
-            .expect("prop config is valid");
+            },
+            ..ClusterConfig::default()
+        };
         let jobs: Vec<JobSpec> = (0..njobs as u64)
             .map(|i| {
                 let milli = shares[cpu_choices[i as usize % cpu_choices.len()]];

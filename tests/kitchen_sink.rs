@@ -1,7 +1,7 @@
 //! Feature-composition soak test: every extension enabled at once.
 //!
 //! The individual features (failures, reservations, mixed architectures,
-//! gangs, dependency DAGs, checkpoint server, history-aware placement)
+//! gangs, job dependencies, checkpoint server, history-aware placement)
 //! each have focused tests; this one turns them ALL on in a single long
 //! run and checks the global invariants still hold. Interactions between
 //! features are where schedulers rot.
@@ -10,7 +10,6 @@ use condor::core::config::{FailureConfig, Reservation};
 use condor::core::trace::TraceKind;
 use condor::model::station::{Arch, ArchSet, ResourceVec};
 use condor::prelude::*;
-use condor_workload::dag::DagBuilder;
 
 fn build_everything() -> (ClusterConfig, Vec<JobSpec>) {
     let config = ClusterConfig {
@@ -64,17 +63,29 @@ fn build_everything() -> (ClusterConfig, Vec<JobSpec>) {
     }
     // A workflow with a gang in the middle (prep → width-3 gang → report),
     // dual-binary so the mixed fleet can host it.
-    let mut dag = DagBuilder::new(2, 2);
-    dag.first_id(34);
-    dag.arriving_at(SimTime::from_hours(5));
-    let prep = dag.job(SimDuration::HOUR, &[]);
-    let sim = dag.gang(3, SimDuration::from_hours(5), &[prep]);
-    let _report = dag.job(SimDuration::HOUR, &[sim]);
-    let mut dag_jobs = dag.build();
-    for j in &mut dag_jobs {
-        j.binaries = ArchSet::both();
-    }
-    jobs.extend(dag_jobs);
+    let stage = |id: u64, demand: SimDuration| {
+        JobSpec::new(JobId(id), UserId(2), NodeId::new(2), SimTime::from_hours(5), demand)
+    };
+    jobs.extend([
+        JobSpec {
+            syscalls_per_cpu_sec: 0.5,
+            binaries: ArchSet::both(),
+            ..stage(34, SimDuration::HOUR)
+        },
+        JobSpec {
+            syscalls_per_cpu_sec: 0.5,
+            binaries: ArchSet::both(),
+            depends_on: vec![JobId(34)],
+            width: 3,
+            ..stage(35, SimDuration::from_hours(5))
+        },
+        JobSpec {
+            syscalls_per_cpu_sec: 0.5,
+            binaries: ArchSet::both(),
+            depends_on: vec![JobId(35)],
+            ..stage(36, SimDuration::HOUR)
+        },
+    ]);
     (config, jobs)
 }
 
@@ -175,13 +186,13 @@ fn every_policy_survives_the_capacity_armed_auditor() {
     let profiles = vec![ResourceVec::WHOLE, ResourceVec::new(500, 500)];
     let stations = 8usize;
     for (name, policy) in policies {
-        let config = ClusterConfig::builder()
-            .stations(stations)
-            .seed(1988)
-            .policy(policy)
-            .capacity_profiles(profiles.clone())
-            .build()
-            .expect("kitchen-sink policy config is valid");
+        let config = ClusterConfig {
+            stations,
+            seed: 1988,
+            policy,
+            capacity_profiles: profiles.clone(),
+            ..ClusterConfig::default()
+        };
         // Whole-machine jobs interleaved with quarter- and half-share
         // jobs, spread across homes so queues form and drain.
         let shares = [1000u32, 250, 500, 1000, 250];
