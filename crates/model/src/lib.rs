@@ -3,8 +3,8 @@
 //! The environmental models under the Condor scheduler:
 //!
 //! * [`costs`] — every measured constant from the paper (2-minute polls,
-//!   30-second owner checks, 5-minute eviction grace, 5 s/MB image moves,
-//!   10 ms remote system calls, …) in one [`costs::CostModel`];
+//!   30-second owner checks, 5 s/MB image moves, 10 ms remote system
+//!   calls, …) in one [`costs::CostModel`];
 //! * [`diurnal`] — weekly activity profiles (afternoon peaks, quiet nights
 //!   and weekends) matching the utilization shapes of Figures 5–6;
 //! * [`owner`] — the stochastic owner-activity process with regime
