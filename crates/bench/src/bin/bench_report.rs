@@ -52,7 +52,7 @@
 
 use std::time::{Duration, Instant, SystemTime};
 
-use condor_core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
+use condor_core::chaos::{ChaosGen, ChaosSchedule};
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, Reservation};
 use condor_core::job::{JobId, JobSpec, UserId};
@@ -303,7 +303,6 @@ fn owners_never_flip() -> OwnerConfig {
     OwnerConfig {
         profile: condor_model::diurnal::DiurnalProfile::flat(0.0),
         mean_active_period: SimDuration::from_days(3_650),
-        ..OwnerConfig::default()
     }
 }
 
@@ -329,7 +328,6 @@ fn live_pool() -> Runtime {
         slice_units: 1_000,
         poll_interval: Duration::from_millis(5),
         grace: Duration::from_millis(12),
-        ..RuntimeConfig::default()
     })
 }
 
@@ -635,7 +633,7 @@ fn main() {
             [("empty", ChaosSchedule::default()), ("faults_12", ChaosSchedule::generate(7, &gen))]
         {
             rows.push(measure(format!("cluster/chaos/{label}"), budget, || {
-                let chaos = Some(ChaosConfig::new(schedule.clone()));
+                let chaos = Some(schedule.clone());
                 burst(ClusterConfig { chaos, ..fleet(23) }, 7)
             }));
         }
@@ -735,7 +733,6 @@ fn main() {
         rows.push(measure(format!("cluster/attrib/flips_only{suffix}"), budget, || {
             let costs = condor_model::costs::CostModel {
                 coordinator_poll_interval: SimDuration::from_days(30),
-                ..Default::default()
             };
             let cfg = ClusterConfig { costs, ..fleet(stations) };
             simulate(cfg, Vec::new(), 7).0

@@ -12,7 +12,6 @@ use condor_core::config::{ClusterConfig, FailureConfig};
 use condor_metrics::replicate::par_map;
 use condor_metrics::summary::summarize;
 use condor_metrics::table::{num, Table};
-use condor_model::station::StationProfile;
 use condor_sim::time::SimDuration;
 use condor_workload::scenarios::paper_month;
 
@@ -98,7 +97,7 @@ pub(super) fn run(ctx: &Ctx) {
     let disk_setups = [(4_000_000u64, false), (4_000_000, true), (100_000_000, false)];
     let disk_runs = par_map(&disk_setups, |&(disk, server)| {
         let mut scenario = paper_month(EXPERIMENT_SEED);
-        scenario.config.station = StationProfile::new(1.0, disk);
+        scenario.config.disk_capacity = disk;
         scenario.config.checkpoint_server = server;
         run_scenario(scenario)
     });

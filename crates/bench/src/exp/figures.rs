@@ -483,8 +483,8 @@ pub(super) fn summary(ctx: &Ctx) {
     println!(
         "control plane: {} polls, coordinator overhead (configured) {:.1}%, local scheduler {:.1}%",
         out.totals.polls,
-        100.0 * condor_model::costs::CostModel::default().coordinator_overhead,
-        100.0 * condor_model::costs::CostModel::default().local_scheduler_overhead,
+        100.0 * condor_model::costs::COORDINATOR_OVERHEAD,
+        100.0 * condor_model::costs::LOCAL_SCHEDULER_OVERHEAD,
     );
     println!(
         "owner interference from detection latency: {:.1} min total across {} owner preemptions",

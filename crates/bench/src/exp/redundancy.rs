@@ -19,7 +19,7 @@
 //! `--quick` shrinks the month to the one-week close-up for CI.
 
 use condor_core::audit::AuditSink;
-use condor_core::chaos::{ChaosConfig, ChaosEntry, ChaosGen, ChaosSchedule, Fault};
+use condor_core::chaos::{ChaosEntry, ChaosGen, ChaosSchedule, Fault};
 use condor_core::cluster::{Run, RunOutput};
 use condor_core::config::PolicyKind;
 use condor_core::redundancy::{CkptTiming, RedundancyConfig};
@@ -86,7 +86,7 @@ fn run_case(
 ) -> (RunOutput, Vec<String>, (u64, u64, u64)) {
     let mut config = scenario.config;
     config.policy = policy;
-    config.chaos = chaos.map(ChaosConfig::new);
+    config.chaos = chaos;
     // Chaos perturbs the poll grid, so pin the audited cadence instead of
     // letting the sink infer it from the first (possibly stretched) gap.
     let audit = SharedSink::new(

@@ -80,8 +80,8 @@ pub enum Fault {
     /// Checkpoint-transfer corruption: non-gang checkpoint transfers
     /// *completing* inside the window are detected as corrupt
     /// ([`TraceKind::ChaosCkptCorrupted`]) and re-sent after a capped
-    /// exponential backoff ([`ChaosConfig::retry_backoff_base`] doubling
-    /// per attempt up to [`ChaosConfig::retry_backoff_max`]). No work is
+    /// exponential backoff (30 s doubling per attempt up to 10 minutes,
+    /// see `retry_backoff`). No work is
     /// lost; the job stays mid-checkpoint until a clean transfer lands.
     CkptCorrupt {
         /// Window length.
@@ -370,44 +370,22 @@ impl From<TraceParseError> for ChaosParseError {
     }
 }
 
-/// Chaos configuration carried by
-/// [`ClusterConfig::chaos`](crate::config::ClusterConfig::chaos).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosConfig {
-    /// The faults to inject.
-    pub schedule: ChaosSchedule,
-    /// First checkpoint-retry backoff; doubles per corrupted attempt.
-    pub retry_backoff_base: SimDuration,
-    /// Backoff cap.
-    pub retry_backoff_max: SimDuration,
+/// First checkpoint-retry backoff; it doubles per corrupted attempt.
+const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_secs(30);
+/// Cap on the checkpoint-retry backoff.
+const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_minutes(10);
+
+/// How long after its `attempt`-th corrupted transfer (from 1) a
+/// checkpoint is re-sent: [`RETRY_BACKOFF_BASE`] doubling per attempt,
+/// capped at [`RETRY_BACKOFF_MAX`].
+pub(crate) fn retry_backoff(attempt: u32) -> SimDuration {
+    let factor = 1u64 << (attempt - 1).min(20);
+    SimDuration::from_millis(
+        RETRY_BACKOFF_MAX.as_millis().min(RETRY_BACKOFF_BASE.as_millis().saturating_mul(factor)),
+    )
 }
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            schedule: ChaosSchedule::default(),
-            retry_backoff_base: SimDuration::from_secs(30),
-            retry_backoff_max: SimDuration::from_minutes(10),
-        }
-    }
-}
-
-impl ChaosConfig {
-    /// Wraps a schedule with the default retry backoffs.
-    pub fn new(schedule: ChaosSchedule) -> Self {
-        ChaosConfig { schedule, ..ChaosConfig::default() }
-    }
-
-    /// Checks the configuration against a fleet of `stations` machines.
-    pub fn check(&self, stations: usize) -> Result<(), ConfigError> {
-        if self.retry_backoff_base.is_zero() {
-            return Err(ConfigError::ChaosZeroBackoff);
-        }
-        self.schedule.check(stations)
-    }
-}
-
-/// Splits a chaos configuration across pool shards (see [`crate::shard`]).
+/// Splits a chaos schedule across pool shards (see [`crate::shard`]).
 ///
 /// Station-scoped faults ([`Fault::Partition`]) go to every pool whose
 /// station range they intersect, with `first_station` remapped to
@@ -417,13 +395,13 @@ impl ChaosConfig {
 /// coordinator, so they go to pool 0, whose station 0 holds the global
 /// coordinator. [`Fault::CkptCorrupt`] models shared-medium corruption and
 /// broadcasts to every pool. Entry order is preserved within each shard,
-/// so a one-pool topology gets back a config identical to the input.
-pub fn route_to_pools(cfg: &ChaosConfig, ranges: &[std::ops::Range<usize>]) -> Vec<ChaosConfig> {
-    let mut out: Vec<ChaosConfig> = ranges
-        .iter()
-        .map(|_| ChaosConfig { schedule: ChaosSchedule::default(), ..cfg.clone() })
-        .collect();
-    for entry in &cfg.schedule.entries {
+/// so a one-pool topology gets back a schedule identical to the input.
+pub fn route_to_pools(
+    schedule: &ChaosSchedule,
+    ranges: &[std::ops::Range<usize>],
+) -> Vec<ChaosSchedule> {
+    let mut out = vec![ChaosSchedule::default(); ranges.len()];
+    for entry in &schedule.entries {
         match entry.fault {
             Fault::Partition { first_station, machines, duration } => {
                 let lo = first_station as usize;
@@ -432,7 +410,7 @@ pub fn route_to_pools(cfg: &ChaosConfig, ranges: &[std::ops::Range<usize>]) -> V
                     let s = lo.max(range.start);
                     let e = hi.min(range.end);
                     if s < e {
-                        out[p].schedule.entries.push(ChaosEntry {
+                        out[p].entries.push(ChaosEntry {
                             at: entry.at,
                             fault: Fault::Partition {
                                 first_station: (s - range.start) as u32,
@@ -445,14 +423,14 @@ pub fn route_to_pools(cfg: &ChaosConfig, ranges: &[std::ops::Range<usize>]) -> V
             }
             Fault::CkptCorrupt { .. } => {
                 for shard in &mut out {
-                    shard.schedule.entries.push(*entry);
+                    shard.entries.push(*entry);
                 }
             }
             Fault::CtrlLoss { .. }
             | Fault::CtrlDelay { .. }
             | Fault::CtrlDup
             | Fault::CoordinatorOutage { .. } => {
-                out[0].schedule.entries.push(*entry);
+                out[0].entries.push(*entry);
             }
         }
     }
@@ -499,7 +477,6 @@ pub fn verify_conservation(config: &ClusterConfig, out: &RunOutput) -> Vec<Strin
     let mut transfers = 0u64;
     let mut bytes = 0u64;
     let mut rollbacks = 0u64;
-    let knobs = config.chaos.clone().unwrap_or_default();
     for ev in out.trace.events() {
         match ev.kind {
             TraceKind::PlacementStarted { job, .. } => {
@@ -510,19 +487,14 @@ pub fn verify_conservation(config: &ClusterConfig, out: &RunOutput) -> Vec<Strin
                 transfers += 1;
                 bytes += b;
             }
-            TraceKind::ChaosCkptCorrupted { job, attempt, .. } => {
-                // A corruption books its re-send one backoff later — but
-                // only if that instant is still inside the run. A retry
-                // pending at the horizon is patience, not loss.
-                let factor = 1u64 << (attempt - 1).min(20);
-                let backoff_ms = knobs
-                    .retry_backoff_max
-                    .as_millis()
-                    .min(knobs.retry_backoff_base.as_millis().saturating_mul(factor));
-                if ev.at + SimDuration::from_millis(backoff_ms) < out.horizon {
-                    transfers += 1;
-                    bytes += out.jobs[job.0 as usize].spec.image_bytes;
-                }
+            // A corruption books its re-send one backoff later — but only
+            // if that instant is still inside the run. A retry pending at
+            // the horizon is patience, not loss.
+            TraceKind::ChaosCkptCorrupted { job, attempt, .. }
+                if ev.at + retry_backoff(attempt) < out.horizon =>
+            {
+                transfers += 1;
+                bytes += out.jobs[job.0 as usize].spec.image_bytes;
             }
             TraceKind::PeriodicCheckpoint { job, .. } => {
                 transfers += 1;
@@ -562,9 +534,7 @@ pub fn verify_schedule(
     schedule: &ChaosSchedule,
 ) -> Vec<String> {
     let mut config = base.clone();
-    let mut chaos = config.chaos.take().unwrap_or_default();
-    chaos.schedule = schedule.clone();
-    config.chaos = Some(chaos);
+    config.chaos = Some(schedule.clone());
     config.record_trace = true;
     let audit = SharedSink::new(
         AuditSink::new()
@@ -781,12 +751,7 @@ mod tests {
                 stations: 4
             })
         );
-        let zero_backoff = ChaosConfig {
-            retry_backoff_base: SimDuration::ZERO,
-            ..ChaosConfig::default()
-        };
-        assert_eq!(zero_backoff.check(4), Err(ConfigError::ChaosZeroBackoff));
-        ChaosConfig::default().check(4).expect("defaults are valid");
+        ChaosSchedule::default().check(4).expect("the empty schedule is valid");
     }
 
     /// Busy, flappy owners so evictions — and checkpoint traffic — happen.
@@ -796,7 +761,6 @@ mod tests {
             owner: OwnerConfig {
                 profile: DiurnalProfile::flat(0.5),
                 mean_active_period: SimDuration::from_minutes(8),
-                ..OwnerConfig::default()
             },
             ..ClusterConfig::default()
         }
@@ -832,7 +796,7 @@ mod tests {
         let horizon = SimDuration::from_days(2);
         let plain = Run::new(stormy(6)).specs(jobs(8, 6)).horizon(horizon).execute();
         let chaotic = Run::new(ClusterConfig {
-                chaos: Some(ChaosConfig::default()),
+                chaos: Some(ChaosSchedule::default()),
                 ..stormy(6)
             })
             .specs(jobs(8, 6))
@@ -854,7 +818,7 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
         // The window must actually bite for this test to mean anything.
         let mut config = base;
-        config.chaos = Some(ChaosConfig::new(schedule));
+        config.chaos = Some(schedule);
         let out = Run::new(config).specs(specs).horizon(horizon).execute();
         assert!(
             out.totals.ckpt_retries > 0,
@@ -935,42 +899,36 @@ mod tests {
                 },
             ],
         };
-        let cfg = ChaosConfig::new(schedule);
-
         // One pool: routing is the identity, entry for entry.
-        let whole = route_to_pools(&cfg, std::slice::from_ref(&(0..8)));
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].schedule, cfg.schedule);
+        let whole = route_to_pools(&schedule, std::slice::from_ref(&(0..8)));
+        assert_eq!(whole, std::slice::from_ref(&schedule));
 
         // Two pools of four stations each; pool 0 holds the coordinator.
-        let routed = route_to_pools(&cfg, &[0..4, 4..8]);
+        let routed = route_to_pools(&schedule, &[0..4, 4..8]);
         assert_eq!(routed.len(), 2);
 
         // The partition over global stations 2..6 splits into a local
         // 2..4 cut in pool 0 and a local 0..2 cut in pool 1.
         assert!(matches!(
-            routed[0].schedule.entries[0].fault,
+            routed[0].entries[0].fault,
             Fault::Partition { first_station: 2, machines: 2, .. }
         ));
         assert!(matches!(
-            routed[1].schedule.entries[0].fault,
+            routed[1].entries[0].fault,
             Fault::Partition { first_station: 0, machines: 2, .. }
         ));
 
         // The control-plane fault lands only in the coordinator's pool;
         // the checkpoint corruption broadcasts to both.
-        assert_eq!(routed[0].schedule.entries.len(), 3);
-        assert_eq!(routed[1].schedule.entries.len(), 2);
-        assert!(matches!(routed[0].schedule.entries[1].fault, Fault::CtrlLoss { .. }));
-        assert!(matches!(routed[0].schedule.entries[2].fault, Fault::CkptCorrupt { .. }));
-        assert!(matches!(routed[1].schedule.entries[1].fault, Fault::CkptCorrupt { .. }));
+        assert_eq!(routed[0].entries.len(), 3);
+        assert_eq!(routed[1].entries.len(), 2);
+        assert!(matches!(routed[0].entries[1].fault, Fault::CtrlLoss { .. }));
+        assert!(matches!(routed[0].entries[2].fault, Fault::CkptCorrupt { .. }));
+        assert!(matches!(routed[1].entries[1].fault, Fault::CkptCorrupt { .. }));
 
-        // Each routed shard config stays valid for its local fleet, and
-        // non-schedule knobs (backoffs) carry over untouched.
+        // Each routed shard schedule stays valid for its local fleet.
         for shard in &routed {
             shard.check(4).expect("routed shard schedules stay valid");
-            assert_eq!(shard.retry_backoff_base, cfg.retry_backoff_base);
-            assert_eq!(shard.retry_backoff_max, cfg.retry_backoff_max);
         }
     }
 }

@@ -5,6 +5,7 @@
 //! corruption with backed-off re-sends. Every entry point is a single
 //! branch on `Cluster::chaos` being `None`.
 
+use condor_model::costs::OWNER_CHECK_INTERVAL;
 use condor_model::owner::OwnerState;
 use condor_net::NodeId;
 use condor_sim::engine::Scheduler;
@@ -12,15 +13,15 @@ use condor_sim::time::{SimDuration, SimTime};
 
 use super::station::Phase;
 use super::{Cluster, Event};
-use crate::chaos::{ChaosConfig, Fault};
+use crate::chaos::{retry_backoff, ChaosSchedule, Fault};
 use crate::job::{JobId, JobState};
 use crate::trace::TraceKind;
 
 /// Runtime state of the injected fault schedule.
 #[derive(Debug)]
 pub(super) struct ChaosState {
-    /// The injected configuration: schedule plus retry-backoff knobs.
-    pub(super) cfg: ChaosConfig,
+    /// The injected faults.
+    pub(super) schedule: ChaosSchedule,
     /// Nesting depth of open coordinator-outage windows.
     outage_depth: u32,
     /// Per-station nesting depth of open partition windows.
@@ -42,9 +43,9 @@ pub(super) struct ChaosState {
 }
 
 impl ChaosState {
-    pub(super) fn new(cfg: ChaosConfig, stations: usize, jobs: usize) -> Self {
+    pub(super) fn new(schedule: ChaosSchedule, stations: usize, jobs: usize) -> Self {
         ChaosState {
-            cfg,
+            schedule,
             outage_depth: 0,
             partition_depth: vec![0; stations],
             ctrl_loss_until: SimTime::ZERO,
@@ -72,7 +73,7 @@ impl Cluster {
     }
 
     fn chaos_fault(&self, idx: u32) -> Fault {
-        self.chaos_state().cfg.schedule.entries[idx as usize].fault
+        self.chaos_state().schedule.entries[idx as usize].fault
     }
 
     /// Chaos gating for an on-grid poll. Outage windows drop polls
@@ -187,13 +188,12 @@ impl Cluster {
     /// sweep rides the local schedulers' own check grid: autonomy is a
     /// station-side behaviour, reacting at owner-check granularity.
     fn kick_autonomy_sweep(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        let interval = self.config.costs.owner_check_interval;
         let c = self.chaos_mut();
         if c.sweep_pending {
             return;
         }
         c.sweep_pending = true;
-        sched.at(now + interval, Event::ChaosAutonomySweep);
+        sched.at(now + OWNER_CHECK_INTERVAL, Event::ChaosAutonomySweep);
     }
 
     /// One pass of the cut-off local schedulers: an unreachable, idle,
@@ -271,7 +271,7 @@ impl Cluster {
             self.emit(now, TraceKind::ChaosLocalStart { job, on: NodeId::new(i as u32) });
             self.start_running(now, i, job, sched);
         }
-        sched.at(now + self.config.costs.owner_check_interval, Event::ChaosAutonomySweep);
+        sched.at(now + OWNER_CHECK_INTERVAL, Event::ChaosAutonomySweep);
     }
 
     /// Handles a checkpoint transfer that completed inside a corruption
@@ -286,16 +286,9 @@ impl Cluster {
         seq: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        let (attempt, backoff) = {
-            let c = self.chaos_mut();
-            let slot = &mut c.retry_attempts[job.0 as usize];
-            *slot += 1;
-            let attempt = *slot;
-            let base = c.cfg.retry_backoff_base.as_millis();
-            let cap = c.cfg.retry_backoff_max.as_millis();
-            let factor = 1u64 << (attempt - 1).min(20);
-            (attempt, SimDuration::from_millis(cap.min(base.saturating_mul(factor))))
-        };
+        let slot = &mut self.chaos_mut().retry_attempts[job.0 as usize];
+        *slot += 1;
+        let attempt = *slot;
         self.totals.ckpt_retries += 1;
         self.emit(
             now,
@@ -305,7 +298,7 @@ impl Cluster {
         if crate::chaos::test_hooks::BREAK_CKPT_RETRY.with(|b| b.get()) {
             return; // deliberately broken recovery: the re-send is dropped
         }
-        sched.at(now + backoff, Event::ChaosCkptRetry { job, from, seq });
+        sched.at(now + retry_backoff(attempt), Event::ChaosCkptRetry { job, from, seq });
     }
 
     /// Re-sends a corrupted checkpoint image. Stale if the source station

@@ -116,8 +116,7 @@ impl Cluster {
             }
             let remaining = self.jobs[job.0 as usize].remaining();
             debug_assert!(!remaining.is_zero());
-            let wall = self.config.station.wall_time_for(remaining);
-            let finish = sched.at(now + wall, Event::Finish { job, on: lead });
+            let finish = sched.at(now + remaining, Event::Finish { job, on: lead });
             let gang = self.gang_mut(job);
             gang.running = true;
             gang.finish = Some(finish);

@@ -419,7 +419,7 @@ pub struct Cluster {
     gangs: Vec<Option<Box<GangState>>>,
     /// Incrementally maintained poll snapshot.
     coord: CoordCache,
-    /// Live fault-injection state; `None` (no [`ChaosConfig`]) keeps the
+    /// Live fault-injection state; `None` (no chaos schedule) keeps the
     /// chaos machinery to a single branch on the hot paths.
     chaos: Option<ChaosState>,
     /// Live replica bookkeeping for [`PolicyKind::Redundant`]; `None`
@@ -544,7 +544,7 @@ impl Cluster {
                 queue: BackgroundQueue::default(),
                 residents: Vec::new(),
                 capacity: config.capacity_profiles[i % config.capacity_profiles.len()],
-                disk_capacity: config.station.disk_capacity,
+                disk_capacity: config.disk_capacity,
                 disk_used: 0,
                 detection_pending: false,
                 failed: false,
@@ -661,7 +661,7 @@ impl Cluster {
             let c = engine.model();
             !c.config.record_trace
                 && c.extra_sinks.is_empty()
-                && c.chaos.as_ref().is_none_or(|s| s.cfg.schedule.entries.is_empty())
+                && c.chaos.as_ref().is_none_or(|s| s.schedule.entries.is_empty())
                 && c.config.failures.is_none()
         };
         engine.model_mut().fold_flips = fold_flips;
@@ -707,9 +707,9 @@ impl Cluster {
             .model()
             .chaos
             .as_ref()
-            .map_or(0, |c| c.cfg.schedule.entries.len());
+            .map_or(0, |c| c.schedule.entries.len());
         for idx in 0..n_faults {
-            let at = engine.model().chaos.as_ref().expect("chaos configured").cfg.schedule.entries
+            let at = engine.model().chaos.as_ref().expect("chaos configured").schedule.entries
                 [idx]
                 .at;
             engine.scheduler().at(at, Event::ChaosFault { idx: idx as u32 });
@@ -751,18 +751,8 @@ impl Cluster {
     /// the cluster finalizes. Use a
     /// [`SharedSink`](crate::telemetry::SharedSink) handle to keep access
     /// to the sink after the run.
-    pub fn attach_sink(&mut self, mut sink: Box<dyn TraceSink + Send>) {
-        // Flatten fan-out containers: their children become direct members
-        // of `extra_sinks`, so each event pays one virtual call per leaf
-        // sink instead of one per nesting level per leaf.
-        match sink.take_children() {
-            Some(children) => {
-                for child in children {
-                    self.attach_sink(child);
-                }
-            }
-            None => self.extra_sinks.push((sink.interest(), sink)),
-        }
+    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink + Send>) {
+        self.extra_sinks.push((sink.interest(), sink));
     }
 
     /// Routes one event through every observer: the always-on stats sink,

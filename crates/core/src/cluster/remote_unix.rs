@@ -5,6 +5,7 @@
 //! here exactly once; gangs and replicas reuse the same primitives from
 //! their own modules.
 
+use condor_model::costs::{transfer_cpu_cost, REMOTE_SYSCALL_COST};
 use condor_model::owner::OwnerState;
 use condor_net::NodeId;
 use condor_sim::engine::Scheduler;
@@ -62,7 +63,7 @@ impl Cluster {
     fn segment_work(&self, job: JobId, now: SimTime) -> SimDuration {
         let j = &self.jobs[job.0 as usize];
         scale_work(
-            self.config.station.work_done_in(now.since(j.running_since)),
+            now.since(j.running_since),
             j.spec.speedup.effective_milli(j.spec.resources.cpu_milli),
         )
     }
@@ -74,7 +75,7 @@ impl Cluster {
     pub(super) fn run_wall(&self, job: JobId, remaining: SimDuration) -> SimDuration {
         let spec = &self.jobs[job.0 as usize].spec;
         let eff = spec.speedup.effective_milli(spec.resources.cpu_milli).max(1);
-        inflate_wall(self.config.station.wall_time_for(remaining), eff)
+        inflate_wall(remaining, eff)
     }
 
     /// Closes `job`'s current run segment at `now`: accrues its work,
@@ -95,7 +96,7 @@ impl Cluster {
             SegmentEnd::Interrupted | SegmentEnd::Seized => self.segment_work(job, now),
         };
         let j = &mut self.jobs[job.0 as usize];
-        j.accrue_run(work, self.config.costs.remote_syscall_cost.as_millis() * 1_000);
+        j.accrue_run(work, REMOTE_SYSCALL_COST.as_millis() * 1_000);
         let since = j.running_since;
         let frac = j.spec.resources.cpu_milli as f64 / 1000.0;
         for &h in hosts {
@@ -147,7 +148,7 @@ impl Cluster {
     pub(super) fn ship_image(&mut self, now: SimTime, job: JobId, from: NodeId, to: NodeId) -> SimTime {
         let j = &mut self.jobs[job.0 as usize];
         let image = j.spec.image_bytes;
-        j.charge_transfer(self.config.costs.transfer_cpu_cost(image));
+        j.charge_transfer(transfer_cpu_cost(image));
         self.bus.book_transfer(now, from, to, image).completes_at
     }
 

@@ -279,7 +279,7 @@ impl Cluster {
             ReplicaState::Arriving { arrive } => (arrive, SimDuration::ZERO),
             ReplicaState::Running { started, finish } => {
                 self.deposit_run_utilization(i, started, self.owner_capped(i, now), 1.0);
-                (finish, self.config.station.work_done_in(now.since(started)))
+                (finish, now.since(started))
             }
         };
         if let Some(s) = sched {

@@ -4,6 +4,7 @@
 //! that reconciles residents with it (paper §2.1: the local scheduler is
 //! autonomous; the coordinator only hands out capacity).
 
+use condor_model::costs::OWNER_CHECK_INTERVAL;
 use condor_model::owner::{OwnerProcess, OwnerState};
 use condor_model::station::ResourceVec;
 use condor_net::NodeId;
@@ -423,8 +424,7 @@ impl Cluster {
         });
         if needs_check && !self.stations[i].detection_pending {
             self.stations[i].detection_pending = true;
-            let grid = self.config.costs.owner_check_interval;
-            let next = now.align_down(grid) + grid;
+            let next = now.align_down(OWNER_CHECK_INTERVAL) + OWNER_CHECK_INTERVAL;
             sched.at(next, Event::DetectOwner { station });
         }
     }

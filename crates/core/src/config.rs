@@ -2,11 +2,11 @@
 
 use condor_model::costs::CostModel;
 use condor_model::owner::{check_spread, OwnerConfig, OwnerConfigError};
-use condor_model::station::{Arch, ResourceVec, StationProfile};
-use condor_net::{BusConfig, NodeId, PoolLinks};
+use condor_model::station::{Arch, ResourceVec};
+use condor_net::{BusConfig, NodeId};
 use condor_sim::time::{SimDuration, SimTime};
 
-use crate::chaos::ChaosConfig;
+use crate::chaos::ChaosSchedule;
 use crate::job::JobId;
 use crate::redundancy::RedundancyConfig;
 use crate::updown::UpDownConfig;
@@ -25,8 +25,6 @@ pub enum ConfigError {
     ZeroPlacementsPerPoll,
     /// The coordinator poll interval is zero.
     ZeroPollInterval,
-    /// The owner-check interval is zero.
-    ZeroOwnerCheckInterval,
     /// Immediate-kill eviction with a zero periodic-checkpoint interval.
     ZeroPeriodicCheckpoint,
     /// Failure injection with a zero mean time between failures.
@@ -119,8 +117,6 @@ pub enum ConfigError {
         /// Fleet size.
         stations: usize,
     },
-    /// A zero checkpoint-retry backoff base.
-    ChaosZeroBackoff,
     /// A pool topology with zero pools.
     TopologyNoPools,
     /// A pool topology with more pools than stations.
@@ -130,12 +126,15 @@ pub enum ConfigError {
         /// Fleet size.
         stations: usize,
     },
+    /// A pool topology with a zero inter-pool latency, which leaves no
+    /// lookahead for the synchronisation window.
+    TopologyZeroLatency,
     /// A pool topology whose synchronisation window exceeds the inter-pool
     /// link latency — the conservative lookahead bound would be violated.
     TopologyWindowExceedsLookahead {
         /// The configured window.
         window: SimDuration,
-        /// The minimum inter-pool latency (the lookahead bound).
+        /// The inter-pool latency (the lookahead bound).
         lookahead: SimDuration,
     },
     /// A job depends on a job homed in a different pool; cross-pool
@@ -164,7 +163,6 @@ impl std::fmt::Display for ConfigError {
                 f.write_str("placements_per_poll must be positive")
             }
             ConfigError::ZeroPollInterval => f.write_str("zero poll interval"),
-            ConfigError::ZeroOwnerCheckInterval => f.write_str("zero owner-check interval"),
             ConfigError::ZeroPeriodicCheckpoint => {
                 f.write_str("zero periodic-checkpoint interval")
             }
@@ -191,6 +189,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TopologyNoPools => f.write_str("a pool topology needs at least one pool"),
             ConfigError::TopologyMorePoolsThanStations { pools, stations } => {
                 write!(f, "{pools} pools cannot partition {stations} stations")
+            }
+            ConfigError::TopologyZeroLatency => {
+                f.write_str("zero inter-pool latency gives no lookahead")
             }
             ConfigError::TopologyWindowExceedsLookahead { window, lookahead } => write!(
                 f,
@@ -242,7 +243,6 @@ impl std::fmt::Display for ConfigError {
                     first_station + machines
                 )
             }
-            ConfigError::ChaosZeroBackoff => f.write_str("zero chaos retry backoff base"),
             ConfigError::RedundancyZeroCheckInterval => {
                 f.write_str("zero opportunistic-checkpoint evaluation interval")
             }
@@ -401,8 +401,9 @@ pub struct ClusterConfig {
     pub owner: OwnerConfig,
     /// Spread of per-station activity scales (0 = identical owners).
     pub owner_heterogeneity: f64,
-    /// Hardware profile applied to every station.
-    pub station: StationProfile,
+    /// Disk bytes each station has for foreign checkpoint and executable
+    /// images.
+    pub disk_capacity: u64,
     /// Network parameters.
     pub bus: BusConfig,
     /// Maximum placements started per coordinator poll (paper §4: one).
@@ -435,7 +436,7 @@ pub struct ClusterConfig {
     /// Optional deterministic fault injection (see [`crate::chaos`]).
     /// `None` — and `Some` with an empty schedule — leave the run
     /// bit-identical to an unconfigured one.
-    pub chaos: Option<ChaosConfig>,
+    pub chaos: Option<ChaosSchedule>,
     /// Optional pool topology. `None` runs the classic monolithic
     /// simulation; `Some` partitions the fleet into per-pool shards that
     /// run as a conservative space-parallel simulation (see
@@ -449,16 +450,17 @@ pub struct ClusterConfig {
 /// pool gets its own coordinator, queues, and event wheel. Pools exchange
 /// cross-shard traffic (overflow job forwards) only at synchronisation
 /// barriers, and any message sent at a barrier arrives no earlier than the
-/// [`PoolLinks`] latency later — which is what lets shards advance one
+/// inter-pool `latency` later — which is what lets shards advance one
 /// window ahead of each other without risk of causality violations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolTopology {
     /// Number of pools the fleet is split into.
     pub pools: usize,
-    /// The inter-pool link model; its minimum latency bounds the lookahead.
-    pub links: PoolLinks,
+    /// One-way latency of every link between two pool coordinators; it
+    /// bounds the lookahead.
+    pub latency: SimDuration,
     /// Synchronisation-window length. `None` uses the full lookahead
-    /// (`links.min_latency()`); an explicit value must not exceed it.
+    /// (`latency`); an explicit value must not exceed it.
     pub window: Option<SimDuration>,
     /// Cap on overflow jobs a saturated pool may forward to an idle pool
     /// at each barrier. Zero disables cross-pool forwarding entirely.
@@ -468,15 +470,10 @@ pub struct PoolTopology {
 impl PoolTopology {
     /// A uniform mesh: `pools` pools, one `latency` on every inter-pool
     /// link, window equal to the lookahead, one forward per barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pools` is zero or `latency` is zero (delegated to
-    /// [`PoolLinks::uniform`]).
     pub fn uniform(pools: usize, latency: SimDuration) -> Self {
         PoolTopology {
             pools,
-            links: PoolLinks::uniform(pools, latency),
+            latency,
             window: None,
             max_forwards_per_window: 1,
         }
@@ -485,7 +482,7 @@ impl PoolTopology {
     /// The effective synchronisation window: the explicit `window` if set,
     /// otherwise the full conservative lookahead.
     pub fn effective_window(&self) -> SimDuration {
-        self.window.unwrap_or_else(|| self.links.min_latency())
+        self.window.unwrap_or(self.latency)
     }
 
     /// The station-index range owned by pool `pool` when partitioning
@@ -532,18 +529,20 @@ impl PoolTopology {
                 stations,
             });
         }
+        if self.latency.is_zero() {
+            return Err(ConfigError::TopologyZeroLatency);
+        }
         if let Some(w) = self.window {
             // A zero window would never make progress; report it through
             // the same lookahead-bound error (an empty window is outside
             // the valid (0, lookahead] interval on both ends).
-            if w.is_zero() || w > self.links.min_latency() {
+            if w.is_zero() || w > self.latency {
                 return Err(ConfigError::TopologyWindowExceedsLookahead {
                     window: w,
-                    lookahead: self.links.min_latency(),
+                    lookahead: self.latency,
                 });
             }
         }
-        debug_assert_eq!(self.links.pools(), self.pools, "link mesh size mismatch");
         Ok(())
     }
 }
@@ -558,7 +557,10 @@ impl Default for ClusterConfig {
             eviction: EvictionStrategy::default(),
             owner: OwnerConfig::default(),
             owner_heterogeneity: 0.4,
-            station: StationProfile::default(),
+            // Enough scratch for a heavy user's standing queue of
+            // half-megabyte images (the paper's users were occasionally
+            // disk-limited, but Table 1's 918 jobs were all admitted).
+            disk_capacity: 100_000_000,
             bus: BusConfig::default(),
             placements_per_poll: 1,
             history_aware_placement: false,
@@ -585,9 +587,6 @@ impl ClusterConfig {
         }
         if self.costs.coordinator_poll_interval.is_zero() {
             return Err(ConfigError::ZeroPollInterval);
-        }
-        if self.costs.owner_check_interval.is_zero() {
-            return Err(ConfigError::ZeroOwnerCheckInterval);
         }
         if let EvictionStrategy::ImmediateKill { checkpoint_every } = self.eviction {
             if checkpoint_every.is_zero() {
@@ -748,15 +747,6 @@ mod tests {
             ("spread 1", spread(1.0)),
             ("spread below 0", spread(-0.01)),
             ("spread NaN", spread(f64::NAN)),
-            ("persistence below 0", owner(|o| o.regime_persistence = -0.01)),
-            ("persistence above 1", owner(|o| o.regime_persistence = 1.01)),
-            ("persistence NaN", owner(|o| o.regime_persistence = f64::NAN)),
-            ("long factor below 1", owner(|o| o.long_regime_factor = 0.99)),
-            ("long factor 2", owner(|o| o.long_regime_factor = 2.0)),
-            ("long factor NaN", owner(|o| o.long_regime_factor = f64::NAN)),
-            ("activity scale 0", owner(|o| o.activity_scale = 0.0)),
-            ("activity scale infinite", owner(|o| o.activity_scale = f64::INFINITY)),
-            ("activity scale NaN", owner(|o| o.activity_scale = f64::NAN)),
             ("zero active period", owner(|o| o.mean_active_period = SimDuration::ZERO)),
         ];
         for (case, config) in rejected {
@@ -766,10 +756,6 @@ mod tests {
         let accepted = [
             ("spread 0", spread(0.0)),
             ("spread just below 1", spread(0.99)),
-            ("persistence 0", owner(|o| o.regime_persistence = 0.0)),
-            ("persistence 1", owner(|o| o.regime_persistence = 1.0)),
-            ("long factor 1", owner(|o| o.long_regime_factor = 1.0)),
-            ("long factor just below 2", owner(|o| o.long_regime_factor = 1.99)),
             ("shortest active period", owner(|o| o.mean_active_period = SimDuration::MILLISECOND)),
         ];
         for (case, config) in accepted {
@@ -777,6 +763,18 @@ mod tests {
         }
         let err = spread(1.0).check().unwrap_err();
         assert_eq!(err.to_string(), "owner process: spread 1 outside [0, 1)");
+    }
+
+    #[test]
+    fn a_zero_inter_pool_latency_is_a_typed_error() {
+        let err = ClusterConfig {
+            topology: Some(PoolTopology::uniform(2, SimDuration::ZERO)),
+            ..ClusterConfig::default()
+        }
+        .check()
+        .unwrap_err();
+        assert_eq!(err, ConfigError::TopologyZeroLatency);
+        assert!(err.to_string().contains("no lookahead"));
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub mod updown;
 
 pub use audit::{AuditSink, AuditViolation, AuditViolationKind};
 pub use chaos::{
-    ChaosConfig, ChaosEntry, ChaosFailure, ChaosGen, ChaosParseError, ChaosSchedule,
-    ExploreReport, Fault,
+    ChaosEntry, ChaosFailure, ChaosGen, ChaosParseError, ChaosSchedule, ExploreReport, Fault,
 };
 pub use cluster::{Cluster, Event, Run, RunOutput, Totals};
 pub use config::{
@@ -84,8 +83,8 @@ pub use spans::{
     Breakdown, JobBreakdown, JobSpans, Occupancy, Span, SpanLog, SpanMarker, SpanPhase, SpanSink,
 };
 pub use telemetry::{
-    FanoutSink, GaugeSample, KindFilterSink, KindMask, RingSink, SharedSink, StatsSink,
-    Telemetry, TraceSink, VecSink,
+    GaugeSample, KindFilterSink, KindMask, RingSink, SharedSink, StatsSink, Telemetry, TraceSink,
+    VecSink,
 };
 pub use trace::{Trace, TraceEvent, TraceKind, TraceParseError};
 pub use updown::{UpDown, UpDownConfig};

@@ -8,8 +8,8 @@
 //! event simulation:
 //!
 //! 1. Every shard advances independently to the next window barrier
-//!    `T + W`, where the window `W` never exceeds the minimum inter-pool
-//!    message latency (the lookahead, [`condor_net::PoolLinks::min_latency`]).
+//!    `T + W`, where the window `W` never exceeds the inter-pool message
+//!    latency (the lookahead, [`PoolTopology::latency`]).
 //! 2. At the barrier, cross-shard traffic is exchanged: saturated pools
 //!    (waiting jobs, zero free machines) forward overflow jobs to the pool
 //!    with the most free capacity. A message sent at barrier `T` is
@@ -140,7 +140,7 @@ fn shard_config(
     config: &ClusterConfig,
     range: &Range<usize>,
     pool: usize,
-    chaos_parts: Option<&[crate::chaos::ChaosConfig]>,
+    chaos_parts: Option<&[crate::chaos::ChaosSchedule]>,
 ) -> ClusterConfig {
     let mut c = config.clone();
     c.topology = None;
@@ -263,7 +263,7 @@ fn exchange_overflow(slots: &[Mutex<ShardSlot>], topo: &PoolTopology, h: SimTime
                 let global = src.meta.to_global[spec.id.0 as usize];
                 (spec, global)
             };
-            let deliver = h + topo.links.latency(p, q);
+            let deliver = h + topo.latency;
             let mut dst = slots[q].lock().expect("shard lock");
             let local = dst.engine.model_mut().adopt_spec(spec);
             debug_assert_eq!(local.0 as usize, dst.meta.to_global.len());

@@ -11,7 +11,6 @@
 //!   memory; always attached, so even `record_trace: false` runs report.
 //! * [`VecSink`] — buffers everything, like the legacy trace.
 //! * [`RingSink`] — keeps only the last *N* events (crash forensics).
-//! * [`FanoutSink`] — broadcasts to several sinks.
 //! * [`SharedSink`] — a cloneable handle so the caller keeps access to a
 //!   sink after handing it to the cluster.
 //! * `Trace` itself implements [`TraceSink`], closing the loop.
@@ -144,15 +143,6 @@ pub trait TraceSink: std::fmt::Debug + Send {
     fn interest(&self) -> KindMask {
         KindMask::ALL
     }
-
-    /// For pure fan-out containers: surrenders the child sinks so the
-    /// cluster can attach them directly, flattening nested fan-outs to one
-    /// virtual call per leaf per event. Default: `None` (not a container —
-    /// any sink with behavior of its own, filtering included, must keep
-    /// the default).
-    fn take_children(&mut self) -> Option<Vec<Box<dyn TraceSink + Send>>> {
-        None
-    }
 }
 
 impl TraceSink for Trace {
@@ -265,68 +255,6 @@ impl TraceSink for RingSink {
         }
         self.buf.push_back(*ev);
         self.seen += 1;
-    }
-}
-
-/// Broadcasts every event, sample, and finish to a set of child sinks.
-#[derive(Debug, Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn TraceSink + Send>>,
-}
-
-impl FanoutSink {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        FanoutSink::default()
-    }
-
-    /// Adds a child sink (builder style).
-    pub fn with(mut self, sink: Box<dyn TraceSink + Send>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Adds a child sink.
-    pub fn push(&mut self, sink: Box<dyn TraceSink + Send>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of child sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// `true` when no child sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        for s in &mut self.sinks {
-            s.record(ev);
-        }
-    }
-
-    fn sample(&mut self, s: &GaugeSample) {
-        for sink in &mut self.sinks {
-            sink.sample(s);
-        }
-    }
-
-    fn finish(&mut self, at: SimTime) {
-        for s in &mut self.sinks {
-            s.finish(at);
-        }
-    }
-
-    fn interest(&self) -> KindMask {
-        self.sinks.iter().fold(KindMask::NONE, |mask, s| mask.union(s.interest()))
-    }
-
-    fn take_children(&mut self) -> Option<Vec<Box<dyn TraceSink + Send>>> {
-        Some(std::mem::take(&mut self.sinks))
     }
 }
 
@@ -748,21 +676,6 @@ mod tests {
             })
             .collect();
         assert_eq!(tail, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn fanout_broadcasts() {
-        let a = SharedSink::new(VecSink::new());
-        let b = SharedSink::new(RingSink::new(1));
-        let mut fan = FanoutSink::new()
-            .with(Box::new(a.clone()))
-            .with(Box::new(b.clone()));
-        assert_eq!(fan.len(), 2);
-        fan.record(&ev(1, TraceKind::OwnerIdle { station: NodeId::new(0) }));
-        fan.record(&ev(2, TraceKind::OwnerActive { station: NodeId::new(0) }));
-        fan.finish(SimTime::from_secs(3));
-        assert_eq!(a.with(|s| s.len()), 2);
-        assert_eq!(b.with(|s| s.seen()), 2);
     }
 
     #[test]

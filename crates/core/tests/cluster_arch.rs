@@ -56,7 +56,6 @@ fn work_binds_jobs_to_their_first_architecture() {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: SimDuration::from_minutes(15),
-            ..OwnerConfig::default()
         },
         ..ClusterConfig::default()
     };

@@ -112,7 +112,7 @@ fn checkpoint_server_lifts_home_disk_limit() {
     // Tiny home disks: without a server most submissions bounce;
     // with the §4 checkpoint server everything is admitted.
     let base = ClusterConfig {
-        station: condor_model::station::StationProfile::new(1.0, 600_000),
+        disk_capacity: 600_000,
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.02),
             ..OwnerConfig::default()
@@ -141,10 +141,7 @@ fn crash_and_transfer_race_is_harmless() {
     // transfer-sequence guards; the run must neither panic nor violate
     // conservation.
     let mut cfg = crashy_config(3, 4, 2);
-    cfg.bus = condor_net::BusConfig {
-        bandwidth_bytes_per_sec: 20_000, // 25 s per image
-        ..condor_net::BusConfig::default()
-    };
+    cfg.bus = condor_net::BusConfig { bandwidth_bytes_per_sec: 20_000 }; // 25 s per image
     let jobs: Vec<JobSpec> = (0..5).map(|i| spec(i, 0, (i % 3) as u32, 1, 3)).collect();
     let out = Run::new(cfg).specs(jobs).horizon(SimDuration::from_days(30)).execute();
     for j in &out.jobs {

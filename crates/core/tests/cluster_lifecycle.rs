@@ -69,7 +69,6 @@ fn owner_return_suspends_then_checkpoints_and_job_survives() {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.6),
             mean_active_period: SimDuration::from_minutes(20),
-            ..OwnerConfig::default()
         },
         ..ClusterConfig::default()
     };
@@ -195,7 +194,7 @@ fn coordinator_failure_leaves_running_jobs_alone() {
 fn disk_full_blocks_placement_but_not_forever() {
     // Tiny disks: only one foreign image fits per station.
     let cfg = ClusterConfig {
-        station: condor_model::station::StationProfile::new(1.0, 600_000),
+        disk_capacity: 600_000,
         ..quiet_config(3)
     };
     let jobs: Vec<JobSpec> = (0..4).map(|i| spec(i, 0, 0, 0, 1)).collect();
@@ -355,7 +354,6 @@ fn resume_in_place_happens_with_short_owner_bursts() {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.3),
             mean_active_period: SimDuration::from_secs(90),
-            ..OwnerConfig::default()
         },
         ..ClusterConfig::default()
     };

@@ -156,7 +156,6 @@ fn owner_activity_beats_reservations() {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: SimDuration::from_minutes(30),
-            ..OwnerConfig::default()
         },
         ..ClusterConfig::default()
     };

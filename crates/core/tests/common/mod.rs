@@ -46,7 +46,6 @@ pub fn stormy_config(stations: usize) -> ClusterConfig {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: SimDuration::from_minutes(8),
-            ..OwnerConfig::default()
         },
         ..ClusterConfig::default()
     }

@@ -1,9 +1,10 @@
 //! The cost model: every constant the paper reports or implies.
 //!
 //! The control-plane intervals and per-operation costs live here so that
-//! experiments can reference one authoritative source and ablations can
-//! perturb a single knob. Defaults are the paper's measured values on
-//! VAXstation II hardware (§2.1, §3.1). The §4 policy constants, the
+//! experiments reference one authoritative source. They are the paper's
+//! measured values on VAXstation II hardware (§2.1, §3.1), and no run
+//! changes them, so they are constants; only the coordinator's poll
+//! interval is settable ([`CostModel`]). The §4 policy constants, the
 //! five-minute eviction grace and the one placement per poll, are
 //! scheduler knobs on the cluster configuration instead.
 
@@ -12,51 +13,46 @@ use condor_sim::time::SimDuration;
 /// One megabyte, the unit of the paper's "5 seconds per megabyte" rule.
 pub const MEGABYTE: u64 = 1_000_000;
 
-/// Control-plane and per-operation costs of the Condor machinery.
+/// How often a local scheduler checks for owner activity while a foreign
+/// job runs (paper §2.1: every ½ minute).
+pub const OWNER_CHECK_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
+/// Local CPU consumed to place or checkpoint a job, per megabyte of image
+/// (paper §3.1: ≈ 5 seconds per megabyte).
+const TRANSFER_CPU_PER_MB: SimDuration = SimDuration::from_secs(5);
+
+/// Local CPU consumed on the *home* workstation for each remote system call
+/// executed through the shadow (paper §3.1: ≈ 10 ms, twenty times the cost
+/// of the same call executed locally).
+pub const REMOTE_SYSCALL_COST: SimDuration = SimDuration::from_millis(10);
+
+/// Fraction of a workstation's capacity consumed by its local scheduler
+/// while hosting or submitting (paper §3.1: < 1%).
+pub const LOCAL_SCHEDULER_OVERHEAD: f64 = 0.005;
+
+/// Fraction of the hosting workstation's capacity consumed by the central
+/// coordinator (paper §3.1: < 1% even at 40 stations).
+pub const COORDINATOR_OVERHEAD: f64 = 0.005;
+
+/// The settable part of the control plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// How often the central coordinator polls all stations (paper §2.1:
     /// every two minutes).
     pub coordinator_poll_interval: SimDuration,
-    /// How often a local scheduler checks for owner activity while a
-    /// foreign job runs (paper §2.1: every ½ minute).
-    pub owner_check_interval: SimDuration,
-    /// Local CPU consumed to place or checkpoint a job, per byte of image
-    /// (paper §3.1: ≈ 5 seconds per megabyte).
-    pub transfer_cpu_per_mb: SimDuration,
-    /// Local CPU consumed on the *home* workstation for each remote system
-    /// call executed through the shadow (paper §3.1: ≈ 10 ms, twenty times
-    /// the cost of the same call executed locally).
-    pub remote_syscall_cost: SimDuration,
-    /// Fraction of a workstation's capacity consumed by its local scheduler
-    /// while hosting or submitting (paper §3.1: < 1%).
-    pub local_scheduler_overhead: f64,
-    /// Fraction of the hosting workstation's capacity consumed by the
-    /// central coordinator (paper §3.1: < 1% even at 40 stations).
-    pub coordinator_overhead: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel {
-            coordinator_poll_interval: SimDuration::from_minutes(2),
-            owner_check_interval: SimDuration::from_secs(30),
-            transfer_cpu_per_mb: SimDuration::from_secs(5),
-            remote_syscall_cost: SimDuration::from_millis(10),
-            local_scheduler_overhead: 0.005,
-            coordinator_overhead: 0.005,
-        }
+        CostModel { coordinator_poll_interval: SimDuration::from_minutes(2) }
     }
 }
 
-impl CostModel {
-    /// Local CPU charged to the home workstation for moving an image of
-    /// `bytes` (placement **or** checkpoint — the paper treats them
-    /// symmetrically).
-    pub fn transfer_cpu_cost(&self, bytes: u64) -> SimDuration {
-        self.transfer_cpu_per_mb
-            .mul_f64(bytes as f64 / MEGABYTE as f64)
-    }
+/// Local CPU charged to the home workstation for moving an image of
+/// `bytes` (placement **or** checkpoint — the paper treats them
+/// symmetrically).
+pub fn transfer_cpu_cost(bytes: u64) -> SimDuration {
+    TRANSFER_CPU_PER_MB.mul_f64(bytes as f64 / MEGABYTE as f64)
 }
 
 #[cfg(test)]
@@ -65,30 +61,20 @@ mod tests {
 
     #[test]
     fn defaults_match_the_paper() {
-        let c = CostModel::default();
-        assert_eq!(c.coordinator_poll_interval, SimDuration::from_secs(120));
-        assert_eq!(c.owner_check_interval, SimDuration::from_secs(30));
-        assert_eq!(c.transfer_cpu_per_mb, SimDuration::from_secs(5));
-        assert_eq!(c.remote_syscall_cost, SimDuration::from_millis(10));
-        assert!(c.local_scheduler_overhead < 0.01);
-        assert!(c.coordinator_overhead < 0.01);
+        assert_eq!(CostModel::default().coordinator_poll_interval, SimDuration::from_secs(120));
+        const { assert!(LOCAL_SCHEDULER_OVERHEAD < 0.01 && COORDINATOR_OVERHEAD < 0.01) };
     }
 
     #[test]
     fn half_megabyte_costs_two_and_a_half_seconds() {
         // Paper §3.1: average image 0.5 MB → ≈ 2.5 s per move.
-        let c = CostModel::default();
-        assert_eq!(
-            c.transfer_cpu_cost(MEGABYTE / 2),
-            SimDuration::from_millis(2_500)
-        );
+        assert_eq!(transfer_cpu_cost(MEGABYTE / 2), SimDuration::from_millis(2_500));
     }
 
     #[test]
     fn transfer_cost_is_linear_in_size() {
-        let c = CostModel::default();
-        assert_eq!(c.transfer_cpu_cost(0), SimDuration::ZERO);
-        assert_eq!(c.transfer_cpu_cost(MEGABYTE), SimDuration::from_secs(5));
-        assert_eq!(c.transfer_cpu_cost(3 * MEGABYTE), SimDuration::from_secs(15));
+        assert_eq!(transfer_cpu_cost(0), SimDuration::ZERO);
+        assert_eq!(transfer_cpu_cost(MEGABYTE), SimDuration::from_secs(5));
+        assert_eq!(transfer_cpu_cost(3 * MEGABYTE), SimDuration::from_secs(15));
     }
 }

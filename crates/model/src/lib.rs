@@ -4,24 +4,23 @@
 //!
 //! * [`costs`] — every measured constant from the paper (2-minute polls,
 //!   30-second owner checks, 5 s/MB image moves, 10 ms remote system
-//!   calls, …) in one [`costs::CostModel`];
+//!   calls, …);
 //! * [`diurnal`] — weekly activity profiles (afternoon peaks, quiet nights
 //!   and weekends) matching the utilization shapes of Figures 5–6;
 //! * [`owner`] — the stochastic owner-activity process with regime
 //!   persistence (long available intervals follow long ones, per the
 //!   paper's companion study) and per-station heterogeneity;
-//! * [`station`] — static hardware profiles (CPU speed factor, disk space
-//!   for foreign images).
+//! * [`station`] — static hardware facts (capacity vectors and
+//!   architectures).
 //!
 //! ## Example
 //!
 //! ```
-//! use condor_model::costs::CostModel;
+//! use condor_model::costs::transfer_cpu_cost;
 //! use condor_model::owner::{build_fleet, OwnerConfig};
 //!
-//! let costs = CostModel::default();
 //! // Half-megabyte image → 2.5 s of local CPU per move, like the paper.
-//! assert_eq!(costs.transfer_cpu_cost(500_000).as_millis(), 2_500);
+//! assert_eq!(transfer_cpu_cost(500_000).as_millis(), 2_500);
 //!
 //! // 23 stations with heterogeneous owners, deterministic in the seed.
 //! let fleet = build_fleet(23, &OwnerConfig::default(), 0.4, 1988);
@@ -39,4 +38,4 @@ pub mod station;
 pub use costs::{CostModel, MEGABYTE};
 pub use diurnal::DiurnalProfile;
 pub use owner::{build_fleet, OwnerConfig, OwnerProcess, OwnerState};
-pub use station::{Arch, ArchSet, StationProfile};
+pub use station::{Arch, ArchSet};

@@ -12,10 +12,12 @@
 //! 2. **Regime persistence** — stations that just had a long available
 //!    interval tend to have another long one (and vice versa). A latent
 //!    two-state regime (Long/Short) persists across intervals with
-//!    configurable probability, multiplying idle durations by reciprocal
-//!    factors so the *mean* stays on target while autocorrelation appears;
-//! 3. **Station heterogeneity** — owners differ; each station carries an
-//!    `activity_scale` so some machines are habitually busier than others.
+//!    a fixed probability (0.8), multiplying idle durations by
+//!    reciprocal factors so the *mean* stays on target while
+//!    autocorrelation appears;
+//! 3. **Station heterogeneity** — owners differ; [`build_fleet`] gives each
+//!    owner its own activity scale so some machines are habitually busier
+//!    than others.
 
 use std::fmt;
 use std::sync::Arc;
@@ -44,6 +46,16 @@ impl OwnerState {
     }
 }
 
+/// Probability that the availability regime persists from one idle
+/// interval to the next (0.5 would be no correlation). A calibration of
+/// the companion study's finding (paper ref. \[1\]) that long available
+/// intervals follow long ones.
+const REGIME_PERSISTENCE: f64 = 0.8;
+
+/// Idle-duration multiplier in the Long regime; the Short regime uses
+/// `2 - LONG_REGIME_FACTOR`, so the expected multiplier is 1.
+const LONG_REGIME_FACTOR: f64 = 1.6;
+
 /// Latent availability regime (paper ref. \[1\]: interval lengths are
 /// positively autocorrelated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +71,6 @@ pub struct OwnerConfig {
     pub profile: DiurnalProfile,
     /// Mean length of one active (owner-present) period.
     pub mean_active_period: SimDuration,
-    /// Probability that the availability regime persists from one idle
-    /// interval to the next (0.5 = no correlation).
-    pub regime_persistence: f64,
-    /// Idle-duration multiplier in the Long regime; the Short regime uses
-    /// `2 - long_factor` so the expected multiplier is 1.
-    pub long_regime_factor: f64,
-    /// Per-station multiplier on the profile's activity level (1.0 =
-    /// typical owner; busier owners > 1).
-    pub activity_scale: f64,
 }
 
 impl Default for OwnerConfig {
@@ -75,9 +78,6 @@ impl Default for OwnerConfig {
         OwnerConfig {
             profile: DiurnalProfile::paper_department(),
             mean_active_period: SimDuration::from_minutes(30),
-            regime_persistence: 0.8,
-            long_regime_factor: 1.6,
-            activity_scale: 1.0,
         }
     }
 }
@@ -87,13 +87,6 @@ impl Default for OwnerConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum OwnerConfigError {
-    /// `regime_persistence` outside `[0, 1]` (it is a probability).
-    RegimePersistence(f64),
-    /// `long_regime_factor` outside `[1, 2)`: the Short regime's factor
-    /// `2 - long` must stay positive.
-    LongRegimeFactor(f64),
-    /// An activity scale that is not a finite positive number.
-    ActivityScale(f64),
     /// A zero `mean_active_period`.
     ZeroActivePeriod,
     /// A heterogeneity spread outside `[0, 1)`, which would give some
@@ -104,13 +97,6 @@ pub enum OwnerConfigError {
 impl fmt::Display for OwnerConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OwnerConfigError::RegimePersistence(v) => {
-                write!(f, "regime persistence {v} outside [0, 1]")
-            }
-            OwnerConfigError::LongRegimeFactor(v) => {
-                write!(f, "long regime factor {v} outside [1, 2)")
-            }
-            OwnerConfigError::ActivityScale(v) => write!(f, "bad activity scale {v}"),
             OwnerConfigError::ZeroActivePeriod => f.write_str("zero active period"),
             OwnerConfigError::HeterogeneitySpread(v) => write!(f, "spread {v} outside [0, 1)"),
         }
@@ -122,13 +108,6 @@ impl std::error::Error for OwnerConfigError {}
 impl OwnerConfig {
     /// Checks every parameter against its range.
     pub fn check(&self) -> Result<(), OwnerConfigError> {
-        if !(0.0..=1.0).contains(&self.regime_persistence) {
-            return Err(OwnerConfigError::RegimePersistence(self.regime_persistence));
-        }
-        if !(1.0..2.0).contains(&self.long_regime_factor) {
-            return Err(OwnerConfigError::LongRegimeFactor(self.long_regime_factor));
-        }
-        check_activity_scale(self.activity_scale)?;
         if self.mean_active_period.is_zero() {
             return Err(OwnerConfigError::ZeroActivePeriod);
         }
@@ -146,14 +125,6 @@ pub fn check_spread(spread: f64) -> Result<(), OwnerConfigError> {
     }
 }
 
-fn check_activity_scale(scale: f64) -> Result<(), OwnerConfigError> {
-    if scale > 0.0 && scale.is_finite() {
-        Ok(())
-    } else {
-        Err(OwnerConfigError::ActivityScale(scale))
-    }
-}
-
 /// The constructors' contract: an out-of-range parameter is a caller bug.
 fn assert_in_range(checked: Result<(), OwnerConfigError>) {
     if let Err(e) = checked {
@@ -163,7 +134,7 @@ fn assert_in_range(checked: Result<(), OwnerConfigError>) {
 
 /// One station's owner, stepped by the cluster simulation.
 ///
-/// The process keeps only what is its own — the owner's `activity_scale`,
+/// The process keeps only what is its own — the owner's activity scale,
 /// the state it flips into next and the latent regime — and shares the
 /// rest of its [`OwnerConfig`] with every other owner built from the same
 /// one ([`build_fleet`] allocates the configuration once per fleet). A
@@ -184,9 +155,10 @@ fn assert_in_range(checked: Result<(), OwnerConfigError>) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OwnerProcess {
-    /// Shared by the fleet; its `activity_scale` is the fleet's base, not
-    /// this owner's.
+    /// Shared by the fleet.
     config: Arc<OwnerConfig>,
+    /// Multiplier on the profile's activity level (1.0 = typical owner;
+    /// busier owners > 1).
     activity_scale: f64,
     state: OwnerState,
     regime: Regime,
@@ -207,14 +179,12 @@ impl OwnerProcess {
     /// Panics if [`OwnerConfig::check`] rejects `config`.
     pub fn new(config: OwnerConfig, rng: &mut SimRng) -> Self {
         assert_in_range(config.check());
-        let activity_scale = config.activity_scale;
-        Self::sharing(Arc::new(config), activity_scale, rng)
+        Self::sharing(Arc::new(config), 1.0, rng)
     }
 
     /// One owner of a fleet: `config` is the fleet's (already validated),
     /// `activity_scale` this owner's own.
     fn sharing(config: Arc<OwnerConfig>, activity_scale: f64, rng: &mut SimRng) -> Self {
-        assert_in_range(check_activity_scale(activity_scale));
         let a = Self::effective_activity(&config, activity_scale, SimTime::ZERO);
         let state = if rng.chance(a) {
             OwnerState::Active
@@ -245,15 +215,15 @@ impl OwnerProcess {
             OwnerState::Idle => {
                 // Possibly switch regime, then stretch/shrink the idle
                 // interval by the regime factor.
-                if !rng.chance(self.config.regime_persistence) {
+                if !rng.chance(REGIME_PERSISTENCE) {
                     self.regime = match self.regime {
                         Regime::Long => Regime::Short,
                         Regime::Short => Regime::Long,
                     };
                 }
                 let factor = match self.regime {
-                    Regime::Long => self.config.long_regime_factor,
-                    Regime::Short => 2.0 - self.config.long_regime_factor,
+                    Regime::Long => LONG_REGIME_FACTOR,
+                    Regime::Short => 2.0 - LONG_REGIME_FACTOR,
                 };
                 // Stationary activity = active / (active + idle) = a
                 // → mean idle = mean_active · (1 − a)/a.
@@ -295,7 +265,7 @@ pub fn build_fleet(
             } else {
                 rng.uniform_range_f64(1.0 - heterogeneity_spread, 1.0 + heterogeneity_spread)
             };
-            OwnerProcess::sharing(shared.clone(), base.activity_scale * scale, &mut rng)
+            OwnerProcess::sharing(shared.clone(), scale, &mut rng)
         })
         .collect()
 }
@@ -304,11 +274,11 @@ pub fn build_fleet(
 mod tests {
     use super::*;
 
-    /// Simulate one owner for `horizon` and return the fraction of time
-    /// spent Active.
-    fn active_fraction(config: OwnerConfig, seed: u64, horizon: SimDuration) -> f64 {
+    /// Simulate one owner with activity scale `scale` for `horizon` and
+    /// return the fraction of time spent Active.
+    fn active_fraction(config: OwnerConfig, scale: f64, seed: u64, horizon: SimDuration) -> f64 {
         let mut rng = SimRng::seed_from(seed);
-        let mut p = OwnerProcess::new(config, &mut rng);
+        let mut p = OwnerProcess::sharing(Arc::new(config), scale, &mut rng);
         let mut now = SimTime::ZERO;
         let end = SimTime::ZERO + horizon;
         let mut active = SimDuration::ZERO;
@@ -328,7 +298,7 @@ mod tests {
     fn long_run_activity_tracks_profile_mean() {
         let cfg = OwnerConfig::default();
         let target = cfg.profile.weekly_mean();
-        let got = active_fraction(cfg, 42, SimDuration::from_days(56));
+        let got = active_fraction(cfg, 1.0, 42, SimDuration::from_days(56));
         assert!(
             (got - target).abs() < 0.05,
             "activity {got} vs profile mean {target}"
@@ -341,23 +311,18 @@ mod tests {
             profile: DiurnalProfile::flat(0.4),
             ..OwnerConfig::default()
         };
-        let got = active_fraction(cfg, 7, SimDuration::from_days(60));
+        let got = active_fraction(cfg, 1.0, 7, SimDuration::from_days(60));
         assert!((got - 0.4).abs() < 0.03, "activity {got}");
     }
 
     #[test]
     fn busier_owner_is_busier() {
-        let base = OwnerConfig {
+        let cfg = OwnerConfig {
             profile: DiurnalProfile::flat(0.3),
             ..OwnerConfig::default()
         };
-        let busy = OwnerConfig {
-            activity_scale: 1.5,
-            profile: DiurnalProfile::flat(0.3),
-            ..OwnerConfig::default()
-        };
-        let f_base = active_fraction(base, 11, SimDuration::from_days(40));
-        let f_busy = active_fraction(busy, 11, SimDuration::from_days(40));
+        let f_base = active_fraction(cfg.clone(), 1.0, 11, SimDuration::from_days(40));
+        let f_busy = active_fraction(cfg, 1.5, 11, SimDuration::from_days(40));
         assert!(
             f_busy > f_base + 0.08,
             "busy {f_busy} should exceed base {f_base}"
@@ -366,44 +331,32 @@ mod tests {
 
     #[test]
     fn idle_interval_autocorrelation_is_positive() {
-        // With strong regime persistence, consecutive idle intervals
-        // correlate; with none, they do not (statistically).
-        fn idle_autocorr(persistence: f64, seed: u64) -> f64 {
-            let cfg = OwnerConfig {
-                profile: DiurnalProfile::flat(0.3),
-                regime_persistence: persistence,
-                long_regime_factor: 1.9,
-                ..OwnerConfig::default()
-            };
-            let mut rng = SimRng::seed_from(seed);
-            let mut p = OwnerProcess::new(cfg, &mut rng);
-            let mut now = SimTime::ZERO;
-            let mut idles = Vec::new();
-            for _ in 0..40_000 {
-                let state = p.state();
-                let dwell = p.dwell_and_flip(now, &mut rng);
-                if state == OwnerState::Idle {
-                    idles.push(dwell.as_secs_f64());
-                }
-                now += dwell;
+        // The persisting regime makes consecutive idle intervals correlate.
+        let cfg = OwnerConfig {
+            profile: DiurnalProfile::flat(0.3),
+            ..OwnerConfig::default()
+        };
+        let mut rng = SimRng::seed_from(3);
+        let mut p = OwnerProcess::new(cfg, &mut rng);
+        let mut now = SimTime::ZERO;
+        let mut idles = Vec::new();
+        for _ in 0..40_000 {
+            let state = p.state();
+            let dwell = p.dwell_and_flip(now, &mut rng);
+            if state == OwnerState::Idle {
+                idles.push(dwell.as_secs_f64());
             }
-            let n = idles.len() - 1;
-            let mean = idles.iter().sum::<f64>() / idles.len() as f64;
-            let var = idles.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / idles.len() as f64;
-            let cov = (0..n)
-                .map(|i| (idles[i] - mean) * (idles[i + 1] - mean))
-                .sum::<f64>()
-                / n as f64;
-            cov / var
+            now += dwell;
         }
-        let correlated = idle_autocorr(0.9, 3);
-        let uncorrelated = idle_autocorr(0.5, 3);
-        assert!(correlated > 0.05, "autocorr {correlated} should be positive");
-        assert!(
-            uncorrelated.abs() < 0.05,
-            "autocorr {uncorrelated} should be near zero"
-        );
-        assert!(correlated > uncorrelated + 0.05);
+        let n = idles.len() - 1;
+        let mean = idles.iter().sum::<f64>() / idles.len() as f64;
+        let var = idles.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / idles.len() as f64;
+        let cov = (0..n)
+            .map(|i| (idles[i] - mean) * (idles[i + 1] - mean))
+            .sum::<f64>()
+            / n as f64;
+        let autocorr = cov / var;
+        assert!(autocorr > 0.05, "autocorr {autocorr} should be positive");
     }
 
     #[test]
@@ -491,16 +444,5 @@ mod tests {
     fn a_fleet_shares_one_configuration() {
         let fleet = build_fleet(23, &OwnerConfig::default(), 0.4, 99);
         assert!(fleet.iter().all(|p| Arc::ptr_eq(&p.config, &fleet[0].config)));
-    }
-
-    #[test]
-    #[should_panic(expected = "regime persistence")]
-    fn bad_persistence_rejected() {
-        let cfg = OwnerConfig {
-            regime_persistence: 1.5,
-            ..OwnerConfig::default()
-        };
-        let mut rng = SimRng::seed_from(1);
-        OwnerProcess::new(cfg, &mut rng);
     }
 }

@@ -1,98 +1,5 @@
-//! Static per-workstation hardware profile.
-//!
-//! The scheduler needs two hardware facts about a station (paper §4):
-//! how fast it is (all VAXstation IIs in the paper — but the §5 future-work
-//! item about SUN ports motivates a speed factor) and how much disk is free
-//! for foreign checkpoint images.
-
-use condor_sim::time::SimDuration;
-
-/// Hardware profile of one workstation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StationProfile {
-    /// CPU speed relative to the reference VAXstation II (1.0 = reference).
-    /// A job with 1 h of demand takes `1 h / cpu_factor` of wall time.
-    pub cpu_factor: f64,
-    /// Disk bytes available for foreign checkpoint/executable images.
-    pub disk_capacity: u64,
-}
-
-impl Default for StationProfile {
-    fn default() -> Self {
-        StationProfile {
-            cpu_factor: 1.0,
-            // Enough scratch for a heavy user's standing queue of
-            // half-megabyte images (the paper's users were occasionally
-            // disk-limited, but Table 1's 918 jobs were all admitted).
-            disk_capacity: 100_000_000,
-        }
-    }
-}
-
-impl StationProfile {
-    /// Creates a profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu_factor` is not strictly positive and finite.
-    pub fn new(cpu_factor: f64, disk_capacity: u64) -> Self {
-        assert!(
-            cpu_factor.is_finite() && cpu_factor > 0.0,
-            "bad cpu factor {cpu_factor}"
-        );
-        StationProfile {
-            cpu_factor,
-            disk_capacity,
-        }
-    }
-
-    /// Wall-clock time to deliver `demand` of reference-CPU work on this
-    /// station.
-    pub fn wall_time_for(&self, demand: SimDuration) -> SimDuration {
-        demand.mul_f64(1.0 / self.cpu_factor)
-    }
-
-    /// Reference-CPU work delivered by running on this station for `wall`.
-    pub fn work_done_in(&self, wall: SimDuration) -> SimDuration {
-        wall.mul_f64(self.cpu_factor)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reference_station_is_identity() {
-        let s = StationProfile::default();
-        let d = SimDuration::from_hours(3);
-        assert_eq!(s.wall_time_for(d), d);
-        assert_eq!(s.work_done_in(d), d);
-    }
-
-    #[test]
-    fn fast_station_finishes_sooner() {
-        let s = StationProfile::new(2.0, 0);
-        let d = SimDuration::from_hours(2);
-        assert_eq!(s.wall_time_for(d), SimDuration::from_hours(1));
-        assert_eq!(s.work_done_in(SimDuration::from_hours(1)), SimDuration::from_hours(2));
-    }
-
-    #[test]
-    fn wall_and_work_are_inverse() {
-        let s = StationProfile::new(1.7, 0);
-        let d = SimDuration::from_minutes(90);
-        let roundtrip = s.work_done_in(s.wall_time_for(d));
-        let err = roundtrip.as_millis() as i64 - d.as_millis() as i64;
-        assert!(err.abs() <= 1, "rounding drift {err} ms");
-    }
-
-    #[test]
-    #[should_panic(expected = "bad cpu factor")]
-    fn zero_speed_rejected() {
-        StationProfile::new(0.0, 0);
-    }
-}
+//! Static per-workstation hardware facts: the capacity vector a station
+//! offers and its architecture.
 
 /// A station capacity or job demand, expressed per dimension in integer
 /// **milli-units** (1000 = one whole machine's worth). Integer units keep

@@ -16,23 +16,21 @@ use condor_sim::time::{SimDuration, SimTime};
 
 use crate::node::NodeId;
 
+/// Fixed overhead of every bulk transfer (connection establishment,
+/// process creation on the serving side).
+const TRANSFER_SETUP: SimDuration = SimDuration::from_millis(200);
+
 /// Static parameters of the shared medium.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusConfig {
     /// Sustained payload bandwidth in bytes per second. The default models
     /// 10 Mbit/s Ethernet at ~60% goodput: 750 kB/s.
     pub bandwidth_bytes_per_sec: u64,
-    /// Fixed per-transfer setup overhead (connection establishment,
-    /// process-creation on the serving side).
-    pub transfer_setup: SimDuration,
 }
 
 impl Default for BusConfig {
     fn default() -> Self {
-        BusConfig {
-            bandwidth_bytes_per_sec: 750_000,
-            transfer_setup: SimDuration::from_millis(200),
-        }
+        BusConfig { bandwidth_bytes_per_sec: 750_000 }
     }
 }
 
@@ -119,7 +117,7 @@ impl SharedBus {
             // The medium was idle: this booking opens a new busy run.
             self.run_start = starts_at;
         }
-        let occupies = self.config.transfer_setup + self.config.transmission_time(bytes);
+        let occupies = TRANSFER_SETUP + self.config.transmission_time(bytes);
         let completes_at = starts_at + occupies;
         self.busy_until = completes_at;
         self.transfers_booked += 1;
@@ -185,60 +183,6 @@ impl SharedBus {
     }
 }
 
-/// The inter-pool link model: point-to-point control links between pool
-/// coordinators, separate from the intra-pool [`SharedBus`].
-///
-/// Every cross-pool message — a forwarded job, a checkpoint transfer, a
-/// control message — rides one of these links and arrives no earlier than
-/// the link latency. [`PoolLinks::min_latency`] is therefore a sound
-/// *lookahead* bound for conservative space-parallel simulation: a shard
-/// may advance `min_latency` past the last synchronisation point without
-/// risk of receiving an event from another pool's past.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolLinks {
-    pools: usize,
-    latency: SimDuration,
-}
-
-impl PoolLinks {
-    /// A fully connected mesh of `pools` pools with one uniform one-way
-    /// latency on every link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pools` is zero or `latency` is zero (a zero-latency
-    /// link would make the conservative lookahead window empty).
-    pub fn uniform(pools: usize, latency: SimDuration) -> Self {
-        assert!(pools > 0, "a pool mesh needs at least one pool");
-        assert!(!latency.is_zero(), "zero inter-pool latency gives no lookahead");
-        PoolLinks { pools, latency }
-    }
-
-    /// Number of pools in the mesh.
-    pub fn pools(&self) -> usize {
-        self.pools
-    }
-
-    /// One-way latency from pool `from` to pool `to`; zero within a pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either pool index is out of range.
-    pub fn latency(&self, from: usize, to: usize) -> SimDuration {
-        assert!(from < self.pools && to < self.pools, "pool index out of range");
-        if from == to {
-            SimDuration::ZERO
-        } else {
-            self.latency
-        }
-    }
-
-    /// The smallest latency on any *inter*-pool link — the lower bound a
-    /// conservative windowed simulation may use as its lookahead.
-    pub fn min_latency(&self) -> SimDuration {
-        self.latency
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -336,21 +280,6 @@ mod tests {
         // that full wait, idle gap included.
         assert_eq!(b.backlog_at(SimTime::from_secs(5)), SimDuration::from_millis(6_200));
         assert_eq!(b.backlog_at(SimTime::from_millis(11_200)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn pool_links_give_uniform_lookahead() {
-        let links = PoolLinks::uniform(4, SimDuration::from_secs(30));
-        assert_eq!(links.pools(), 4);
-        assert_eq!(links.latency(0, 0), SimDuration::ZERO);
-        assert_eq!(links.latency(0, 3), SimDuration::from_secs(30));
-        assert_eq!(links.min_latency(), SimDuration::from_secs(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "no lookahead")]
-    fn zero_latency_links_are_rejected() {
-        let _ = PoolLinks::uniform(2, SimDuration::ZERO);
     }
 
     #[test]

@@ -33,5 +33,5 @@
 pub mod bus;
 pub mod node;
 
-pub use bus::{BusConfig, PoolLinks, SharedBus, Transfer};
+pub use bus::{BusConfig, SharedBus, Transfer};
 pub use node::NodeId;

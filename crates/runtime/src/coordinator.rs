@@ -78,6 +78,12 @@ struct LiveJob {
     migrations: u32,
 }
 
+/// Placements started per poll: the paper's throttle (§4: one).
+const PLACEMENTS_PER_POLL: usize = 1;
+
+/// Capacity in bytes of each home's checkpoint store.
+const STORE_CAPACITY: u64 = 64 << 20;
+
 /// The live pool's scheduler state; see the module docs.
 #[derive(Debug)]
 pub(crate) struct Coordinator {
@@ -103,7 +109,6 @@ pub(crate) struct Coordinator {
 impl Coordinator {
     pub(crate) fn new(config: RuntimeConfig) -> Coordinator {
         assert!(config.workers > 0, "need at least one worker");
-        assert!(config.placements_per_poll > 0, "placement budget");
         Coordinator {
             policy: UpDown::new(UpDownConfig::default()),
             jobs: Vec::new(),
@@ -113,7 +118,7 @@ impl Coordinator {
             queues: vec![VecDeque::new(); config.workers],
             hosting: vec![None; config.workers],
             stores: (0..config.workers)
-                .map(|_| CheckpointStore::new(config.store_capacity))
+                .map(|_| CheckpointStore::new(STORE_CAPACITY))
                 .collect(),
             migrations: 0,
             interruptions: 0,
@@ -282,7 +287,7 @@ impl Coordinator {
             Default::default(),
             &views,
             &free,
-            self.config.placements_per_poll,
+            PLACEMENTS_PER_POLL,
         );
         for order in orders {
             match order {
@@ -600,8 +605,7 @@ mod tests {
     fn interleave(seed: u64) {
         let mut rng = SimRng::seed_from(seed);
         let workers = 2 + rng.index(3);
-        let mut config = config(workers, 10, 25);
-        config.placements_per_poll += rng.index(2);
+        let config = config(workers, 10, 25);
         let jobs: Vec<(usize, SeriesSum)> = (0..1 + rng.index(6))
             .map(|_| (rng.index(workers), SeriesSum::new(50 + rng.index(450) as u64, 1_000_003)))
             .collect();
@@ -650,7 +654,7 @@ mod tests {
                         assert!(!pool.down || w == jobs[job as usize].0, "left home while down");
                     }
                     assert!(!pool.down || pool.c.polls == polls, "polled while down");
-                    assert!(pool.down || places.len() <= config.placements_per_poll, "throttle");
+                    assert!(pool.down || places.len() <= PLACEMENTS_PER_POLL, "throttle");
                     let due = |since: Duration| since + config.grace <= pool.now;
                     for (_, job) in &evicts {
                         assert!(suspended.get(job).is_none_or(|&s| due(s)), "evicted in grace");

@@ -153,7 +153,6 @@ mod tests {
         let config = OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: condor_sim::time::SimDuration::from_minutes(2),
-            ..OwnerConfig::default()
         };
         // 1 sim minute = 2 ms → flips every few ms.
         let sim = OwnerSimulator::start(f.clone(), config, Duration::from_millis(2), 42);
@@ -191,7 +190,6 @@ mod tests {
         let config = OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: condor_sim::time::SimDuration::from_minutes(60),
-            ..OwnerConfig::default()
         };
         // 1 sim minute = 1 s: the next flip is most likely minutes away.
         let sim = OwnerSimulator::start(f.clone(), config, Duration::from_secs(1), 5);

@@ -41,10 +41,6 @@ pub struct RuntimeConfig {
     /// Grace period before an interrupted job is evicted (the paper's
     /// 5 minutes, scaled — keep the 2.5× ratio to the poll).
     pub grace: Duration,
-    /// Maximum placements per poll (the paper's throttle).
-    pub placements_per_poll: usize,
-    /// Per-home checkpoint-store capacity in bytes.
-    pub store_capacity: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -54,8 +50,6 @@ impl Default for RuntimeConfig {
             slice_units: 2_000,
             poll_interval: Duration::from_millis(20),
             grace: Duration::from_millis(50),
-            placements_per_poll: 1,
-            store_capacity: 64 << 20,
         }
     }
 }
@@ -243,7 +237,6 @@ mod tests {
             slice_units: 500,
             poll_interval: Duration::from_millis(5),
             grace: Duration::from_millis(15),
-            ..RuntimeConfig::default()
         }
     }
 

@@ -14,6 +14,14 @@ use condor_sim::dist::{Hyperexponential, LogNormal, Sample};
 use condor_sim::rng::SimRng;
 use condor_sim::time::{SimDuration, SimTime};
 
+/// Mean of the log-normal number of *total* system calls per job, the same
+/// for every user. The paper notes short jobs do about the same total I/O
+/// as long ones, which is exactly what makes their leverage lower (Fig. 9);
+/// so the total, not the rate, is the stable per-job quantity.
+const TOTAL_SYSCALLS_MEAN: f64 = 400.0;
+/// Shape (σ of the underlying normal) of the total-system-call count.
+const TOTAL_SYSCALLS_SIGMA: f64 = 1.0;
+
 /// Statistical description of one submitting user.
 #[derive(Debug)]
 pub struct UserProfile {
@@ -31,11 +39,6 @@ pub struct UserProfile {
     /// Checkpoint-image size distribution (bytes); the paper's observed
     /// mean was ½ MB.
     pub image_bytes: LogNormal,
-    /// Distribution of *total* system calls per job. The paper notes short
-    /// jobs do about the same total I/O as long ones, which is exactly what
-    /// makes their leverage lower (Fig. 9); so the total, not the rate, is
-    /// the stable per-job quantity.
-    pub total_syscalls: LogNormal,
     /// Architectures the user compiles for (paper §5(4); the 1988 default
     /// is VAX-only).
     pub binaries: ArchSet,
@@ -61,7 +64,6 @@ impl UserProfile {
             mean_batch_size: 5.0,
             demand_hours: Hyperexponential::new(vec![(0.7, short), (0.3, long)]),
             image_bytes: LogNormal::with_mean(500_000.0, 0.5),
-            total_syscalls: LogNormal::with_mean(400.0, 1.0),
             binaries: ArchSet::vax_only(),
         }
     }
@@ -76,6 +78,7 @@ impl UserProfile {
     /// arrival order.
     pub fn generate(&self, window: SimDuration, rng: &mut SimRng, first_id: u64) -> Vec<JobSpec> {
         let mut jobs = Vec::with_capacity(self.job_count);
+        let total_syscalls = LogNormal::with_mean(TOTAL_SYSCALLS_MEAN, TOTAL_SYSCALLS_SIGMA);
         let mut next_id = first_id;
         while jobs.len() < self.job_count {
             let batch_at = SimTime::from_millis(rng.uniform_range_u64(0, window.as_millis()));
@@ -92,7 +95,7 @@ impl UserProfile {
                 let demand_h = self.demand_hours.sample(rng).max(0.05);
                 let demand = SimDuration::from_hours_f64(demand_h);
                 let image = (self.image_bytes.sample(rng).max(50_000.0)) as u64;
-                let calls = self.total_syscalls.sample(rng).max(1.0);
+                let calls = total_syscalls.sample(rng).max(1.0);
                 let rate = calls / demand.as_secs_f64();
                 jobs.push(JobSpec {
                     image_bytes: image,

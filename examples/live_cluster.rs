@@ -18,7 +18,6 @@ fn main() {
         slice_units: 2_000,
         poll_interval: Duration::from_millis(20), // "2 minutes", scaled
         grace: Duration::from_millis(50),         // "5 minutes", scaled
-        ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(config);
 

@@ -13,6 +13,10 @@
 # crates, src, tests, benchmark or examples, or is listed with a one-line
 # reason in scripts/surface_allowlist.txt. A listed name that some other
 # file names, or that no longer exists, must leave the list.
+#
+# Field rule: the same for every `pub` struct field there, listed as
+# `Struct::field` and matched on the field's name: a field nobody outside
+# its file names is a knob nobody turns, so it becomes a constant.
 set -eu
 cd "$(dirname "$0")/.."
 big=$(find crates/core/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1500')
@@ -34,18 +38,24 @@ over=$(panics crates/bench/src 13; panics crates/ckpt/src 1; panics crates/core/
 allow=scripts/surface_allowlist.txt
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-# "file name" for every pub item, then "file:name" for every word that
-# names one, anywhere in the code trees.
+# "file key name" for every pub item (key = name) and every pub struct
+# field (key = Struct::field), then "file:name" for every word that names
+# one, anywhere in the code trees.
 find crates/*/src src -name '*.rs' -exec awk '
+    FNR == 1 { owner = "" }
+    match($0, /^[[:space:]]*(pub[^[:space:]]*[[:space:]]+)?struct[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
+        n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/); owner = w[n] }
     match($0, /^[[:space:]]*pub[[:space:]]+((const|unsafe|async|extern)[[:space:]]+)*(fn|struct|enum|trait|const|type|static)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
-        n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/); print FILENAME, w[n] }' {} + |
+        n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/); print FILENAME, w[n], w[n] }
+    match($0, /^[[:space:]]*pub[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*:([^:]|$)/) {
+        split(substr($0, RSTART, RLENGTH), w, /[[:space:]:]+/); print FILENAME, owner "::" w[3], w[3] }' {} + |
     sort -u > "$tmp/defs"
-awk '{ print $2 }' "$tmp/defs" | sort -u > "$tmp/names"
+awk '{ print $3 }' "$tmp/defs" | sort -u > "$tmp/names"
 grep -rowF --include='*.rs' --exclude-dir=target -f "$tmp/names" crates src tests benchmark examples |
     sort -u > "$tmp/refs"
-# Items no other file names.
+# Items and fields no other file names.
 awk -F: 'FNR == NR { named[$2] = named[$2] " " $1; next }
-    { split($0, d, " "); n = split(named[d[2]], f, " "); other = 0
+    { split($0, d, " "); n = split(named[d[3]], f, " "); other = 0
       for (i = 1; i <= n; i++) if (f[i] != d[1]) other = 1
       if (!other) print d[1] ": " d[2] }' "$tmp/refs" "$tmp/defs" > "$tmp/dead"
 awk '!/^#/ && NF { print $1 }' "$allow" | sort -u > "$tmp/allowed"
@@ -56,6 +66,6 @@ unexplained=$(awk '!/^#/ && NF == 1' "$allow")
 [ -z "$big$old$mains$benches$over$unlisted$stale$unexplained" ] && exit 0
 printf 'structure check failed\nover 1,500 lines:\n%s\ndeprecated:\n%s\nextra mains in crates/bench:\n%s\nbench targets:\n%s\nunwrap/expect/panic over the ceiling in\n%s\n' \
     "$big" "$old" "$mains" "$benches" "$over" >&2
-printf 'pub items no other file names (use, demote or delete them, or list them in %s):\n%s\nlisted in %s but named elsewhere or gone:\n%s\nlisted without a reason:\n%s\n' \
+printf 'pub items and fields no other file names (use, demote or delete them, or list them in %s):\n%s\nlisted in %s but named elsewhere or gone:\n%s\nlisted without a reason:\n%s\n' \
     "$allow" "$unlisted" "$allow" "$stale" "$unexplained" >&2
 exit 1

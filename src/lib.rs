@@ -55,20 +55,19 @@ pub mod prelude {
     pub use condor_core::shard::default_threads;
     pub use condor_core::audit::{AuditSink, AuditViolation, AuditViolationKind};
     pub use condor_core::chaos::{
-        explore, shrink_schedule, verify_conservation, verify_schedule, ChaosConfig, ChaosGen,
-        ChaosSchedule,
+        explore, shrink_schedule, verify_conservation, verify_schedule, ChaosGen, ChaosSchedule,
     };
     pub use condor_core::job::{Job, JobId, JobSpec, JobState, SpeedupCurve, UserId};
     pub use condor_core::spans::{Breakdown, SpanLog, SpanPhase, SpanSink};
     pub use condor_core::telemetry::{
-        FanoutSink, GaugeSample, KindFilterSink, KindMask, RingSink, SharedSink, StatsSink,
-        Telemetry, TraceSink, VecSink,
+        GaugeSample, KindFilterSink, KindMask, RingSink, SharedSink, StatsSink, Telemetry,
+        TraceSink, VecSink,
     };
     pub use condor_core::trace::{Trace, TraceEvent, TraceKind};
     pub use condor_core::updown::{UpDown, UpDownConfig};
     pub use condor_metrics::export::{spans_to_chrome_trace, JsonlSink};
     pub use condor_metrics::report::{render_spans, render_telemetry};
-    pub use condor_net::{NodeId, PoolLinks};
+    pub use condor_net::NodeId;
     pub use condor_sim::time::{SimDuration, SimTime};
     pub use condor_workload::scenarios::{fairness_duel, one_week, paper_month};
 }

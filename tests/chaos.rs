@@ -16,7 +16,6 @@ fn stormy(stations: usize) -> ClusterConfig {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: SimDuration::from_minutes(8),
-            ..OwnerConfig::default()
         },
         ..ClusterConfig::default()
     }
@@ -84,7 +83,7 @@ proptest! {
 
         let run = |sched: ChaosSchedule| {
             let config = ClusterConfig {
-                chaos: Some(ChaosConfig::new(sched)),
+                chaos: Some(sched),
                 ..stormy(6)
             };
             Run::new(config).specs(jobs(10, 6)).horizon(SimDuration::from_days(2)).execute()
@@ -119,7 +118,7 @@ fn coordinator_outage_degrades_to_local_starts() {
             profile: DiurnalProfile::flat(0.15),
             ..OwnerConfig::default()
         },
-        chaos: Some(ChaosConfig::new(schedule)),
+        chaos: Some(schedule),
         ..ClusterConfig::default()
     };
     let audit = SharedSink::new(
@@ -180,7 +179,7 @@ fn checkpoint_retry_accounting_balances() {
     assert!(violations.is_empty(), "{violations:?}");
 
     let config = ClusterConfig {
-        chaos: Some(ChaosConfig::new(schedule)),
+        chaos: Some(schedule),
         ..base
     };
     let out = Run::new(config.clone()).specs(specs).horizon(horizon).execute();
@@ -225,7 +224,7 @@ fn chaos_under_parallelism_is_thread_invariant() {
         let mut reference: Option<Vec<TraceEvent>> = None;
         for threads in [1usize, 2, 4] {
             let config = ClusterConfig {
-                chaos: Some(ChaosConfig::new(schedule.clone())),
+                chaos: Some(schedule.clone()),
                 topology: Some(PoolTopology::uniform(3, SimDuration::from_secs(120))),
                 ..stormy(9)
             };
@@ -249,7 +248,7 @@ fn chaos_under_parallelism_is_thread_invariant() {
         // determinism smoke sets it to 2 to exercise a real multi-worker
         // replay through this arm.
         let config = ClusterConfig {
-            chaos: Some(ChaosConfig::new(schedule.clone())),
+            chaos: Some(schedule.clone()),
             topology: Some(PoolTopology::uniform(3, SimDuration::from_secs(120))),
             ..stormy(9)
         };

@@ -5,7 +5,7 @@
 //! `experiments` pin with.
 #![allow(dead_code)]
 
-use condor_core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
+use condor_core::chaos::{ChaosGen, ChaosSchedule};
 use condor_core::config::{
     EvictionStrategy, FailureConfig, PolicyKind, PoolTopology, Reservation,
 };
@@ -91,7 +91,7 @@ pub fn history_aware() -> Scenario {
 pub fn chaos() -> Scenario {
     let mut s = loaded();
     let gen = ChaosGen { horizon: s.horizon, stations: 40, faults: 12 };
-    s.config.chaos = Some(ChaosConfig::new(ChaosSchedule::generate(GOLDEN_SEED, &gen)));
+    s.config.chaos = Some(ChaosSchedule::generate(GOLDEN_SEED, &gen));
     s
 }
 

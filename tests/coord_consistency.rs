@@ -13,7 +13,7 @@
 //! schedules (partitions make stations dark, outages drop polls), station
 //! failures, reservations, and gang placements.
 
-use condor::core::chaos::{ChaosConfig, ChaosGen, ChaosSchedule};
+use condor::core::chaos::{ChaosGen, ChaosSchedule};
 use condor::model::station::ResourceVec;
 use condor::core::config::Reservation;
 use condor::core::Totals;
@@ -99,7 +99,7 @@ proptest! {
             stations,
             seed,
             record_trace: false,
-            chaos: Some(ChaosConfig::new(schedule)),
+            chaos: Some(schedule),
             ..ClusterConfig::default()
         };
         let events = drive_and_verify(cfg, mixed_jobs(18, stations as u64, false), horizon, 157);

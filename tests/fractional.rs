@@ -31,7 +31,6 @@ fn quiet_config(stations: usize) -> ClusterConfig {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.0),
             mean_active_period: SimDuration::from_days(3_650),
-            ..OwnerConfig::default()
         },
         owner_heterogeneity: 0.0,
         ..ClusterConfig::default()

@@ -13,7 +13,7 @@
 mod common;
 
 use common::{fnv1a64, FNV_OFFSET, GOLDEN_SEED};
-use condor_core::chaos::ChaosConfig;
+use condor_core::chaos::ChaosSchedule;
 use condor_core::cluster::{Run, RunOutput};
 use condor_core::config::PoolTopology;
 use condor_sim::time::SimDuration;
@@ -95,7 +95,7 @@ fn fleet_scale_1000_station_trace_digest_is_stable() {
 #[test]
 fn zero_fault_chaos_matches_the_golden_digest() {
     let mut scenario = paper_month(GOLDEN_SEED);
-    scenario.config.chaos = Some(ChaosConfig::default());
+    scenario.config.chaos = Some(ChaosSchedule::default());
     let out = run(scenario);
     let (hash, events) = digest(&out);
     assert_eq!(events, GOLDEN_EVENTS, "an empty chaos schedule changed the event count");

@@ -17,7 +17,6 @@ fn live_pool_under_stochastic_owners_produces_exact_results() {
         slice_units: 1_000,
         poll_interval: Duration::from_millis(10),
         grace: Duration::from_millis(25),
-        ..RuntimeConfig::default()
     });
 
     // Reference results computed straight.
@@ -37,7 +36,6 @@ fn live_pool_under_stochastic_owners_produces_exact_results() {
         OwnerConfig {
             profile: DiurnalProfile::flat(0.4),
             mean_active_period: condor_sim::time::SimDuration::from_minutes(3),
-            ..OwnerConfig::default()
         },
         Duration::from_millis(3), // 1 sim minute = 3 ms
         99,

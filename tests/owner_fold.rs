@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::{loaded, FAMILY};
-use condor_core::chaos::ChaosConfig;
+use condor_core::chaos::ChaosSchedule;
 use condor_core::cluster::{Cluster, Run, RunOutput, Totals};
 use condor_core::config::PolicyKind;
 use condor_core::telemetry::TraceSink;
@@ -292,12 +292,12 @@ fn unwatched_stations_leave_the_event_queue() {
 
 /// A chaos configuration whose schedule is empty plants no fault, so it
 /// decides nothing in `prime`: every family member that configures no
-/// chaos keeps its books under `Some(ChaosConfig::default())`, and the
+/// chaos keeps its books under `Some(ChaosSchedule::default())`, and the
 /// stations still leave the queue.
 #[test]
 fn an_empty_chaos_schedule_keeps_the_fold_on() {
     let armed = |mut s: Scenario| {
-        s.config.chaos = Some(ChaosConfig::default());
+        s.config.chaos = Some(ChaosSchedule::default());
         s
     };
     for (name, build) in FAMILY {

@@ -55,7 +55,7 @@ fn audited_run(
 ) -> (RunOutput, Vec<String>, (u64, u64, u64)) {
     let mut config = scenario.config;
     config.policy = policy;
-    config.chaos = chaos.map(ChaosConfig::new);
+    config.chaos = chaos;
     // Chaos perturbs the poll grid; pin the audited cadence rather than
     // letting the sink infer it from the first (possibly stretched) gap.
     let audit = SharedSink::new(

@@ -2,7 +2,7 @@
 //!
 //! The sharded runner is safe because a message created at a barrier `T`
 //! is delivered at `T + latency`, and the synchronisation window never
-//! exceeds the minimum inter-pool latency — so no shard can receive an
+//! exceeds the inter-pool latency — so no shard can receive an
 //! event from another shard's not-yet-simulated past. The property: for
 //! *any* window that respects the lookahead bound, the merged trace is a
 //! pure function of the inputs — worker thread count never reorders it —
@@ -55,7 +55,7 @@ fn sharded_policy_trace(
         policy,
         topology: Some(PoolTopology {
             pools,
-            links: PoolLinks::uniform(pools, SimDuration::from_secs(latency_secs)),
+            latency: SimDuration::from_secs(latency_secs),
             window: Some(SimDuration::from_secs(window_secs)),
             max_forwards_per_window: 2,
         }),

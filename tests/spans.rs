@@ -51,7 +51,6 @@ fn stormy_config(seed: u64, policy: PolicyKind) -> ClusterConfig {
         owner: OwnerConfig {
             profile: DiurnalProfile::flat(0.5),
             mean_active_period: SimDuration::from_minutes(8),
-            ..OwnerConfig::default()
         },
         failures: Some(FailureConfig {
             mtbf: SimDuration::from_days(4),
