@@ -5,9 +5,12 @@
 //! scenarios with plain wall-clock measurement and writes one JSON file
 //! so regressions are diffable in review. The engine and cluster rows
 //! also report events/sec — the discrete-event kernel's throughput.
-//! `engine/dispatch/*` and `engine/schedule_cancel_10k` are synthetic;
-//! `engine/loaded_churn` gives the event queue the shape the repo
-//! benchmark's `fleet_loaded` run gives it (see `loaded_churn`).
+//! `engine/schedule_cancel_10k` is synthetic; `engine/loaded_churn` gives
+//! the event queue the shape the repo benchmark's `fleet_loaded` run gives
+//! it (see `loaded_churn`). Raw dispatch, the paper's month with and
+//! without its sinks, and the live turnaround are the repo benchmark's own
+//! (`sim.engine_dispatch_ns`, `paper_month`, `live_turnaround`), so no row
+//! here repeats them.
 //!
 //! The `cluster/attrib/*` rows decompose where cluster time goes (see
 //! DESIGN.md § Performance): `emit_only` is the trace/stats sink path in
@@ -22,15 +25,14 @@
 //! variants rerun the station-bound scenarios at larger fleets to expose
 //! per-poll scaling.
 //!
-//! The `cluster/extra_sinks/*`, `cluster/span_audit_sinks` and `month/*`
-//! rows price the sink fan-out: a small cluster with no, four buffering,
-//! or the two lifecycle observers attached, and the paper's traced month
-//! without and with those two (`month/trace_only`, `month/sinks_armed`).
-//! Writing the report gates the small-cluster ratio (`SINK_GATE`).
+//! The `cluster/extra_sinks/*` and `cluster/span_audit_sinks` rows price
+//! the sink fan-out: a small cluster with no, four buffering, or the two
+//! lifecycle observers attached. Writing the report gates their ratio
+//! (`SINK_GATE`).
 //!
-//! The `runtime/*` rows time the live coordinator's grant path: one job
-//! submitted to a two-worker `condor-runtime` pool and run until its
-//! result is back (see `live_pool`).
+//! The `runtime/grant` row times the live coordinator's grant path: one
+//! single-slice job submitted to a two-worker `condor-runtime` pool and
+//! run until its result is back (see `live_pool`).
 //!
 //! The `cluster/stations/{1000,10k,100k}` rows run the fleet-scale
 //! scenario serially; the `cluster/par/{1,2,4,8}` rows run the same
@@ -59,16 +61,15 @@ use condor_core::job::{JobId, JobSpec, UserId};
 use condor_core::policy::{decide_from_views, AllocationPolicy, PollInput, StationView};
 use condor_core::audit::AuditSink;
 use condor_core::spans::SpanSink;
-use condor_core::telemetry::{RingSink, SharedSink, StatsSink, TraceSink, VecSink};
+use condor_core::telemetry::{RingSink, StatsSink, TraceSink, VecSink};
 use condor_core::trace::{TraceEvent, TraceKind};
 use condor_core::updown::{UpDown, UpDownConfig};
 use condor_model::owner::OwnerConfig;
 use condor_net::NodeId;
 use condor_runtime::program::SeriesSum;
 use condor_runtime::runtime::{Runtime, RuntimeConfig};
-use condor_sim::engine::{Engine, Model, Scheduler};
 use condor_sim::time::{SimDuration, SimTime};
-use condor_workload::scenarios::{fleet_scale, paper_month};
+use condor_workload::scenarios::fleet_scale;
 
 /// Bumped whenever the report's JSON shape changes incompatibly.
 /// `/3`: `iters` became `iters_measured`, `wall_ms_per_iter` reports the
@@ -189,13 +190,10 @@ fn sink_overhead_check(rows: &[Row], enforce: bool) {
             .unwrap_or_else(|| panic!("{name} row missing from report"))
     };
     let ratio = wall("cluster/span_audit_sinks") / wall("cluster/extra_sinks/0");
-    let armed = wall("month/sinks_armed") / wall("month/trace_only");
     println!(
-        "sink overhead: span_audit_sinks at {:+.0}% of extra_sinks/0 (gate {:+.0}%, target +25%); \
-         month/sinks_armed at {:+.0}% of month/trace_only",
+        "sink overhead: span_audit_sinks at {:+.0}% of extra_sinks/0 (gate {:+.0}%, target +25%)",
         (ratio - 1.0) * 100.0,
-        (SINK_GATE - 1.0) * 100.0,
-        (armed - 1.0) * 100.0
+        (SINK_GATE - 1.0) * 100.0
     );
     if enforce && ratio > SINK_GATE {
         eprintln!("sink gate FAILED");
@@ -303,20 +301,6 @@ fn owners_never_flip() -> OwnerConfig {
     OwnerConfig {
         profile: condor_model::diurnal::DiurnalProfile::flat(0.0),
         mean_active_period: SimDuration::from_days(3_650),
-    }
-}
-
-struct PingPong {
-    remaining: u64,
-}
-
-impl Model for PingPong {
-    type Event = u32;
-    fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            sched.after(SimDuration::MILLISECOND, ev.wrapping_add(1));
-        }
     }
 }
 
@@ -796,34 +780,7 @@ fn main() {
         }));
     }
 
-    // The paper's month (23 stations, 918 jobs, trace recorded) without and
-    // with the two lifecycle observers behind `SharedSink` handles, as
-    // `condor month` and the repo benchmark's `paper_month` attach them:
-    // the difference is what watching the month costs.
-    let month = paper_month(1988);
-    for (name, armed) in [("month/trace_only", false), ("month/sinks_armed", true)] {
-        rows.push(measure(name, budget, || {
-            let config = month.config.clone();
-            let cadence = config.costs.coordinator_poll_interval;
-            let mut run = Run::new(config).specs(month.jobs.clone()).horizon(month.horizon);
-            if armed {
-                run = run
-                    .sink(Box::new(SharedSink::new(SpanSink::new())))
-                    .sink(Box::new(SharedSink::new(AuditSink::new().with_poll_interval(cadence))));
-            }
-            run.execute().events_dispatched
-        }));
-    }
-
-    // engine: raw dispatch throughput.
-    for n in [1_000u64, 100_000] {
-        rows.push(measure(format!("engine/dispatch/{n}"), budget, || {
-            let mut eng = Engine::new(PingPong { remaining: n });
-            eng.scheduler().at(SimTime::ZERO, 0u32);
-            eng.run_to_completion();
-            eng.events_dispatched()
-        }));
-    }
+    // engine: the event queue under synthetic and run-shaped churn.
     let row = measure("engine/schedule_cancel_10k", budget, || {
         let mut q = condor_sim::event::EventQueue::new();
         let tokens: Vec<_> = (0..10_000u64)
@@ -842,16 +799,15 @@ fn main() {
     rows.push(measure("engine/loaded_churn", budget, loaded_churn));
 
     // runtime: one job per iteration, submitted and run until its result is
-    // back. `grant`'s job is a single slice, so the row is the coordinator's
+    // back. The job is a single slice, so the row is the coordinator's
     // poll, the placement, the worker's restore and the report of the
-    // finish; `turnaround`'s is the repo benchmark's `live_turnaround`
-    // program (≈0.6 ms alone). A pool keeps every job it ran and reports
-    // them all at the end of each `run`, so it is replaced every 64 jobs;
-    // min-of-N leaves the iteration that replaces it out of the row.
-    for (name, units) in [("grant", 1_000u64), ("turnaround", 100_000)] {
-        let program = SeriesSum::new(units, 1_000_003);
+    // finish. A pool keeps every job it ran and reports them all at the end
+    // of each `run`, so it is replaced every 64 jobs; min-of-N leaves the
+    // iteration that replaces it out of the row.
+    {
+        let program = SeriesSum::new(1_000, 1_000_003);
         let mut pool: Option<(Runtime, u32)> = None;
-        let row = measure(format!("runtime/{name}"), budget, || {
+        let row = measure("runtime/grant", budget, || {
             if let Some((rt, _)) = pool.take_if(|(_, jobs)| *jobs >= 64) {
                 rt.shutdown();
             }

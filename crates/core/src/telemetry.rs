@@ -308,11 +308,6 @@ impl<S> KindFilterSink<S> {
         &self.inner
     }
 
-    /// Consumes the filter, yielding the wrapped sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Events forwarded so far.
     pub fn passed(&self) -> u64 {
         self.passed

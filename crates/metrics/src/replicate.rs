@@ -13,6 +13,7 @@
 //! summation order, and therefore every digit of the reported mean and
 //! half-width, does not depend on thread scheduling.
 
+use condor_core::shard::{default_threads, fork_join};
 use condor_sim::stats::Running;
 
 /// Two-sided 95% Student-t critical values, indexed by degrees of freedom
@@ -104,7 +105,7 @@ where
 }
 
 /// Runs `f` once per seed across the replication workers
-/// (`CONDOR_THREADS`) and aggregates the returned metric.
+/// ([`default_threads`]) and aggregates the returned metric.
 ///
 /// Bit-identical to [`replicate`]: results are collected in seed order
 /// before aggregation, so the output carries no trace of thread timing.
@@ -115,53 +116,24 @@ where
     MeanCi::from_values(&par_map(seeds, |&s| f(s)))
 }
 
-/// Maps `f` over `items` on a scoped thread pool, returning results in
-/// item order.
+/// Maps `f` over `items` on scoped threads, returning results in item
+/// order.
 ///
 /// Each item drives one independent closure call (typically one simulation
 /// run keyed by a seed or configuration); contiguous chunks of the item
-/// list go to each worker and land in pre-assigned output slots, so the
+/// list go to each of [`default_threads`] threads through the sharded
+/// runner's [`fork_join`] and land in pre-assigned output slots, so the
 /// returned `Vec` is exactly what the serial `items.iter().map(f)` would
-/// produce, regardless of which worker finishes first.
+/// produce, regardless of which thread finishes first.
 pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let workers = worker_threads().min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (item_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, item) in out_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("worker filled every slot"))
-        .collect()
-}
-
-/// The replication worker count: `CONDOR_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism (1 if unknown).
-fn worker_threads() -> usize {
-    match std::env::var("CONDOR_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    let mut slots: Vec<(&I, Option<T>)> = items.iter().map(|item| (item, None)).collect();
+    fork_join(&mut slots, default_threads(), |(item, out)| *out = Some(f(item)));
+    slots.into_iter().map(|(_, out)| out.expect("fork_join ran every slot")).collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! condor month   [--seed N] [--policy P] [--stations N] [--history]
 //!                [--ckpt-server] [--failures MTBFH:MTTRH] [--perfetto FILE.json]
 //! condor week    [--seed N]
-//! condor fairness [--seed N]
 //! condor spans   [--seed N] [--days N] [--top N]
 //! condor audit   [--jsonl FILE.jsonl] [--seed N] [--days N]
 //! condor chaos   [--seeds N] [--quick] [--schedule OUT.json] [--replay FILE.json]
@@ -19,10 +18,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use condor::core::trace::TraceParseError;
-use condor::metrics::summary::{mean_wait_ratio, summarize};
+use condor::metrics::summary::summarize;
 use condor::metrics::table::{num, Table};
 use condor::prelude::*;
-use condor::workload::scenarios::{fairness_duel, one_week, paper_month};
+use condor::workload::scenarios::{one_week, paper_month};
 use condor::workload::trace::{from_csv, to_csv};
 
 fn main() -> ExitCode {
@@ -35,7 +34,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "month" => cmd_month(rest),
         "week" => cmd_week(rest),
-        "fairness" => cmd_fairness(rest),
         "report" => cmd_report(rest),
         "spans" => cmd_spans(rest),
         "audit" => cmd_audit(rest),
@@ -71,8 +69,6 @@ USAGE:
                   loadable at ui.perfetto.dev
   condor week     [--seed N]
                   simulate the one-week close-up (Figs. 6-7)
-  condor fairness [--seed N]
-                  heavy-vs-light duel across all policies
   condor report   [--seed N] [--stations N] [--days N]
                   run the paper month trace-free and print the
                   streaming telemetry summary
@@ -407,31 +403,6 @@ fn cmd_week(args: &[String]) -> Result<(), String> {
     let scenario = one_week(seed);
     let out = Run::new(scenario.config).specs(scenario.jobs).horizon(scenario.horizon).execute();
     print_summary(&out);
-    Ok(())
-}
-
-fn cmd_fairness(args: &[String]) -> Result<(), String> {
-    let seed = opt_parse(args, "--seed", 1988u64)?;
-    let mut t = Table::labelled(&["Policy", "Light wait", "Heavy wait", "Preemptions"]);
-    for policy in [
-        PolicyKind::UpDown(UpDownConfig::default()),
-        PolicyKind::Fifo,
-        PolicyKind::RoundRobin,
-        PolicyKind::Random,
-    ] {
-        let scenario = fairness_duel(seed, 10, 6);
-        let config = ClusterConfig { policy, ..scenario.config };
-        let out = Run::new(config).specs(scenario.jobs).horizon(scenario.horizon).execute();
-        let light = mean_wait_ratio(&out.jobs, |j| j.spec.user == UserId(1)).unwrap_or(f64::NAN);
-        let heavy = mean_wait_ratio(&out.jobs, |j| j.spec.user == UserId(0)).unwrap_or(f64::NAN);
-        t.row(vec![
-            out.policy_name.clone(),
-            num(light, 2),
-            num(heavy, 2),
-            out.totals.preemptions_priority.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
     Ok(())
 }
 
