@@ -86,6 +86,43 @@ impl Bits {
         }
     }
 
+    /// Calls `f` for each member in ascending id order and removes the
+    /// members it returns `false` for — the whole set, for an `f` that
+    /// always does. Same walk as [`for_each`](Self::for_each).
+    pub fn retain(&mut self, mut f: impl FnMut(u32) -> bool) {
+        for sw in 0..self.summary.len() {
+            let mut sword = self.summary[sw];
+            while sword != 0 {
+                let w = sw * 64 + sword.trailing_zeros() as usize;
+                sword &= sword - 1;
+                let mut word = self.words[w];
+                let mut kept = word;
+                while word != 0 {
+                    let bit = word & word.wrapping_neg();
+                    word ^= bit;
+                    if !f(w as u32 * 64 + bit.trailing_zeros()) {
+                        kept ^= bit;
+                        self.count -= 1;
+                    }
+                }
+                self.words[w] = kept;
+                if kept == 0 {
+                    self.summary[sw] &= !(1u64 << (w % 64));
+                }
+            }
+        }
+    }
+
+    /// Widens the set to ids below `n`, keeping its members; a no-op when
+    /// it already holds them.
+    pub fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if words > self.words.len() {
+            self.words.resize(words, 0);
+            self.summary.resize(words.div_ceil(64), 0);
+        }
+    }
+
     /// Expands the membership into ascending [`NodeId`]s.
     pub fn collect_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
@@ -170,5 +207,29 @@ mod tests {
         });
         assert_eq!(got, expect);
         assert_eq!(b.count() as usize, expect.len());
+    }
+
+    #[test]
+    fn retain_visits_in_order_and_drops_what_it_rejects() {
+        let mut b = Bits::new(100);
+        for i in [3usize, 64, 65, 99] {
+            b.set(i, true);
+        }
+        b.grow(5_000);
+        b.set(4_999, true);
+        let mut seen = Vec::new();
+        b.retain(|id| {
+            seen.push(id);
+            id % 2 == 1
+        });
+        assert_eq!(seen, vec![3, 64, 65, 99, 4_999]);
+        let mut left = Vec::new();
+        b.collect_into(&mut left);
+        let left: Vec<u32> = left.iter().map(|n| n.index()).collect();
+        assert_eq!(left, vec![3, 65, 99, 4_999]);
+        assert_eq!(b.count(), 4);
+        b.retain(|_| false);
+        assert_eq!(b.count(), 0);
+        b.for_each(|_| panic!("emptied set iterated"));
     }
 }

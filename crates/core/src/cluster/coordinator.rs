@@ -403,17 +403,16 @@ impl Cluster {
         if !self.fold_flips {
             return;
         }
-        // One pass over the next-flip array; `position` keeps the common
-        // case — nothing due at this station — a bare compare loop.
-        let mut from = 0;
-        while let Some(off) = self.hot.next_flip[from..].iter().position(|&t| t <= next_poll) {
-            let i = from + off;
+        let mut due = self.lazy.take_due(now, Some(next_poll));
+        due.retain(|i| {
+            let i = i as usize;
             self.fold_station(i, now);
-            if self.hot.next_flip[i] == next_poll {
+            if self.lazy.at(i) == next_poll {
                 self.take_flip_entry(i, sched);
             }
-            from = i + 1;
-        }
+            false
+        });
+        self.lazy.restore_due(due);
     }
 
     /// The poll cycle proper: reservations, policy decision, order

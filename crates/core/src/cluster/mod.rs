@@ -54,7 +54,7 @@ use self::coordinator::CoordCache;
 use self::gangs::GangState;
 use self::remote_unix::SegmentEnd;
 use self::replicas::RedundancyRuntime;
-use self::station::{OwnerLane, Phase, Station, StationHot};
+use self::station::{LazyFlips, OwnerLane, Phase, Station, StationHot};
 pub use self::station::{IDLE_EWMA_HISTORY_WEIGHT, IDLE_EWMA_SAMPLE_WEIGHT};
 use crate::config::{ClusterConfig, ConfigError, PolicyKind};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
@@ -382,6 +382,9 @@ pub struct Cluster {
     lanes: Vec<OwnerLane>,
     /// Parallel hot-state arrays for `stations` (struct-of-arrays).
     hot: StationHot,
+    /// Next owner transition of each station that owns no queue entry,
+    /// filed by poll slot.
+    lazy: LazyFlips,
     jobs: Vec<Job>,
     policy: PolicyHolder,
     bus: SharedBus,
@@ -600,6 +603,7 @@ impl Cluster {
             .map(|c| ChaosState::new(c.clone(), config.stations, specs.len()));
         Ok(Cluster {
             hot: StationHot::new(config.stations),
+            lazy: LazyFlips::new(config.stations, config.costs.coordinator_poll_interval),
             stations,
             lanes,
             dependents,
@@ -673,7 +677,7 @@ impl Cluster {
             // scheduled before that poll (below), so it keeps its entry
             // and the queue orders the two; see `on_poll` for the rule.
             if fold_flips && at != first_poll {
-                engine.model_mut().hot.next_flip[i] = at;
+                engine.model_mut().lazy.set(i, at);
             } else {
                 engine.scheduler().at(at, Event::OwnerFlip { station: i as u32 });
             }

@@ -4,6 +4,8 @@
 //! that reconciles residents with it (paper §2.1: the local scheduler is
 //! autonomous; the coordinator only hands out capacity).
 
+use std::collections::VecDeque;
+
 use condor_model::costs::OWNER_CHECK_INTERVAL;
 use condor_model::owner::{OwnerProcess, OwnerState};
 use condor_model::station::ResourceVec;
@@ -11,11 +13,12 @@ use condor_net::NodeId;
 use condor_sim::engine::Scheduler;
 use condor_sim::event::EventToken;
 use condor_sim::rng::SimRng;
-use condor_sim::time::SimTime;
+use condor_sim::time::{SimDuration, SimTime};
 
 use super::remote_unix::SegmentEnd;
 use super::replicas::ReplicaState;
 use super::{Cluster, Event};
+use crate::bits::Bits;
 use crate::job::JobId;
 use crate::queue::BackgroundQueue;
 use crate::trace::TraceKind;
@@ -145,11 +148,9 @@ impl Station {
     }
 }
 
-/// Struct-of-arrays hot state: the two per-station scalars that are read
-/// on their own — the occupancy total by admission checks and view
-/// refreshes, the next-transition time by the poll's scan — kept in dense
-/// parallel arrays instead of scattered across the much larger
-/// [`Station`] structs.
+/// Struct-of-arrays hot state: the per-station occupancy total, read on
+/// its own by admission checks and view refreshes, kept in a dense array
+/// instead of scattered across the much larger [`Station`] structs.
 #[derive(Debug)]
 pub(super) struct StationHot {
     /// Sum of resident demands — the capacity remainder's complement —
@@ -157,24 +158,176 @@ pub(super) struct StationHot {
     /// admission checks read `capacity − used` without folding the
     /// residents list.
     pub(super) used_cap: Vec<ResourceVec>,
-    /// Instant of the next owner transition of a station that has **no**
-    /// `OwnerFlip` queue entry — nothing can see its transitions one by
-    /// one, so they are applied lazily by
-    /// [`Cluster::fold_owner_flips`]. [`NO_LAZY_FLIP`] while the station
-    /// owns a queue entry (always, before `prime` and in observed runs).
-    pub(super) next_flip: Vec<SimTime>,
 }
-
-/// [`StationHot::next_flip`] of a station whose next transition is a
-/// queued `OwnerFlip` event. Later than every horizon, so a fold's
-/// `next_flip < before` scan skips such stations without a second test.
-pub(super) const NO_LAZY_FLIP: SimTime = SimTime::MAX;
 
 impl StationHot {
     pub(super) fn new(stations: usize) -> Self {
-        StationHot {
-            used_cap: vec![ResourceVec::ZERO; stations],
-            next_flip: vec![NO_LAZY_FLIP; stations],
+        StationHot { used_cap: vec![ResourceVec::ZERO; stations] }
+    }
+}
+
+/// [`LazyFlips::at`] of a station whose next transition is a queued
+/// `OwnerFlip` event. Later than every horizon, so a fold's `< before`
+/// test skips such a station without a second one.
+pub(super) const NO_LAZY_FLIP: SimTime = SimTime::MAX;
+
+/// Calendar keys that get a bucket of their own, counted from the oldest
+/// undrained one: 4,096 poll slots, 5.7 days at the 2-minute poll. A
+/// transition filed further ahead waits in one overflow list until the
+/// calendar comes within range of it.
+const CALENDAR_KEYS: u64 = 8_192;
+
+/// Calendar key of instant `t` for slots `slot_ms` wide: `2·⌊t/slot⌋` when
+/// `t` falls exactly on a slot boundary — a poll's own instant — and one
+/// more strictly inside the slot. Keys order like instants, each poll's
+/// instant has a bucket of its own, and every instant of a key below
+/// `key(before)` is earlier than `before`.
+fn calendar_key(t: SimTime, slot_ms: u64) -> u64 {
+    let ms = t.as_millis();
+    2 * (ms / slot_ms) + u64::from(!ms.is_multiple_of(slot_ms))
+}
+
+/// The next owner transition of every station that owns no `OwnerFlip`
+/// queue entry (nothing can see its transitions one by one, so they are
+/// applied lazily by [`Cluster::fold_owner_flips`]), filed in a calendar
+/// by the poll slot it falls in, so a fold visits the stations that fell
+/// due instead of scanning the fleet.
+///
+/// A station is filed whenever its instant is set. Its old filing stays
+/// behind when a refold or [`take`](Self::take) moves the instant, and is
+/// skipped — and dropped — by every reader re-checking the instant.
+#[derive(Debug)]
+pub(super) struct LazyFlips {
+    /// Instant of each station's next lazy transition; [`NO_LAZY_FLIP`]
+    /// while the station owns a queue entry (always, before `prime` and in
+    /// observed runs).
+    at: Vec<SimTime>,
+    /// Width of a calendar slot: the poll interval, in milliseconds.
+    slot_ms: u64,
+    /// Key of `buckets[0]`; every key below it has been drained.
+    base: u64,
+    /// Station ids by calendar key, `buckets[key − base]`.
+    buckets: VecDeque<Vec<u32>>,
+    /// Stations filed at `base + CALENDAR_KEYS` or later, and the lowest
+    /// key among them (`u64::MAX` when there are none).
+    far: Vec<u32>,
+    far_min: u64,
+    /// The set [`take_due`](Self::take_due) hands out, kept between folds
+    /// so a fold allocates nothing; empty whenever it is here.
+    due: Bits,
+}
+
+impl LazyFlips {
+    pub(super) fn new(stations: usize, slot: SimDuration) -> Self {
+        LazyFlips {
+            at: vec![NO_LAZY_FLIP; stations],
+            slot_ms: slot.as_millis().max(1),
+            base: 0,
+            buckets: VecDeque::new(),
+            far: Vec::new(),
+            far_min: u64::MAX,
+            due: Bits::new(stations),
+        }
+    }
+
+    /// Instant of station `i`'s next lazy transition; [`NO_LAZY_FLIP`]
+    /// while it owns a queue entry.
+    pub(super) fn at(&self, i: usize) -> SimTime {
+        self.at[i]
+    }
+
+    /// Makes `t` station `i`'s next transition, carried by no queue entry,
+    /// and files it.
+    pub(super) fn set(&mut self, i: usize, t: SimTime) {
+        self.at[i] = t;
+        self.file(i as u32, t);
+    }
+
+    /// Clears station `i`'s lazy transition and returns it
+    /// ([`NO_LAZY_FLIP`] if it had none): a queue entry carries it now.
+    pub(super) fn take(&mut self, i: usize) -> SimTime {
+        std::mem::replace(&mut self.at[i], NO_LAZY_FLIP)
+    }
+
+    fn file(&mut self, id: u32, t: SimTime) {
+        let key = calendar_key(t, self.slot_ms);
+        // Nothing is set earlier than the fold before it reached; were it,
+        // the next fold would still find it in the oldest bucket.
+        debug_assert!(key >= self.base, "lazy transition filed into a drained slot");
+        let offset = key.saturating_sub(self.base);
+        if offset >= CALENDAR_KEYS {
+            self.far.push(id);
+            self.far_min = self.far_min.min(key);
+            return;
+        }
+        let offset = offset as usize;
+        if offset >= self.buckets.len() {
+            self.buckets.resize_with(offset + 1, Vec::new);
+        }
+        self.buckets[offset].push(id);
+    }
+
+    /// Moves out the set of stations with a lazy transition strictly
+    /// before `before` — and, with `exact`, of those whose transition falls
+    /// exactly on `exact` — for the caller to empty in ascending id and
+    /// hand back through [`restore_due`](Self::restore_due). Buckets that
+    /// can hold nothing else are dropped, memory and all; the one `before`
+    /// falls inside, if any, keeps its later stations.
+    pub(super) fn take_due(&mut self, before: SimTime, exact: Option<SimTime>) -> Bits {
+        let mut due = std::mem::replace(&mut self.due, Bits::new(0));
+        let last = calendar_key(before, self.slot_ms);
+        while self.base < last {
+            let Some(ids) = self.buckets.pop_front() else {
+                self.base = last;
+                break;
+            };
+            self.base += 1;
+            for id in ids {
+                if self.at[id as usize] < before {
+                    due.set(id as usize, true);
+                }
+            }
+        }
+        if self.far_min < self.base + CALENDAR_KEYS {
+            self.far_min = u64::MAX;
+            for id in std::mem::take(&mut self.far) {
+                let t = self.at[id as usize];
+                if t < before {
+                    due.set(id as usize, true);
+                } else if t != NO_LAZY_FLIP {
+                    self.file(id, t);
+                }
+            }
+        }
+        self.sweep(last, |t| t < before, &mut due);
+        if let Some(exact) = exact {
+            self.sweep(calendar_key(exact, self.slot_ms), |t| t == exact, &mut due);
+        }
+        due
+    }
+
+    /// Takes back the set [`take_due`](Self::take_due) handed out.
+    pub(super) fn restore_due(&mut self, due: Bits) {
+        debug_assert_eq!(due.count(), 0, "a fold left stations unvisited");
+        self.due = due;
+    }
+
+    /// Moves the stations of bucket `key` whose instant `is_due` into
+    /// `due`, and keeps those still filed there for a later instant.
+    fn sweep(&mut self, key: u64, is_due: impl Fn(SimTime) -> bool, due: &mut Bits) {
+        let Some(offset) = key.checked_sub(self.base) else { return };
+        let Some(bucket) = self.buckets.get_mut(offset as usize) else { return };
+        let (at, slot_ms) = (&self.at, self.slot_ms);
+        bucket.retain(|&id| {
+            let t = at[id as usize];
+            if is_due(t) {
+                due.set(id as usize, true);
+                return false;
+            }
+            t != NO_LAZY_FLIP && calendar_key(t, slot_ms) == key
+        });
+        if bucket.is_empty() {
+            *bucket = Vec::new();
         }
     }
 }
@@ -286,7 +439,7 @@ impl Cluster {
     pub(super) fn occupy(&mut self, i: usize, job: JobId, phase: Phase) {
         // A resident reads its host's owner state event by event: the
         // caller took the station's queue entry first (`take_flip_entry`).
-        debug_assert_eq!(self.hot.next_flip[i], NO_LAZY_FLIP, "occupying a lazily folded station");
+        debug_assert_eq!(self.lazy.at(i), NO_LAZY_FLIP, "occupying a lazily folded station");
         let spec = &self.jobs[job.0 as usize].spec;
         let demand = spec.resources;
         self.stations[i].disk_used += spec.image_bytes;
@@ -352,27 +505,33 @@ impl Cluster {
     }
 
     /// Applies station `i`'s pending lazy transitions strictly before
-    /// `before`, in order, each at its own instant. A no-op for a station
-    /// that owns a queue entry.
+    /// `before`, in order, each at its own instant, and files the next.
+    /// A no-op for a station that owns a queue entry or has nothing due.
     pub(super) fn fold_station(&mut self, i: usize, before: SimTime) {
-        while self.hot.next_flip[i] < before {
-            let at = self.hot.next_flip[i];
-            self.hot.next_flip[i] = self.apply_owner_flip(at, i);
+        let mut at = self.lazy.at(i);
+        if at >= before {
+            return;
+        }
+        while at < before {
+            at = self.apply_owner_flip(at, i);
             self.folded_flips += 1;
         }
+        self.lazy.set(i, at);
     }
 
     /// Brings every station without a queue entry up to (excluding)
-    /// `before`. Called wherever something is about to look at an idle
-    /// station between polls — the shard barrier's capacity snapshot and
+    /// `before`, visiting the ones the calendar holds due in ascending id.
+    /// Called wherever something is about to look at an idle station
+    /// between polls — the shard barrier's capacity snapshot and
     /// `finalize`; the poll itself folds in `on_poll`, where it can also
     /// hand out queue entries.
     pub(super) fn fold_owner_flips(&mut self, before: SimTime) {
-        let mut from = 0;
-        while let Some(off) = self.hot.next_flip[from..].iter().position(|&t| t < before) {
-            self.fold_station(from + off, before);
-            from += off + 1;
-        }
+        let mut due = self.lazy.take_due(before, None);
+        due.retain(|i| {
+            self.fold_station(i as usize, before);
+            false
+        });
+        self.lazy.restore_due(due);
     }
 
     /// Gives station `i` its `OwnerFlip` queue entry back. Must run
@@ -385,7 +544,7 @@ impl Cluster {
     /// resident-free station simply does not re-arm (see
     /// [`on_owner_flip`](Self::on_owner_flip)).
     pub(super) fn take_flip_entry(&mut self, i: usize, sched: &mut Scheduler<Event>) {
-        let at = std::mem::replace(&mut self.hot.next_flip[i], NO_LAZY_FLIP);
+        let at = self.lazy.take(i);
         if at != NO_LAZY_FLIP {
             sched.at(at, Event::OwnerFlip { station: i as u32 });
         }
@@ -407,7 +566,7 @@ impl Cluster {
         if self.fold_flips && self.stations[i].residents.is_empty() {
             // Nobody is looking at this station any more: it gives its
             // queue entry up by not re-arming, and the next poll folds it.
-            self.hot.next_flip[i] = next;
+            self.lazy.set(i, next);
         } else {
             sched.at(next, Event::OwnerFlip { station });
         }
@@ -506,6 +665,104 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::finish_run;
+    use crate::config::ClusterConfig;
+    use crate::job::{JobSpec, UserId};
+    use crate::telemetry::TraceSink;
+    use crate::trace::TraceEvent;
+    use condor_model::owner::OwnerConfig;
+    use condor_sim::engine::Engine;
+
+    /// Looks at nothing; attached, it keeps every station in the queue.
+    #[derive(Debug)]
+    struct NullSink;
+
+    impl TraceSink for NullSink {
+        fn record(&mut self, _: &TraceEvent) {}
+    }
+
+    /// A station is lazy at a poll, takes its queue entry there for a
+    /// placement, hosts a short job, goes lazy again before the next poll
+    /// and then has a lazy transition applied by a barrier snapshot inside
+    /// that same slot — each move leaves a stale calendar filing behind.
+    /// Every transition is still applied exactly once: the run's
+    /// `events_dispatched` and `local_busy` bits equal those of the run
+    /// that keeps every station in the queue, barrier and all.
+    #[test]
+    fn a_station_placed_and_lazy_again_within_one_slot_folds_each_transition_once() {
+        const STATIONS: usize = 6;
+        let config = ClusterConfig {
+            stations: STATIONS,
+            owner: OwnerConfig {
+                mean_active_period: SimDuration::from_secs(20),
+                ..OwnerConfig::default()
+            },
+            record_trace: false,
+            ..ClusterConfig::default()
+        };
+        let poll = config.costs.coordinator_poll_interval.as_millis();
+        let jobs: Vec<JobSpec> = (0..60)
+            .map(|j| {
+                let arrival = SimTime::ZERO + SimDuration::from_minutes(3 * j + 1);
+                let work = SimDuration::from_secs(5);
+                JobSpec::new(JobId(j), UserId(0), NodeId::new(0), arrival, work)
+            })
+            .collect();
+        let horizon = SimTime::ZERO + SimDuration::from_hours(4);
+        let primed = |watched: bool| {
+            let mut cluster = Cluster::try_new(config.clone(), jobs.clone()).expect("valid config");
+            if watched {
+                cluster.attach_sink(Box::new(NullSink));
+            }
+            let mut engine = Engine::new(cluster);
+            Cluster::prime(&mut engine);
+            engine
+        };
+
+        // Step the folded run until some station has been placed on and
+        // gone lazy again inside one slot, its next transition still in it.
+        let mut folded = primed(false);
+        let mut took_entry_at: Vec<Option<u64>> = vec![None; STATIONS];
+        let (station, barrier) = 'search: loop {
+            let was_lazy: Vec<bool> =
+                (0..STATIONS).map(|i| folded.model().lazy.at(i) != NO_LAZY_FLIP).collect();
+            let placements = folded.model().totals.placements;
+            let t = folded.step().expect("events until the horizon");
+            assert!(t < horizon, "no station was placed on and lazy again inside one slot");
+            let (model, slot) = (folded.model(), t.as_millis() / poll);
+            for (i, was_lazy) in was_lazy.into_iter().enumerate() {
+                let next = model.lazy.at(i);
+                if was_lazy && next == NO_LAZY_FLIP && model.totals.placements > placements {
+                    took_entry_at[i] = Some(slot);
+                } else if !was_lazy
+                    && next != NO_LAZY_FLIP
+                    && took_entry_at[i].take() == Some(slot)
+                    && next.as_millis() + 1 < (slot + 1) * poll
+                {
+                    break 'search (i, next + SimDuration::MILLISECOND);
+                }
+            }
+        };
+        folded.run_until(barrier);
+        folded.model_mut().capacity_snapshot(barrier);
+        let after = folded.model().lazy.at(station);
+        assert!(after != NO_LAZY_FLIP && after >= barrier, "the barrier folded the station");
+        folded.run_until(horizon);
+
+        let mut queued = primed(true);
+        queued.run_until(barrier);
+        queued.model_mut().capacity_snapshot(barrier);
+        queued.run_until(horizon);
+
+        let books = |engine: Engine<Cluster>| {
+            let out = finish_run(engine, horizon);
+            let local = out.local_busy.bucket_totals(4).into_iter().map(f64::to_bits);
+            (out.events_dispatched, local.collect::<Vec<u64>>(), out.totals)
+        };
+        let (folded, queued) = (books(folded), books(queued));
+        assert!(folded.2.placements > 0);
+        assert_eq!(folded, queued);
+    }
 
     /// The owner-idle EWMA that feeds history-aware placement: the named
     /// weights form a convex combination, the first observation seeds the

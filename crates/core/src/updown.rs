@@ -25,6 +25,7 @@
 use condor_net::NodeId;
 use condor_sim::time::SimTime;
 
+use crate::bits::Bits;
 use crate::policy::{AllocationPolicy, Order, PollInput};
 
 /// Tunables of the Up-Down algorithm.
@@ -69,28 +70,26 @@ impl Default for UpDownConfig {
 #[derive(Debug)]
 pub struct UpDown {
     config: UpDownConfig,
-    /// Sparse schedule index as a `(station, index)` vector in ascending
-    /// station id: stations at exactly zero carry no entry, so per-poll
-    /// bookkeeping scales with the *active* stations rather than the
-    /// fleet, and entry count is self-limiting — idle drift compacts every
+    /// Schedule index by station id. Dense, and grown lazily to the
+    /// highest station a poll has named, so a station never seen reads as
+    /// zero; a station whose index lands exactly on zero stores `+0.0`.
+    index: Vec<f64>,
+    /// The stations whose index is non-zero. Idle drift brings every
     /// entry back to zero within `|index| / idle_drift` polls of going
-    /// quiet. Every input of a poll (requesters, consumers) comes in the
-    /// same order, so `decide` only ever walks the index front to back
-    /// beside them.
-    index: Vec<(NodeId, f64)>,
-    /// The index under construction during a poll; swapped with `index`.
-    next_index: Vec<(NodeId, f64)>,
+    /// quiet, so the per-poll index update walks the stations that are
+    /// active or recently were, not the fleet.
+    live: Bits,
+    /// `index` added up in ascending station id, from the `-0.0` an empty
+    /// `f64` sum starts at; recomputed by the index update of every poll.
+    sum: f64,
     // Buffers kept warm between polls; each is rebuilt by the step of
     // `decide` that owns it.
     prefix: Vec<Candidate>,
-    grantees: Vec<Candidate>,
-    /// Index of every consuming home of the current poll, by station id.
-    /// Written (for the consumers only) when a poll reaches the preemption
-    /// pass and read there for the homes of its hosts — which are
-    /// consumers by definition — so stale entries are never looked at and
-    /// the array is never cleared.
-    home_index: Vec<f64>,
-    level_machines: Vec<NodeId>,
+    /// Machines granted this poll, by station id. Written for the
+    /// grantees just before the index update, which reads each station's
+    /// entry once and zeroes it, so it is all zeros between polls.
+    granted: Vec<u32>,
+    level_machines: Vec<(NodeId, NodeId)>,
 }
 
 /// A requester among the first `need` in priority order.
@@ -121,10 +120,11 @@ impl Candidate {
 /// level or two at O(consumers + hosts) each instead of sorting every host.
 struct Victims<'a> {
     input: &'a PollInput<'a>,
-    home_index: &'a [f64],
+    index: &'a [f64],
     /// Index of the level being drained; +∞ before the first.
     level: f64,
-    machines: &'a mut Vec<NodeId>,
+    /// The level's `(home, machine)` pairs, in machine id order.
+    machines: &'a mut Vec<(NodeId, NodeId)>,
     next: usize,
 }
 
@@ -134,28 +134,27 @@ impl Victims<'_> {
     /// come in descending index order.
     fn next_above(&mut self, floor: f64) -> Option<(NodeId, NodeId)> {
         let PollInput { views, hosts, consumers, .. } = *self.input;
-        let home_index = self.home_index;
-        let home_of = |host: NodeId| {
-            views[host.as_usize()]
-                .hosting_for
-                .expect("host set contains only hosting stations")
-        };
+        let index = self.index;
         while self.level > floor {
-            if let Some(&machine) = self.machines.get(self.next) {
+            if let Some(&victim) = self.machines.get(self.next) {
                 self.next += 1;
-                return Some((home_of(machine), machine));
+                return Some(victim);
             }
             let drained = self.level;
             self.level = consumers
                 .iter()
-                .map(|&(home, _)| home_index[home.as_usize()])
+                .map(|&(home, _)| index[home.as_usize()])
                 .filter(|&index| index < drained)
                 .fold(f64::NEG_INFINITY, f64::max);
             self.machines.clear();
             self.next = 0;
             if self.level > floor {
                 let level = self.level;
-                let at_level = hosts.iter().filter(|&&h| home_index[home_of(h).as_usize()] == level);
+                let at_level = hosts.iter().filter_map(|&machine| {
+                    let home = views[machine.as_usize()].hosting_for;
+                    debug_assert!(home.is_some(), "host set contains only hosting stations");
+                    home.filter(|home| index[home.as_usize()] == level).map(|home| (home, machine))
+                });
                 self.machines.extend(at_level);
             }
         }
@@ -172,29 +171,26 @@ impl UpDown {
         UpDown {
             config,
             index: Vec::new(),
-            next_index: Vec::new(),
+            live: Bits::new(0),
+            sum: -0.0,
             prefix: Vec::new(),
-            grantees: Vec::new(),
-            home_index: Vec::new(),
+            granted: Vec::new(),
             level_machines: Vec::new(),
         }
     }
 
     /// The current schedule index of a station (zero if never seen).
     pub fn index_of(&self, node: NodeId) -> f64 {
-        self.index
-            .binary_search_by_key(&node, |e| e.0)
-            .map(|i| self.index[i].1)
-            .unwrap_or(0.0)
+        self.index.get(node.as_usize()).copied().unwrap_or(0.0)
     }
 
-    /// Sum of all station indices. Stations at zero carry no entry and
-    /// contribute nothing, which leaves an IEEE-754 sum bit-identical to
+    /// Sum of all station indices, as of the last poll. Only the non-zero
+    /// ones are added, which leaves an IEEE-754 sum bit-identical to
     /// summing `index_of` over every station in id order — a zero term
     /// never changes a running sum — except for the sign of an all-zero
     /// total (an empty `f64` sum is `-0.0`; adding a `0.0` makes it `0.0`).
     pub fn index_sum(&self) -> f64 {
-        self.index.iter().map(|e| e.1).sum()
+        self.sum
     }
 
     /// The configuration in force.
@@ -211,44 +207,6 @@ impl UpDown {
     }
 }
 
-/// A front-to-back reading position in a list kept in ascending station
-/// id — the index, and every active set of a [`PollInput`]. `decide` reads
-/// several of them side by side and never goes back in any.
-struct Cursor<'a, T, F> {
-    rest: &'a [T],
-    id_of: F,
-}
-
-impl<'a, T, F: Fn(&T) -> NodeId> Cursor<'a, T, F> {
-    /// What [`Cursor::head`] reads once the list is drained: past every id.
-    const DRAINED: u64 = u64::MAX;
-
-    fn new(list: &'a [T], id_of: F) -> Self {
-        Cursor { rest: list, id_of }
-    }
-
-    /// The station id at the front.
-    fn head(&self) -> u64 {
-        self.rest.first().map_or(Self::DRAINED, |e| u64::from((self.id_of)(e).index()))
-    }
-
-    /// `node`'s entry, if the list has one; entries of lower ids are left
-    /// behind, so `node` must not decrease from call to call.
-    fn take(&mut self, node: NodeId) -> Option<&'a T> {
-        while let [first, rest @ ..] = self.rest {
-            let id = (self.id_of)(first);
-            if id > node {
-                break;
-            }
-            self.rest = rest;
-            if id == node {
-                return Some(first);
-            }
-        }
-        None
-    }
-}
-
 impl AllocationPolicy for UpDown {
     fn name(&self) -> &'static str {
         "up-down"
@@ -256,20 +214,31 @@ impl AllocationPolicy for UpDown {
 
     /// With no requesters and no hosts, a `decide` issues no orders and
     /// the index pass reduces to pure idle drift — a no-op exactly when
-    /// the index is already empty.
+    /// every index is already zero.
     fn quiescent(&self) -> bool {
-        self.index.is_empty()
+        self.live.count() == 0
     }
 
-    /// Every step is a front-to-back pass over inputs that already come in
-    /// ascending station id — the index, `requesters`, `consumers`,
-    /// `hosts` — so a poll costs O(active stations) with no map, search or
-    /// fleet-sized sort. Who uses how many machines is not recounted here:
+    /// Steps 1–3 read the dense index by station id; step 4 visits the
+    /// stations that can change, in ascending id. The inputs already come
+    /// in that order, so a poll costs O(active stations) with no map,
+    /// search or sort. Who uses how many machines is not recounted here:
     /// it arrives as [`PollInput::consumers`].
     fn decide(&mut self, _now: SimTime, input: &PollInput<'_>) -> Vec<Order> {
-        let UpDown { config, index, next_index, prefix, grantees, home_index, level_machines } =
-            self;
+        let UpDown { config, index, live, sum, prefix, granted, level_machines } = self;
         let config = *config;
+        // Every station a poll names gets an index entry (zero until the
+        // update below moves it): fleets grow between polls.
+        let named = input
+            .requesters
+            .last()
+            .max(input.consumers.last().map(|c| &c.0))
+            .map_or(0, |last| last.as_usize() + 1);
+        if index.len() < named {
+            index.resize(named, 0.0);
+            granted.resize(named, 0);
+            live.grow(named);
+        }
 
         // 1. The priority prefix: requesters by (index, station id),
         //    lowest first, as far as steps 2 and 3 can read — the grant
@@ -286,9 +255,12 @@ impl AllocationPolicy for UpDown {
             .saturating_add(config.max_preemptions_per_poll)
             .saturating_add(1);
         prefix.clear();
-        let mut entries = Cursor::new(index, |e| e.0);
         for &home in input.requesters {
-            let index = entries.take(home).map_or(0.0, |e| e.1);
+            let index = index[home.as_usize()];
+            // Step 4 visits the live set: a requester at zero joins it.
+            if index == 0.0 {
+                live.set(home.as_usize(), true);
+            }
             if prefix.len() == need {
                 if prefix[need - 1].outranks(index, home) {
                     continue;
@@ -338,18 +310,10 @@ impl AllocationPolicy for UpDown {
             && !prefix.is_empty()
             && !input.consumers.is_empty()
         {
-            let homes = input.consumers.last().map_or(0, |c| c.0.as_usize() + 1);
-            if home_index.len() < homes {
-                home_index.resize(homes, 0.0);
-            }
-            let mut entries = Cursor::new(index, |e| e.0);
-            for &(home, _) in input.consumers {
-                home_index[home.as_usize()] = entries.take(home).map_or(0.0, |e| e.1);
-            }
             level_machines.clear();
             let mut victims = Victims {
                 input,
-                home_index,
+                index,
                 level: f64::INFINITY,
                 machines: level_machines,
                 next: 0,
@@ -389,35 +353,44 @@ impl AllocationPolicy for UpDown {
         //    it held coming into the poll plus this poll's grants, added
         //    as integers before the one multiply — and down while it has
         //    jobs nobody granted a machine for; one that neither uses nor
-        //    wants drifts toward zero, and an entry landing exactly on
-        //    zero is dropped. A station in none of the lists behaves as if
-        //    its (absent) zero entry had drifted. One merge of the index,
-        //    the requesters and the consumers, all in ascending id,
-        //    visits every station that can change; this poll's grantees
-        //    (at most `max_placements`, the one thing not already in id
-        //    order) join it sorted. A requester outside the prefix was
-        //    granted nothing and so is unmet by definition. Per station
-        //    the arithmetic is the same sequence of `f64` operations
-        //    whatever the lists look like, and `next_index` fills in
-        //    ascending id, which `index_sum` adds in.
-        grantees.clear();
-        grantees.extend(prefix.iter().filter(|c| c.granted > 0));
-        grantees.sort_unstable_by_key(|c| c.home);
-        next_index.clear();
-        let mut entries = Cursor::new(index, |e| e.0);
-        let mut requesters = Cursor::new(input.requesters, |&r| r);
-        let mut consumers = Cursor::new(input.consumers, |c| c.0);
-        let mut grantees = Cursor::new(grantees, |g| g.home);
-        loop {
-            let at = entries.head().min(requesters.head()).min(consumers.head());
-            let Ok(at) = u32::try_from(at) else { break };
+        //    wants drifts toward zero. A station at zero in none of the
+        //    lists stays there, so one ascending pass over the live set —
+        //    widened by the requesters in step 1 and by the consumers
+        //    here — visits every station that can change, reads the two
+        //    lists beside it, and drops whoever lands on zero. A requester
+        //    granted fewer machines than it has jobs waiting — nothing at
+        //    all, outside the prefix — is unmet. Per station the
+        //    arithmetic is the same sequence of `f64` operations whatever
+        //    the lists look like, and the sum adds the non-zero results
+        //    in ascending id.
+        for &(home, _) in input.consumers {
+            live.set(home.as_usize(), true);
+        }
+        for c in prefix.iter().filter(|c| c.granted > 0) {
+            granted[c.home.as_usize()] = c.granted as u32;
+        }
+        let (mut requesters, mut consumers) = (input.requesters, input.consumers);
+        let mut total = -0.0;
+        live.retain(|at| {
             let node = NodeId::new(at);
-            let mut value = entries.take(node).map_or(0.0, |e| e.1);
-            let mut unmet = requesters.take(node).is_some();
-            let mut used = consumers.take(node).map_or(0, |c| c.1 as usize);
-            if let Some(g) = grantees.take(node) {
-                used += g.granted;
-                unmet = g.demand > g.granted;
+            let i = at as usize;
+            let mut value = index[i];
+            let mut unmet = false;
+            if let [first, rest @ ..] = requesters {
+                if *first == node {
+                    (unmet, requesters) = (true, rest);
+                }
+            }
+            let mut used = 0;
+            if let [(home, machines), rest @ ..] = consumers {
+                if *home == node {
+                    (used, consumers) = (*machines as usize, rest);
+                }
+            }
+            if granted[i] > 0 {
+                let grants = std::mem::take(&mut granted[i]) as usize;
+                used += grants;
+                unmet = input.views[i].waiting_jobs > grants;
             }
             if used > 0 {
                 value += config.up_per_machine * used as f64;
@@ -428,11 +401,15 @@ impl AllocationPolicy for UpDown {
             if used == 0 && !unmet {
                 value = Self::drift_toward_zero(value, config.idle_drift);
             }
-            if value != 0.0 {
-                next_index.push((node, value));
+            if value == 0.0 {
+                index[i] = 0.0;
+                return false;
             }
-        }
-        std::mem::swap(index, next_index);
+            index[i] = value;
+            total += value;
+            true
+        });
+        *sum = total;
         orders
     }
 }

@@ -231,47 +231,96 @@ proptest! {
                 max_preemptions_per_poll,
             },
         };
-        let mut new = UpDown::new(config);
-        let mut reference = ReferenceUpDown::new(config, FLEET);
-        for (poll, raw) in polls.iter().enumerate() {
-            let views: Vec<StationView> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(free, hosting, requesting, home, waiting)): (usize, &RawStation)| {
-                    let can_host = free < density.0;
-                    StationView {
-                        node: NodeId::new(i as u32),
-                        can_host,
-                        free_cpu_milli: if can_host { 500 } else { 0 },
-                        hosting_for: (hosting < density.1).then(|| NodeId::new(home)),
-                        waiting_jobs: if requesting < density.2 { waiting } else { 0 },
-                    }
-                })
-                .collect();
-            let mut free = free_of(&views);
-            if reversed_preference {
-                free.reverse();
+        let views = polls.iter().map(|raw| station_views(raw, FLEET, density));
+        check_against_reference(config, views, budget, reversed_preference);
+    }
+
+    /// The same differential while the fleet grows between polls: each
+    /// poll sees the first `sizes[poll]` stations of the 64 (the sizes
+    /// never decrease), so the policy meets station ids it has never
+    /// indexed, as a requester, as a consumer, or both at once.
+    #[test]
+    fn updown_matches_the_reference_while_the_fleet_grows(
+        polls in prop::collection::vec(
+            prop::collection::vec(
+                (any::<u8>(), any::<u8>(), any::<u8>(), 0u32..FLEET as u32, 1usize..5),
+                FLEET..=FLEET,
+            ),
+            30..40,
+        ),
+        sizes in prop::collection::vec(1usize..=FLEET, 30..40),
+        density in (0u8..80, any::<u8>(), any::<u8>()),
+        budget in 0usize..=3,
+        max_preemptions_per_poll in 0usize..=3,
+    ) {
+        let config = UpDownConfig {
+            up_per_machine: 0.3,
+            down_when_denied: 0.7,
+            idle_drift: 0.1,
+            preemption_margin: 1.3,
+            max_preemptions_per_poll,
+        };
+        let mut sizes = sizes;
+        sizes.sort_unstable();
+        let views = polls.iter().zip(&sizes).map(|(raw, &n)| station_views(&raw[..n], n, density));
+        check_against_reference(config, views, budget, false);
+    }
+}
+
+/// One poll's views from its raw stations; every home is folded into the
+/// first `fleet` stations.
+fn station_views(raw: &[RawStation], fleet: usize, density: (u8, u8, u8)) -> Vec<StationView> {
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(free, hosting, requesting, home, waiting))| {
+            let can_host = free < density.0;
+            StationView {
+                node: NodeId::new(i as u32),
+                can_host,
+                free_cpu_milli: if can_host { 500 } else { 0 },
+                hosting_for: (hosting < density.1).then(|| NodeId::new(home % fleet as u32)),
+                waiting_jobs: if requesting < density.2 { waiting } else { 0 },
             }
-            let orders = decide_from_views(&mut new, SimTime::ZERO, &views, &free, budget);
-            let expected = reference.decide(&views, &free, budget);
-            prop_assert_eq!(&orders, &expected, "orders differ at poll {}", poll);
-            prop_assert!(validate_orders(&orders, &views).is_ok());
-            for v in &views {
-                prop_assert_eq!(
-                    new.index_of(v.node).to_bits(),
-                    reference.index_of(v.node).to_bits(),
-                    "index of {} differs at poll {}: {} vs {}",
-                    v.node, poll, new.index_of(v.node), reference.index_of(v.node)
-                );
-            }
-            // The sparse sum skips the zeros the dense one adds; only the
-            // sign of an all-zero total can tell the two apart.
-            let (sum, expected) = (new.index_sum(), reference.index_sum());
-            prop_assert!(
-                sum.to_bits() == expected.to_bits() || (sum == 0.0 && expected == 0.0),
-                "index_sum differs at poll {}: {} vs {}", poll, sum, expected
+        })
+        .collect()
+}
+
+/// Runs Up-Down and its reference side by side over `polls` (at most
+/// `FLEET` stations each) and demands the same orders and bit-identical
+/// indexes after every poll.
+fn check_against_reference(
+    config: UpDownConfig,
+    polls: impl Iterator<Item = Vec<StationView>>,
+    budget: usize,
+    reversed_preference: bool,
+) {
+    let mut new = UpDown::new(config);
+    let mut reference = ReferenceUpDown::new(config, FLEET);
+    for (poll, views) in polls.enumerate() {
+        let mut free = free_of(&views);
+        if reversed_preference {
+            free.reverse();
+        }
+        let orders = decide_from_views(&mut new, SimTime::ZERO, &views, &free, budget);
+        let expected = reference.decide(&views, &free, budget);
+        prop_assert_eq!(&orders, &expected, "orders differ at poll {}", poll);
+        prop_assert!(validate_orders(&orders, &views).is_ok());
+        for s in 0..FLEET as u32 {
+            let node = NodeId::new(s);
+            prop_assert_eq!(
+                new.index_of(node).to_bits(),
+                reference.index_of(node).to_bits(),
+                "index of {} differs at poll {}: {} vs {}",
+                node, poll, new.index_of(node), reference.index_of(node)
             );
         }
+        // The live-set sum skips the zeros the dense one adds; only the
+        // sign of an all-zero total can tell the two apart.
+        let (sum, expected) = (new.index_sum(), reference.index_sum());
+        prop_assert!(
+            sum.to_bits() == expected.to_bits() || (sum == 0.0 && expected == 0.0),
+            "index_sum differs at poll {}: {} vs {}", poll, sum, expected
+        );
     }
 }
 
