@@ -623,24 +623,13 @@ fn main() {
         }
     }
 
-    // redundancy: the speculative-replication policy family. `off` is the
-    // simulate_days/7 week under PolicyKind::Redundant with replication
-    // disabled — bit-identical to Up-Down by the golden-trace pin, so it
-    // must track simulate_days/7 within noise (the off-path tax is the
-    // k == 0 early-returns). `k2` arms two replicas per job and prices
-    // the full machinery: spawn scans, demand reclaim, replica events.
-    {
-        use condor_core::redundancy::RedundancyConfig;
-        for (label, rc) in [
-            ("off", RedundancyConfig::off()),
-            ("k2", RedundancyConfig::default()),
-        ] {
-            rows.push(measure(format!("cluster/redundancy/{label}"), budget, || {
-                let policy = condor_core::config::PolicyKind::Redundant(rc);
-                burst(ClusterConfig { policy, ..fleet(23) }, 7)
-            }));
-        }
-    }
+    // redundancy: the simulate_days/7 week under PolicyKind::Redundant,
+    // two replicas per job; prices the full machinery against
+    // simulate_days/7: spawn scans, demand reclaim, replica events.
+    rows.push(measure("cluster/redundancy/k2", budget, || {
+        let policy = condor_core::config::PolicyKind::Redundant;
+        burst(ClusterConfig { policy, ..fleet(23) }, 7)
+    }));
 
     // cluster at paper-future scale: the coordinator poll is the station-
     // bound phase, so this row is the scaling check for the incremental

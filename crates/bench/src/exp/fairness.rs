@@ -7,7 +7,6 @@
 
 use condor_core::config::PolicyKind;
 use condor_core::job::UserId;
-use condor_core::updown::UpDownConfig;
 use condor_metrics::replicate::par_map;
 use condor_metrics::summary::mean_wait_ratio;
 use condor_metrics::table::{num, Table};
@@ -18,7 +17,7 @@ use crate::{run_scenario, EXPERIMENT_SEED};
 
 pub(super) fn run(_: &Ctx) {
     let policies = [
-        PolicyKind::UpDown(UpDownConfig::default()),
+        PolicyKind::UpDown,
         PolicyKind::Fifo,
         PolicyKind::RoundRobin,
         PolicyKind::Random,
@@ -56,7 +55,7 @@ pub(super) fn run(_: &Ctx) {
             out.totals.preemptions_priority.to_string(),
         ]);
         match policy {
-            PolicyKind::UpDown(_) => updown_light = light_wait,
+            PolicyKind::UpDown => updown_light = light_wait,
             _ => worst_baseline_light = worst_baseline_light.max(light_wait),
         }
     }

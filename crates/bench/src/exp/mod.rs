@@ -65,7 +65,7 @@ pub const EXPERIMENTS: [Experiment; 22] = [
     Experiment { name: "hetero", reproduces: "§5(4) — mixed VAX/SUN fleets", run: hetero::run },
     Experiment { name: "availability", reproduces: "ref. [1] — owner-model validation", run: availability::run },
     Experiment { name: "oversubscribed", reproduces: "fractional capacity — whole-machine vs half-CPU packing", run: oversubscribed::run },
-    Experiment { name: "redundancy", reproduces: "speculative replicas and opportunistic checkpoints under faults", run: redundancy::run },
+    Experiment { name: "redundancy", reproduces: "speculative replicas under faults and in the fair regime", run: redundancy::run },
 ];
 
 /// What an experiment is handed: the two command-line settings, and the

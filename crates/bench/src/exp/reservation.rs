@@ -9,7 +9,6 @@
 use condor_core::cluster::Run;
 use condor_core::config::{ClusterConfig, PolicyKind, Reservation};
 use condor_core::job::{JobId, JobSpec, JobState, UserId};
-use condor_core::updown::UpDownConfig;
 use condor_metrics::replicate::par_map;
 use condor_metrics::table::{num, Table};
 use condor_net::NodeId;
@@ -98,8 +97,8 @@ pub(super) fn run(_: &Ctx) {
     ]);
     let mut in_window = Vec::new();
     let setups = [
-        (PolicyKind::UpDown(UpDownConfig::default()), false, "up-down, no reservation"),
-        (PolicyKind::UpDown(UpDownConfig::default()), true, "up-down + reservation"),
+        (PolicyKind::UpDown, false, "up-down, no reservation"),
+        (PolicyKind::UpDown, true, "up-down + reservation"),
         (PolicyKind::Fifo, false, "fifo, no reservation"),
         (PolicyKind::Fifo, true, "fifo + reservation"),
     ];

@@ -30,7 +30,7 @@
 //! | `hetero` | §5(4) — mixed VAX/SUN fleets |
 //! | `availability` | ref. \[1\] — owner-model validation |
 //! | `oversubscribed` | fractional capacity — whole-machine vs half-CPU packing |
-//! | `redundancy` | speculative replicas and opportunistic checkpoints under faults |
+//! | `redundancy` | speculative replicas under faults and in the fair regime |
 
 #![warn(missing_docs)]
 

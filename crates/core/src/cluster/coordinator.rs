@@ -490,7 +490,9 @@ impl Cluster {
             free.sort_by(|a, b| {
                 let sa = self.idle_score(a.as_usize(), now);
                 let sb = self.idle_score(b.as_usize(), now);
-                sb.partial_cmp(&sa).expect("no NaN scores")
+                // Non-negative EWMAs and streaks: finite and never -0.0,
+                // so `total_cmp` is the numeric order.
+                sb.total_cmp(&sa)
             });
         } else {
             // Policies take at most `budget` targets from the front of the
@@ -587,9 +589,8 @@ impl Cluster {
         );
         // Gauges no event carries: sampled once per poll, deterministically.
         let updown_mean_index = match &self.policy {
-            PolicyHolder::UpDown(p) => Some(p.index_sum() / self.stations.len() as f64),
-            PolicyHolder::Redundant(p) => {
-                Some(p.inner().index_sum() / self.stations.len() as f64)
+            PolicyHolder::UpDown(p) | PolicyHolder::Redundant(p) => {
+                Some(p.index_sum() / self.stations.len() as f64)
             }
             _ => None,
         };

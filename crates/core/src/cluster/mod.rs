@@ -58,13 +58,11 @@ use self::station::{LazyFlips, OwnerLane, Phase, Station, StationHot};
 pub use self::station::{IDLE_EWMA_HISTORY_WEIGHT, IDLE_EWMA_SAMPLE_WEIGHT};
 use crate::config::{ClusterConfig, ConfigError, PolicyKind};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
-use crate::policy::{
-    AllocationPolicy, FifoPolicy, FracPolicy, RandomPolicy, RedundantPolicy, RoundRobinPolicy,
-};
+use crate::policy::{AllocationPolicy, FifoPolicy, FracPolicy, RandomPolicy, RoundRobinPolicy};
 use crate::queue::BackgroundQueue;
 use crate::telemetry::{GaugeSample, KindMask, StatsSink, Telemetry, TraceSink};
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use crate::updown::UpDown;
+use crate::updown::{UpDown, UpDownConfig};
 
 /// Events driving the cluster simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +172,7 @@ pub enum Event {
         seq: u32,
     },
     /// A speculative replica's image transfer finished (see
-    /// [`crate::redundancy`]). Cancellation is by
+    /// [`PolicyKind::Redundant`]). Cancellation is by
     /// [`EventToken`](condor_sim::event::EventToken), so no
     /// staleness sequence is needed.
     ReplicaPlaced {
@@ -190,16 +188,6 @@ pub enum Event {
         job: JobId,
         /// Hosting station.
         on: u32,
-    },
-    /// Hazard-driven checkpoint evaluation for a running primary under
-    /// [`CkptTiming::Opportunistic`](crate::redundancy::CkptTiming::Opportunistic).
-    OpportunisticCkpt {
-        /// The job.
-        job: JobId,
-        /// Hosting station.
-        on: u32,
-        /// Run epoch the timer chain belongs to (stale epochs are ignored).
-        epoch: u32,
     },
 }
 
@@ -449,18 +437,18 @@ enum PolicyHolder {
     RoundRobin(RoundRobinPolicy),
     Random(RandomPolicy),
     Frac(FracPolicy),
-    Redundant(RedundantPolicy),
+    /// Up-Down's orders; the replicas are the cluster's own (`replicas`).
+    Redundant(UpDown),
 }
 
 impl PolicyHolder {
     fn as_dyn(&mut self) -> &mut dyn AllocationPolicy {
         match self {
-            PolicyHolder::UpDown(p) => p,
+            PolicyHolder::UpDown(p) | PolicyHolder::Redundant(p) => p,
             PolicyHolder::Fifo(p) => p,
             PolicyHolder::RoundRobin(p) => p,
             PolicyHolder::Random(p) => p,
             PolicyHolder::Frac(p) => p,
-            PolicyHolder::Redundant(p) => p,
         }
     }
 
@@ -556,21 +544,15 @@ impl Cluster {
             })
             .collect();
         let policy = match config.policy {
-            PolicyKind::UpDown(ud) => PolicyHolder::UpDown(UpDown::new(ud)),
+            PolicyKind::UpDown => PolicyHolder::UpDown(UpDown::new(UpDownConfig::default())),
             PolicyKind::Fifo => PolicyHolder::Fifo(FifoPolicy::new()),
             PolicyKind::RoundRobin => PolicyHolder::RoundRobin(RoundRobinPolicy::new()),
             PolicyKind::Random => PolicyHolder::Random(RandomPolicy::new(config.seed)),
             PolicyKind::Frac => PolicyHolder::Frac(FracPolicy::new()),
-            PolicyKind::Redundant(rc) => PolicyHolder::Redundant(RedundantPolicy::new(rc)),
+            PolicyKind::Redundant => PolicyHolder::Redundant(UpDown::new(UpDownConfig::default())),
         };
-        let redundancy = match config.policy {
-            PolicyKind::Redundant(rc) => Some(RedundancyRuntime {
-                k: rc.replicas,
-                ckpt: rc.checkpointing,
-                by_job: vec![Vec::new(); specs.len()],
-            }),
-            _ => None,
-        };
+        let redundancy = (config.policy == PolicyKind::Redundant)
+            .then(|| RedundancyRuntime { by_job: vec![Vec::new(); specs.len()] });
         let trace = if config.record_trace {
             Trace::new()
         } else {
@@ -800,8 +782,7 @@ impl Cluster {
     /// force.
     pub fn updown_index(&self, node: NodeId) -> Option<f64> {
         match &self.policy {
-            PolicyHolder::UpDown(p) => Some(p.index_of(node)),
-            PolicyHolder::Redundant(p) => Some(p.inner().index_of(node)),
+            PolicyHolder::UpDown(p) | PolicyHolder::Redundant(p) => Some(p.index_of(node)),
             _ => None,
         }
     }
@@ -1022,9 +1003,6 @@ impl Model for Cluster {
                 self.on_replica_placed(now, job, target, sched)
             }
             Event::ReplicaFinish { job, on } => self.on_replica_finish(now, job, on, sched),
-            Event::OpportunisticCkpt { job, on, epoch } => {
-                self.on_opportunistic_ckpt(now, job, on, epoch, sched)
-            }
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The Remote-Unix job lifecycle (paper §2.2–2.3): arrival at the home
 //! queue, placement, run segments, owner-forced suspension and the grace
-//! period, checkpoint-out and requeue, completion, and the while-running
-//! checkpoint timers. Every transition a *solo* resident makes is defined
-//! here exactly once; gangs and replicas reuse the same primitives from
-//! their own modules.
+//! period, checkpoint-out and requeue, completion, and the periodic
+//! while-running checkpoint. Every transition a *solo* resident makes is
+//! defined here exactly once; gangs and replicas reuse the same primitives
+//! from their own modules.
 
 use condor_model::costs::{transfer_cpu_cost, REMOTE_SYSCALL_COST};
 use condor_model::owner::OwnerState;
@@ -15,7 +15,6 @@ use super::station::Phase;
 use super::{Cluster, Event};
 use crate::config::EvictionStrategy;
 use crate::job::{JobId, JobState, PreemptReason};
-use crate::redundancy::CkptTiming;
 use crate::trace::TraceKind;
 
 /// Wall-clock time needed to deliver a whole-machine wall segment at a
@@ -199,18 +198,8 @@ impl Cluster {
         j.running_since = now;
         j.epoch += 1;
         let epoch = j.epoch;
-        // The opportunistic timer replaces the fixed-period chain when the
-        // redundancy policy arms it; otherwise the immediate-kill strategy's
-        // periodic chain runs exactly as before.
-        match self.opportunistic_ckpt() {
-            Some((check_every, _)) => {
-                sched.at(now + check_every, Event::OpportunisticCkpt { job, on, epoch });
-            }
-            None => {
-                if let EvictionStrategy::ImmediateKill { checkpoint_every } = self.config.eviction {
-                    sched.at(now + checkpoint_every, Event::PeriodicCkpt { job, on, epoch });
-                }
-            }
+        if let EvictionStrategy::ImmediateKill { checkpoint_every } = self.config.eviction {
+            sched.at(now + checkpoint_every, Event::PeriodicCkpt { job, on, epoch });
         }
         self.emit(now, TraceKind::JobStarted { job, on: NodeId::new(on) });
     }
@@ -466,13 +455,6 @@ impl Cluster {
         self.begin_checkpoint_out(now, station as usize, job, PreemptReason::OwnerReturned, sched);
     }
 
-    /// Whether `job` is still in run segment `epoch` on station `on` — the
-    /// liveness test of both while-running checkpoint timer chains.
-    fn timer_is_live(&self, job: JobId, on: u32, epoch: u32) -> bool {
-        self.jobs[job.0 as usize].epoch == epoch
-            && self.slot_is(on as usize, job, |p| matches!(p, Phase::Running { .. }))
-    }
-
     pub(super) fn on_periodic_ckpt(
         &mut self,
         now: SimTime,
@@ -481,63 +463,24 @@ impl Cluster {
         epoch: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        if !self.timer_is_live(job, on, epoch) {
+        // The chain is live while `job` is still in run segment `epoch` on
+        // station `on`.
+        if self.jobs[job.0 as usize].epoch != epoch
+            || !self.slot_is(on as usize, job, |p| matches!(p, Phase::Running { .. }))
+        {
             return;
         }
-        self.take_running_checkpoint(now, job, on);
-        if let EvictionStrategy::ImmediateKill { checkpoint_every } = self.config.eviction {
-            sched.at(now + checkpoint_every, Event::PeriodicCkpt { job, on, epoch });
-        }
-    }
-
-    /// Takes one while-running checkpoint of a job executing on `on`:
-    /// captures the current work level, charges the transfer, and books
-    /// the image home while the job keeps running. Shared by the periodic
-    /// chain and the opportunistic hazard timer.
-    fn take_running_checkpoint(&mut self, now: SimTime, job: JobId, on: u32) {
         // The checkpoint captures the work level at this instant (accrued
-        // at the granted CPU fraction).
+        // at the granted CPU fraction), is shipped home and booked while
+        // the job keeps running.
         let work_now = self.jobs[job.0 as usize].work_done + self.segment_work(job, now);
         self.jobs[job.0 as usize].work_checkpointed = work_now;
         let home = self.jobs[job.0 as usize].spec.home;
         self.ship_image(now, job, NodeId::new(on), home);
         self.totals.periodic_checkpoints += 1;
         self.emit(now, TraceKind::PeriodicCheckpoint { job, on: NodeId::new(on) });
-    }
-
-    /// The opportunistic checkpoint knobs, if the redundancy policy arms
-    /// them; `None` means the inherited (periodic or none) timer applies.
-    fn opportunistic_ckpt(&self) -> Option<(SimDuration, f64)> {
-        match self.redundancy.as_ref()?.ckpt {
-            CkptTiming::Opportunistic { check_every, hazard_threshold } => {
-                Some((check_every, hazard_threshold))
-            }
-            CkptTiming::Inherited => None,
+        if let EvictionStrategy::ImmediateKill { checkpoint_every } = self.config.eviction {
+            sched.at(now + checkpoint_every, Event::PeriodicCkpt { job, on, epoch });
         }
-    }
-
-    /// Hazard-driven checkpoint evaluation: checkpoint only when the
-    /// owner's return looks imminent — the station's current idle streak
-    /// has consumed its typical idle interval (EWMA). Stations with no
-    /// idle history yet never trigger (hazard 0), and the chain re-arms
-    /// every `check_every` until the run segment ends.
-    pub(super) fn on_opportunistic_ckpt(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        on: u32,
-        epoch: u32,
-        sched: &mut Scheduler<Event>,
-    ) {
-        let Some((check_every, threshold)) = self.opportunistic_ckpt() else { return };
-        if !self.timer_is_live(job, on, epoch) {
-            return;
-        }
-        let ewma = self.lanes[on as usize].ewma_idle_secs;
-        let hazard = if ewma > 0.0 { self.idle_streak_secs(on as usize, now) / ewma } else { 0.0 };
-        if hazard >= threshold {
-            self.take_running_checkpoint(now, job, on);
-        }
-        sched.at(now + check_every, Event::OpportunisticCkpt { job, on, epoch });
     }
 }

@@ -1,11 +1,34 @@
-//! Speculative replicas — the runtime half of [`crate::redundancy`]:
-//! spawning extra copies of a just-placed job on surplus idle stations,
-//! reclaiming them when real demand appears, and settling the race under
-//! cancel-on-first-finish. A policy layered on the unchanged base: every
-//! entry point returns at once unless [`PolicyKind::Redundant`] armed
-//! [`RedundancyRuntime`].
+//! Speculative replication under cancel-on-first-finish: the
+//! [`Redundant`](crate::config::PolicyKind::Redundant) policy.
 //!
-//! [`PolicyKind::Redundant`]: crate::config::PolicyKind::Redundant
+//! Condor's core bet is that remote cycles are cheap; this module spends a
+//! few of them on purpose. Following the speculative-replication model of
+//! Xu et al. (arXiv:1707.01655), it places up to [`REPLICAS`] extra copies
+//! of a just-placed whole-machine job on stations that would otherwise sit
+//! idle: the first copy (primary or replica) to complete wins, and every
+//! other copy is cancelled on the spot. Primary placements, preemptions
+//! and the fairness index are the unchanged Up-Down's. Replicas are
+//! strictly parasitic — they spawn only when every queue in the fleet is
+//! empty, are reclaimed at the top of each poll whenever waiting demand
+//! outstrips the free machines (arriving copies first, then the youngest
+//! running), yield during coordinator outages to a station's own runnable
+//! local work, and evaporate the instant the station's owner returns (no
+//! grace period, no checkpoint: their work is the redundancy budget).
+//! Hosts are chosen by expected *remaining* idle time — the station's EWMA
+//! of past idle intervals minus its current streak — so speculation lands
+//! on the machines statistically furthest from an owner's return.
+//!
+//! Accounting: every spawn emits
+//! [`TraceKind::ReplicaSpawned`], every loser emits
+//! [`TraceKind::ReplicaCancelled`] carrying the burst progress it had
+//! accrued, and
+//! [`Totals::wasted_replica_work`](crate::cluster::Totals::wasted_replica_work)
+//! sums those losses. The [`AuditSink`](crate::audit::AuditSink) enforces
+//! conservation: every spawn matched by exactly one cancellation or one
+//! completion, wasted work equal to the cancelled copies' progress.
+//!
+//! Every entry point returns at once unless the policy armed
+//! [`RedundancyRuntime`], so any other policy's trace is untouched.
 
 use condor_model::owner::OwnerState;
 use condor_net::NodeId;
@@ -17,18 +40,20 @@ use super::remote_unix::SegmentEnd;
 use super::station::Phase;
 use super::{Cluster, Event};
 use crate::job::{JobId, JobState};
-use crate::redundancy::CkptTiming;
 use crate::trace::TraceKind;
+
+/// Live replicas kept per job beyond the primary, after the speculative
+/// replication of Xu et al. (arXiv:1707.01655); `condor exp redundancy`
+/// measures this count in the high-variance, under-loaded regime they
+/// say redundancy pays in.
+const REPLICAS: usize = 2;
 
 /// Runtime state of the speculative-replication policy.
 #[derive(Debug)]
 pub(super) struct RedundancyRuntime {
-    /// Maximum live replicas per job (`0` disables spawning entirely).
-    pub(super) k: u32,
-    /// Which checkpoint timer running primaries use.
-    pub(super) ckpt: CkptTiming,
     /// Stations currently holding a replica of each job (index = job id).
-    /// Kept tiny (≤ k entries) so cancel-on-first-finish is O(k).
+    /// Kept tiny (≤ [`REPLICAS`] entries) so cancel-on-first-finish is
+    /// O(1).
     pub(super) by_job: Vec<Vec<u32>>,
 }
 
@@ -53,9 +78,7 @@ impl Cluster {
     /// cancelling it would trade finished work for a fresh placement.
     pub(super) fn reclaim_replicas_for_demand(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let Some(r) = self.redundancy.as_ref() else { return };
-        // `k == 0` first: the disabled policy must cost nothing per poll,
-        // not even the per-job liveness scan below.
-        if r.k == 0 || r.by_job.iter().all(|v| v.is_empty()) {
+        if r.by_job.iter().all(|v| v.is_empty()) {
             return;
         }
         let waiting: usize = self.stations.iter().map(|st| st.queue.len()).sum();
@@ -101,7 +124,7 @@ impl Cluster {
         }
     }
 
-    /// Tops the job up to `k` live replicas on otherwise-idle stations,
+    /// Tops the job up to [`REPLICAS`] live replicas on otherwise-idle stations,
     /// right after a successful primary placement. Replicas are strictly
     /// parasitic: they take only whole machines that are idle, unfenced,
     /// unpartitioned, and empty, and they run the same binary as the
@@ -116,12 +139,8 @@ impl Cluster {
         sched: &mut Scheduler<Event>,
     ) {
         let Some(r) = self.redundancy.as_ref() else { return };
-        let k = r.k;
-        if k == 0 {
-            return;
-        }
-        let live = r.by_job[job.0 as usize].len() as u32;
-        if live >= k {
+        let live = r.by_job[job.0 as usize].len();
+        if live >= REPLICAS {
             return;
         }
         let spec = &self.jobs[job.0 as usize].spec;
@@ -159,10 +178,10 @@ impl Cluster {
             }
             eligible.push((self.lanes[i].ewma_idle_secs - self.idle_streak_secs(i, now), i));
         }
-        eligible.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("no NaN idle scores").then(a.1.cmp(&b.1))
-        });
-        for &(_, i) in eligible.iter().take((k - live) as usize) {
+        // Differences of finite non-negative seconds: finite and never
+        // -0.0, so `total_cmp` is the numeric order.
+        eligible.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for &(_, i) in eligible.iter().take(REPLICAS - live) {
             let cand = NodeId::new(i as u32);
             // Ahead of `ReplicaPlaced`, as for any placement.
             self.take_flip_entry(i, sched);
@@ -315,7 +334,7 @@ impl Cluster {
             Phase::Running { finish } => {
                 sched.cancel(finish);
                 self.close_run_segment(now, job, &[at.index()], SegmentEnd::Interrupted);
-                // Kill any periodic/opportunistic checkpoint chain.
+                // Kill any periodic checkpoint chain.
                 self.jobs[job.0 as usize].epoch += 1;
             }
             Phase::Suspended { grace } => {

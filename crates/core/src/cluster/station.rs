@@ -39,7 +39,8 @@ pub(super) enum Phase {
     Suspended { grace: EventToken },
     /// Image outbound.
     Departing,
-    /// Speculative copy racing the primary (see [`crate::redundancy`]).
+    /// Speculative copy racing the primary (see
+    /// [`PolicyKind::Redundant`](crate::config::PolicyKind::Redundant)).
     /// Replicas carry their own lifecycle in [`ReplicaState`] — never the
     /// job's: `Job::state` always describes the primary copy.
     Replica(ReplicaState),

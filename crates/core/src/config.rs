@@ -8,8 +8,6 @@ use condor_sim::time::{SimDuration, SimTime};
 
 use crate::chaos::ChaosSchedule;
 use crate::job::JobId;
-use crate::redundancy::RedundancyConfig;
-use crate::updown::UpDownConfig;
 
 /// Why a configuration (or the job set submitted with it) is invalid.
 ///
@@ -145,14 +143,6 @@ pub enum ConfigError {
         /// The dependency in another pool.
         dep: JobId,
     },
-    /// An opportunistic checkpoint timer with a zero evaluation interval.
-    RedundancyZeroCheckInterval,
-    /// An opportunistic checkpoint hazard threshold that is not a finite
-    /// positive number.
-    RedundancyBadHazardThreshold {
-        /// The offending threshold.
-        threshold: f64,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -242,12 +232,6 @@ impl std::fmt::Display for ConfigError {
                     "chaos partition [{first_station}, {}) outside the {stations}-station fleet",
                     first_station + machines
                 )
-            }
-            ConfigError::RedundancyZeroCheckInterval => {
-                f.write_str("zero opportunistic-checkpoint evaluation interval")
-            }
-            ConfigError::RedundancyBadHazardThreshold { threshold } => {
-                write!(f, "opportunistic-checkpoint hazard threshold {threshold} must be a finite positive number")
             }
         }
     }
@@ -354,10 +338,11 @@ impl Default for EvictionStrategy {
 }
 
 /// Which allocation policy the coordinator runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// The paper's Up-Down algorithm.
-    UpDown(UpDownConfig),
+    #[default]
+    UpDown,
     /// First-come-first-served over stations; no preemption.
     Fifo,
     /// Round-robin over demanding stations; no preemption.
@@ -370,17 +355,10 @@ pub enum PolicyKind {
     /// residents together and keeping whole machines open for whole-demand
     /// jobs. No preemption.
     Frac,
-    /// Up-Down plus speculative replication and an optional opportunistic
-    /// checkpoint timer (see [`crate::redundancy`]). With
-    /// [`RedundancyConfig::off`] this is bit-identical to
-    /// [`PolicyKind::UpDown`].
-    Redundant(RedundancyConfig),
-}
-
-impl Default for PolicyKind {
-    fn default() -> Self {
-        PolicyKind::UpDown(UpDownConfig::default())
-    }
+    /// Up-Down plus speculative replicas under cancel-on-first-finish
+    /// (see the `replicas` module of [`crate::cluster`]). Primary
+    /// placements, preemptions and the fairness index are Up-Down's.
+    Redundant,
 }
 
 /// Full configuration of a cluster run.
@@ -618,9 +596,6 @@ impl ClusterConfig {
         if let Some(t) = &self.topology {
             t.check(self.stations)?;
         }
-        if let PolicyKind::Redundant(r) = &self.policy {
-            r.check()?;
-        }
         Ok(())
     }
 }
@@ -635,7 +610,7 @@ mod tests {
         c.check().expect("default config is valid");
         assert_eq!(c.stations, 23);
         assert_eq!(c.placements_per_poll, 1);
-        assert!(matches!(c.policy, PolicyKind::UpDown(_)));
+        assert_eq!(c.policy, PolicyKind::UpDown);
         assert!(matches!(
             c.eviction,
             EvictionStrategy::GraceThenCheckpoint { grace } if grace == SimDuration::from_minutes(5)

@@ -196,7 +196,7 @@ pub(crate) struct JobRow {
     /// Checkpoint transfers in flight (started, not yet completed).
     pub ckpt_in_flight: u32,
     /// Stations holding a live speculative replica of the job (see
-    /// [`crate::redundancy`]).
+    /// [`PolicyKind::Redundant`](crate::config::PolicyKind::Redundant)).
     pub replicas: Vec<NodeId>,
     stamps: [Option<SimTime>; 4],
 }

@@ -9,12 +9,11 @@
 //! * [`policy`] — the coordinator-side allocation policies: the trait, and
 //!   FIFO / round-robin / random baselines;
 //! * [`updown`] — the Up-Down fair-allocation algorithm (paper §2.4);
-//! * [`redundancy`] — speculative job replication with
-//!   cancel-on-first-finish and the opportunistic checkpoint timer;
 //! * [`config`] — cluster configuration, including the §4 eviction
 //!   strategies (grace-then-checkpoint vs immediate-kill);
 //! * [`cluster`] — the full discrete-event cluster model binding owners,
-//!   local schedulers, the coordinator, the network, and cost accounting;
+//!   local schedulers, the coordinator, the network, and cost accounting,
+//!   plus the speculative replicas of [`PolicyKind::Redundant`];
 //! * [`trace`] — the replayable event trace experiments consume;
 //! * [`telemetry`] — streaming trace sinks and the O(1)-memory
 //!   [`Telemetry`] summary every run produces;
@@ -57,7 +56,6 @@ pub mod config;
 pub mod job;
 pub mod policy;
 pub mod queue;
-pub mod redundancy;
 pub mod shard;
 pub mod spans;
 pub mod telemetry;
@@ -73,12 +71,8 @@ pub use config::{
     ClusterConfig, ConfigError, EvictionStrategy, FailureConfig, PolicyKind, Reservation,
 };
 pub use job::{Job, JobId, JobSpec, JobState, PreemptReason, SpeedupCurve, UserId};
-pub use policy::{
-    AllocationPolicy, FifoPolicy, Order, RandomPolicy, RedundantPolicy, RoundRobinPolicy,
-    StationView,
-};
+pub use policy::{AllocationPolicy, FifoPolicy, Order, RandomPolicy, RoundRobinPolicy, StationView};
 pub use queue::BackgroundQueue;
-pub use redundancy::{CkptTiming, RedundancyConfig};
 pub use spans::{
     Breakdown, JobBreakdown, JobSpans, Occupancy, Span, SpanLog, SpanMarker, SpanPhase, SpanSink,
 };

@@ -444,54 +444,6 @@ impl AllocationPolicy for FracPolicy {
     }
 }
 
-/// Up-Down plus speculative replication (see [`crate::redundancy`]).
-///
-/// All *orders* are the inner [`UpDown`](crate::updown::UpDown)'s —
-/// primary placements, preemptions, and the fairness index are untouched,
-/// which is what makes the `replicas == 0` configuration bit-identical to
-/// plain Up-Down. Replication happens *after* the policy layer: the
-/// cluster spawns replicas on stations left idle once every order of a
-/// poll has been executed, so a replica can never displace a primary
-/// placement. The policy object itself carries the
-/// [`RedundancyConfig`](crate::redundancy::RedundancyConfig) knobs the
-/// cluster reads at spawn and checkpoint time.
-#[derive(Debug)]
-pub struct RedundantPolicy {
-    config: crate::redundancy::RedundancyConfig,
-    inner: crate::updown::UpDown,
-}
-
-impl RedundantPolicy {
-    /// Creates the policy around its inner Up-Down allocator.
-    pub fn new(config: crate::redundancy::RedundancyConfig) -> Self {
-        RedundantPolicy { config, inner: crate::updown::UpDown::new(config.updown) }
-    }
-
-    /// The redundancy knobs in force.
-    pub fn config(&self) -> &crate::redundancy::RedundancyConfig {
-        &self.config
-    }
-
-    /// The wrapped Up-Down allocator (for index gauges).
-    pub fn inner(&self) -> &crate::updown::UpDown {
-        &self.inner
-    }
-}
-
-impl AllocationPolicy for RedundantPolicy {
-    fn name(&self) -> &'static str {
-        "redundant"
-    }
-
-    fn quiescent(&self) -> bool {
-        self.inner.quiescent()
-    }
-
-    fn decide(&mut self, now: SimTime, input: &PollInput<'_>) -> Vec<Order> {
-        self.inner.decide(now, input)
-    }
-}
-
 /// Rotates a cursor over the stations, granting one machine to each
 /// demanding station in turn; never preempts.
 #[derive(Debug, Default)]

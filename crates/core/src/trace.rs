@@ -362,9 +362,10 @@ trace_kinds! {
         tag_milli: u32 = "tag_m",
     }
     /// A speculative replica of a queued job started placement on an
-    /// otherwise-idle station (see [`crate::redundancy`]). The job's own
-    /// lifecycle events keep tracking the primary copy; replicas announce
-    /// themselves only through this pair of events.
+    /// otherwise-idle station (see
+    /// [`PolicyKind::Redundant`](crate::config::PolicyKind::Redundant)).
+    /// The job's own lifecycle events keep tracking the primary copy;
+    /// replicas announce themselves only through this pair of events.
     ReplicaSpawned("replica_spawned") {
         /// The replicated job.
         job: JobId = "job",

@@ -57,7 +57,7 @@ fn main() {
         "policy", "light wait ratio", "heavy wait ratio", "preemptions"
     );
     for policy in [
-        PolicyKind::UpDown(UpDownConfig::default()),
+        PolicyKind::UpDown,
         PolicyKind::Fifo,
         PolicyKind::RoundRobin,
         PolicyKind::Random,

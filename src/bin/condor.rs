@@ -129,7 +129,7 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 
 fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     Ok(match name {
-        "up-down" | "updown" => PolicyKind::UpDown(UpDownConfig::default()),
+        "up-down" | "updown" => PolicyKind::UpDown,
         "fifo" => PolicyKind::Fifo,
         "round-robin" | "rr" => PolicyKind::RoundRobin,
         "random" => PolicyKind::Random,

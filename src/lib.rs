@@ -51,7 +51,6 @@ pub mod prelude {
     pub use condor_core::config::{
         ClusterConfig, ConfigError, EvictionStrategy, FailureConfig, PolicyKind, PoolTopology,
     };
-    pub use condor_core::redundancy::{CkptTiming, RedundancyConfig};
     pub use condor_core::shard::default_threads;
     pub use condor_core::audit::{AuditSink, AuditViolation, AuditViolationKind};
     pub use condor_core::chaos::{

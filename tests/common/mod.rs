@@ -9,8 +9,6 @@ use condor_core::chaos::{ChaosGen, ChaosSchedule};
 use condor_core::config::{
     EvictionStrategy, FailureConfig, PolicyKind, PoolTopology, Reservation,
 };
-use condor_core::redundancy::{CkptTiming, RedundancyConfig};
-use condor_core::updown::UpDownConfig;
 use condor_model::station::ResourceVec;
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
@@ -71,14 +69,7 @@ pub fn fractional(policy: PolicyKind) -> Scenario {
 
 pub fn redundant() -> Scenario {
     let mut s = light();
-    s.config.policy = PolicyKind::Redundant(RedundancyConfig {
-        replicas: 2,
-        updown: UpDownConfig::default(),
-        checkpointing: CkptTiming::Opportunistic {
-            check_every: SimDuration::from_minutes(10),
-            hazard_threshold: 1.0,
-        },
-    });
+    s.config.policy = PolicyKind::Redundant;
     s
 }
 

@@ -40,7 +40,7 @@ const PINS: [(&str, u64); 22] = [
     ("hetero", 0x4C87_E32C_CF3A_70CC),
     ("availability", 0x7338_9E6F_84FF_EB00),
     ("oversubscribed", 0xDF30_0FD5_89D5_EF72),
-    ("redundancy", 0xF9C6_425C_CD07_12B0),
+    ("redundancy", 0xEA2E_4DCE_3979_0B88),
 ];
 
 /// Runs `condor exp <name>` and digests its report; a failed assertion

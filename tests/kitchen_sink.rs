@@ -170,17 +170,7 @@ fn every_policy_survives_the_capacity_armed_auditor() {
         ("round-robin", PolicyKind::RoundRobin),
         ("random", PolicyKind::Random),
         ("frac", PolicyKind::Frac),
-        ("redundant k=2", PolicyKind::Redundant(RedundancyConfig::default())),
-        (
-            "redundant k=2 + opp-ckpt",
-            PolicyKind::Redundant(RedundancyConfig {
-                checkpointing: CkptTiming::Opportunistic {
-                    check_every: SimDuration::from_minutes(10),
-                    hazard_threshold: 1.0,
-                },
-                ..RedundancyConfig::default()
-            }),
-        ),
+        ("redundant k=2", PolicyKind::Redundant),
     ];
     // Alternating whole machines and half-capacity stations.
     let profiles = vec![ResourceVec::WHOLE, ResourceVec::new(500, 500)];

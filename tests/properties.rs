@@ -164,7 +164,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let policy = match policy_idx {
-            0 => PolicyKind::UpDown(UpDownConfig::default()),
+            0 => PolicyKind::UpDown,
             1 => PolicyKind::Fifo,
             2 => PolicyKind::RoundRobin,
             _ => PolicyKind::Random,

@@ -14,7 +14,7 @@
 //! 2. The same runs stream through the auditor, whose own replica
 //!    phase-machine must agree with both the hand fold and the simulator.
 //! 3. A 25-seed coordinator-outage sweep runs the differential: identical
-//!    workloads with replication off vs `k = 2`, every run audit-clean,
+//!    workloads under plain Up-Down vs `k = 2`, every run audit-clean,
 //!    and the mean wait ratio must *improve* with replication on — the
 //!    policy has to pay for itself under the regime it was built for.
 
@@ -118,7 +118,7 @@ proptest! {
         seed in 0u64..1_000,
         chaos_seed in 0u64..1_000,
     ) {
-        let policy = PolicyKind::Redundant(RedundancyConfig::default());
+        let policy = PolicyKind::Redundant;
         let horizon = one_week(seed).horizon;
         let schedules = [
             None,
@@ -154,20 +154,13 @@ proptest! {
 }
 
 /// The battery must actually exercise the machinery: at the pinned seed,
-/// the full policy (replication + opportunistic checkpointing) under a
-/// mixed fault schedule spawns real replicas, wins some races, and prices
-/// the losers into the wasted-work ledger.
+/// the policy under a mixed fault schedule spawns real replicas, wins some
+/// races, and prices the losers into the wasted-work ledger.
 #[test]
 fn the_pinned_seed_spawns_wins_and_prices_replicas() {
     let scenario = one_week(1988);
     let horizon = scenario.horizon;
-    let policy = PolicyKind::Redundant(RedundancyConfig {
-        checkpointing: CkptTiming::Opportunistic {
-            check_every: SimDuration::from_minutes(10),
-            hazard_threshold: 1.0,
-        },
-        ..RedundancyConfig::default()
-    });
+    let policy = PolicyKind::Redundant;
     let chaos = ChaosSchedule::generate(
         1988,
         &ChaosGen { horizon, stations: 23, faults: 14 },
@@ -187,7 +180,7 @@ fn the_pinned_seed_spawns_wins_and_prices_replicas() {
 }
 
 /// The differential: 25 workload seeds through the coordinator-outage
-/// regime, replication off vs `k = 2`, paired per seed. Every run must be
+/// regime, plain Up-Down vs `k = 2`, paired per seed. Every run must be
 /// audit-clean, plain Up-Down must never replicate, and the sweep mean
 /// wait ratio must improve with replication on — speculation has to buy
 /// back more latency than its queue pressure costs.
@@ -199,18 +192,14 @@ fn outage_sweep_replication_improves_mean_wait_ratio() {
         .flat_map(|i| [(1988 + i, false), (1988 + i, true)])
         .collect();
     let waits: Vec<f64> = par_map(&grid, |&(seed, redundant)| {
-        let policy = if redundant {
-            PolicyKind::Redundant(RedundancyConfig::default())
-        } else {
-            PolicyKind::Redundant(RedundancyConfig::off())
-        };
+        let policy = if redundant { PolicyKind::Redundant } else { PolicyKind::UpDown };
         let (out, violations, _) =
             audited_run(one_week(seed), policy, Some(outage_schedule(horizon)));
         assert!(violations.is_empty(), "seed {seed} violations: {violations:?}");
         if !redundant {
             assert_eq!(
                 out.totals.replicas_spawned, 0,
-                "replication-off must never spawn (seed {seed})"
+                "up-down must never spawn (seed {seed})"
             );
         }
         summarize(&out).mean_wait_ratio

@@ -126,7 +126,7 @@ proptest! {
         latency_secs in 60u64..600,
         seed in 0u64..1_000,
     ) {
-        let policy = PolicyKind::Redundant(RedundancyConfig::default());
+        let policy = PolicyKind::Redundant;
         let serial =
             sharded_policy_trace(pools, latency_secs, latency_secs, 1, seed, policy);
         let parallel = sharded_policy_trace(pools, latency_secs, latency_secs, 4, seed, policy);

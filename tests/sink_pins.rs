@@ -304,7 +304,7 @@ const PINS: [Pin; 16] = [
     ("policy/round-robin", 0xD3A8054D9C7EB8EC, 0x6C5BFAD450D2825C, 0xC49D549E7A529332),
     ("policy/random", 0x1D3009AA088D5089, 0x573226C4DEC31FE6, 0x2E172476495F36C0),
     ("policy/frac", 0x20BA3A329664E6F5, 0x59A1CF415D07EC91, 0xC1E4282ED71642F6),
-    ("policy/redundant-k2", 0xDD18072BCC01D9FE, 0xB34F7B007EE89488, 0x6E9A682BEB1D17C8),
+    ("policy/redundant-k2", 0x6D343A68AD787DA5, 0x4AA5E6DC663F1177, 0xE3C9A3C06E55EEE7),
     ("policy/history-aware", 0x5A22E380AF7C6477, 0x822F70ED58A49AD2, 0x70D8FD138F701C0A),
     ("feature/fractional", 0x48A886D299EE8256, 0x541CE41C0A27D814, 0x8867C926BD1DD0F7),
     ("feature/chaos-12", 0x1F40F7C81529D5EC, 0xC5F3E69BB3D47DA1, 0x119CBFCBB1D09847),

@@ -81,7 +81,7 @@ fn stormy_jobs(n: u64) -> Vec<JobSpec> {
 #[test]
 fn audit_is_clean_and_spans_are_gapless_under_every_policy() {
     let policies = [
-        PolicyKind::UpDown(UpDownConfig::default()),
+        PolicyKind::UpDown,
         PolicyKind::Fifo,
         PolicyKind::RoundRobin,
         PolicyKind::Random,
@@ -151,7 +151,7 @@ proptest! {
     #[test]
     fn online_spans_match_jsonl_replay(seed in 0u64..500) {
         let (out, online, _) = observed_run(
-            stormy_config(seed, PolicyKind::UpDown(UpDownConfig::default())),
+            stormy_config(seed, PolicyKind::UpDown),
             stormy_jobs(16),
             SimDuration::from_days(3),
         );
