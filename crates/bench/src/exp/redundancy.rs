@@ -10,14 +10,13 @@
 //! cancellation or one completion, and the wasted work column is the
 //! audited sum of the cancelled copies' progress.
 //!
-//! Two claims are asserted at the bottom, each over 12 paired workload
-//! seeds:
-//! - under coordinator outages, replication buys back mean wait ratio —
-//!   a replica on a surviving idle station finishes the job even when the
-//!   primary is evicted at a moment the coordinator cannot re-place it;
-//! - in the fair regime of Xu et al. (arXiv:1707.01655) — high job-size
-//!   variance on an under-loaded fleet — replication wins on at least 10
-//!   of the 12 seeds.
+//! Two paired workload-seed sweeps close the report. The fair regime of
+//! Xu et al. (arXiv:1707.01655) — high job-size variance on an
+//! under-loaded fleet — is the asserted claim: replication wins on at
+//! least 10 of its 12 seeds. The coordinator-outage sweep is printed, not
+//! asserted: a replica on a surviving idle station can finish a job whose
+//! primary was evicted while the coordinator could not re-place it, but
+//! over 12 seeds that wins on 7, and the mean gap is seed noise.
 //!
 //! `--quick` shrinks the fault regimes to the one-week close-up for CI;
 //! the fair regime is cheap and always runs at full size.
@@ -259,11 +258,6 @@ pub(super) fn run(ctx: &Ctx) {
          {} (up-down) -> {} (redundant k=2), better on {seeds_won}/{sweep_seeds} seeds",
         num(plain, 3),
         num(redundant, 3)
-    );
-    assert!(
-        redundant < plain,
-        "replication must buy back mean wait ratio under coordinator outages \
-         (up-down {plain:.3} vs redundant {redundant:.3})"
     );
 
     let (plain, redundant, seeds_won) = paired_sweep(12, fair_regime, None);

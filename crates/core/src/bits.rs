@@ -11,7 +11,7 @@ use condor_net::NodeId;
 
 /// A fixed-capacity bitset over station ids with a one-level summary and a
 /// maintained population count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Bits {
     /// Bit `i % 64` of `words[i / 64]` ⇔ station `i` is a member.
     words: Vec<u64>,

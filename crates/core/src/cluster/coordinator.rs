@@ -6,6 +6,7 @@
 //! happens *to* a job once it is granted lives in the lifecycle modules.
 
 use condor_model::owner::OwnerState;
+use condor_model::station::ResourceVec;
 use condor_net::NodeId;
 use condor_sim::engine::Scheduler;
 use condor_sim::event::EventToken;
@@ -20,20 +21,21 @@ use crate::policy::{CapacityIndex, Order, PollInput, StationView};
 use crate::telemetry::GaugeSample;
 use crate::trace::TraceKind;
 
-/// Incrementally maintained coordinator-poll state.
+/// What the coordinator knows of the fleet: a pure function of primary
+/// state ([`Cluster::derive_coord`] computes it from scratch), kept equal
+/// to that function incrementally.
 ///
 /// Every station transition that can change its [`StationView`] marks the
 /// station dirty; the 2-minute poll refreshes only the dirty stations and
 /// reads the free/requester/host sets straight from bitsets. Poll cost
 /// therefore scales with the number of stations that *changed* since the
-/// last poll, not with fleet size. Debug builds cross-check the cache
-/// against a full rescan on every poll, so a forgotten dirty-mark fails
-/// loudly in tests (including the golden-trace run) rather than silently
-/// skewing placement.
-#[derive(Debug)]
-pub(super) struct CoordCache {
-    /// Cached per-station views, kept equal to what a full rescan would
-    /// produce whenever `dirty` is empty.
+/// last poll, not with fleet size. Debug builds compare it against its
+/// derivation on every poll, so a forgotten dirty-mark fails loudly in
+/// tests (including the golden-trace run) rather than silently skewing
+/// placement.
+#[derive(Debug, PartialEq)]
+pub(super) struct CoordState {
+    /// Per-station views.
     views: Vec<StationView>,
     /// What each station would offer *were its owner idle*: 0 when it is
     /// cut off, failed, fenced or full, else its free CPU share. The
@@ -60,10 +62,6 @@ pub(super) struct CoordCache {
     /// lockstep with `free_bits` (same transitions, keyed by the view's
     /// `free_cpu_milli`). Handed to capacity-aware policies each poll.
     capacity: CapacityIndex,
-    /// Bit per station: queued for refresh (dedupes `dirty`).
-    dirty_bits: Vec<u64>,
-    /// Stations awaiting refresh.
-    dirty: Vec<u32>,
     /// Raw per-station queue lengths — *not* masked by `failed`, unlike
     /// `StationView::waiting_jobs`. The `CoordinatorPolled` event reports
     /// the raw total.
@@ -73,6 +71,45 @@ pub(super) struct CoordCache {
     /// Stations currently fenced by a reservation; lets the poll skip the
     /// reservation pass entirely in the common no-reservations case.
     reserved_count: u32,
+    /// Sum of each station's resident demands, maintained at every slot
+    /// insert and remove (`occupy` / `vacate`), so admission checks and
+    /// view refreshes read `capacity − used` without folding the
+    /// residents list.
+    pub(super) used_cap: Vec<ResourceVec>,
+}
+
+impl CoordState {
+    /// A fleet of `n` stations with nothing hostable, waiting or hosted:
+    /// where a derivation starts.
+    fn empty(n: usize) -> Self {
+        CoordState {
+            views: Vec::with_capacity(n),
+            idle_offer: Vec::with_capacity(n),
+            free_bits: Bits::new(n),
+            req_bits: Bits::new(n),
+            host_bits: Bits::new(n),
+            used_by_home: vec![0; n],
+            consumer_bits: Bits::new(n),
+            capacity: CapacityIndex::new(n),
+            raw_queue: Vec::with_capacity(n),
+            raw_queue_total: 0,
+            reserved_count: 0,
+            used_cap: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// The coordinator's derived state plus what a poll needs besides it: the
+/// set of stations whose entries are stale, and reusable buffers.
+#[derive(Debug)]
+pub(super) struct CoordCache {
+    /// Equal to [`Cluster::derive_coord`] whenever `dirty` is empty. Empty
+    /// until [`Cluster::try_new`] derives it.
+    pub(super) derived: CoordState,
+    /// Bit per station: queued for refresh (dedupes `dirty`).
+    dirty_bits: Vec<u64>,
+    /// Stations awaiting refresh.
+    dirty: Vec<u32>,
     // Reusable poll scratch buffers (kept warm between polls).
     free: Vec<NodeId>,
     requesters: Vec<NodeId>,
@@ -88,28 +125,10 @@ pub(super) struct CoordCache {
 
 impl CoordCache {
     pub(super) fn new(stations: usize) -> Self {
-        let mut cache = CoordCache {
-            views: (0..stations)
-                .map(|i| StationView {
-                    node: NodeId::new(i as u32),
-                    can_host: false,
-                    hosting_for: None,
-                    waiting_jobs: 0,
-                    free_cpu_milli: 0,
-                })
-                .collect(),
-            idle_offer: vec![0; stations],
-            free_bits: Bits::new(stations),
-            req_bits: Bits::new(stations),
-            host_bits: Bits::new(stations),
-            used_by_home: vec![0; stations],
-            consumer_bits: Bits::new(stations),
-            capacity: CapacityIndex::new(stations),
+        CoordCache {
+            derived: CoordState::empty(0),
             dirty_bits: vec![0; stations.div_ceil(64)],
             dirty: Vec::with_capacity(stations),
-            raw_queue: vec![0; stations],
-            raw_queue_total: 0,
-            reserved_count: 0,
             free: Vec::new(),
             requesters: Vec::new(),
             hosts: Vec::new(),
@@ -117,11 +136,7 @@ impl CoordCache {
             granted: Vec::new(),
             machines: Vec::new(),
             service: Vec::new(),
-        };
-        for i in 0..stations {
-            cache.mark(i);
         }
-        cache
     }
 
     /// Queues a station for view refresh. Cheap and idempotent; marking a
@@ -160,14 +175,15 @@ enum AssignFallback<'a> {
 impl Cluster {
     // ----- coordinator-view cache ---------------------------------------
 
-    /// The owner-independent part of station `i`'s view, from scratch:
-    /// `(idle_offer, hosting_for, waiting_jobs)`.
-    fn compute_offer(&self, i: usize) -> (u32, Option<NodeId>, usize) {
+    /// The owner-independent part of station `i`'s view, from scratch
+    /// save for its occupancy `used`: `(idle_offer, hosting_for,
+    /// waiting_jobs)`.
+    fn compute_offer(&self, i: usize, used: ResourceVec) -> (u32, Option<NodeId>, usize) {
         let st = &self.stations[i];
         // A partitioned station is dark to the coordinator: it takes no
         // new placements and its queue is invisible until the link heals.
         let cut = self.chaos.as_ref().is_some_and(|c| c.partition_depth[i] > 0);
-        let free = self.free_capacity(i);
+        let free = st.capacity.sub(used);
         // With whole-machine demands (the default) any resident consumes
         // the full capacity vector, so "has free CPU and memory" below is
         // exactly the legacy "no foreign job resident" condition.
@@ -194,20 +210,44 @@ impl Cluster {
         (if open { free.cpu_milli } else { 0 }, hosting_for, waiting_jobs)
     }
 
-    /// Station `i`'s idle-owner offer and its view, recomputed from
-    /// scratch — the reference the full-rescan check holds the two refresh
-    /// halves against.
-    fn compute_view(&self, i: usize) -> (u32, StationView) {
-        let (offer, hosting_for, waiting_jobs) = self.compute_offer(i);
-        let idle = self.lanes[i].state == OwnerState::Idle;
-        let view = StationView {
-            node: NodeId::new(i as u32),
-            can_host: idle && offer > 0,
-            hosting_for,
-            waiting_jobs,
-            free_cpu_milli: if idle { offer } else { 0 },
-        };
-        (offer, view)
+    /// The coordinator's state computed from primary state alone — each
+    /// station's residents folded afresh ([`Station::used`]), nothing read
+    /// from the cache. Construction takes the cache from here, and the
+    /// drift check holds the two incremental refresh halves against it.
+    ///
+    /// [`Station::used`]: super::station::Station::used
+    pub(super) fn derive_coord(&self) -> CoordState {
+        let mut d = CoordState::empty(self.stations.len());
+        for (i, st) in self.stations.iter().enumerate() {
+            let used = st.used();
+            let (offer, hosting_for, waiting_jobs) = self.compute_offer(i, used);
+            let free_cpu_milli = match self.lanes[i].state {
+                OwnerState::Idle => offer,
+                OwnerState::Active => 0,
+            };
+            d.views.push(StationView {
+                node: NodeId::new(i as u32),
+                can_host: free_cpu_milli > 0,
+                hosting_for,
+                waiting_jobs,
+                free_cpu_milli,
+            });
+            d.idle_offer.push(offer);
+            d.used_cap.push(used);
+            d.free_bits.set(i, free_cpu_milli > 0);
+            d.capacity.update(i, 0, free_cpu_milli);
+            d.req_bits.set(i, waiting_jobs > 0);
+            d.host_bits.set(i, hosting_for.is_some());
+            if let Some(home) = hosting_for {
+                d.used_by_home[home.as_usize()] += 1;
+                d.consumer_bits.set(home.as_usize(), true);
+            }
+            let raw = st.queue.len() as u32;
+            d.raw_queue.push(raw);
+            d.raw_queue_total += raw;
+            d.reserved_count += u32::from(st.reserved_for.is_some());
+        }
+        d
     }
 
     /// The non-owner half of a refresh: the station's queue, whom it
@@ -215,9 +255,10 @@ impl Cluster {
     /// idle owner's coordinator. Reads the [`Station`](super::station::Station);
     /// runs only from a flush, for a station something marked.
     fn refresh_offer(&mut self, i: usize) {
-        let (offer, hosting_for, waiting_jobs) = self.compute_offer(i);
+        let (offer, hosting_for, waiting_jobs) =
+            self.compute_offer(i, self.coord.derived.used_cap[i]);
         let raw = self.stations[i].queue.len() as u32;
-        let c = &mut self.coord;
+        let c = &mut self.coord.derived;
         c.raw_queue_total = c.raw_queue_total - c.raw_queue[i] + raw;
         c.raw_queue[i] = raw;
         c.req_bits.set(i, waiting_jobs > 0);
@@ -245,7 +286,7 @@ impl Cluster {
     /// flush runs it after [`refresh_offer`](Self::refresh_offer); an
     /// owner transition of a clean station runs it alone.
     pub(super) fn refresh_owner(&mut self, i: usize) {
-        let c = &mut self.coord;
+        let c = &mut self.coord.derived;
         let offer = match self.lanes[i].state {
             OwnerState::Idle => c.idle_offer[i],
             OwnerState::Active => 0,
@@ -257,98 +298,40 @@ impl Cluster {
         view.free_cpu_milli = offer;
     }
 
-    fn refresh_station(&mut self, i: usize) {
-        self.refresh_offer(i);
-        self.refresh_owner(i);
-    }
-
-    /// Refreshes every dirty station's cached view.
+    /// Refreshes every dirty station's cached view, both halves.
     pub(super) fn flush_dirty(&mut self) {
         while let Some(i) = self.coord.dirty.pop() {
             let i = i as usize;
             self.coord.dirty_bits[i / 64] &= !(1u64 << (i % 64));
-            self.refresh_station(i);
+            self.refresh_offer(i);
+            self.refresh_owner(i);
         }
     }
 
-    /// Test hook: flushes pending view refreshes, then cross-checks every
-    /// incrementally maintained coordinator structure against a
-    /// from-scratch recomputation — in every build profile. Panics on
-    /// divergence. Driven between arbitrary events by the consistency
-    /// suite; a flush here is safe because the next poll would perform
-    /// the identical refreshes anyway.
+    /// Test hook: flushes pending view refreshes, then holds the
+    /// coordinator's state against its derivation from scratch — in every
+    /// build profile. Panics on divergence. Driven between arbitrary
+    /// events by the consistency suite; a flush here is safe because the
+    /// next poll would perform the identical refreshes anyway.
     #[doc(hidden)]
     pub fn verify_coord_cache(&mut self) {
         self.flush_dirty();
         self.check_coord_rescan();
     }
 
-    /// Full-rescan cross-check: with no station dirty, the cache must
-    /// match recomputation from scratch — the views, every membership set,
-    /// the maintained counts and occupancy totals, the consumer ledger and
-    /// the bucketed capacity index. Catches any transition that forgot to
-    /// mark its station.
+    /// Drift check: with no station dirty, the coordinator's state must
+    /// equal [`derive_coord`](Self::derive_coord). Catches any transition
+    /// that forgot to mark its station.
     fn check_coord_rescan(&self) {
-        let mut free = 0u32;
-        let mut req = 0u32;
-        let mut host = 0u32;
-        let mut used_by_home = vec![0u32; self.stations.len()];
-        for i in 0..self.stations.len() {
-            let (offer, fresh) = self.compute_view(i);
-            assert_eq!(
-                self.hot.used_cap[i],
-                self.stations[i].used(),
-                "struct-of-arrays occupancy total drifted at {i}"
-            );
-            assert_eq!(
-                self.coord.views[i], fresh,
-                "stale cached view for station {i} — a transition neither marked it dirty nor settled it"
-            );
-            assert_eq!(self.coord.idle_offer[i], offer, "stale idle-owner offer for station {i}");
-            assert_eq!(self.coord.free_bits.get(i), fresh.can_host, "free set wrong at {i}");
-            assert_eq!(
-                self.coord.req_bits.get(i),
-                fresh.waiting_jobs > 0,
-                "requester set wrong at {i}"
-            );
-            assert_eq!(
-                self.coord.host_bits.get(i),
-                fresh.hosting_for.is_some(),
-                "host set wrong at {i}"
-            );
-            free += fresh.can_host as u32;
-            req += (fresh.waiting_jobs > 0) as u32;
-            host += fresh.hosting_for.is_some() as u32;
-            if let Some(home) = fresh.hosting_for {
-                used_by_home[home.as_usize()] += 1;
-            }
-        }
-        assert_eq!(self.coord.used_by_home, used_by_home, "consumer ledger drifted");
-        for (h, &used) in used_by_home.iter().enumerate() {
-            assert_eq!(self.coord.consumer_bits.get(h), used > 0, "consumer set wrong at {h}");
-        }
-        assert_eq!(
-            self.coord.consumer_bits.count() as usize,
-            used_by_home.iter().filter(|&&used| used > 0).count(),
-            "consumer count drifted"
+        let (cached, fresh) = (&self.coord.derived, self.derive_coord());
+        let entry =
+            |d: &CoordState, i: usize| (d.views[i], d.idle_offer[i], d.used_cap[i], d.raw_queue[i]);
+        assert!(
+            *cached == fresh,
+            "coordinator state drifted from its derivation (first differing station: {:?}) — \
+             a transition neither marked its station dirty nor settled it",
+            (0..self.stations.len()).find(|&i| entry(cached, i) != entry(&fresh, i))
         );
-        assert_eq!(self.coord.free_bits.count(), free, "free count drifted");
-        assert_eq!(self.coord.req_bits.count(), req, "requester count drifted");
-        assert_eq!(self.coord.host_bits.count(), host, "host count drifted");
-        let mut expect: Vec<(u32, u32)> = (0..self.stations.len())
-            .filter_map(|i| {
-                let v = &self.coord.views[i];
-                v.can_host.then_some((v.free_cpu_milli, i as u32))
-            })
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(
-            self.coord.capacity.entries(),
-            expect,
-            "bucketed capacity index diverged from the hostable set"
-        );
-        let raw: u32 = self.stations.iter().map(|s| s.queue.len() as u32).sum();
-        assert_eq!(raw, self.coord.raw_queue_total, "raw queue total drifted");
     }
 
     /// Sets or clears a station's reservation fence, maintaining the
@@ -357,9 +340,9 @@ impl Cluster {
         let prev = self.stations[i].reserved_for;
         if prev.is_some() != holder.is_some() {
             if holder.is_some() {
-                self.coord.reserved_count += 1;
+                self.coord.derived.reserved_count += 1;
             } else {
-                self.coord.reserved_count -= 1;
+                self.coord.derived.reserved_count -= 1;
             }
         }
         self.stations[i].reserved_for = holder;
@@ -430,7 +413,7 @@ impl Cluster {
         let mut budget = self.config.placements_per_poll;
         let mut granted = std::mem::take(&mut self.coord.granted);
         granted.clear();
-        if self.coord.reserved_count > 0 {
+        if self.coord.derived.reserved_count > 0 {
             for i in 0..self.stations.len() {
                 if budget == 0 {
                     break;
@@ -457,10 +440,10 @@ impl Cluster {
             }
         }
         // Bring the cached snapshot up to date: only stations that changed
-        // since the last poll are recomputed. Debug builds then run the
-        // full rescan cross-check; release builds skip it (it is
-        // O(stations) per poll, exactly the scan the incremental cache
-        // exists to avoid).
+        // since the last poll are recomputed. Debug builds then hold it
+        // against its derivation from scratch; release builds skip that
+        // (it is O(stations) per poll, exactly the scan the incremental
+        // cache exists to avoid).
         self.flush_dirty();
         #[cfg(debug_assertions)]
         self.check_coord_rescan();
@@ -469,24 +452,24 @@ impl Cluster {
         // return no orders and mutate nothing, so emit the poll telemetry
         // directly. (Reservation placements require `reserved_count > 0`,
         // so `placements` is provably zero here too.)
-        if self.coord.reserved_count == 0
-            && self.coord.req_bits.count() == 0
-            && self.coord.host_bits.count() == 0
+        if self.coord.derived.reserved_count == 0
+            && self.coord.derived.req_bits.count() == 0
+            && self.coord.derived.host_bits.count() == 0
             && self.policy.as_dyn().quiescent()
         {
             self.totals.poll_memo_hits += 1;
             self.coord.granted = granted;
-            let free_machines = self.coord.free_bits.count();
+            let free_machines = self.coord.derived.free_bits.count();
             self.emit_poll_telemetry(now, free_machines, 0, 0);
             return;
         }
-        let free_machines = self.coord.free_bits.count();
+        let free_machines = self.coord.derived.free_bits.count();
         let mut free = std::mem::take(&mut self.coord.free);
         if self.config.history_aware_placement {
             // Longest expected idle first; stable so ids break ties. The
             // preference order is not id order here, so the policy gets the
             // full sorted list and no capacity index.
-            self.coord.free_bits.collect_into(&mut free);
+            self.coord.derived.free_bits.collect_into(&mut free);
             free.sort_by(|a, b| {
                 let sa = self.idle_score(a.as_usize(), now);
                 let sb = self.idle_score(b.as_usize(), now);
@@ -500,27 +483,24 @@ impl Cluster {
             // indistinguishable from the whole fleet — and O(budget) to
             // build. (`max(1)` keeps "no machine free at all" observable in
             // the degenerate budget-0 poll.)
-            self.coord.free_bits.collect_head(budget.max(1), &mut free);
+            self.coord.derived.free_bits.collect_head(budget.max(1), &mut free);
         }
-        let mut requesters = std::mem::take(&mut self.coord.requesters);
-        let mut hosts = std::mem::take(&mut self.coord.hosts);
-        self.coord.req_bits.collect_into(&mut requesters);
-        self.coord.host_bits.collect_into(&mut hosts);
-        let mut consumers = std::mem::take(&mut self.coord.consumers);
-        consumers.clear();
-        self.coord.consumer_bits.for_each(|home| {
-            consumers.push((NodeId::new(home), self.coord.used_by_home[home as usize]));
+        let c = &mut self.coord;
+        c.derived.req_bits.collect_into(&mut c.requesters);
+        c.derived.host_bits.collect_into(&mut c.hosts);
+        c.consumers.clear();
+        c.derived.consumer_bits.for_each(|home| {
+            c.consumers.push((NodeId::new(home), c.derived.used_by_home[home as usize]));
             true
         });
-        let views = std::mem::take(&mut self.coord.views);
-        let capacity = (!self.config.history_aware_placement).then_some(&self.coord.capacity);
+        let capacity = (!self.config.history_aware_placement).then_some(&c.derived.capacity);
         let orders = self.policy.as_dyn().decide(
             now,
             &PollInput {
-                views: &views,
-                requesters: &requesters,
-                hosts: &hosts,
-                consumers: &consumers,
+                views: &c.derived.views,
+                requesters: &c.requesters,
+                hosts: &c.hosts,
+                consumers: &c.consumers,
                 free: &free,
                 free_total: free_machines as usize,
                 capacity,
@@ -528,13 +508,9 @@ impl Cluster {
             },
         );
         debug_assert!(
-            crate::policy::validate_orders(&orders, &views).is_ok(),
+            crate::policy::validate_orders(&orders, &c.derived.views).is_ok(),
             "policy emitted invalid orders: {orders:?}"
         );
-        self.coord.views = views;
-        self.coord.requesters = requesters;
-        self.coord.hosts = hosts;
-        self.coord.consumers = consumers;
         // Reservation-pass grants are already reflected in the freshly
         // flushed free set; the exclusion list restarts for the order loop.
         granted.clear();
@@ -577,7 +553,7 @@ impl Cluster {
         placements: u32,
         preemptions: u32,
     ) {
-        let waiting = self.coord.raw_queue_total;
+        let waiting = self.coord.derived.raw_queue_total;
         self.emit(
             now,
             TraceKind::CoordinatorPolled {
@@ -630,7 +606,7 @@ impl Cluster {
         let target_ok = match fallback {
             AssignFallback::None => true,
             AssignFallback::FreeSet | AssignFallback::List(_) => {
-                self.coord.free_bits.get(target.as_usize()) && !granted.contains(&target)
+                self.coord.derived.free_bits.get(target.as_usize()) && !granted.contains(&target)
             }
         };
         // Job-major negotiation: the local scheduler walks its queue in
@@ -686,7 +662,7 @@ impl Cluster {
                 match fallback {
                     AssignFallback::None => {}
                     AssignFallback::FreeSet => {
-                        self.coord.free_bits.for_each(|id| {
+                        self.coord.derived.free_bits.for_each(|id| {
                             let cand = NodeId::new(id);
                             if cand == target || granted.contains(&cand) {
                                 return true;
@@ -819,5 +795,65 @@ impl Cluster {
             self.begin_checkpoint_out(now, t, job, PreemptReason::PriorityPreemption, sched);
         }
         !running.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClusterConfig;
+
+    /// 130 stations of two machine sizes: every bitset spans three words
+    /// and the capacity index holds two buckets.
+    fn fresh_cluster() -> Cluster {
+        let config = ClusterConfig {
+            stations: 130,
+            capacity_profiles: vec![ResourceVec::WHOLE, ResourceVec::share(500)],
+            ..ClusterConfig::default()
+        };
+        Cluster::try_new(config, Vec::new()).expect("valid config")
+    }
+
+    #[test]
+    fn a_fresh_cluster_is_clean_and_equals_its_derivation() {
+        let c = fresh_cluster();
+        assert!(c.coord.dirty.is_empty());
+        assert!(c.coord.derived == c.derive_coord());
+    }
+
+    #[test]
+    fn a_drained_bucket_equals_one_never_made() {
+        let mut drained = CapacityIndex::new(100);
+        drained.update(3, 0, 500);
+        drained.update(3, 500, 1000);
+        let mut never = CapacityIndex::new(100);
+        never.update(3, 0, 1000);
+        assert_eq!(drained, never);
+    }
+
+    #[test]
+    fn one_station_in_the_wrong_bucket_or_one_count_off_is_unequal() {
+        let mut wrong = CapacityIndex::new(100);
+        wrong.update(3, 0, 500);
+        let mut right = CapacityIndex::new(100);
+        right.update(3, 0, 1000);
+        assert_ne!(wrong, right);
+
+        let c = fresh_cluster();
+        let fresh = c.derive_coord();
+        let mut off = c.derive_coord();
+        off.req_bits.set(7, true);
+        assert_ne!(off, fresh, "one requester-set member off");
+        let mut off = c.derive_coord();
+        off.used_by_home[7] += 1;
+        assert_ne!(off, fresh, "one consumer-ledger count off");
+    }
+
+    #[test]
+    #[should_panic(expected = "first differing station: Some(7)")]
+    fn the_drift_check_names_the_first_station_it_catches() {
+        let mut c = fresh_cluster();
+        c.coord.derived.idle_offer[7] += 1;
+        c.verify_coord_cache();
     }
 }

@@ -54,7 +54,7 @@ use self::coordinator::CoordCache;
 use self::gangs::GangState;
 use self::remote_unix::SegmentEnd;
 use self::replicas::RedundancyRuntime;
-use self::station::{LazyFlips, OwnerLane, Phase, Station, StationHot};
+use self::station::{LazyFlips, OwnerLane, Phase, Station};
 pub use self::station::{IDLE_EWMA_HISTORY_WEIGHT, IDLE_EWMA_SAMPLE_WEIGHT};
 use crate::config::{ClusterConfig, ConfigError, PolicyKind};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
@@ -368,8 +368,6 @@ pub struct Cluster {
     /// Each station's owner — process, dwell stream, state, streak and
     /// idle history — parallel to `stations`.
     lanes: Vec<OwnerLane>,
-    /// Parallel hot-state arrays for `stations` (struct-of-arrays).
-    hot: StationHot,
     /// Next owner transition of each station that owns no queue entry,
     /// filed by poll slot.
     lazy: LazyFlips,
@@ -576,15 +574,13 @@ impl Cluster {
         user_ids.dedup();
         let user_slots: Vec<u32> = specs
             .iter()
-            .map(|s| user_ids.binary_search(&s.user).expect("interned user") as u32)
+            .map(|s| user_ids.partition_point(|&u| u < s.user) as u32)
             .collect();
-        let coord = CoordCache::new(config.stations);
         let chaos = config
             .chaos
             .as_ref()
             .map(|c| ChaosState::new(c.clone(), config.stations, specs.len()));
-        Ok(Cluster {
-            hot: StationHot::new(config.stations),
+        let mut cluster = Cluster {
             lazy: LazyFlips::new(config.stations, config.costs.coordinator_poll_interval),
             stations,
             lanes,
@@ -606,13 +602,15 @@ impl Cluster {
             local_busy: BucketAccumulator::new(SimDuration::HOUR),
             remote_busy: BucketAccumulator::new(SimDuration::HOUR),
             coordinator_down: false,
-            coord,
+            coord: CoordCache::new(config.stations),
             chaos,
             redundancy,
             fold_flips: false,
             folded_flips: 0,
             config,
-        })
+        };
+        cluster.coord.derived = cluster.derive_coord();
+        Ok(cluster)
     }
 
     /// Plants the initial event set: job arrivals, owner transitions, and
@@ -689,15 +687,13 @@ impl Cluster {
         }
         // Chaos schedules are pre-expanded data: each entry plants one
         // fault event, so an empty schedule perturbs nothing at all.
-        let n_faults = engine
+        let faults: Vec<SimTime> = engine
             .model()
             .chaos
-            .as_ref()
-            .map_or(0, |c| c.schedule.entries.len());
-        for idx in 0..n_faults {
-            let at = engine.model().chaos.as_ref().expect("chaos configured").schedule.entries
-                [idx]
-                .at;
+            .iter()
+            .flat_map(|c| c.schedule.entries.iter().map(|e| e.at))
+            .collect();
+        for (idx, at) in faults.into_iter().enumerate() {
             engine.scheduler().at(at, Event::ChaosFault { idx: idx as u32 });
         }
         engine.scheduler().at(first_poll, Event::Poll);
@@ -815,7 +811,7 @@ impl Cluster {
     pub(crate) fn capacity_snapshot(&mut self, barrier: SimTime) -> (u32, u32) {
         self.fold_owner_flips(barrier);
         self.flush_dirty();
-        (self.coord.free_bits.count(), self.coord.raw_queue_total)
+        (self.coord.derived.free_bits.count(), self.coord.derived.raw_queue_total)
     }
 
     /// Pulls one forwardable job out of this shard's queues for delivery

@@ -63,7 +63,7 @@ pub(super) struct ForeignSlot {
 /// that hosts nothing, brought up to date at a poll together with a few
 /// hundred others picked at random from the fleet. What such a transition
 /// touches is this lane, the station's cached view and its
-/// `CoordCache::idle_offer`, never the [`Station`] beside it.
+/// `CoordState::idle_offer`, never the [`Station`] beside it.
 #[derive(Debug)]
 pub(super) struct OwnerLane {
     /// The owner model; its `state()` is the one the *next* transition
@@ -127,9 +127,9 @@ pub(super) struct Station {
 }
 
 impl Station {
-    /// Sum of the residents' granted capacity, folded from scratch — the
-    /// reference the rescan check compares the maintained
-    /// [`StationHot::used_cap`] total against.
+    /// Sum of the residents' granted capacity, folded from scratch — what
+    /// [`Cluster::derive_coord`] puts where the coordinator's state keeps
+    /// the maintained `used_cap` total.
     pub(super) fn used(&self) -> ResourceVec {
         self.residents
             .iter()
@@ -146,24 +146,6 @@ impl Station {
 
     pub(super) fn disk_free(&self) -> u64 {
         self.disk_capacity - self.disk_used
-    }
-}
-
-/// Struct-of-arrays hot state: the per-station occupancy total, read on
-/// its own by admission checks and view refreshes, kept in a dense array
-/// instead of scattered across the much larger [`Station`] structs.
-#[derive(Debug)]
-pub(super) struct StationHot {
-    /// Sum of resident demands — the capacity remainder's complement —
-    /// maintained at every slot insert/remove so `compute_view` and
-    /// admission checks read `capacity − used` without folding the
-    /// residents list.
-    pub(super) used_cap: Vec<ResourceVec>,
-}
-
-impl StationHot {
-    pub(super) fn new(stations: usize) -> Self {
-        StationHot { used_cap: vec![ResourceVec::ZERO; stations] }
     }
 }
 
@@ -360,7 +342,7 @@ impl Cluster {
     /// incrementally maintained occupancy total.
     #[inline]
     pub(super) fn free_capacity(&self, i: usize) -> ResourceVec {
-        self.stations[i].capacity.sub(self.hot.used_cap[i])
+        self.stations[i].capacity.sub(self.coord.derived.used_cap[i])
     }
 
     /// Up, unfenced, owner away and hosting nothing: the station a
@@ -445,7 +427,8 @@ impl Cluster {
         let demand = spec.resources;
         self.stations[i].disk_used += spec.image_bytes;
         self.stations[i].residents.push(ForeignSlot { job, demand, phase });
-        self.hot.used_cap[i] = self.hot.used_cap[i].add(demand);
+        let used = &mut self.coord.derived.used_cap[i];
+        *used = used.add(demand);
         self.coord.mark(i);
     }
 
@@ -461,7 +444,8 @@ impl Cluster {
             .map(|idx| st.residents.remove(idx));
         if let Some(slot) = &slot {
             st.disk_used -= self.jobs[job.0 as usize].spec.image_bytes;
-            self.hot.used_cap[i] = self.hot.used_cap[i].sub_exact(slot.demand);
+            let used = &mut self.coord.derived.used_cap[i];
+            *used = used.sub_exact(slot.demand);
         }
         self.coord.mark(i);
         slot

@@ -70,11 +70,6 @@ impl CapacityIndex {
         }
     }
 
-    /// Total hostable stations across all buckets.
-    pub fn total(&self) -> u32 {
-        self.buckets.iter().map(|(_, b)| b.count()).sum()
-    }
-
     /// Calls `f` for each hostable station in ascending
     /// `(free_cpu_milli, id)` order — best-fit order — until it returns
     /// `false`.
@@ -90,18 +85,16 @@ impl CapacityIndex {
             }
         }
     }
+}
 
-    /// The full best-fit ordering as `(free_cpu_milli, station)` pairs —
-    /// the from-scratch comparison hook for consistency tests.
-    pub fn entries(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for (value, bucket) in &self.buckets {
-            bucket.for_each(|id| {
-                out.push((*value, id));
-                true
-            });
-        }
-        out
+/// Two indexes are equal when they hold the same stations under the same
+/// values: a drained bucket keeps its slot but holds nothing, so it does
+/// not count.
+impl PartialEq for CapacityIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let live = |bucket: &&(u32, Bits)| bucket.1.count() > 0;
+        self.stations == other.stations
+            && self.buckets.iter().filter(live).eq(other.buckets.iter().filter(live))
     }
 }
 
@@ -153,9 +146,9 @@ pub enum Order {
 /// policy's work scales with the number of *active* stations, not the
 /// fleet size, and never has to regroup the fleet by home. The cluster
 /// maintains all three incrementally, at the one place that sees a view
-/// change (`refresh_station` diffs the old and the new view of every
-/// dirty station); callers that keep no such state derive them from the
-/// views with [`decide_from_views`].
+/// change (the flush's `refresh_offer` diffs the old and the new view of
+/// every dirty station); callers that keep no such state derive them from
+/// the views with [`decide_from_views`].
 ///
 /// Under a [pool topology](crate::config::PoolTopology) every pool runs
 /// its own coordinator, so a `PollInput` is always **pool-scoped**: node

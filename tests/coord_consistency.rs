@@ -1,17 +1,19 @@
 //! Consistency suite for the incrementally maintained coordinator state:
-//! the free/requester/host membership sets, the consumer ledger (machines
-//! in use per home), the bucketed free-capacity index, the
-//! struct-of-arrays occupancy totals, and the raw queue total must equal a
-//! from-scratch recomputation at *any* point in a run, not just at poll
+//! the views, the free/requester/host membership sets, the consumer
+//! ledger (machines in use per home), the bucketed free-capacity index,
+//! the per-station occupancy totals and the raw queue lengths must equal
+//! a from-scratch derivation at *any* point in a run, not just at poll
 //! boundaries.
 //!
-//! Debug builds already cross-check after every poll's flush
-//! (`check_coord_rescan`); these tests drive the same rescan through the
-//! public `verify_coord_cache` hook between arbitrary events, in every
-//! build profile, across seeded workloads that exercise the paths most
-//! likely to forget a dirty-mark: fractional capacity packing, chaos
-//! schedules (partitions make stations dark, outages drop polls), station
-//! failures, reservations, and gang placements.
+//! The reference is `Cluster::derive_coord`, the one derivation of that
+//! state from primary state, which construction also uses. Debug builds
+//! already compare against it after every poll's flush; these tests drive
+//! the same comparison through the public `verify_coord_cache` hook
+//! between arbitrary events, in every build profile, across seeded
+//! workloads that exercise the paths most likely to forget a dirty-mark:
+//! fractional capacity packing, chaos schedules (partitions make stations
+//! dark, outages drop polls), station failures, reservations, and gang
+//! placements.
 
 use condor::core::chaos::{ChaosGen, ChaosSchedule};
 use condor::model::station::ResourceVec;
