@@ -1117,16 +1117,10 @@ impl Run {
     /// Builds, primes, and runs the cluster, returning the complete output.
     pub fn execute(self) -> RunOutput {
         let Run { config, specs, horizon, sinks, threads } = self;
-        if let Some(threads) = threads {
-            assert!(
-                config.topology.is_some(),
-                "Run::threads requires a pool topology on the config"
-            );
-            return crate::shard::run_sharded(config, specs, horizon, sinks, Some(threads));
+        if let Some(topo) = config.topology.clone() {
+            return crate::shard::run_sharded(config, topo, specs, horizon, sinks, threads);
         }
-        if config.topology.is_some() {
-            return crate::shard::run_sharded(config, specs, horizon, sinks, None);
-        }
+        assert!(threads.is_none(), "Run::threads requires a pool topology on the config");
         let mut cluster = Cluster::new(config, specs);
         for sink in sinks {
             cluster.attach_sink(sink);

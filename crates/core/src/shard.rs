@@ -18,10 +18,14 @@
 //!    delivered at `T + latency ≥ T + W` — never inside any shard's
 //!    already-simulated past, which is what makes the parallel run safe
 //!    without rollback.
-//! 3. The per-shard outputs are merged deterministically at the end of
-//!    the run: trace events ordered by `(time, pool, emission index)`,
-//!    job/station ids remapped back to the global namespace, and the
-//!    aggregate series summed.
+//! 3. At the barrier, the shards' logged emissions stamped before it are
+//!    merged: ordered by `(time, pool)` (each shard's own emission order
+//!    within an instant), job/station ids remapped back to the global
+//!    namespace, and handed to the recorded trace and the user's sinks
+//!    alike. Emissions stamped at the barrier instant itself stay
+//!    buffered until the next barrier, because another pool's next window
+//!    may still emit at that instant. After the last window every shard
+//!    finalizes, the rest drains, and the aggregate series are summed.
 //!
 //! Each window forks and joins once ([`fork_join`]): the calling thread
 //! advances the first contiguous chunk of shards, scoped threads the
@@ -32,12 +36,14 @@
 //! **bit-identical at any thread count** — `threads` only changes how many
 //! shards advance concurrently inside a window. A one-pool topology
 //! degenerates to the classic serial simulation: the single shard sees the
-//! exact same config, seed, and event sequence, and the windowed
-//! [`Engine::run_until`] calls tile into one contiguous run.
+//! exact same config, seed, and event sequence, the windowed
+//! [`Engine::run_until`] calls tile into one contiguous run, and the merge
+//! passes its one stream through in emission order.
 //!
-//! Live [`TraceSink`]s attached to a multi-pool run observe the merged
-//! stream with one caveat: [`GaugeSample`]s are per-pool (each shard's
-//! coordinator polls its own pool), and events are replayed in batches at
+//! The recorded trace and every attached [`TraceSink`] read that one
+//! merged stream, so a sink sees exactly the trace's events (of the kinds
+//! it asks for). Two caveats: [`GaugeSample`]s are per-pool (each shard's
+//! coordinator polls its own pool), and sinks receive events in batches at
 //! window granularity rather than the instant they happen.
 
 use std::collections::BTreeMap;
@@ -52,7 +58,7 @@ use condor_sim::time::{SimDuration, SimTime};
 use crate::cluster::{finish_run, Cluster, Event, RunOutput, Totals};
 use crate::config::{ClusterConfig, ConfigError, PoolTopology};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
-use crate::telemetry::{GaugeSample, KindMask, SharedSink, Telemetry, TraceSink};
+use crate::telemetry::{GaugeSample, KindMask, SharedSink, TraceSink};
 use crate::trace::{Trace, TraceEvent};
 
 /// Worker threads to use when the caller does not pin a count: the
@@ -78,19 +84,18 @@ fn shard_seed(seed: u64, pool: usize) -> u64 {
     seed ^ (pool as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One pool's slice of the run: its engine, the bookkeeping needed to
-/// translate shard-local ids back to the global namespace, and the
-/// capacity it reported at the end of its last exchanging window.
+/// One pool's slice of the run: its engine and the capacity it reported
+/// at the end of its last exchanging window.
 struct ShardSlot {
     engine: Engine<Cluster>,
-    meta: ShardMeta,
     /// Machines the coordinator could place on at the barrier.
     free: u32,
     /// Jobs queued across the shard at the barrier.
     waiting: u32,
 }
 
-/// The id-translation bookkeeping that outlives a shard's engine.
+/// The id-translation bookkeeping of one shard, which outlives its engine:
+/// the last drain runs after the shards have finalized.
 struct ShardMeta {
     /// Global index of this shard's first station.
     station_base: usize,
@@ -98,8 +103,8 @@ struct ShardMeta {
     to_global: Vec<JobId>,
 }
 
-/// An emission captured from one shard between two barriers, replayed
-/// into user sinks in merged order.
+/// An emission captured from one shard, handed to the recorded trace and
+/// the user's sinks in merged order.
 #[derive(Debug)]
 enum EmitItem {
     Event(TraceEvent),
@@ -116,22 +121,33 @@ impl EmitItem {
 }
 
 /// Buffers one shard's emissions (events and gauge samples) in emission
-/// order so the main thread can drain and merge them at each barrier. It
-/// asks its shard for the union of what the user's sinks consume, so a
-/// kind none of them wants is never buffered, remapped or sorted.
+/// order, which is time order, so the main thread can drain and merge them
+/// at each barrier. It asks its shard for every kind when the run records
+/// a trace, plus the union of what the user's sinks consume, so a kind
+/// nobody wants is never buffered, remapped or sorted.
 #[derive(Debug)]
 struct EmitLog {
     items: Vec<EmitItem>,
     interest: KindMask,
 }
 
+impl EmitLog {
+    fn push(&mut self, item: EmitItem) {
+        debug_assert!(
+            self.items.last().is_none_or(|last| last.at() <= item.at()),
+            "a shard emitted out of time order"
+        );
+        self.items.push(item);
+    }
+}
+
 impl TraceSink for EmitLog {
     fn record(&mut self, ev: &TraceEvent) {
-        self.items.push(EmitItem::Event(*ev));
+        self.push(EmitItem::Event(*ev));
     }
 
     fn sample(&mut self, s: &GaugeSample) {
-        self.items.push(EmitItem::Sample(*s));
+        self.push(EmitItem::Sample(*s));
     }
 
     fn interest(&self) -> KindMask {
@@ -152,6 +168,8 @@ fn shard_config(
 ) -> ClusterConfig {
     let mut c = config.clone();
     c.topology = None;
+    // The merge records the global trace from the shards' logs.
+    c.record_trace = false;
     c.stations = range.len();
     c.seed = shard_seed(config.seed, pool);
     let n = config.arch_pattern.len();
@@ -237,7 +255,12 @@ fn partition_jobs(
 /// simple jobs to the pool with the most free machines; each forward is
 /// delivered as an arrival one link latency later — at or beyond the next
 /// barrier, which is what the lookahead guarantees.
-fn exchange_overflow(slots: &mut [ShardSlot], topo: &PoolTopology, h: SimTime) {
+fn exchange_overflow(
+    slots: &mut [ShardSlot],
+    metas: &mut [ShardMeta],
+    topo: &PoolTopology,
+    h: SimTime,
+) {
     let pools = slots.len();
     for p in 0..pools {
         for _ in 0..topo.max_forwards_per_window {
@@ -255,12 +278,12 @@ fn exchange_overflow(slots: &mut [ShardSlot], topo: &PoolTopology, h: SimTime) {
             let Some(spec) = src.engine.model_mut().extract_forwardable(h, q as u32) else {
                 break;
             };
-            let global = src.meta.to_global[spec.id.0 as usize];
+            let global = metas[p].to_global[spec.id.0 as usize];
             src.waiting -= 1;
             let dst = &mut slots[q];
             let local = dst.engine.model_mut().adopt_spec(spec);
-            debug_assert_eq!(local.0 as usize, dst.meta.to_global.len());
-            dst.meta.to_global.push(global);
+            debug_assert_eq!(local.0 as usize, metas[q].to_global.len());
+            metas[q].to_global.push(global);
             dst.engine.scheduler().at(h + topo.latency, Event::Arrival(local));
             dst.free -= 1;
         }
@@ -279,38 +302,47 @@ fn remap_event(ev: TraceEvent, meta: &ShardMeta) -> TraceEvent {
     }
 }
 
-/// Drains every shard's emission buffer, merges the batch by
-/// `(time, pool, emission index)`, remaps ids, and replays it into the
-/// user's sinks.
+/// The one merge of the run's event stream. Drains from every shard's log
+/// what it emitted before `before`, remaps ids into the global namespace,
+/// orders the batch by `(time, pool)` — a stable sort, so each shard's
+/// own emission order holds within an instant — and hands it to the
+/// recorded `trace` (a no-op when disabled) and to the user's sinks, each
+/// filtered by its interest. With no logs it does nothing and allocates
+/// nothing.
 fn drain_emit_logs(
     logs: &[SharedSink<EmitLog>],
-    slots: &[ShardSlot],
-    user_sinks: &mut [(KindMask, Box<dyn TraceSink + Send>)],
+    metas: &[ShardMeta],
+    before: SimTime,
+    trace: &mut Trace,
+    sinks: &mut [(KindMask, Box<dyn TraceSink + Send>)],
 ) {
-    if logs.is_empty() || user_sinks.is_empty() {
-        return;
+    let mut batch: Vec<(usize, EmitItem)> = Vec::new();
+    for (p, (log, meta)) in logs.iter().zip(metas).enumerate() {
+        log.with(|l| {
+            let n = l.items.partition_point(|item| item.at() < before);
+            batch.extend(l.items.drain(..n).map(|item| match item {
+                EmitItem::Event(ev) => (p, EmitItem::Event(remap_event(ev, meta))),
+                sample => (p, sample),
+            }));
+        });
     }
-    let mut batch: Vec<(SimTime, usize, usize, EmitItem)> = Vec::new();
-    for (p, log) in logs.iter().enumerate() {
-        let items = log.with(|l| std::mem::take(&mut l.items));
-        if items.is_empty() {
-            continue;
-        }
-        for (i, item) in items.into_iter().enumerate() {
-            let item = match item {
-                EmitItem::Event(ev) => EmitItem::Event(remap_event(ev, &slots[p].meta)),
-                sample => sample,
-            };
-            batch.push((item.at(), p, i, item));
-        }
-    }
-    batch.sort_by_key(|&(at, p, i, _)| (at, p, i));
-    for (_, _, _, item) in batch {
-        for (interest, sink) in user_sinks.iter_mut() {
-            match &item {
-                EmitItem::Event(ev) if interest.contains(&ev.kind) => sink.record(ev),
-                EmitItem::Sample(s) if interest.samples() => sink.sample(s),
-                EmitItem::Event(_) | EmitItem::Sample(_) => {}
+    batch.sort_by_key(|(p, item)| (item.at(), *p));
+    for (_, item) in &batch {
+        match item {
+            EmitItem::Event(ev) => {
+                trace.record(ev.at, ev.kind);
+                for (interest, sink) in sinks.iter_mut() {
+                    if interest.contains(&ev.kind) {
+                        sink.record(ev);
+                    }
+                }
+            }
+            EmitItem::Sample(s) => {
+                for (interest, sink) in sinks.iter_mut() {
+                    if interest.samples() {
+                        sink.sample(s);
+                    }
+                }
             }
         }
     }
@@ -344,48 +376,24 @@ fn add_totals(acc: &mut Totals, t: &Totals) {
     acc.wasted_replica_work += t.wasted_replica_work;
 }
 
-/// K-way merge of the per-shard traces by `(time, pool)` — each shard's
-/// trace is already time-sorted, so ties break toward the lower pool id,
-/// matching the barrier processing order — with every event rewritten
-/// into the global namespace.
-fn merge_traces(outs: &[RunOutput], metas: &[ShardMeta]) -> Trace {
-    let mut merged = Trace::new();
-    let mut idx = vec![0usize; outs.len()];
-    loop {
-        let mut best: Option<(SimTime, usize)> = None;
-        for (p, out) in outs.iter().enumerate() {
-            if let Some(ev) = out.trace.events().get(idx[p]) {
-                if best.is_none_or(|(t, _)| ev.at < t) {
-                    best = Some((ev.at, p));
-                }
-            }
-        }
-        let Some((_, p)) = best else { break };
-        let ev = remap_event(outs[p].trace.events()[idx[p]], &metas[p]);
-        merged.record(ev.at, ev.kind);
-        idx[p] += 1;
-    }
-    merged
-}
-
-/// Merges the per-shard [`RunOutput`]s into one global output: jobs back
-/// in their global slots (a forwarded job's destination copy supersedes
-/// the source-pool stub), traces k-way merged, series summed, counters
-/// added. `metas` must be parallel to `outs`.
+/// Merges the per-shard [`RunOutput`]s around the `trace` the drain
+/// recorded: jobs back in their global slots (a forwarded job's
+/// destination copy supersedes the source-pool stub), queue series summed,
+/// and pool 0's output absorbing the rest's counters, telemetry and busy
+/// series. `metas` must be parallel to `outs`, which holds one output per
+/// pool — at least one, as `PoolTopology::check` demands.
 fn merge_outputs(
     mut outs: Vec<RunOutput>,
     metas: &[ShardMeta],
     stations: usize,
     total_jobs: usize,
-    record_trace: bool,
+    trace: Trace,
 ) -> RunOutput {
-    let trace = if record_trace { merge_traces(&outs, metas) } else { Trace::disabled() };
     // Jobs: every global slot is filled by exactly one live copy. A job
     // forwarded at a barrier leaves a `Forwarded` stub in its source pool
     // and a live copy in its destination; the live copy wins.
     let mut jobs: Vec<Option<Job>> = (0..total_jobs).map(|_| None).collect();
-    for (p, out) in outs.iter_mut().enumerate() {
-        let meta = &metas[p];
+    for (out, meta) in outs.iter_mut().zip(metas) {
         for (local, mut job) in std::mem::take(&mut out.jobs).into_iter().enumerate() {
             let g = meta.to_global[local];
             job.spec.id = g;
@@ -401,66 +409,34 @@ fn merge_outputs(
             }
         }
     }
-    let mut totals = Totals::default();
-    let mut telemetry: Option<Telemetry> = None;
-    let mut local_busy = None;
-    let mut remote_busy = None;
-    let mut queue_totals = Vec::new();
-    let mut by_user: BTreeMap<UserId, Vec<StepSeries>> = BTreeMap::new();
-    let mut bus_bytes_moved = 0;
-    let mut bus_transfers = 0;
-    let mut events_dispatched = 0;
-    let mut policy_name = String::new();
-    let mut horizon = SimTime::ZERO;
-    for out in outs {
-        if policy_name.is_empty() {
-            policy_name = out.policy_name;
-            horizon = out.horizon;
-        }
-        add_totals(&mut totals, &out.totals);
-        match telemetry.as_mut() {
-            None => telemetry = Some(out.telemetry),
-            Some(t) => t.merge(&out.telemetry),
-        }
-        match local_busy.as_mut() {
-            None => local_busy = Some(out.local_busy),
-            Some(b) => b.absorb(&out.local_busy),
-        }
-        match remote_busy.as_mut() {
-            None => remote_busy = Some(out.remote_busy),
-            Some(b) => b.absorb(&out.remote_busy),
-        }
-        queue_totals.push(out.queue_total);
-        for (u, s) in out.queue_by_user {
-            by_user.entry(u).or_default().push(s);
-        }
-        bus_bytes_moved += out.bus_bytes_moved;
-        bus_transfers += out.bus_transfers;
-        events_dispatched += out.events_dispatched;
+    let queue_total =
+        StepSeries::merge_sum(&outs.iter().map(|o| &o.queue_total).collect::<Vec<_>>());
+    let mut by_user: BTreeMap<UserId, Vec<&StepSeries>> = BTreeMap::new();
+    for (u, s) in outs.iter().flat_map(|o| &o.queue_by_user) {
+        by_user.entry(*u).or_default().push(s);
     }
-    let queue_total = StepSeries::merge_sum(&queue_totals.iter().collect::<Vec<_>>());
-    let queue_by_user = by_user
-        .into_iter()
-        .map(|(u, parts)| (u, StepSeries::merge_sum(&parts.iter().collect::<Vec<_>>())))
-        .collect();
+    let queue_by_user =
+        by_user.into_iter().map(|(u, parts)| (u, StepSeries::merge_sum(&parts))).collect();
+    let mut merged = outs.remove(0);
+    for out in &outs {
+        add_totals(&mut merged.totals, &out.totals);
+        merged.telemetry.merge(&out.telemetry);
+        merged.local_busy.absorb(&out.local_busy);
+        merged.remote_busy.absorb(&out.remote_busy);
+        merged.bus_bytes_moved += out.bus_bytes_moved;
+        merged.bus_transfers += out.bus_transfers;
+        merged.events_dispatched += out.events_dispatched;
+    }
     RunOutput {
-        policy_name,
         stations,
-        horizon,
         jobs: jobs
             .into_iter()
             .map(|j| j.expect("every job landed in exactly one shard"))
             .collect(),
         trace,
-        totals,
         queue_total,
         queue_by_user,
-        local_busy: local_busy.expect("at least one shard"),
-        remote_busy: remote_busy.expect("at least one shard"),
-        bus_bytes_moved,
-        bus_transfers,
-        events_dispatched,
-        telemetry: telemetry.expect("at least one shard"),
+        ..merged
     }
 }
 
@@ -492,7 +468,8 @@ pub fn fork_join<S: Send>(shards: &mut [S], threads: usize, advance: impl Fn(&mu
 
 /// The sharded space-parallel runner behind
 /// [`Run::execute`](crate::cluster::Run::execute) for configs carrying a
-/// topology. `threads` of `None` reads [`default_threads`].
+/// topology, which it passes in as `topo`. `threads` of `None` reads
+/// [`default_threads`].
 ///
 /// # Panics
 ///
@@ -502,68 +479,57 @@ pub fn fork_join<S: Send>(shards: &mut [S], threads: usize, advance: impl Fn(&mu
 /// with its own payload once every thread of its window has joined.
 pub(crate) fn run_sharded(
     config: ClusterConfig,
+    topo: PoolTopology,
     specs: Vec<JobSpec>,
     horizon: SimDuration,
     sinks: Vec<Box<dyn TraceSink + Send>>,
     threads: Option<usize>,
 ) -> RunOutput {
-    let topo = config.topology.clone().expect("sharded runner requires a topology");
     if let Err(e) = config.check() {
         panic!("invalid cluster configuration: {e}");
     }
     let pools = topo.pools;
     let stations = config.stations;
     let total_jobs = specs.len();
-    let record_trace = config.record_trace;
     let threads = threads.unwrap_or_else(default_threads).clamp(1, pools);
     let ranges: Vec<Range<usize>> = (0..pools).map(|p| topo.range(p, stations)).collect();
-    let (mut shard_specs, mut to_global) = partition_jobs(&specs, &topo, stations, &ranges);
+    let (mut shard_specs, to_global) = partition_jobs(&specs, &topo, stations, &ranges);
     let chaos_parts = config.chaos.as_ref().map(|c| crate::chaos::route_to_pools(c, &ranges));
-    let mut user_sinks: Vec<(KindMask, Box<dyn TraceSink + Send>)> =
+    let mut sinks: Vec<(KindMask, Box<dyn TraceSink + Send>)> =
         sinks.into_iter().map(|s| (s.interest(), s)).collect();
-    let wanted = user_sinks.iter().fold(KindMask::NONE, |mask, (i, _)| mask.union(*i));
-    let mut emit_logs: Vec<SharedSink<EmitLog>> = Vec::new();
-    let mut slots: Vec<ShardSlot> = (0..pools)
-        .map(|p| {
-            let cfg = shard_config(&config, &ranges[p], p, chaos_parts.as_deref());
-            let mut cluster = Cluster::new(cfg, std::mem::take(&mut shard_specs[p]));
-            if !user_sinks.is_empty() {
-                if pools == 1 {
-                    // Single shard: attach the user's sinks directly —
-                    // they see the exact serial stream, no batching.
-                    for (_, sink) in user_sinks.drain(..) {
-                        cluster.attach_sink(sink);
-                    }
-                } else {
-                    let log = SharedSink::new(EmitLog { items: Vec::new(), interest: wanted });
-                    cluster.attach_sink(Box::new(log.clone()));
-                    emit_logs.push(log);
-                }
-            }
-            let mut engine = Engine::new(cluster);
-            Cluster::prime(&mut engine);
-            ShardSlot {
-                engine,
-                meta: ShardMeta {
-                    station_base: ranges[p].start,
-                    to_global: std::mem::take(&mut to_global[p]),
-                },
-                free: 0,
-                waiting: 0,
-            }
-        })
-        .collect();
+    let mut trace = if config.record_trace { Trace::new() } else { Trace::disabled() };
+    // Shards log only when someone reads the stream; otherwise they keep
+    // their owner flips folded and the drain has nothing to do.
+    let logged = config.record_trace || !sinks.is_empty();
+    let recorded =
+        if config.record_trace { KindMask::ALL.without_samples() } else { KindMask::NONE };
+    let interest = sinks.iter().fold(recorded, |mask, (i, _)| mask.union(*i));
+    let mut logs: Vec<SharedSink<EmitLog>> = Vec::new();
+    let mut slots: Vec<ShardSlot> = Vec::with_capacity(pools);
+    let mut metas: Vec<ShardMeta> = Vec::with_capacity(pools);
+    for (p, to_global) in to_global.into_iter().enumerate() {
+        let cfg = shard_config(&config, &ranges[p], p, chaos_parts.as_deref());
+        let mut cluster = Cluster::new(cfg, std::mem::take(&mut shard_specs[p]));
+        if logged {
+            let log = SharedSink::new(EmitLog { items: Vec::new(), interest });
+            cluster.attach_sink(Box::new(log.clone()));
+            logs.push(log);
+        }
+        let mut engine = Engine::new(cluster);
+        Cluster::prime(&mut engine);
+        slots.push(ShardSlot { engine, free: 0, waiting: 0 });
+        metas.push(ShardMeta { station_base: ranges[p].start, to_global });
+    }
     let end = SimTime::ZERO + horizon;
     let step = topo.effective_window();
 
     // The window loop. Shards advance in parallel inside a window; all
-    // barrier-instant work (overflow exchange, sink replay) happens on this
+    // barrier-instant work (overflow exchange, the merge) happens on this
     // thread after the join, in pool order — the merge schedule is a pure
     // function of the inputs.
-    let exchanges = pools >= 2 && topo.max_forwards_per_window > 0;
     for w in 1.. {
         let h = (SimTime::ZERO + step * w).min(end);
-        let exchange = exchanges && h < end;
+        let exchange = topo.max_forwards_per_window > 0 && h < end;
         fork_join(&mut slots, threads, |slot| {
             slot.engine.run_until(h);
             if exchange {
@@ -571,36 +537,30 @@ pub(crate) fn run_sharded(
             }
         });
         if exchange {
-            exchange_overflow(&mut slots, &topo, h);
+            exchange_overflow(&mut slots, &mut metas, &topo, h);
         }
-        drain_emit_logs(&emit_logs, &slots, &mut user_sinks);
+        // Emissions at `h` itself wait: the next window may add more there.
+        drain_emit_logs(&logs, &metas, h, &mut trace, &mut sinks);
         if h == end {
             break;
         }
     }
-    for (_, sink) in user_sinks.iter_mut() {
+    // Finalizing emits at the horizon (replicas cancelled, ...); those
+    // events drain with the rest before the sinks finish.
+    let outs: Vec<RunOutput> = slots.into_iter().map(|slot| finish_run(slot.engine, end)).collect();
+    drain_emit_logs(&logs, &metas, SimTime::MAX, &mut trace, &mut sinks);
+    for (_, sink) in &mut sinks {
         sink.finish(end);
     }
-
-    if pools == 1 {
-        // One shard IS the global run: skip the merge so the output —
-        // trace bytes included — is bit-identical to the serial runner.
-        let slot = slots.into_iter().next().expect("one shard");
-        return finish_run(slot.engine, end);
-    }
-    let mut outs = Vec::with_capacity(pools);
-    let mut metas = Vec::with_capacity(pools);
-    for slot in slots {
-        outs.push(finish_run(slot.engine, end));
-        metas.push(slot.meta);
-    }
-    merge_outputs(outs, &metas, stations, total_jobs, record_trace)
+    merge_outputs(outs, &metas, stations, total_jobs, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use crate::cluster::Run;
 
     use condor_model::diurnal::DiurnalProfile;
     use condor_model::owner::OwnerConfig;
@@ -635,7 +595,8 @@ mod tests {
         };
         // Ten long jobs, all submitted in pool 0 (stations 0..4).
         let specs: Vec<JobSpec> = (0..10).map(|i| spec(i, (i % 4) as u32, 600 * i, 200)).collect();
-        let out = run_sharded(config, specs, SimDuration::from_days(2), Vec::new(), Some(2));
+        let run = Run::new(config).specs(specs).horizon(SimDuration::from_days(2));
+        let out = run.threads(2).execute();
         assert!(
             out.totals.jobs_forwarded > 0,
             "saturated pool never forwarded: {:?}",
@@ -690,7 +651,7 @@ mod tests {
     }
 
     /// A user sink runs on the calling thread, between two windows: its
-    /// panic must come out of `run_sharded` with its own message.
+    /// panic must come out of the sharded run with its own message.
     #[test]
     fn a_panicking_sink_propagates_out_of_a_threaded_run() {
         #[derive(Debug)]
@@ -706,14 +667,14 @@ mod tests {
             ..ClusterConfig::default()
         };
         let message = panic_message_or_hang(move || {
-            let sinks: Vec<Box<dyn TraceSink + Send>> = vec![Box::new(Exploding)];
-            run_sharded(config, vec![spec(0, 0, 600, 2)], SimDuration::from_days(1), sinks, Some(2));
+            let run = Run::new(config).specs(vec![spec(0, 0, 600, 2)]);
+            run.horizon(SimDuration::from_days(1)).sink(Box::new(Exploding)).threads(2).execute();
         });
         assert_eq!(message.as_deref(), Some("sink exploded on its first event"));
     }
 
     /// The shard side. Nothing a caller passes in runs on a scoped thread
-    /// (user sinks are replayed on the calling thread), so a panic there is
+    /// (the merge feeds user sinks on the calling thread), so a panic there is
     /// a model bug and the public API cannot stage one: the window function
     /// is driven directly, three shards on three threads, the one on a
     /// spawned thread failing in the second of three windows. The other

@@ -30,7 +30,7 @@ panics() {
     count=$(printf '%s' "$sites" | grep -c . || true)
     [ "$count" -le "$2" ] || printf '%s (%s, ceiling %s):\n%s\n' "$1" "$count" "$2" "$sites"
 }
-over=$(panics crates/bench/src 13; panics crates/ckpt/src 1; panics crates/core/src 27
+over=$(panics crates/bench/src 13; panics crates/ckpt/src 1; panics crates/core/src 22
     panics crates/metrics/src 4; panics crates/model/src 1; panics crates/net/src 0
     panics crates/runtime/src 7; panics crates/sim/src 6; panics crates/workload/src 0
     panics src 3)

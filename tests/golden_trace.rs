@@ -105,10 +105,12 @@ fn zero_fault_chaos_matches_the_golden_digest() {
     );
 }
 
-/// A one-pool topology routes through the windowed sharded runner, yet
-/// must stay bit-identical to the classic serial run — at every worker
-/// thread count. This is the anchor that lets the parallel path share the
-/// serial path's golden digest.
+/// A one-pool topology routes through the windowed sharded runner and its
+/// general merge — its trace is recorded from the shard's log, drained
+/// barrier by barrier, not by the shard itself — yet must stay
+/// bit-identical to the classic serial run at every worker thread count.
+/// This is the anchor that lets the parallel path share the serial path's
+/// golden digest.
 #[test]
 fn one_pool_topology_matches_the_golden_digest_at_any_thread_count() {
     for threads in [1, 2, 4, 8] {
