@@ -320,9 +320,13 @@ impl Cluster {
     }
 
     /// Drift check: with no station dirty, the coordinator's state must
-    /// equal [`derive_coord`](Self::derive_coord). Catches any transition
-    /// that forgot to mark its station.
+    /// equal [`derive_coord`](Self::derive_coord), and every lazy owner
+    /// transition must be filed on the calendar wheel where its instant
+    /// says. Catches any transition that forgot to mark its station, and
+    /// any write of a lazy instant that bypassed `LazyFlips::set` / `take`.
     fn check_coord_rescan(&self) {
+        let unfiled = self.lazy.first_unfiled();
+        assert_eq!(unfiled, None, "the calendar wheel disagrees with the lazy instant of the station shown");
         let (cached, fresh) = (&self.coord.derived, self.derive_coord());
         let entry =
             |d: &CoordState, i: usize| (d.views[i], d.idle_offer[i], d.used_cap[i], d.raw_queue[i]);

@@ -4,8 +4,6 @@
 //! that reconciles residents with it (paper §2.1: the local scheduler is
 //! autonomous; the coordinator only hands out capacity).
 
-use std::collections::VecDeque;
-
 use condor_model::costs::OWNER_CHECK_INTERVAL;
 use condor_model::owner::{OwnerProcess, OwnerState};
 use condor_model::station::ResourceVec;
@@ -154,11 +152,10 @@ impl Station {
 /// test skips such a station without a second one.
 pub(super) const NO_LAZY_FLIP: SimTime = SimTime::MAX;
 
-/// Calendar keys that get a bucket of their own, counted from the oldest
-/// undrained one: 4,096 poll slots, 5.7 days at the 2-minute poll. A
-/// transition filed further ahead waits in one overflow list until the
-/// calendar comes within range of it.
-const CALENDAR_KEYS: u64 = 8_192;
+/// Buckets on the calendar wheel: 512 poll slots, 17 hours at the 2-minute
+/// poll. A transition further ahead shares a bucket with one a turn (or
+/// several) earlier and waits there until its own turn comes.
+const WHEEL_KEYS: u64 = 1_024;
 
 /// Calendar key of instant `t` for slots `slot_ms` wide: `2·⌊t/slot⌋` when
 /// `t` falls exactly on a slot boundary — a poll's own instant — and one
@@ -170,31 +167,37 @@ fn calendar_key(t: SimTime, slot_ms: u64) -> u64 {
     2 * (ms / slot_ms) + u64::from(!ms.is_multiple_of(slot_ms))
 }
 
+/// A station's lazy instant and its place in its bucket: the stations of
+/// one bucket and the bucket's own node form a doubly linked ring, and a
+/// node in no ring links to itself.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    at: SimTime,
+    prev: u32,
+    next: u32,
+}
+
 /// The next owner transition of every station that owns no `OwnerFlip`
 /// queue entry (nothing can see its transitions one by one, so they are
-/// applied lazily by [`Cluster::fold_owner_flips`]), filed in a calendar
-/// by the poll slot it falls in, so a fold visits the stations that fell
-/// due instead of scanning the fleet.
+/// applied lazily by [`Cluster::fold_owner_flips`]), filed on a calendar
+/// wheel by the poll slot it falls in, so a fold visits the stations that
+/// fell due instead of scanning the fleet: a hashed timing wheel with a
+/// doubly linked list per bucket (Varghese & Lauck, SOSP 1987).
 ///
-/// A station is filed whenever its instant is set. Its old filing stays
-/// behind when a refold or [`take`](Self::take) moves the instant, and is
-/// skipped — and dropped — by every reader re-checking the instant.
+/// A station with a lazy instant is in exactly one ring, its instant's
+/// bucket `key % WHEEL_KEYS`; [`set`](Self::set) moves it there and
+/// [`take`](Self::take) and a fold take it out, each in O(1). The nodes
+/// are allocated once, so filing never allocates.
 #[derive(Debug)]
 pub(super) struct LazyFlips {
-    /// Instant of each station's next lazy transition; [`NO_LAZY_FLIP`]
-    /// while the station owns a queue entry (always, before `prime` and in
-    /// observed runs).
-    at: Vec<SimTime>,
+    /// One node per station, then one per bucket (`heads..`).
+    nodes: Vec<Node>,
+    /// Index of bucket 0's node: the number of stations.
+    heads: usize,
     /// Width of a calendar slot: the poll interval, in milliseconds.
     slot_ms: u64,
-    /// Key of `buckets[0]`; every key below it has been drained.
+    /// Key of the last fold's `before`; every key below it has been swept.
     base: u64,
-    /// Station ids by calendar key, `buckets[key − base]`.
-    buckets: VecDeque<Vec<u32>>,
-    /// Stations filed at `base + CALENDAR_KEYS` or later, and the lowest
-    /// key among them (`u64::MAX` when there are none).
-    far: Vec<u32>,
-    far_min: u64,
     /// The set [`take_due`](Self::take_due) hands out, kept between folds
     /// so a fold allocates nothing; empty whenever it is here.
     due: Bits,
@@ -202,13 +205,12 @@ pub(super) struct LazyFlips {
 
 impl LazyFlips {
     pub(super) fn new(stations: usize, slot: SimDuration) -> Self {
+        let lone = |i: usize| Node { at: NO_LAZY_FLIP, prev: i as u32, next: i as u32 };
         LazyFlips {
-            at: vec![NO_LAZY_FLIP; stations],
+            nodes: (0..stations + WHEEL_KEYS as usize).map(lone).collect(),
+            heads: stations,
             slot_ms: slot.as_millis().max(1),
             base: 0,
-            buckets: VecDeque::new(),
-            far: Vec::new(),
-            far_min: u64::MAX,
             due: Bits::new(stations),
         }
     }
@@ -216,73 +218,58 @@ impl LazyFlips {
     /// Instant of station `i`'s next lazy transition; [`NO_LAZY_FLIP`]
     /// while it owns a queue entry.
     pub(super) fn at(&self, i: usize) -> SimTime {
-        self.at[i]
+        self.nodes[i].at
+    }
+
+    /// The node of the bucket that calendar key `key` hashes to.
+    fn head(&self, key: u64) -> usize {
+        self.heads + (key % WHEEL_KEYS) as usize
     }
 
     /// Makes `t` station `i`'s next transition, carried by no queue entry,
     /// and files it.
     pub(super) fn set(&mut self, i: usize, t: SimTime) {
-        self.at[i] = t;
-        self.file(i as u32, t);
+        let key = calendar_key(t, self.slot_ms);
+        // Nothing is set earlier than the fold before it reached; were it,
+        // the next fold would still find it, a turn late at worst.
+        debug_assert!(key >= self.base, "lazy transition filed into a swept slot");
+        self.unlink(i);
+        let head = self.head(key);
+        let next = self.nodes[head].next;
+        self.nodes[i] = Node { at: t, prev: head as u32, next };
+        self.nodes[head].next = i as u32;
+        self.nodes[next as usize].prev = i as u32;
     }
 
     /// Clears station `i`'s lazy transition and returns it
     /// ([`NO_LAZY_FLIP`] if it had none): a queue entry carries it now.
     pub(super) fn take(&mut self, i: usize) -> SimTime {
-        std::mem::replace(&mut self.at[i], NO_LAZY_FLIP)
+        self.unlink(i);
+        std::mem::replace(&mut self.nodes[i].at, NO_LAZY_FLIP)
     }
 
-    fn file(&mut self, id: u32, t: SimTime) {
-        let key = calendar_key(t, self.slot_ms);
-        // Nothing is set earlier than the fold before it reached; were it,
-        // the next fold would still find it in the oldest bucket.
-        debug_assert!(key >= self.base, "lazy transition filed into a drained slot");
-        let offset = key.saturating_sub(self.base);
-        if offset >= CALENDAR_KEYS {
-            self.far.push(id);
-            self.far_min = self.far_min.min(key);
-            return;
-        }
-        let offset = offset as usize;
-        if offset >= self.buckets.len() {
-            self.buckets.resize_with(offset + 1, Vec::new);
-        }
-        self.buckets[offset].push(id);
+    /// Takes station `i` out of its ring, if it is in one.
+    fn unlink(&mut self, i: usize) {
+        let Node { prev, next, .. } = self.nodes[i];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+        (self.nodes[i].prev, self.nodes[i].next) = (i as u32, i as u32);
     }
 
     /// Moves out the set of stations with a lazy transition strictly
     /// before `before` — and, with `exact`, of those whose transition falls
     /// exactly on `exact` — for the caller to empty in ascending id and
-    /// hand back through [`restore_due`](Self::restore_due). Buckets that
-    /// can hold nothing else are dropped, memory and all; the one `before`
-    /// falls inside, if any, keeps its later stations.
+    /// hand back through [`restore_due`](Self::restore_due); until it
+    /// files or takes them, they are in no ring. It sweeps the keys from
+    /// the last fold's up to `before`'s, at most one turn of the wheel,
+    /// then `exact`'s.
     pub(super) fn take_due(&mut self, before: SimTime, exact: Option<SimTime>) -> Bits {
         let mut due = std::mem::replace(&mut self.due, Bits::new(0));
         let last = calendar_key(before, self.slot_ms);
-        while self.base < last {
-            let Some(ids) = self.buckets.pop_front() else {
-                self.base = last;
-                break;
-            };
-            self.base += 1;
-            for id in ids {
-                if self.at[id as usize] < before {
-                    due.set(id as usize, true);
-                }
-            }
+        for key in self.base.max(last.saturating_sub(WHEEL_KEYS - 1))..=last {
+            self.sweep(key, |t| t < before, &mut due);
         }
-        if self.far_min < self.base + CALENDAR_KEYS {
-            self.far_min = u64::MAX;
-            for id in std::mem::take(&mut self.far) {
-                let t = self.at[id as usize];
-                if t < before {
-                    due.set(id as usize, true);
-                } else if t != NO_LAZY_FLIP {
-                    self.file(id, t);
-                }
-            }
-        }
-        self.sweep(last, |t| t < before, &mut due);
+        self.base = self.base.max(last);
         if let Some(exact) = exact {
             self.sweep(calendar_key(exact, self.slot_ms), |t| t == exact, &mut due);
         }
@@ -295,23 +282,37 @@ impl LazyFlips {
         self.due = due;
     }
 
-    /// Moves the stations of bucket `key` whose instant `is_due` into
-    /// `due`, and keeps those still filed there for a later instant.
+    /// Moves the stations of `key`'s bucket whose instant `is_due` out of
+    /// its ring into `due`; those filed there for a later instant stay.
     fn sweep(&mut self, key: u64, is_due: impl Fn(SimTime) -> bool, due: &mut Bits) {
-        let Some(offset) = key.checked_sub(self.base) else { return };
-        let Some(bucket) = self.buckets.get_mut(offset as usize) else { return };
-        let (at, slot_ms) = (&self.at, self.slot_ms);
-        bucket.retain(|&id| {
-            let t = at[id as usize];
-            if is_due(t) {
-                due.set(id as usize, true);
-                return false;
+        let head = self.head(key);
+        let mut i = self.nodes[head].next as usize;
+        while i != head {
+            let next = self.nodes[i].next as usize;
+            if is_due(self.nodes[i].at) {
+                due.set(i, true);
+                self.unlink(i);
             }
-            t != NO_LAZY_FLIP && calendar_key(t, slot_ms) == key
-        });
-        if bucket.is_empty() {
-            *bucket = Vec::new();
+            i = next;
         }
+    }
+
+    /// The first station filed anywhere but in its instant's bucket, or
+    /// with a lazy instant and filed nowhere — `None` when the wheel is
+    /// what the instants say it must be.
+    pub(super) fn first_unfiled(&self) -> Option<usize> {
+        for key in 0..WHEEL_KEYS {
+            let head = self.head(key);
+            let mut i = self.nodes[head].next as usize;
+            while i != head {
+                let t = self.nodes[i].at;
+                if t == NO_LAZY_FLIP || self.head(calendar_key(t, self.slot_ms)) != head {
+                    return Some(i);
+                }
+                i = self.nodes[i].next as usize;
+            }
+        }
+        (0..self.heads).find(|&i| self.nodes[i].at != NO_LAZY_FLIP && self.nodes[i].next == i as u32)
     }
 }
 
@@ -669,7 +670,8 @@ mod tests {
     /// A station is lazy at a poll, takes its queue entry there for a
     /// placement, hosts a short job, goes lazy again before the next poll
     /// and then has a lazy transition applied by a barrier snapshot inside
-    /// that same slot — each move leaves a stale calendar filing behind.
+    /// that same slot — each move takes the station out of the calendar
+    /// or files it again.
     /// Every transition is still applied exactly once: the run's
     /// `events_dispatched` and `local_busy` bits equal those of the run
     /// that keeps every station in the queue, barrier and all.
@@ -747,6 +749,84 @@ mod tests {
         let (folded, queued) = (books(folded), books(queued));
         assert!(folded.2.placements > 0);
         assert_eq!(folded, queued);
+    }
+
+    /// The wheel wrapping round: with 1-second slots a turn is 512 s, and
+    /// transitions land up to six hours — dozens of turns — ahead, among
+    /// refilings (a station set again before any fold reached it, or
+    /// taken by a queue entry, as a placement does, and set again later),
+    /// on slot boundaries and off them, with folds that jump several
+    /// turns at once. Every fold hands out exactly the stations a scan of
+    /// the instants holds due: each transition at the first fold past it
+    /// (or on its `exact` instant), never earlier, and once; and between
+    /// folds every lazy station is filed where its instant says.
+    #[test]
+    fn the_wheel_hands_out_transitions_turns_ahead_at_their_instant_exactly_once() {
+        const STATIONS: usize = 64;
+        let slot = SimDuration::SECOND;
+        let mut lazy = LazyFlips::new(STATIONS, slot);
+        let mut rng = SimRng::seed_from(1987);
+        // An instant up to six hours after `from`, on a slot boundary
+        // every other time.
+        let ahead = |rng: &mut SimRng, from: SimTime| {
+            let t = from + SimDuration::from_millis(rng.uniform_range_u64(0, 6 * 3_600_000));
+            if rng.chance(0.5) { t.align_down(slot) + slot } else { t }
+        };
+        for i in 0..STATIONS {
+            lazy.set(i, ahead(&mut rng, SimTime::ZERO));
+        }
+        let (mut before, mut handed, mut turns_ahead) = (SimTime::ZERO, 0, 0);
+        let mut taken: Vec<usize> = Vec::new();
+        for _ in 0..4_000 {
+            let step = match rng.index(3) {
+                0 => rng.uniform_range_u64(1, 3_000),
+                1 => 1_000 * rng.uniform_range_u64(1, 30),
+                _ => rng.uniform_range_u64(500_000, 3_000_000),
+            };
+            before += SimDuration::from_millis(step);
+            let exact = rng.chance(0.5).then(|| before.align_down(slot) + slot);
+            let want: Vec<usize> = (0..STATIONS)
+                .filter(|&i| lazy.at(i) < before || Some(lazy.at(i)) == exact)
+                .collect();
+            let mut due = lazy.take_due(before, exact);
+            let mut got = Vec::new();
+            due.retain(|i| {
+                got.push(i as usize);
+                false
+            });
+            lazy.restore_due(due);
+            assert_eq!(got, want, "fold up to {before:?}, exact {exact:?}");
+            handed += got.len();
+            // A fold files each station's next transition; one due on the
+            // exact instant takes a queue entry instead.
+            for i in got {
+                if Some(lazy.at(i)) == exact {
+                    lazy.take(i);
+                    taken.push(i);
+                } else {
+                    let next = ahead(&mut rng, before);
+                    turns_ahead += usize::from(next.since(before) > slot * 512);
+                    lazy.set(i, next);
+                }
+            }
+            // Refilings: a lazy station set again, a taken one set again;
+            // and a placement: a lazy station takes its queue entry.
+            let i = rng.index(STATIONS);
+            if lazy.at(i) != NO_LAZY_FLIP {
+                lazy.set(i, ahead(&mut rng, before));
+            }
+            let i = rng.index(STATIONS);
+            if lazy.at(i) != NO_LAZY_FLIP && rng.chance(0.2) {
+                lazy.take(i);
+                taken.push(i);
+            }
+            if !taken.is_empty() && rng.chance(0.3) {
+                let i = taken.swap_remove(rng.index(taken.len()));
+                lazy.set(i, ahead(&mut rng, before));
+            }
+            assert_eq!(lazy.first_unfiled(), None);
+        }
+        assert!(handed > 10_000 && turns_ahead > 5_000, "{handed} handed out, {turns_ahead} turns ahead");
     }
 
     /// The owner-idle EWMA that feeds history-aware placement: the named

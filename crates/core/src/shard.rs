@@ -442,14 +442,19 @@ fn merge_outputs(
 
 /// Runs `advance` once on every shard, split into at most `threads`
 /// contiguous chunks: the calling thread takes the first, a scoped thread
-/// each of the rest, and one thread spawns nothing. Every thread is joined
-/// before this returns; if a shard panicked, the first failing chunk's
-/// payload is re-raised here once the others have finished their shards.
-/// The sharded runner calls it once per window, replication once per
-/// batch of seeds.
+/// each of the rest, and one chunk opens no scope at all (a scope
+/// allocates, once per window). Every thread is joined before this
+/// returns; if a shard panicked, the first failing chunk's payload is
+/// re-raised here once the others have finished their shards. The
+/// sharded runner calls it once per window, replication once per batch
+/// of seeds.
 pub fn fork_join<S: Send>(shards: &mut [S], threads: usize, advance: impl Fn(&mut S) + Sync) {
     let advance = &advance;
     let size = shards.len().div_ceil(threads.max(1)).max(1);
+    if size >= shards.len() {
+        shards.iter_mut().for_each(advance);
+        return;
+    }
     std::thread::scope(|scope| {
         let mut chunks = shards.chunks_mut(size);
         let first = chunks.next();

@@ -258,85 +258,71 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Forwards to an inner sink only what its [`KindMask`] holds — the events
-/// of those kinds, and the gauge samples if the mask has them; `finish`
-/// always passes through.
+/// Hands an inner sink only what its [`KindMask`] holds — the events of
+/// those kinds, and the gauge samples if the mask has them: the mask is
+/// the filter's [`interest`](TraceSink::interest), so the cluster
+/// withholds everything else upstream, and the filter itself only
+/// forwards.
 ///
 /// Backs `condor trace --kind a,b`: wrap the printing/exporting sink so a
-/// month-scale run streams only the event families of interest. The
-/// filter keeps the default [`interest`](TraceSink::interest) — every kind
-/// — because it counts what it suppresses: [`dropped`](Self::dropped)
-/// would read zero if the cluster withheld those events upstream.
+/// month-scale run streams only the event families of interest. How many
+/// events the mask let through is the run's
+/// [`Telemetry::events_in`] the mask.
 ///
 /// # Examples
 ///
 /// ```
-/// use condor_core::telemetry::{KindFilterSink, KindMask, TraceSink, VecSink};
-/// use condor_core::trace::{TraceEvent, TraceKind};
-/// use condor_core::job::JobId;
-/// use condor_sim::time::SimTime;
+/// use condor_core::cluster::Run;
+/// use condor_core::config::ClusterConfig;
+/// use condor_core::telemetry::{KindFilterSink, KindMask, SharedSink, VecSink};
+/// use condor_core::trace::TraceKind;
+/// use condor_sim::time::SimDuration;
 ///
-/// let arrivals = KindMask::from_names(["job_arrived"]).unwrap();
-/// let mut only_arrivals = KindFilterSink::new(VecSink::new(), arrivals);
-/// only_arrivals.record(&TraceEvent {
-///     at: SimTime::ZERO,
-///     kind: TraceKind::JobArrived { job: JobId(0) },
+/// let polls = KindMask::from_names(["coordinator_polled"]).unwrap();
+/// let only_polls = SharedSink::new(KindFilterSink::new(VecSink::new(), polls));
+/// let config = ClusterConfig { stations: 4, ..ClusterConfig::default() };
+/// Run::new(config)
+///     .horizon(SimDuration::from_hours(1))
+///     .sink(Box::new(only_polls.clone()))
+///     .execute();
+/// only_polls.with(|f| {
+///     assert_eq!(f.inner().len(), 29); // the polls at 2, 4, …, 58 minutes
+///     assert!(f.inner().events().iter().all(|e| matches!(e.kind, TraceKind::CoordinatorPolled { .. })));
 /// });
-/// only_arrivals.record(&TraceEvent {
-///     at: SimTime::ZERO,
-///     kind: TraceKind::JobCompleted { job: JobId(0), on: condor_net::NodeId::new(0) },
-/// });
-/// assert_eq!(only_arrivals.inner().len(), 1);
-/// assert_eq!(only_arrivals.dropped(), 1);
 /// ```
 #[derive(Debug)]
 pub struct KindFilterSink<S> {
     mask: KindMask,
     inner: S,
-    passed: u64,
-    dropped: u64,
 }
 
 impl<S> KindFilterSink<S> {
     /// Wraps `inner`, forwarding the kinds in `mask`.
     pub fn new(inner: S, mask: KindMask) -> Self {
-        KindFilterSink { mask, inner, passed: 0, dropped: 0 }
+        KindFilterSink { mask, inner }
     }
 
     /// The wrapped sink.
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// Events forwarded so far.
-    pub fn passed(&self) -> u64 {
-        self.passed
-    }
-
-    /// Events suppressed so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl<S: TraceSink> TraceSink for KindFilterSink<S> {
     fn record(&mut self, ev: &TraceEvent) {
-        if self.mask.contains(&ev.kind) {
-            self.passed += 1;
-            self.inner.record(ev);
-        } else {
-            self.dropped += 1;
-        }
+        self.inner.record(ev);
     }
 
     fn sample(&mut self, s: &GaugeSample) {
-        if self.mask.samples() {
-            self.inner.sample(s);
-        }
+        self.inner.sample(s);
     }
 
     fn finish(&mut self, at: SimTime) {
         self.inner.finish(at);
+    }
+
+    fn interest(&self) -> KindMask {
+        self.mask
     }
 }
 
@@ -464,6 +450,11 @@ impl Telemetry {
             .filter(|(_, &c)| c > 0)
             .map(|(&n, &c)| (n, c))
             .collect()
+    }
+
+    /// Events observed of the kinds in `mask`.
+    pub fn events_in(&self, mask: KindMask) -> u64 {
+        (0..TraceKind::COUNT).filter(|&i| mask.0 >> i & 1 != 0).map(|i| self.counts[i]).sum()
     }
 
     /// `true` when no events were observed.

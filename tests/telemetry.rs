@@ -93,22 +93,28 @@ impl TraceSink for Picky {
     }
 }
 
-/// A kind filter forwards exactly what its mask holds: a mask built from
-/// kind names carries no gauge samples, `KindMask::ALL` carries them.
+/// A kind filter forwards exactly what its mask holds, in a run: a mask
+/// built from kind names carries no gauge samples and the events of those
+/// kinds alone, as many as the run's telemetry counts for them;
+/// `KindMask::ALL` carries every event and one sample per poll.
 #[test]
 fn a_kind_filter_forwards_samples_only_if_its_mask_holds_them() {
-    let sample = GaugeSample {
-        at: SimTime::ZERO,
-        bus_backlog: SimDuration::ZERO,
-        free_machines: 1,
-        waiting_jobs: 0,
-        updown_mean_index: None,
-    };
     let named = KindMask::from_names(["job_arrived"]).expect("known kind");
-    for (mask, want) in [(named, 0), (KindMask::ALL, 1)] {
-        let mut filter = KindFilterSink::new(Picky::default(), mask);
-        filter.sample(&sample);
-        assert_eq!(filter.inner().samples, want, "{mask:?}");
+    for mask in [named, KindMask::ALL] {
+        let mut scenario = paper_month(7);
+        scenario.config.record_trace = false;
+        let filter = SharedSink::new(KindFilterSink::new(Picky::default(), mask));
+        let out = Run::new(scenario.config)
+            .specs(scenario.jobs)
+            .horizon(SimDuration::from_days(2))
+            .sink(Box::new(filter.clone()))
+            .execute();
+        let samples = if mask.samples() { out.totals.polls } else { 0 };
+        let events = out.telemetry.events_in(mask);
+        assert!(events > 0, "{mask:?}");
+        filter.with(|f| {
+            assert_eq!((f.inner().events, f.inner().samples), (events, samples), "{mask:?}");
+        });
     }
 }
 
