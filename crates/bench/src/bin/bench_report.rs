@@ -316,16 +316,17 @@ fn live_pool() -> Runtime {
 }
 
 /// The event queue in the shape the repo benchmark's traced `fleet_loaded`
-/// run gives it: 21,000 arrivals planted in order over a week and waiting
-/// days to fire, about 1,400 live entries besides them (1,000 short timers
-/// re-armed up to ten minutes ahead, as owner checks and polls are; 400
-/// finishes hours ahead), and one pop in six cancelling a finish and
-/// planting a new one, as an owner's return does to a running job. Returns
-/// the pops; every sixth one adds a cancel.
+/// run gives it: 21,000 arrivals over a week under one block of reserved
+/// sequence numbers, planted one at a time as `Cluster::prime` plants them
+/// (each arrival schedules the next); about 1,400 live entries besides
+/// them (1,000 short timers re-armed up to ten minutes ahead, as owner
+/// checks and polls are; 400 finishes hours ahead); and one pop in six
+/// cancelling a finish and planting a new one, as an owner's return does
+/// to a running job. Returns the pops; every sixth one adds a cancel.
 fn loaded_churn() -> u64 {
     #[derive(Clone, Copy)]
     enum Churn {
-        Arrival,
+        Arrival(u64),
         Timer,
         Finish(usize),
     }
@@ -338,10 +339,10 @@ fn loaded_churn() -> u64 {
         SimDuration::from_millis(rng.uniform_range_u64(lo * 1_000, hi * 1_000))
     };
     let mut q = condor_sim::event::EventQueue::new();
-    let week = SimDuration::WEEK.as_millis();
-    for j in 0..21_000 {
-        q.schedule_in_order(SimTime::from_millis(j * week / 21_000), Churn::Arrival);
-    }
+    const ARRIVALS: u64 = 21_000;
+    let arrival_at = |j: u64| SimTime::from_millis(j * SimDuration::WEEK.as_millis() / ARRIVALS);
+    let arrival_seq = q.reserve_seqs(ARRIVALS);
+    q.schedule_reserved(arrival_at(0), arrival_seq, Churn::Arrival(0));
     for _ in 0..1_000 {
         q.schedule(SimTime::ZERO + ahead(TIMER), Churn::Timer);
     }
@@ -351,7 +352,11 @@ fn loaded_churn() -> u64 {
     for n in 0..POPS {
         let Some((now, ev)) = q.pop() else { break };
         match ev {
-            Churn::Arrival => {}
+            Churn::Arrival(j) => {
+                if j + 1 < ARRIVALS {
+                    q.schedule_reserved(arrival_at(j + 1), arrival_seq + j + 1, Churn::Arrival(j + 1));
+                }
+            }
             Churn::Timer => {
                 q.schedule(now + ahead(TIMER), ev);
             }

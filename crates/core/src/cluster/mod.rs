@@ -372,6 +372,14 @@ pub struct Cluster {
     /// filed by poll slot.
     lazy: LazyFlips,
     jobs: Vec<Job>,
+    /// The workload's jobs by arrival (stably: equal instants keep id
+    /// order), planted one at a time: `arrivals[next_arrival]` is the next
+    /// to be scheduled, under the sequence number `arrival_seq + id`
+    /// reserved in [`Cluster::prime`]. Ids are `u32`: 2³² jobs would take
+    /// most of a TiB of job table.
+    arrivals: Vec<u32>,
+    next_arrival: usize,
+    arrival_seq: u64,
     policy: PolicyHolder,
     bus: SharedBus,
     trace: Trace,
@@ -397,9 +405,10 @@ pub struct Cluster {
     local_busy: BucketAccumulator,
     remote_busy: BucketAccumulator,
     coordinator_down: bool,
-    /// Reverse dependency edges, indexed by job id: completing job `i` may
-    /// release the jobs in `dependents[i]` (paper §5(2) pipelines / DAGs).
-    dependents: Vec<Vec<JobId>>,
+    /// Reverse dependency edges, keyed by prerequisite: completing job `i`
+    /// may release the jobs in `dependents[&i]` (paper §5(2) pipelines /
+    /// DAGs). Jobs nothing depends on have no entry.
+    dependents: BTreeMap<JobId, Vec<JobId>>,
     /// Outstanding dependency count per job.
     pending_deps: Vec<u32>,
     /// Gangs currently holding stations, indexed by job id. Boxed so the
@@ -557,12 +566,12 @@ impl Cluster {
             Trace::disabled()
         };
         let bus = SharedBus::new(config.bus);
-        let mut dependents: Vec<Vec<JobId>> = vec![Vec::new(); specs.len()];
+        let mut dependents: BTreeMap<JobId, Vec<JobId>> = BTreeMap::new();
         let pending_deps: Vec<u32> = specs
             .iter()
             .map(|s| {
                 for dep in &s.depends_on {
-                    dependents[dep.0 as usize].push(s.id);
+                    dependents.entry(*dep).or_default().push(s.id);
                 }
                 s.depends_on.len() as u32
             })
@@ -592,6 +601,9 @@ impl Cluster {
             user_ids,
             user_slots,
             jobs: specs.into_iter().map(Job::new).collect(),
+            arrivals: Vec::new(),
+            next_arrival: 0,
+            arrival_seq: 0,
             policy,
             bus,
             trace,
@@ -662,11 +674,20 @@ impl Cluster {
                 engine.scheduler().at(at, Event::OwnerFlip { station: i as u32 });
             }
         }
-        // Workloads list jobs in arrival order, so the arrivals wait in the
-        // queue's in-order lane rather than in its heap.
-        for j in 0..n_jobs {
-            let at = engine.model().jobs[j].spec.arrival;
-            engine.scheduler().at_in_order(at, Event::Arrival(JobId(j as u64)));
+        // Arrivals take their place in the scheduling order here, as one
+        // reserved block, but enter the queue one at a time: each arrival
+        // plants the next, so the heap the busy events sift through holds
+        // one of them, not the whole workload.
+        let arrival_seq = engine.scheduler().reserve_seqs(n_jobs as u64);
+        let c = engine.model_mut();
+        let mut arrivals: Vec<u32> = (0..n_jobs as u32).collect();
+        if !arrivals.is_sorted_by_key(|&j| c.jobs[j as usize].spec.arrival) {
+            arrivals.sort_by_key(|&j| c.jobs[j as usize].spec.arrival);
+        }
+        c.arrivals = arrivals;
+        c.arrival_seq = arrival_seq;
+        if let Some((at, seq, ev)) = engine.model_mut().next_planted_arrival() {
+            engine.scheduler().at_reserved(at, seq, ev);
         }
         let reservations = engine.model().config.reservations.clone();
         for (idx, r) in reservations.iter().enumerate() {
@@ -697,6 +718,15 @@ impl Cluster {
             engine.scheduler().at(at, Event::ChaosFault { idx: idx as u32 });
         }
         engine.scheduler().at(first_poll, Event::Poll);
+    }
+
+    /// The workload's next arrival and its reserved sequence number, moving
+    /// the cursor past it; `None` once every arrival has been planted.
+    fn next_planted_arrival(&mut self) -> Option<(SimTime, u64, Event)> {
+        let &j = self.arrivals.get(self.next_arrival)?;
+        self.next_arrival += 1;
+        let at = self.jobs[j as usize].spec.arrival;
+        Some((at, self.arrival_seq + u64::from(j), Event::Arrival(JobId(u64::from(j)))))
     }
 
     /// Takes the coordinator offline (`true`) or back online. While down,
@@ -833,7 +863,7 @@ impl Cluster {
             job.state == JobState::Queued
                 && job.spec.width == 1
                 && job.spec.depends_on.is_empty()
-                && self.dependents[j.0 as usize].is_empty()
+                && !self.dependents.contains_key(j)
                 && job.work_done.is_zero()
                 && job.placements == 0
                 // A job with live replicas must finish (or cancel them)
@@ -892,7 +922,6 @@ impl Cluster {
         let mut job = Job::new(spec);
         job.adopted = true;
         self.jobs.push(job);
-        self.dependents.push(Vec::new());
         self.pending_deps.push(0);
         self.gangs.push(None);
         if let Some(c) = self.chaos.as_mut() {
@@ -967,7 +996,16 @@ impl Model for Cluster {
 
     fn handle(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<Event>) {
         match ev {
-            Event::Arrival(job) => self.on_arrival(now, job),
+            Event::Arrival(job) => {
+                // A forwarded job's arrival was scheduled by the sharded
+                // runner; the workload's own each plant the next.
+                if !self.jobs[job.0 as usize].adopted {
+                    if let Some((at, seq, ev)) = self.next_planted_arrival() {
+                        sched.at_reserved(at, seq, ev);
+                    }
+                }
+                self.on_arrival(now, job)
+            }
             Event::OwnerFlip { station } => self.on_owner_flip(now, station, sched),
             Event::DetectOwner { station } => self.on_detect_owner(now, station, sched),
             Event::Poll => self.on_poll(now, sched),

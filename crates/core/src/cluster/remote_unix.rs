@@ -419,9 +419,8 @@ impl Cluster {
         self.queue_delta(now, job, -1.0);
         self.emit(now, TraceKind::JobCompleted { job, on: NodeId::new(on) });
         // Release any jobs that were held on this one. A job completes at
-        // most once, so its dependent list can be consumed in place.
-        let dependents = std::mem::take(&mut self.dependents[job.0 as usize]);
-        for d in dependents {
+        // most once, so its dependent list leaves the map.
+        for d in self.dependents.remove(&job).unwrap_or_default() {
             if self.jobs[d.0 as usize].state != JobState::Held {
                 continue; // not yet arrived (or rejected): arrival recounts
             }

@@ -195,55 +195,58 @@ fn shard_config(
 
 /// Splits the global job list into per-pool spec lists with dense local
 /// ids, returning the specs alongside each pool's local → global id map.
-/// Dependencies must stay inside one pool — a shard cannot observe
-/// another shard's completions mid-window.
+/// Each spec moves into its pool's list, which is allocated once at its
+/// final length. Dependencies must stay inside one pool — a shard cannot
+/// observe another shard's completions mid-window.
 fn partition_jobs(
-    specs: &[JobSpec],
+    specs: Vec<JobSpec>,
     topo: &PoolTopology,
     stations: usize,
     ranges: &[Range<usize>],
 ) -> (Vec<Vec<JobSpec>>, Vec<Vec<JobId>>) {
-    let pools = topo.pools;
-    let mut shard_specs: Vec<Vec<JobSpec>> = (0..pools).map(|_| Vec::new()).collect();
-    let mut to_global: Vec<Vec<JobId>> = (0..pools).map(|_| Vec::new()).collect();
-    let mut pool_of_job: Vec<u32> = Vec::with_capacity(specs.len());
+    let mut sizes = vec![0usize; topo.pools];
+    let pool_of_job: Vec<usize> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            assert!(
+                spec.id.0 as usize == i,
+                "invalid cluster configuration: {}",
+                ConfigError::JobIdsNotDense
+            );
+            assert!(
+                spec.home.as_usize() < stations,
+                "invalid cluster configuration: {}",
+                ConfigError::JobHomeOutsideFleet { job: spec.id, home: spec.home }
+            );
+            let p = topo.pool_of(spec.home.as_usize(), stations);
+            sizes[p] += 1;
+            p
+        })
+        .collect();
+    let mut shard_specs: Vec<Vec<JobSpec>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut to_global: Vec<Vec<JobId>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
     let mut local_of_job: Vec<u64> = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        assert!(
-            spec.id.0 as usize == i,
-            "invalid cluster configuration: {}",
-            ConfigError::JobIdsNotDense
-        );
-        assert!(
-            spec.home.as_usize() < stations,
-            "invalid cluster configuration: {}",
-            ConfigError::JobHomeOutsideFleet { job: spec.id, home: spec.home }
-        );
-        let p = topo.pool_of(spec.home.as_usize(), stations);
-        let mut local = spec.clone();
-        local.id = JobId(shard_specs[p].len() as u64);
-        local.home = NodeId::new((spec.home.as_usize() - ranges[p].start) as u32);
-        local.depends_on = spec
-            .depends_on
-            .iter()
-            .map(|d| {
-                assert!(
-                    d.0 < spec.id.0,
-                    "invalid cluster configuration: {}",
-                    ConfigError::JobDependencyOrder { job: spec.id, dep: *d }
-                );
-                assert!(
-                    pool_of_job[d.0 as usize] == p as u32,
-                    "invalid cluster configuration: {}",
-                    ConfigError::TopologyCrossPoolDependency { job: spec.id, dep: *d }
-                );
-                JobId(local_of_job[d.0 as usize])
-            })
-            .collect();
-        pool_of_job.push(p as u32);
-        local_of_job.push(to_global[p].len() as u64);
-        to_global[p].push(spec.id);
-        shard_specs[p].push(local);
+    for mut spec in specs {
+        let (global, p) = (spec.id, pool_of_job[spec.id.0 as usize]);
+        for d in &mut spec.depends_on {
+            assert!(
+                d.0 < global.0,
+                "invalid cluster configuration: {}",
+                ConfigError::JobDependencyOrder { job: global, dep: *d }
+            );
+            assert!(
+                pool_of_job[d.0 as usize] == p,
+                "invalid cluster configuration: {}",
+                ConfigError::TopologyCrossPoolDependency { job: global, dep: *d }
+            );
+            *d = JobId(local_of_job[d.0 as usize]);
+        }
+        spec.id = JobId(shard_specs[p].len() as u64);
+        spec.home = NodeId::new((spec.home.as_usize() - ranges[p].start) as u32);
+        local_of_job.push(spec.id.0);
+        to_global[p].push(global);
+        shard_specs[p].push(spec);
     }
     (shard_specs, to_global)
 }
@@ -498,7 +501,7 @@ pub(crate) fn run_sharded(
     let total_jobs = specs.len();
     let threads = threads.unwrap_or_else(default_threads).clamp(1, pools);
     let ranges: Vec<Range<usize>> = (0..pools).map(|p| topo.range(p, stations)).collect();
-    let (mut shard_specs, to_global) = partition_jobs(&specs, &topo, stations, &ranges);
+    let (mut shard_specs, to_global) = partition_jobs(specs, &topo, stations, &ranges);
     let chaos_parts = config.chaos.as_ref().map(|c| crate::chaos::route_to_pools(c, &ranges));
     let mut sinks: Vec<(KindMask, Box<dyn TraceSink + Send>)> =
         sinks.into_iter().map(|s| (s.interest(), s)).collect();

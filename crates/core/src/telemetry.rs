@@ -512,17 +512,29 @@ pub(crate) enum MarkAction {
 /// Dense per-job timestamp marks (job ids are the dense sequence `0..n`;
 /// one a caller invents cannot size the table, see [`DenseTable`]).
 #[derive(Debug, Default)]
-struct JobMarks(DenseTable<Option<SimTime>>);
+struct JobMarks(DenseTable<Mark>);
+
+/// One job's mark in 8 bytes: [`SimTime::MAX`] is "no mark", an instant no
+/// run reaches (a stream that stamps an event there loses that one sample).
+#[derive(Debug, Clone, Copy)]
+struct Mark(SimTime);
+
+impl Default for Mark {
+    fn default() -> Self {
+        Mark(SimTime::MAX)
+    }
+}
 
 impl JobMarks {
     #[inline]
     fn insert(&mut self, job: JobId, at: SimTime) {
-        *self.0.entry(job.0) = Some(at);
+        *self.0.entry(job.0) = Mark(at);
     }
 
     #[inline]
     fn remove(&mut self, job: JobId) -> Option<SimTime> {
-        self.0.get_mut(job.0).and_then(Option::take)
+        let mark = std::mem::take(self.0.get_mut(job.0)?);
+        (mark.0 != SimTime::MAX).then_some(mark.0)
     }
 }
 

@@ -84,19 +84,24 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.schedule(at, event)
     }
 
-    /// Schedules `event` at the absolute instant `at`, like
-    /// [`Scheduler::at`], through the queue's in-order lane
-    /// ([`EventQueue::schedule_in_order`]): for planting a batch already
-    /// sorted by time, such as a workload's arrivals. Delivery order is the
-    /// same as through [`Scheduler::at`]; an instant earlier than the last
-    /// one planted this way simply takes the ordinary path.
+    /// Reserves `n` sequence numbers at this point of the scheduling
+    /// order and returns the first ([`EventQueue::reserve_seqs`]).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        self.queue.reserve_seqs(n)
+    }
+
+    /// Schedules `event` at the absolute instant `at` under `seq`, a
+    /// number from [`Scheduler::reserve_seqs`]
+    /// ([`EventQueue::schedule_reserved`]): it is delivered as if it had
+    /// been scheduled when the number was reserved. For a batch known up
+    /// front, such as a workload's arrivals, planted one at a time.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past, as [`Scheduler::at`] does.
-    pub fn at_in_order(&mut self, at: SimTime, event: E) -> EventToken {
+    pub fn at_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventToken {
         self.check_not_past(at);
-        self.queue.schedule_in_order(at, event)
+        self.queue.schedule_reserved(at, seq, event)
     }
 
     #[track_caller]
@@ -289,19 +294,22 @@ mod tests {
     fn delivers_in_chronological_order() {
         let mut eng = Engine::new(Recorder::default());
         {
-            // The in-order lane and the heap share one FIFO order: 3 ties
-            // with 1 and was planted after it.
+            // Reserved numbers and ordinary scheduling share one FIFO
+            // order: 3 ties with 1 and its number was reserved after 1 was
+            // scheduled, though 4, scheduled before 3, was reserved later.
             let mut s = eng.scheduler();
             s.at(SimTime::from_secs(10), 1);
-            s.at_in_order(SimTime::from_secs(5), 2);
-            s.at_in_order(SimTime::from_secs(10), 3);
+            let base = s.reserve_seqs(2);
+            s.at(SimTime::from_secs(10), 4);
+            s.at_reserved(SimTime::from_secs(5), base, 2);
+            s.at_reserved(SimTime::from_secs(10), base + 1, 3);
         }
         assert_eq!(eng.run_to_completion(), StopReason::QueueExhausted);
         let times: Vec<u64> = eng.model().seen.iter().map(|(t, _)| t.as_secs()).collect();
-        assert_eq!(times, vec![5, 10, 10]);
-        // FIFO at equal timestamps.
-        assert_eq!(eng.model().seen[1].1, 1);
-        assert_eq!(eng.model().seen[2].1, 3);
+        assert_eq!(times, vec![5, 10, 10, 10]);
+        // FIFO at equal timestamps, by scheduling (or reservation) order.
+        let order: Vec<u32> = eng.model().seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(order, vec![2, 1, 3, 4]);
     }
 
     #[test]

@@ -7,31 +7,28 @@
 //! hash ordering. That makes simulation runs fully deterministic for a
 //! given seed.
 //!
-//! # Two places an event can wait
+//! The queue is an indexed 4-ary min-heap over the key packed into one
+//! `u128` (time in the high half, sequence in the low half). A slot table
+//! maps each [`EventToken`] (slot plus generation) to its heap position,
+//! so [`EventQueue::cancel`] removes the entry at once: nothing cancelled
+//! stays behind to surface later, and the heap holds exactly the live
+//! events. Slots are reused; bumping the slot's generation on every
+//! release is what keeps a fired or cancelled token from reaching the
+//! slot's next occupant. Memory follows the live events, not the events
+//! ever scheduled.
 //!
-//! * **The heap** — an indexed 4-ary min-heap over the key packed into one
-//!   `u128` (time in the high half, sequence in the low half). A slot table
-//!   maps each [`EventToken`] (slot plus generation) to its heap position,
-//!   so [`EventQueue::cancel`] removes the entry at once: nothing cancelled
-//!   stays behind to surface later, and the heap holds exactly the live
-//!   events. Slots are reused; bumping the slot's generation on every
-//!   release is what keeps a fired or cancelled token from reaching the
-//!   slot's next occupant.
-//! * **The in-order lane** — a FIFO for events planted through
-//!   [`EventQueue::schedule_in_order`] in nondecreasing time (a model's
-//!   initial arrivals, typically thousands of entries that wait days to
-//!   fire). Its keys rise front to back, so it needs no ordering work and
-//!   keeps those entries out of the heap the busy events sift through. An
-//!   event that would break the lane's order goes to the heap instead, so
-//!   the caller promises nothing. A lane token addresses its entry by
-//!   sequence number (binary search), and a cancelled lane entry leaves the
-//!   lane at once.
+//! # Reserved sequence numbers
 //!
-//! [`EventQueue::pop`] and [`EventQueue::peek_time`] take the smaller key
-//! of the two heads. Memory follows the live events, not the events ever
-//! scheduled.
-
-use std::collections::VecDeque;
+//! A model that knows a long batch of future events up front (a
+//! workload's arrivals: thousands that wait days to fire) need not keep
+//! them all in the heap the busy events sift through.
+//! [`EventQueue::reserve_seqs`] hands it a block of sequence numbers at
+//! the point in the scheduling order where the batch belongs, and
+//! [`EventQueue::schedule_reserved`] later schedules each member under its
+//! own number. Scheduling the members one at a time, each when the one
+//! before it fires, keeps one of them in the heap, and every key — so the
+//! delivery order — is the one scheduling the whole batch at reservation
+//! time would have given.
 
 use crate::time::SimTime;
 
@@ -39,7 +36,7 @@ use crate::time::SimTime;
 ///
 /// A token stops naming anything once its event fires or is cancelled;
 /// [`EventQueue::cancel`] then returns `false` for it, even after its heap
-/// slot has been reused (a slot's generation wraps only after 2³¹
+/// slot has been reused (a slot's generation wraps only after 2³²
 /// reuses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventToken(u64);
@@ -51,11 +48,6 @@ pub struct EventToken(u64);
 /// one and cancels it, read ≈110 ns at two against ≈44 at four; eight were
 /// slower than four on both.
 const ARITY: usize = 4;
-/// Set in the token of a lane entry, whose low bits are its sequence number.
-const LANE_TOKEN: u64 = 1 << 63;
-/// Slot generations count modulo 2³¹, keeping heap tokens clear of
-/// [`LANE_TOKEN`].
-const GEN_MASK: u32 = u32::MAX >> 1;
 
 fn pack(at: SimTime, seq: u64) -> u128 {
     (u128::from(at.as_millis()) << 64) | u128::from(seq)
@@ -75,13 +67,6 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// One entry of the in-order lane.
-struct Planted<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
 /// A future-event list with deterministic FIFO tie-breaking, O(log n)
 /// insert, pop and cancel, and an O(1) `&self` [`EventQueue::peek_time`].
 ///
@@ -94,10 +79,17 @@ struct Planted<E> {
 /// let mut q = EventQueue::new();
 /// q.schedule(SimTime::from_secs(5), "later");
 /// let early = q.schedule(SimTime::from_secs(2), "cancelled");
-/// q.schedule_in_order(SimTime::from_secs(1), "sooner");
+/// // Two numbers, taken here in the scheduling order; the first is used now.
+/// let base = q.reserve_seqs(2);
+/// q.schedule_reserved(SimTime::from_secs(1), base, "sooner");
+/// q.schedule(SimTime::from_secs(5), "last of the 5 s events");
 /// assert!(q.cancel(early));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
+/// // Scheduled last, but under a number reserved before the event above.
+/// q.schedule_reserved(SimTime::from_secs(5), base + 1, "reserved");
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(5), "later")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(5), "reserved")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(5), "last of the 5 s events")));
 /// ```
 #[derive(Default)]
 pub struct EventQueue<E> {
@@ -107,8 +99,6 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     /// Slots free for reuse.
     free: Vec<u32>,
-    /// Keys strictly increasing front to back.
-    lane: VecDeque<Planted<E>>,
     next_seq: u64,
     cancelled_total: u64,
 }
@@ -121,7 +111,6 @@ impl<E> EventQueue<E> {
             heap_slot: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            lane: VecDeque::new(),
             next_seq: 0,
             cancelled_total: 0,
         }
@@ -130,7 +119,31 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at absolute time `at`; returns a token that
     /// can later be passed to [`EventQueue::cancel`].
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
-        let key = pack(at, self.take_seq());
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.insert(pack(at, seq), event)
+    }
+
+    /// Takes the next `n` sequence numbers and returns the first; the
+    /// block is `base..base + n`. Events scheduled later through
+    /// [`EventQueue::schedule_reserved`] under these numbers order as if
+    /// they had been scheduled here, after everything scheduled so far and
+    /// before everything scheduled from now on.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let base = self.next_seq;
+        self.next_seq += n;
+        base
+    }
+
+    /// Schedules `event` at `at` under `seq`, a number taken earlier by
+    /// [`EventQueue::reserve_seqs`]. Each reserved number keys at most one
+    /// event: the key stays unique, so delivery stays one total order.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventToken {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        self.insert(pack(at, seq), event)
+    }
+
+    fn insert(&mut self, key: u128, event: E) -> EventToken {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -151,71 +164,56 @@ impl<E> EventQueue<E> {
         token
     }
 
-    /// Schedules `event` like [`EventQueue::schedule`], through the
-    /// in-order lane when `at` is no earlier than the lane's last entry.
-    ///
-    /// Meant for planting a batch already sorted by time: each such event
-    /// costs a push onto a FIFO instead of a heap insertion, and stays out
-    /// of the heap until it fires. Out-of-order input simply goes to the
-    /// heap. Delivery order is the same `(time, scheduling order)` either
-    /// way. Cancelling a lane entry costs a binary search and a shift of
-    /// the shorter side of the lane.
-    pub fn schedule_in_order(&mut self, at: SimTime, event: E) -> EventToken {
-        if self.lane.back().is_some_and(|last| last.at > at) {
-            return self.schedule(at, event);
-        }
-        let seq = self.take_seq();
-        self.lane.push_back(Planted { at, seq, event });
-        EventToken(LANE_TOKEN | seq)
-    }
-
     /// Cancels a previously scheduled event. Returns `true` if the token was
     /// still pending (i.e. not yet fired or cancelled); cancelling a token
     /// that already fired or was already cancelled is a no-op returning
     /// `false`.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let removed = if token.0 & LANE_TOKEN != 0 {
-            self.cancel_planted(token.0 & !LANE_TOKEN)
-        } else {
-            self.cancel_slot(token.0 as u32, (token.0 >> 32) as u32)
+        let (slot, gen) = (token.0 as u32, (token.0 >> 32) as u32);
+        let pos = match self.slots.get(slot as usize) {
+            Some(s) if s.gen == gen && s.event.is_some() => s.pos as usize,
+            _ => return false,
         };
-        self.cancelled_total += u64::from(removed);
-        removed
+        self.remove_at(pos);
+        self.release(slot);
+        self.cancelled_total += 1;
+        true
     }
 
     /// Removes and returns the earliest pending event. Returns `None` when
     /// the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, from_lane) = self.head()?;
-        self.take(from_lane)
+        let (&key, &slot) = (self.keys.first()?, self.heap_slot.first()?);
+        self.remove_at(0);
+        self.release(slot).map(|event| (time_of(key), event))
     }
 
     /// Removes and returns the earliest pending event if it fires strictly
     /// before `horizon`.
     pub(crate) fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let (key, from_lane) = self.head()?;
-        if time_of(key) >= horizon {
+        if self.peek_time()? >= horizon {
             return None;
         }
-        self.take(from_lane)
+        self.pop()
     }
 
     /// The timestamp of the next pending event, without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.head().map(|(key, _)| time_of(key))
+        self.keys.first().map(|&key| time_of(key))
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.keys.len() + self.lane.len()
+        self.keys.len()
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.lane.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Total events ever scheduled on this queue.
+    /// Sequence numbers issued on this queue: every event scheduled
+    /// through [`EventQueue::schedule`] plus every number reserved.
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
@@ -225,54 +223,11 @@ impl<E> EventQueue<E> {
         self.cancelled_total
     }
 
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// The smallest key pending, and whether the lane holds it.
-    fn head(&self) -> Option<(u128, bool)> {
-        let lane = self.lane.front().map(|p| pack(p.at, p.seq));
-        match (lane, self.keys.first()) {
-            (Some(l), Some(&h)) => Some(if l < h { (l, true) } else { (h, false) }),
-            (Some(l), None) => Some((l, true)),
-            (None, Some(&h)) => Some((h, false)),
-            (None, None) => None,
-        }
-    }
-
-    fn take(&mut self, from_lane: bool) -> Option<(SimTime, E)> {
-        if from_lane {
-            return self.lane.pop_front().map(|p| (p.at, p.event));
-        }
-        let (&key, &slot) = (self.keys.first()?, self.heap_slot.first()?);
-        self.remove_at(0);
-        self.release(slot).map(|event| (time_of(key), event))
-    }
-
-    fn cancel_planted(&mut self, seq: u64) -> bool {
-        // Lane sequence numbers rise front to back along with the keys.
-        match self.lane.binary_search_by_key(&seq, |p| p.seq) {
-            Ok(i) => self.lane.remove(i).is_some(),
-            Err(_) => false,
-        }
-    }
-
-    fn cancel_slot(&mut self, slot: u32, gen: u32) -> bool {
-        let pos = match self.slots.get(slot as usize) {
-            Some(s) if s.gen == gen && s.event.is_some() => s.pos as usize,
-            _ => return false,
-        };
-        self.remove_at(pos);
-        self.release(slot).is_some()
-    }
-
     /// Frees `slot` for reuse and hands back its event. The generation
     /// bump retires every token issued for the slot so far.
     fn release(&mut self, slot: u32) -> Option<E> {
         let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1) & GEN_MASK;
+        s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
         let event = s.event.take();
         debug_assert!(event.is_some(), "a heap entry's slot holds its event");
@@ -369,14 +324,20 @@ mod tests {
 
     #[test]
     fn ties_break_fifo() {
+        // Every third event takes its place in the order by reserving a
+        // number and is scheduled only after all the others, last first.
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(7);
+        let mut reserved = Vec::new();
         for i in 0..100 {
             if i % 3 == 0 {
-                q.schedule_in_order(t, i);
+                reserved.push((i, q.reserve_seqs(1)));
             } else {
                 q.schedule(t, i);
             }
+        }
+        for (i, seq) in reserved.into_iter().rev() {
+            q.schedule_reserved(t, seq, i);
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
@@ -423,14 +384,15 @@ mod tests {
     fn bogus_token_is_rejected() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(!q.cancel(EventToken(42)));
-        assert!(!q.cancel(EventToken(LANE_TOKEN | 42)));
+        assert!(!q.cancel(EventToken(u64::MAX)));
     }
 
     #[test]
     fn pop_before_stops_at_the_horizon() {
         let mut q = EventQueue::new();
+        let seq = q.reserve_seqs(1);
         q.schedule(SimTime::from_secs(5), 'b');
-        q.schedule_in_order(SimTime::from_secs(1), 'a');
+        q.schedule_reserved(SimTime::from_secs(1), seq, 'a');
         assert_eq!(q.pop_before(SimTime::from_secs(1)), None);
         assert_eq!(
             q.pop_before(SimTime::from_secs(5)),
@@ -442,14 +404,16 @@ mod tests {
 
     #[test]
     fn memory_follows_the_live_events() {
-        // A long schedule/cancel/pop churn through both the heap and the
-        // lane: heap and lane hold exactly the live events — nothing fired
+        // A long schedule/cancel/pop churn, some of it under reserved
+        // numbers: the heap holds exactly the live events — nothing fired
         // or cancelled stays behind — and the slot table never outgrows
         // the most events that were live at once.
         let mut rng = SimRng::seed_from(25);
         let mut q = EventQueue::new();
         let mut tokens = Vec::new();
         let (mut now, mut live, mut peak) = (0u64, 0usize, 0usize);
+        // The reserved block being used up, as `next..end`.
+        let (mut next, mut end) = (0u64, 0u64);
         for step in 0..200_000u64 {
             match rng.uniform_range_u64(0, 10) {
                 0..=3 => {
@@ -458,8 +422,13 @@ mod tests {
                     live += 1;
                 }
                 4 => {
+                    if next == end {
+                        next = q.reserve_seqs(64);
+                        end = next + 64;
+                    }
                     let at = SimTime::from_millis(now + 5_000 + step);
-                    tokens.push(q.schedule_in_order(at, step));
+                    tokens.push(q.schedule_reserved(at, next, step));
+                    next += 1;
                     live += 1;
                 }
                 5 | 6 if !tokens.is_empty() => {
@@ -477,7 +446,7 @@ mod tests {
                 tokens.drain(..2_048);
             }
             peak = peak.max(live);
-            assert_eq!(q.keys.len() + q.lane.len(), live);
+            assert_eq!(q.keys.len(), live);
             assert_eq!(q.slots.len(), q.keys.len() + q.free.len());
             assert!(
                 q.slots.len() <= peak,
@@ -488,7 +457,7 @@ mod tests {
         assert!(peak > 1_000, "the churn never built up a backlog");
         while q.pop().is_some() {}
         assert_eq!(q.free.len(), q.slots.len());
-        assert!(q.lane.is_empty() && q.keys.is_empty());
+        assert!(q.keys.is_empty());
     }
 
     #[test]

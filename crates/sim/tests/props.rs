@@ -1,5 +1,7 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
+use std::collections::VecDeque;
+
 use condor_sim::event::EventQueue;
 use condor_sim::rng::SimRng;
 use condor_sim::series::{BucketAccumulator, StepSeries};
@@ -165,12 +167,13 @@ proptest! {
     }
 
     /// The queue agrees with a naive reference model (a sorted Vec scanned
-    /// linearly) under an arbitrary interleaving of schedule / in-order
-    /// planting / cancel / pop / peek operations, including len() and the
-    /// activity counters. In-order batches are mostly in order (the lane)
-    /// and sometimes not (they must fall back to the heap); cancels hit
-    /// lane entries, heap entries, and tokens that already fired or were
-    /// cancelled, whose heap slots have been reused since.
+    /// linearly) under an arbitrary interleaving of schedule / reserve /
+    /// schedule-reserved / cancel / pop / peek operations, including len()
+    /// and the activity counters. A reserved block's members are scheduled
+    /// one at a time, in key order, between the other operations, each
+    /// under its own number; cancels hit ordinary and reserved events, and
+    /// tokens that already fired or were cancelled, whose heap slots have
+    /// been reused since.
     #[test]
     fn queue_matches_reference_model(
         ops in prop::collection::vec((0u8..100, 0u64..5_000, any::<prop::sample::Index>()), 1..300),
@@ -179,49 +182,50 @@ proptest! {
         // minimum on every pop/peek. Quadratic and obviously correct.
         let mut model: Vec<(SimTime, u64, usize)> = Vec::new();
         let mut q = EventQueue::new();
+        // Every token issued, with the sequence number it was keyed by.
         let mut tokens = Vec::new();
         let mut next_id = 0usize;
-        let mut scheduled = 0u64;
+        let mut next_seq = 0u64;
         let mut cancelled = 0u64;
-        // The time the last in-order batch ended on.
-        let mut planted = 0u64;
+        // Reserved members not yet scheduled, in key order within a block.
+        let mut reserved: VecDeque<(SimTime, u64)> = VecDeque::new();
         for (choice, t, pick) in ops {
-            match choice {
+            let planted = match choice {
                 // Schedule a fresh event.
                 0..=39 => {
                     let at = SimTime::from_millis(t);
-                    let tok = q.schedule(at, next_id);
-                    model.push((at, tokens.len() as u64, next_id));
-                    tokens.push(tok);
-                    next_id += 1;
-                    scheduled += 1;
+                    next_seq += 1;
+                    Some((q.schedule(at, next_id), at, next_seq - 1))
                 }
-                // Plant a batch of up to four through the in-order path:
-                // nondecreasing from the last batch's end (ties included),
-                // or — one batch in four — from an arbitrary instant.
-                40..=54 => {
-                    let n = 1 + pick.index(4);
-                    let mut at = if t % 4 == 0 { t } else { planted + t % 7 };
+                // Reserve a block of up to eight numbers, for instants
+                // nondecreasing from `t` (ties included).
+                40..=47 => {
+                    let n = 1 + pick.index(8) as u64;
+                    let base = q.reserve_seqs(n);
+                    prop_assert_eq!(base, next_seq);
+                    let mut at = t;
                     for k in 0..n {
                         at += (t >> k) % 3;
-                        let tok = q.schedule_in_order(SimTime::from_millis(at), next_id);
-                        model.push((SimTime::from_millis(at), tokens.len() as u64, next_id));
-                        tokens.push(tok);
-                        next_id += 1;
-                        scheduled += 1;
+                        reserved.push_back((SimTime::from_millis(at), base + k));
                     }
-                    planted = at;
+                    next_seq += n;
+                    None
                 }
+                // Schedule the next reserved member, if one waits.
+                48..=54 => reserved
+                    .pop_front()
+                    .map(|(at, seq)| (q.schedule_reserved(at, seq, next_id), at, seq)),
                 // Cancel an arbitrary already-issued token (possibly one
                 // that has fired or was cancelled before).
                 55..=79 if !tokens.is_empty() => {
-                    let victim = pick.index(tokens.len());
-                    let was_live = model.iter().any(|&(_, s, _)| s == victim as u64);
-                    prop_assert_eq!(q.cancel(tokens[victim]), was_live);
+                    let (tok, seq) = tokens[pick.index(tokens.len())];
+                    let was_live = model.iter().any(|&(_, s, _)| s == seq);
+                    prop_assert_eq!(q.cancel(tok), was_live);
                     if was_live {
-                        model.retain(|&(_, s, _)| s != victim as u64);
+                        model.retain(|&(_, s, _)| s != seq);
                         cancelled += 1;
                     }
+                    None
                 }
                 // Pop and compare against the model's minimum (time, seq).
                 80..=94 => {
@@ -233,16 +237,23 @@ proptest! {
                             model.retain(|&(_, s, _)| s != seq);
                         }
                     }
+                    None
                 }
                 // Pure peek.
                 _ => {
                     let want = model.iter().min().map(|&(at, _, _)| at);
                     prop_assert_eq!(q.peek_time(), want);
+                    None
                 }
+            };
+            if let Some((tok, at, seq)) = planted {
+                model.push((at, seq, next_id));
+                tokens.push((tok, seq));
+                next_id += 1;
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
-            prop_assert_eq!(q.scheduled_total(), scheduled);
+            prop_assert_eq!(q.scheduled_total(), next_seq);
             prop_assert_eq!(q.cancelled_total(), cancelled);
         }
         // Drain: remaining events come out exactly in model order.
@@ -252,7 +263,7 @@ proptest! {
         }
         prop_assert_eq!(q.pop(), None);
         // Every token is stale now, through however many reuses of its slot.
-        for tok in tokens {
+        for (tok, _) in tokens {
             prop_assert!(!q.cancel(tok));
         }
         prop_assert_eq!(q.cancelled_total(), cancelled);
